@@ -419,100 +419,6 @@ let resume_perf () =
     t_mis t_decay;
   [ ("mis-resume-n65536", t_mis); ("decay-star32", t_decay) ]
 
-(* Sweep-service overhead, gated like the kernel entries:
-
-     serve-overhead-e5  E5 (quick scale) submitted cold through an
-                        in-process daemon plus one worker over a real
-                        unix socket — the full `rn_cli serve` round
-                        trip (submit RPC, per-cell claim RPCs, shared
-                        journal appends, results fetch), minus process
-                        spawning.
-     serve-progress-e5  The same cold sweep with a progress-streaming
-                        wait draining every per-cell event frame — the
-                        streaming path must stay within a few percent
-                        of the plain wait.
-
-   The direct cold E5 wall-clock is the "E5" experiment entry in the
-   same report, so the pair bounds what the service layer costs per
-   sweep; a regression here means the per-cell claim RPCs, the progress
-   stream, or the daemon's select tick got expensive. *)
-let serve_perf () =
-  let module P = Rn_serve.Protocol in
-  let module C = Rn_serve.Client in
-  (* One cold E5 sweep through a fresh in-process daemon + worker pair
-     over a fresh store; [progress] picks the wait flavour. *)
-  let one_sweep ~progress =
-    let dir = Filename.temp_file "rn-bench-serve" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let sock = Filename.concat dir "sock" in
-    let store_dir = Filename.concat dir "store" in
-    let daemon =
-      Domain.spawn (fun () ->
-          Rn_serve.Daemon.run ~workers:0 ~spawn:false ~socket:sock ~store_dir ())
-    in
-    let rec await n =
-      if Sys.file_exists sock then ()
-      else if n = 0 then failwith "serve bench: daemon never bound its socket"
-      else begin
-        Unix.sleepf 0.02;
-        await (n - 1)
-      end
-    in
-    await 250;
-    let worker =
-      Domain.spawn (fun () -> Rn_serve.Worker.run ~idle_sleep:0.005 ~socket:sock ())
-    in
-    let io = C.connect sock in
-    let events = ref 0 in
-    let (), t_serve =
-      timed (fun () ->
-          let j =
-            match
-              C.rpc io (P.Submit { P.exps = [ "E5" ]; scale = P.Quick; jobs = 1; retry = 0 })
-            with
-            | P.Job_id j -> j
-            | _ -> failwith "serve bench: expected a job id"
-          in
-          (if progress then (
-             match C.wait_progress io j ~on_progress:(fun _ -> incr events) with
-             | P.Ok_unit -> ()
-             | _ -> failwith "serve bench: progress wait failed")
-           else
-             match C.rpc io (P.Wait { job = j; progress = false }) with
-             | P.Ok_unit -> ()
-             | _ -> failwith "serve bench: wait failed");
-          match C.rpc io (P.Results j) with
-          | P.Results_r _ -> ()
-          | P.Err m -> failwith ("serve bench: " ^ m)
-          | _ -> failwith "serve bench: expected results")
-    in
-    if progress && !events = 0 then failwith "serve bench: progress stream was empty";
-    (match C.rpc io P.Shutdown with
-    | P.Ok_unit -> ()
-    | _ -> failwith "serve bench: shutdown failed");
-    C.close io;
-    Domain.join worker;
-    Domain.join daemon;
-    let rec rm p =
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-        Unix.rmdir p
-      end
-      else Sys.remove p
-    in
-    rm dir;
-    t_serve
-  in
-  let t_serve = one_sweep ~progress:false in
-  let t_progress = one_sweep ~progress:true in
-  Printf.printf
-    "--- sweep service: E5 cold through daemon + worker %.3f s, with progress stream \
-     %.3f s (%+.1f%%) ---\n\n"
-    t_serve t_progress
-    (100.0 *. (t_progress -. t_serve) /. t_serve);
-  [ ("serve-overhead-e5", t_serve); ("serve-progress-e5", t_progress) ]
-
 (* --jobs N: worker domains for the experiment sweeps (default: cores - 1,
    capped).  With jobs > 1 every experiment is run twice — once parallel,
    once sequential — and the wall-clock speedup is reported per
@@ -583,7 +489,6 @@ let () =
   let scale_entries = scale_perf () in
   let adversary_entries = adversary_perf () in
   let resume_entries = resume_perf () in
-  let serve_entries = serve_perf () in
   if profile then Rn_util.Timing.set_enabled true;
   Printf.printf
     "--- experiment suite (%s scale, %d jobs; see DESIGN.md / EXPERIMENTS.md) ---\n\n"
@@ -657,5 +562,5 @@ let () =
     write_json ~path ~full ~jobs ~micro
       ~experiments:
         (trace_entries @ kernel_entries @ scale_entries @ adversary_entries
-        @ resume_entries @ serve_entries @ List.rev !wallclocks)
+        @ resume_entries @ List.rev !wallclocks)
   | None -> ()

@@ -381,6 +381,22 @@ let trace_inspect_cmd =
 
 module Store = Rn_util.Store
 
+(* Minimal JSON string escaping for metrics.json and `store stats --json`
+   (keys here are identifiers; only journal problem messages could be
+   exotic). *)
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* Store diagnostics go to stderr: the rendered tables on stdout must be
    byte-identical whether cells were computed or replayed from the
    cache (and identical to --no-cache).  Per-experiment metrics
@@ -453,6 +469,20 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
       List.iter (fun (label, t) -> Printf.fprintf oc "%.3f %s\n" t label) slow;
       close_out oc;
       Printf.eprintf "[store] slowest cells -> %s\n%!" path);
+    (* The per-experiment metrics (each the merge of its cells'
+       snapshots) as one JSON object keyed by experiment id. *)
+    if metrics then begin
+      let path = Filename.concat store_dir "metrics.json" in
+      let fields =
+        List.map
+          (fun (id, snap) ->
+            Printf.sprintf "\"%s\":%s" (json_escape id) (Rn_util.Metrics.to_json snap))
+          (Rn_harness.Harness.experiment_metrics ())
+      in
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "{%s}\n" (String.concat "," fields));
+      Printf.eprintf "[store] metrics -> %s\n%!" path
+    end;
     Rn_harness.Harness.clear_store ();
     Store.close s
   | None -> ());
@@ -575,49 +605,6 @@ let per_group records =
     records;
   Hashtbl.fold (fun g c acc -> (g, c) :: acc) tbl [] |> List.sort compare
 
-(* Minimal JSON string escaping for the --json output (keys here are
-   identifiers; only journal problem messages could be exotic). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* Fault-recovery counters mirrored by the sweep daemon into
-   <dir>/daemon-stats.sexp (requeues, claim waits, heartbeat age) —
-   absent when no daemon ever ran against this store. *)
-let read_daemon_stats dir =
-  let module Sx = Rn_util.Sexp in
-  let path = Filename.concat dir "daemon-stats.sexp" in
-  if not (Sys.file_exists path) then None
-  else
-    match Sx.parse_file path with
-    | sx ->
-      let int1 key =
-        match Sx.assoc key sx with
-        | Some [ v ] -> Option.value (Sx.as_int v) ~default:0
-        | _ -> 0
-      in
-      let counters =
-        match Sx.assoc "counters" sx with
-        | Some entries ->
-          List.filter_map
-            (function
-              | Sx.List [ Sx.Atom k; v ] -> Option.map (fun n -> (k, n)) (Sx.as_int v)
-              | _ -> None)
-            entries
-        | None -> []
-      in
-      Some (counters, int1 "heartbeat-age-ms", int1 "workers-alive", int1 "inflight")
-    | exception _ -> None
-
 let run_store_stats dir json =
   let scan = Store.scan_file (Store.journal_path dir) in
   if json then begin
@@ -635,25 +622,12 @@ let run_store_stats dir json =
       | Some (h, m, f) -> Printf.sprintf {|{"hits":%d,"misses":%d,"failures":%d}|} h m f
       | None -> "null"
     in
-    let daemon =
-      match read_daemon_stats dir with
-      | None -> "null"
-      | Some (counters, hb, alive, inflight) ->
-        let kvs =
-          List.map
-            (fun (k, v) -> Printf.sprintf {|"%s":%d|} (json_escape k) v)
-            counters
-        in
-        Printf.sprintf
-          {|{"counters":{%s},"heartbeat_age_ms":%d,"workers_alive":%d,"inflight":%d}|}
-          (String.concat "," kvs) hb alive inflight
-    in
     Printf.printf
-      {|{"dir":"%s","records":%d,"journal_bytes":%d,"intact_bytes":%d,"problems":[%s],"groups":[%s],"last_run":%s,"daemon":%s}|}
+      {|{"dir":"%s","records":%d,"journal_bytes":%d,"intact_bytes":%d,"problems":[%s],"groups":[%s],"last_run":%s}|}
       (json_escape dir)
       (List.length scan.Store.good)
       scan.Store.total_bytes scan.Store.good_bytes (String.concat "," problems)
-      (String.concat "," groups) last_run daemon;
+      (String.concat "," groups) last_run;
     print_newline ()
   end
   else begin
@@ -667,21 +641,12 @@ let run_store_stats dir json =
         Printf.printf "  %-4s v%d %-5s %-6s %d ok%s\n" exp v scale env ok
           (if fl > 0 then Printf.sprintf ", %d failed" fl else ""))
       (per_group scan.Store.good);
-    (match Store.read_last_run ~dir with
+    match Store.read_last_run ~dir with
     | Some (h, m, f) ->
       let total = h + m in
       let pct = if total = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int total in
       Printf.printf "last run: hits=%d misses=%d failed=%d (%.1f%% hits)\n" h m f pct
-    | None -> ());
-    match read_daemon_stats dir with
     | None -> ()
-    | Some (counters, hb, alive, inflight) ->
-      let c k = Option.value (List.assoc_opt k counters) ~default:0 in
-      Printf.printf
-        "daemon: requeued=%d claim-waits=%d heartbeat-age=%.1fs workers-alive=%d in-flight=%d\n"
-        (c "cells.requeued") (c "cells.claim_theirs")
-        (float_of_int hb /. 1000.0)
-        alive inflight
   end
 
 let run_store_gc dir =
@@ -1034,10 +999,10 @@ let repair_cmd =
 
 (* --- trace cell: re-run one sweep cell under an Events sink --- *)
 
-(* Same code path as a worker's [Trace_task] (lib/serve/worker.ml), so
-   `rn_cli trace cell` and `rn_cli serve trace` produce byte-identical
-   Chrome traces for the same store — determinism makes the warm re-run
-   faithful to the original compute. *)
+(* The rest of the sweep replays warm from the store while the target
+   cell is recomputed under an ambient sink (Harness.set_trace_target);
+   determinism makes that re-run faithful to the original compute, so
+   two runs against one store print byte-identical Chrome traces. *)
 let run_trace_cell exp coord full store_dir out =
   if Rn_harness.All.find exp = None then begin
     Printf.eprintf "rn_cli: unknown experiment %s (known: %s)\n" exp
@@ -1114,455 +1079,13 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Structured event tracing: record and query engine event traces.")
     [ trace_run_cmd; trace_inspect_cmd; trace_cell_cmd ]
 
-(* --- the sweep service (serve / work / submit / status / ...) ---
-
-   `rn_cli serve` runs the daemon, `rn_cli work` is the worker entry
-   point the daemon spawns, and the rest are one-shot thin clients.
-   Tables printed by `submit --wait` / `results` are byte-identical to
-   `rn_cli experiment` output (see EXPERIMENTS.md, "The sweep service"). *)
-
-module Serve_p = Rn_serve.Protocol
-module Serve_client = Rn_serve.Client
-
-let socket_arg =
-  Arg.(
-    value
-    & opt string (Filename.concat ".rn-store" "serve.sock")
-    & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket the daemon listens on.")
-
-let job_pos = Arg.(required & pos 0 (some int) None & info [] ~docv:"JOB" ~doc:"Job id.")
-
-(* One-shot client request with a friendly connection error. *)
-let serve_request socket req =
-  match Serve_client.request ~socket req with
-  | resp -> resp
-  | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-    Printf.eprintf "rn_cli: no daemon at %s (start one with: rn_cli serve)\n" socket;
-    exit 1
-
-let die_err m =
-  Printf.eprintf "rn_cli: %s\n" m;
-  exit 1
-
-let run_serve socket store_dir workers heartbeat log_file =
-  Rn_serve.Daemon.run ~workers ~heartbeat ~socket ~store_dir ~log_file ()
-
-let serve_workers_arg =
-  Arg.(
-    value
-    & opt int (Rn_util.Pool.recommended_jobs ())
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Worker processes to keep alive while jobs are open (default: cores - 1, \
-           capped). Tables are identical at any worker count.")
-
-let serve_heartbeat_arg =
-  Arg.(
-    value & opt float 60.0
-    & info [ "heartbeat-timeout" ] ~docv:"SEC"
-        ~doc:
-          "Declare a connected-but-silent worker dead after this long and requeue its \
-           claimed cells (socket EOF requeues immediately; this is the backstop for hung \
-           workers).")
-
-let serve_log_arg =
-  Arg.(
-    value & opt string "-"
-    & info [ "log" ] ~docv:"PATH"
-        ~doc:
-          "Write the daemon log (with monotonic timestamps; spawned workers' stderr too) \
-           to this file, rotating any previous log to PATH.1 at startup. \"-\" (default) \
-           keeps stderr.")
-
-let serve_daemon_term =
-  Term.(
-    const run_serve $ socket_arg $ store_arg $ serve_workers_arg $ serve_heartbeat_arg
-    $ serve_log_arg)
-
-(* --- serve telemetry subcommands (top / metrics / health / trace) --- *)
-
-let run_serve_health socket =
-  match serve_request socket Serve_p.Health with
-  | Serve_p.Health_r h -> print_string (Serve_client.format_health h)
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected health reply"
-
-let serve_health_cmd =
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "One-shot daemon health: worker heartbeat ages, queue depths, requeue counters, \
-          journal size and growth.")
-    Term.(const run_serve_health $ socket_arg)
-
-let run_serve_metrics socket format =
-  match serve_request socket Serve_p.Metrics_reg with
-  | Serve_p.Metrics_reg_r s -> (
-    let snap =
-      match Rn_util.Metrics.snapshot_of_sexp (Rn_util.Sexp.parse_string s) with
-      | snap -> snap
-      | exception _ -> die_err "malformed metrics snapshot from daemon"
-    in
-    match format with
-    | `Json -> print_endline (Rn_util.Metrics.to_json snap)
-    | `Prometheus -> print_string (Rn_util.Metrics.to_prometheus snap)
-    | `Sexp -> print_endline s)
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected metrics reply"
-
-let serve_metrics_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("json", `Json); ("prometheus", `Prometheus); ("sexp", `Sexp) ]) `Json
-    & info [ "format" ] ~docv:"FMT" ~doc:"json | prometheus | sexp.")
-
-let serve_metrics_cmd =
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Full metrics-registry exposition: the daemon's registry, the scheduler \
-          counters, and the latest pushed per-worker snapshots merged into one \
-          (commutative merge, so worker arrival order is irrelevant).")
-    Term.(const run_serve_metrics $ socket_arg $ serve_metrics_format_arg)
-
-let run_serve_trace socket exp coord full out =
-  let scale = if full then Serve_p.Full else Serve_p.Quick in
-  match serve_request socket (Serve_p.Trace { exp; scale; coord }) with
-  | Serve_p.Trace_r data -> (
-    match out with
-    | None ->
-      print_string data;
-      flush stdout
-    | Some path ->
-      Out_channel.with_open_bin path (fun oc -> output_string oc data);
-      Printf.eprintf "trace: wrote %d bytes to %s\n" (String.length data) path)
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected trace reply"
-
-let serve_trace_cmd =
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:
-         "Ask a worker to re-run one finished cell under an event sink and print its \
-          Chrome trace — byte-identical to 'rn_cli trace cell' on the same store \
-          (blocks until a worker delivers it).")
-    Term.(
-      const run_serve_trace $ socket_arg $ trace_exp_pos $ trace_coord_pos $ full_arg
-      $ trace_out_file_arg)
-
-(* `serve top`: self-refreshing terminal dashboard.  Plain ANSI clear +
-   reprint — no terminal library, works in any VT100-ish terminal.
-   Cells/sec comes from successive samples of each worker's lifetime
-   cell counter; the ETA is in-flight cells x mean cell time spread over
-   the live workers (a store-hit-heavy job finishes far sooner). *)
-let run_serve_top socket interval count =
-  let prev : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let prev_t = ref None in
-  let iter = ref 0 in
-  let continue () = match count with None -> true | Some n -> !iter < n in
-  while continue () do
-    incr iter;
-    let h =
-      match serve_request socket Serve_p.Health with
-      | Serve_p.Health_r h -> h
-      | Serve_p.Err m -> die_err m
-      | _ -> die_err "unexpected health reply"
-    in
-    let jobs =
-      match serve_request socket (Serve_p.Status None) with
-      | Serve_p.Status_r { jobs; _ } -> jobs
-      | _ -> []
-    in
-    let now = Unix.gettimeofday () in
-    let dt = match !prev_t with None -> 0.0 | Some t -> now -. t in
-    prev_t := Some now;
-    let b = Buffer.create 1024 in
-    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    add "rn serve top  -  uptime %.0fs  jobs %d open / %d total  waiters %d\n"
-      (float_of_int h.Serve_p.uptime_ms /. 1000.0)
-      h.Serve_p.jobs_open h.Serve_p.jobs_total h.Serve_p.waiters;
-    add "cells: done %d  hit %d  failed %d  requeued %d  in-flight %d  mean %.1f ms\n\n"
-      h.Serve_p.done_cells h.Serve_p.hit_cells h.Serve_p.failed_cells h.Serve_p.requeued
-      h.Serve_p.inflight
-      (float_of_int h.Serve_p.mean_cell_us /. 1000.0);
-    List.iter
-      (fun (s : Serve_p.job_summary) ->
-        add "job %-3d %-9s exps %d/%d  cells %d (failed %d)  hits %d  misses %d  [%s @%s]\n"
-          s.Serve_p.job
-          (Serve_p.state_name s.Serve_p.state)
-          s.Serve_p.exps_done
-          (List.length s.Serve_p.spec.Serve_p.exps)
-          s.Serve_p.cells_done s.Serve_p.cells_failed s.Serve_p.hits s.Serve_p.misses
-          (String.concat "," s.Serve_p.spec.Serve_p.exps)
-          (Serve_p.scale_name s.Serve_p.spec.Serve_p.scale))
-      jobs;
-    if jobs <> [] then add "\n";
-    let total_rate = ref 0.0 and rate_known = ref false and alive = ref 0 in
-    List.iter
-      (fun (w : Serve_p.worker_health) ->
-        if w.Serve_p.halive then incr alive;
-        (* A rate needs two samples of the same worker's counter: on the
-           first frame (dt = 0), or the first time a worker appears, or
-           after a counter reset (respawn), there is no rate yet — render
-           "--" instead of 0.0 or a divide-by-dt spike. *)
-        let before = Hashtbl.find_opt prev w.Serve_p.hwid in
-        Hashtbl.replace prev w.Serve_p.hwid w.Serve_p.hcells;
-        let rate =
-          match before with
-          | Some b when dt > 0.0 && w.Serve_p.hcells >= b ->
-            Some (float_of_int (w.Serve_p.hcells - b) /. dt)
-          | _ -> None
-        in
-        (match rate with
-        | Some r ->
-          total_rate := !total_rate +. r;
-          rate_known := true
-        | None -> ());
-        add "worker %-2d pid %-7d %-5s heartbeat %5.1fs  cells %-6d %s%s\n"
-          w.Serve_p.hwid w.Serve_p.hpid
-          (if w.Serve_p.halive then "alive" else "lost")
-          (float_of_int w.Serve_p.hage_ms /. 1000.0)
-          w.Serve_p.hcells
-          (match rate with
-          | Some r -> Printf.sprintf "%6.1f cells/s" r
-          | None -> "    -- cells/s")
-          (match w.Serve_p.hjob with
-          | None -> ""
-          | Some j -> Printf.sprintf "  job %d" j))
-      h.Serve_p.hworkers;
-    if !rate_known then add "throughput %.1f cells/s" !total_rate
-    else add "throughput -- cells/s";
-    (* No mean cell time yet (nothing finished) means the ETA is unknown,
-       not zero — say so rather than hiding it while work is in flight. *)
-    if h.Serve_p.inflight > 0 && !alive > 0 then
-      if h.Serve_p.mean_cell_us > 0 then
-        add "  eta ~%.0fs (in-flight x mean / workers)"
-          (float_of_int (h.Serve_p.inflight * h.Serve_p.mean_cell_us)
-          /. 1e6 /. float_of_int !alive)
-      else add "  eta -- (no finished cells yet)";
-    add "\n";
-    (match h.Serve_p.slow_claims with
-    | [] -> ()
-    | slow ->
-      add "\nslowest in-flight cells:\n";
-      List.iter
-        (fun (key, wid, age_ms) ->
-          add "  %8.1fs  w%-2d  %s\n" (float_of_int age_ms /. 1000.0) wid key)
-        slow);
-    if Unix.isatty Unix.stdout then print_string "\027[H\027[2J";
-    print_string (Buffer.contents b);
-    flush stdout;
-    if continue () then Unix.sleepf interval
-  done
-
-let top_interval_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "interval" ] ~docv:"SEC" ~doc:"Refresh period in seconds.")
-
-let top_count_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "n" ] ~docv:"N" ~doc:"Render N frames and exit (default: refresh forever).")
-
-let serve_top_cmd =
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Self-refreshing terminal dashboard for the daemon: queue state, per-worker \
-          throughput, cells/sec, ETA, slowest in-flight cells. Ctrl-C to quit.")
-    Term.(const run_serve_top $ socket_arg $ top_interval_arg $ top_count_arg)
-
-let serve_cmd =
-  Cmd.group ~default:serve_daemon_term
-    (Cmd.info "serve"
-       ~doc:
-         "Run the sweep daemon: accept submitted experiment sweeps and fan their cells \
-          out to worker processes sharing one result store. Subcommands watch a running \
-          daemon (top, metrics, health, trace).")
-    [ serve_top_cmd; serve_metrics_cmd; serve_health_cmd; serve_trace_cmd ]
-
-let work_cmd =
-  Cmd.v
-    (Cmd.info "work"
-       ~doc:"Worker entry point; normally spawned by the daemon, not run by hand.")
-    Term.(const (fun socket -> Rn_serve.Worker.run ~socket ()) $ socket_arg)
-
-(* "exp|scale|vN|env|coord" -> "exp coord": the readable slice of a
-   store key for the one-line progress display. *)
-let short_key k =
-  match String.split_on_char '|' k with
-  | exp :: _ :: _ :: _ :: coord :: _ -> exp ^ " " ^ coord
-  | _ -> k
-
-(* Live progress rendering for `submit --wait --progress`.  On a tty the
-   line redraws in place; piped (CI, the smoke test) each event becomes
-   its own greppable line with its monotone sequence number. *)
-let progress_renderer job =
-  let tty = Unix.isatty Unix.stderr in
-  let counts = Hashtbl.create 8 in
-  let t0 = Unix.gettimeofday () in
-  fun (p : Serve_p.progress) ->
-    let name = Serve_p.phase_name p.Serve_p.phase in
-    Hashtbl.replace counts name
-      (1 + Option.value (Hashtbl.find_opt counts name) ~default:0);
-    if tty then begin
-      let c k = Option.value (Hashtbl.find_opt counts k) ~default:0 in
-      Printf.eprintf "\r[job %d +%.1fs] done %d  hit %d  failed %d  requeued %d  (%s %s)\027[K%!"
-        job
-        (Unix.gettimeofday () -. t0)
-        (c "done") (c "hit") (c "failed") (c "requeued")
-        name
-        (short_key p.Serve_p.pkey)
-    end
-    else
-      Printf.eprintf "progress seq=%d job=%d worker=%d phase=%s us=%d key=%s\n%!"
-        p.Serve_p.pseq p.Serve_p.pjob p.Serve_p.pworker name p.Serve_p.pus
-        (short_key p.Serve_p.pkey)
-
-let run_submit socket ids full jobs retry wait progress =
-  let ids = if ids = [] then Rn_harness.All.ids else ids in
-  let spec =
-    {
-      Serve_p.exps = ids;
-      scale = (if full then Serve_p.Full else Serve_p.Quick);
-      jobs;
-      retry;
-    }
-  in
-  let io =
-    match Serve_client.connect socket with
-    | io -> io
-    | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _) ->
-      Printf.eprintf "rn_cli: no daemon at %s (start one with: rn_cli serve)\n" socket;
-      exit 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Serve_client.close io)
-    (fun () ->
-      match Serve_client.rpc io (Serve_p.Submit spec) with
-      | Serve_p.Err m -> die_err m
-      | Serve_p.Job_id j ->
-        if not wait then Printf.printf "job %d\n" j
-        else begin
-          (* stdout stays pure tables; progress goes to stderr *)
-          Printf.eprintf "job %d submitted, waiting...\n%!" j;
-          let final =
-            if progress then begin
-              let r = Serve_client.wait_progress io j ~on_progress:(progress_renderer j) in
-              if Unix.isatty Unix.stderr then Printf.eprintf "\n%!";
-              r
-            end
-            else Serve_client.rpc io (Serve_p.Wait { job = j; progress = false })
-          in
-          (match final with
-          | Serve_p.Ok_unit -> ()
-          | Serve_p.Err m -> die_err m
-          | _ -> die_err "unexpected wait reply");
-          match Serve_client.rpc io (Serve_p.Results j) with
-          | Serve_p.Results_r out ->
-            print_string out;
-            flush stdout
-          | Serve_p.Err m -> die_err m
-          | _ -> die_err "unexpected results reply"
-        end
-      | _ -> die_err "unexpected submit reply")
-
-let submit_wait_arg =
-  Arg.(
-    value & flag
-    & info [ "wait" ]
-        ~doc:"Block until the job finishes and print its tables to stdout.")
-
-let submit_jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Cell domains per worker process.")
-
-let submit_progress_arg =
-  Arg.(
-    value & flag
-    & info [ "progress" ]
-        ~doc:
-          "With --wait, stream per-cell progress events to stderr as they happen (live \
-           line on a tty, one line per event when piped). Tables on stdout are unchanged.")
-
-let submit_cmd =
-  Cmd.v
-    (Cmd.info "submit" ~doc:"Submit an experiment sweep to the daemon.")
-    Term.(
-      const run_submit $ socket_arg $ ids_arg $ full_arg $ submit_jobs_arg $ retry_arg
-      $ submit_wait_arg $ submit_progress_arg)
-
-let run_status socket jid metrics =
-  if metrics then
-    match serve_request socket Serve_p.Metrics with
-    | Serve_p.Metrics_r kvs ->
-      List.iter (fun (k, v) -> Printf.printf "%-18s %d\n" k v) kvs
-    | Serve_p.Err m -> die_err m
-    | _ -> die_err "unexpected metrics reply"
-  else
-    match serve_request socket (Serve_p.Status jid) with
-    | Serve_p.Status_r { jobs; workers } ->
-      print_string (Serve_client.format_status jobs workers)
-    | Serve_p.Err m -> die_err m
-    | _ -> die_err "unexpected status reply"
-
-let status_job_pos =
-  Arg.(value & pos 0 (some int) None & info [] ~docv:"JOB" ~doc:"Show only this job.")
-
-let status_metrics_arg =
-  Arg.(value & flag & info [ "metrics" ] ~doc:"Print the daemon's scheduler counters instead.")
-
-let status_cmd =
-  Cmd.v
-    (Cmd.info "status" ~doc:"Show the daemon's jobs and workers (pids included).")
-    Term.(const run_status $ socket_arg $ status_job_pos $ status_metrics_arg)
-
-let run_results socket j =
-  match serve_request socket (Serve_p.Results j) with
-  | Serve_p.Results_r out ->
-    print_string out;
-    flush stdout
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected results reply"
-
-let results_cmd =
-  Cmd.v
-    (Cmd.info "results" ~doc:"Print a finished job's tables (byte-identical to a direct run).")
-    Term.(const run_results $ socket_arg $ job_pos)
-
-let run_cancel socket j =
-  match serve_request socket (Serve_p.Cancel j) with
-  | Serve_p.Ok_unit -> Printf.printf "job %d cancelled\n" j
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected cancel reply"
-
-let cancel_cmd =
-  Cmd.v
-    (Cmd.info "cancel" ~doc:"Cancel a queued or running job.")
-    Term.(const run_cancel $ socket_arg $ job_pos)
-
-let run_shutdown socket =
-  match serve_request socket Serve_p.Shutdown with
-  | Serve_p.Ok_unit -> print_endline "daemon stopping"
-  | Serve_p.Err m -> die_err m
-  | _ -> die_err "unexpected shutdown reply"
-
-let shutdown_cmd =
-  Cmd.v
-    (Cmd.info "shutdown" ~doc:"Stop the daemon (the store journal keeps all finished cells).")
-    Term.(const run_shutdown $ socket_arg)
-
 let main =
   Cmd.group
     (Cmd.info "rn_cli" ~version:"1.0.0"
        ~doc:"Dual graph radio network algorithms (Censor-Hillel et al., PODC 2011).")
     [
       mis_cmd; ccds_cmd; bridge_cmd; experiment_cmd; list_cmd; figures_cmd; broadcast_cmd;
-      repair_cmd; scenario_cmd; store_cmd; trace_cmd; scale_cmd; graph_cmd; serve_cmd;
-      work_cmd; submit_cmd; status_cmd; results_cmd; cancel_cmd; shutdown_cmd;
+      repair_cmd; scenario_cmd; store_cmd; trace_cmd; scale_cmd; graph_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -169,6 +169,10 @@ let run ?out ?sizes:sizes_override ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel 
         r)
       grid
   in
+  let workload =
+    Printf.sprintf "beacon workload: %d rounds, each process syncs w.p. %.2f" beacon_rounds
+      beacon_p
+  in
   if check then begin
     (* Deterministic columns only: counts are byte-identical across
        shard counts and kernel modes (that is the sharding contract),
@@ -192,11 +196,7 @@ let run ?out ?sizes:sizes_override ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel 
       id = "S1";
       title = "Scaling: deterministic delivery counts (check mode)";
       body = Table.render t;
-      notes =
-        [
-          Printf.sprintf "beacon workload: %d rounds, each process syncs w.p. %.2f"
-            beacon_rounds beacon_p;
-        ];
+      notes = [ workload ];
     }
   end
   else begin
@@ -224,18 +224,20 @@ let run ?out ?sizes:sizes_override ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel 
         ])
     rows;
   let ns = List.map (fun r -> float_of_int r.n) rows in
+  (* An exponent needs at least two sizes to fit. *)
   let notes =
-    [
-      note_power ~what:"world-gen seconds" ns
-        (List.map (fun r -> Float.max r.gen_s 1e-6) rows);
-      note_power ~what:"per-round seconds" ns
-        (List.map (fun r -> Float.max (r.wall_s /. float_of_int beacon_rounds) 1e-6) rows);
-      Printf.sprintf "beacon workload: %d rounds, each process syncs w.p. %.2f" beacon_rounds
-        beacon_p;
-      "expect both exponents near 1 (log-degree growth adds ~0.1-0.3): gen is \
-       O(n.deg) expected (hash grid), the kernel makes a dense round \
-       O(reach/word + senders)";
-    ]
+    if List.length rows < 2 then [ workload ]
+    else
+      [
+        note_power ~what:"world-gen seconds" ns
+          (List.map (fun r -> Float.max r.gen_s 1e-6) rows);
+        note_power ~what:"per-round seconds" ns
+          (List.map (fun r -> Float.max (r.wall_s /. float_of_int beacon_rounds) 1e-6) rows);
+        workload;
+        "expect both exponents near 1 (log-degree growth adds ~0.1-0.3): gen is \
+         O(n.deg) expected (hash grid), the kernel makes a dense round \
+         O(reach/word + senders)";
+      ]
   in
   let notes =
     match out with

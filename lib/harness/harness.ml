@@ -174,37 +174,6 @@ let compute_cell cfg f c =
    scoped snapshot, so per-experiment aggregates carry a max cell time. *)
 let m_cell_us = Metrics.gauge "cell.us"
 
-(* --- cross-process sweep coordination (the serve daemon) ---
-
-   When several worker processes sweep the same experiment against one
-   shared store journal, each store miss is first offered to a
-   coordinator (the daemon, over the worker's socket).  [Claim_mine]
-   means compute it; [Claim_theirs] means a live peer owns it — poll the
-   journal via {!Store.refresh} until the peer's record lands (or the
-   peer dies and a re-ask returns [Claim_mine]).  Without a coordinator
-   the miss path is unchanged.  Claims run on Pool worker domains, so a
-   coordinator's functions must be domain-safe. *)
-
-type claim_outcome =
-  | Claim_mine
-  | Claim_theirs
-  | Claim_failed of string  (* the owner computed it, and it failed *)
-  | Claim_cancelled
-
-type coordinator = {
-  claim : string -> claim_outcome;  (* argument is the cell's Store.key_id *)
-  complete : string -> ok:bool -> err:string -> us:int -> unit;
-      (* [us] is the cell's compute wall time in microseconds *)
-  hit : string -> unit;  (* store replay provenance, for live progress *)
-  poll_interval : float;  (* seconds between journal polls on Claim_theirs *)
-}
-
-exception Sweep_cancelled
-
-let coordinator_ref : coordinator option ref = ref None
-let set_coordinator c = coordinator_ref := Some c
-let clear_coordinator () = coordinator_ref := None
-
 (* --- trace-on-demand (one cell re-run under an ambient Events sink) ---
 
    [set_trace_target ~exp ~coord] marks one cell of the next sweep: when
@@ -255,9 +224,7 @@ let run_cells_cached cfg (exp, scale, version) ~jobs:j f cells =
     let compute () =
       (* Scoped: the snapshot holds exactly what this cell recorded on
          this domain, independent of what other cells do concurrently —
-         so the payload is deterministic at any [--jobs].  Returns the
-         cell's compute wall time in microseconds alongside the result
-         so coordinators can report per-cell progress timings. *)
+         so the payload is deterministic at any [--jobs]. *)
       let (result, dt), snap =
         Metrics.scoped (fun () ->
             let t0 = Timing.now () in
@@ -266,18 +233,17 @@ let run_cells_cached cfg (exp, scale, version) ~jobs:j f cells =
             Metrics.set m_cell_us (int_of_float (dt *. 1e6));
             (r, dt))
       in
-      let us = int_of_float (dt *. 1e6) in
       match result with
       | Ok v ->
         Metrics.incr m_store_misses;
         note_cell_time (Printf.sprintf "%s/%s/%s" exp scale k.Store.coord) dt;
         record_exp_metrics ~exp snap;
         Store.put cfg.store k Store.Done (Marshal.to_string (v, snap) []);
-        (Ok v, us)
+        Ok v
       | Error msg ->
         Metrics.incr m_store_failures;
         Store.put cfg.store k Store.Failed msg;
-        (Error msg, us)
+        Error msg
     in
     let traced () =
       (* Cache bypassed in both directions: recompute even when a record
@@ -300,35 +266,7 @@ let run_cells_cached cfg (exp, scale, version) ~jobs:j f cells =
     in
     if is_trace_target then traced ()
     else
-      match !coordinator_ref with
-      | None -> (
-        match Store.find cfg.store k with Some p -> replay p | None -> fst (compute ()))
-      | Some co ->
-        let kid = Store.key_id k in
-        let rec obtain () =
-          match Store.find cfg.store k with
-          | Some p ->
-            co.hit kid;
-            replay p
-          | None -> (
-            match co.claim kid with
-            | Claim_mine ->
-              let r, us = compute () in
-              (match r with
-              | Ok _ -> co.complete kid ~ok:true ~err:"" ~us
-              | Error e -> co.complete kid ~ok:false ~err:e ~us);
-              r
-            | Claim_theirs ->
-              (* a live peer owns this cell: wait for its journal append *)
-              Unix.sleepf co.poll_interval;
-              ignore (Store.refresh cfg.store);
-              obtain ()
-            | Claim_failed msg ->
-              Metrics.incr m_store_failures;
-              Error msg
-            | Claim_cancelled -> raise Sweep_cancelled)
-        in
-        obtain ()
+      match Store.find cfg.store k with Some p -> replay p | None -> compute ()
   in
   let out = Rn_util.Pool.map ~jobs:j run_one (List.mapi (fun i c -> (i, c)) cells) in
   let failed = List.length (List.filter Result.is_error out) in

@@ -16,10 +16,10 @@
    interleaved whole, each scope sees exactly its own cell.
 
    Snapshots are plain sorted assoc data, so they [Marshal] cleanly
-   (the store caches one per cell), round-trip through sexp, and merge
-   associatively and commutatively: counters add, gauges take the max,
-   histograms add bucket-wise.  See test/test_metrics.ml for the qcheck
-   statements of those laws. *)
+   (the store caches one per cell) and merge associatively and
+   commutatively: counters add, gauges take the max, histograms add
+   bucket-wise.  See test/test_metrics.ml for the qcheck statements of
+   those laws. *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -477,85 +477,10 @@ let percentile h q =
 
 let hist_mean h = if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count
 
-(* --- sexp codec --- *)
+(* --- JSON exposition ---
 
-let sexp_of_snapshot s =
-  let int i = Sexp.Atom (string_of_int i) in
-  let pair (n, v) = Sexp.List [ Sexp.Atom n; int v ] in
-  let hist (n, h) =
-    Sexp.List
-      [
-        Sexp.Atom n;
-        Sexp.List
-          (Sexp.Atom "buckets"
-          :: List.map (fun (ub, c) -> Sexp.List [ int ub; int c ]) h.buckets);
-        Sexp.List [ Sexp.Atom "sum"; int h.sum ];
-        Sexp.List [ Sexp.Atom "count"; int h.count ];
-        Sexp.List [ Sexp.Atom "min"; int h.vmin ];
-        Sexp.List [ Sexp.Atom "max"; int h.vmax ];
-      ]
-  in
-  Sexp.List
-    [
-      Sexp.Atom "metrics";
-      Sexp.List (Sexp.Atom "counters" :: List.map pair s.counters);
-      Sexp.List (Sexp.Atom "gauges" :: List.map pair s.gauges);
-      Sexp.List (Sexp.Atom "hists" :: List.map hist s.hists);
-    ]
-
-let fail () = failwith "Metrics.snapshot_of_sexp: malformed snapshot"
-
-let snapshot_of_sexp sexp =
-  let as_int s = match Sexp.as_int s with Some i -> i | None -> fail () in
-  let pair = function
-    | Sexp.List [ Sexp.Atom n; v ] -> (n, as_int v)
-    | _ -> fail ()
-  in
-  let field entries key =
-    match
-      List.find_map
-        (function
-          | Sexp.List [ Sexp.Atom k; v ] when k = key -> Some (as_int v) | _ -> None)
-        entries
-    with
-    | Some v -> v
-    | None -> fail ()
-  in
-  let hist = function
-    | Sexp.List (Sexp.Atom n :: (Sexp.List (Sexp.Atom "buckets" :: bs) :: _ as entries)) ->
-      let buckets =
-        List.map (function Sexp.List [ ub; c ] -> (as_int ub, as_int c) | _ -> fail ()) bs
-      in
-      ( n,
-        {
-          buckets;
-          sum = field entries "sum";
-          count = field entries "count";
-          vmin = field entries "min";
-          vmax = field entries "max";
-        } )
-    | _ -> fail ()
-  in
-  match sexp with
-  | Sexp.List
-      [
-        Sexp.Atom "metrics";
-        Sexp.List (Sexp.Atom "counters" :: cs);
-        Sexp.List (Sexp.Atom "gauges" :: gs);
-        Sexp.List (Sexp.Atom "hists" :: hs);
-      ] ->
-    {
-      counters = List.map pair cs |> List.sort by_fst;
-      gauges = List.map pair gs |> List.sort by_fst;
-      hists = List.map hist hs |> List.sort by_fst;
-    }
-  | _ -> fail ()
-
-(* --- exposition formats ---
-
-   [to_json] and [to_prometheus] are pure functions of the snapshot, so
-   any exposition surface (CLI, daemon socket) renders identically.
-   Snapshots are name-sorted, which makes both outputs deterministic. *)
+   [to_json] is a pure function of the snapshot; snapshots are
+   name-sorted, which makes the output deterministic. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in
@@ -609,48 +534,6 @@ let to_json s =
       Buffer.add_string b "]}")
     s.hists;
   Buffer.add_char b '}';
-  Buffer.contents b
-
-(* Prometheus exposition: metric names keep [a-zA-Z0-9_:], everything
-   else becomes '_'.  Histogram buckets are cumulative per the text
-   format's convention, ending with the implicit [+Inf] bucket. *)
-let prom_name prefix n =
-  let b = Buffer.create (String.length n + String.length prefix) in
-  Buffer.add_string b prefix;
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    n;
-  Buffer.contents b
-
-let to_prometheus ?(prefix = "rn_") s =
-  let b = Buffer.create 512 in
-  let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l) fmt in
-  List.iter
-    (fun (n, v) ->
-      let pn = prom_name prefix n in
-      line "# TYPE %s counter\n%s %d\n" pn pn v)
-    s.counters;
-  List.iter
-    (fun (n, v) ->
-      let pn = prom_name prefix n in
-      line "# TYPE %s gauge\n%s %d\n" pn pn v)
-    s.gauges;
-  List.iter
-    (fun (n, h) ->
-      let pn = prom_name prefix n in
-      line "# TYPE %s histogram\n" pn;
-      let cum = ref 0 in
-      List.iter
-        (fun (ub, c) ->
-          cum := !cum + c;
-          line "%s_bucket{le=\"%d\"} %d\n" pn ub !cum)
-        h.buckets;
-      line "%s_bucket{le=\"+Inf\"} %d\n" pn h.count;
-      line "%s_sum %d\n%s_count %d\n" pn h.sum pn h.count)
-    s.hists;
   Buffer.contents b
 
 let pp_hist ppf h =

@@ -6,8 +6,8 @@
     sample {!enabled} once per run, like {!Timing}, so disabled
     instrumentation costs one atomic read per simulation.
 
-    Snapshots are plain sorted data: they [Marshal] cleanly, round-trip
-    through sexp, and {!merge} is associative and commutative (counters
+    Snapshots are plain sorted data: they [Marshal] cleanly, and
+    {!merge} is associative and commutative (counters
     add, gauges take the max, histograms add bucket-wise), so per-cell
     snapshots can be aggregated in any order — the property that lets
     the harness build identical per-experiment metrics tables at any
@@ -124,23 +124,11 @@ val bucket_of : int -> int
 val bucket_lower : int -> int
 val bucket_upper : int -> int
 
-(** Sexp codec for snapshots ({!snapshot_of_sexp} raises [Failure] on
-    malformed input). *)
-val sexp_of_snapshot : snapshot -> Sexp.t
-
-val snapshot_of_sexp : Sexp.t -> snapshot
-
 (** Compact JSON object
     [{"counters":{..},"gauges":{..},"hists":{..}}]; histogram values
     carry [count]/[sum]/[min]/[max] plus [(upper bound, count)] bucket
     pairs.  Deterministic (snapshots are name-sorted). *)
 val to_json : snapshot -> string
-
-(** Prometheus text exposition.  Metric names are prefixed (default
-    ["rn_"]) and mangled to the [[a-zA-Z0-9_:]] charset; histogram
-    buckets are emitted cumulatively with a trailing [+Inf] bucket per
-    the format's convention. *)
-val to_prometheus : ?prefix:string -> snapshot -> string
 
 val pp_hist : Format.formatter -> hist_snapshot -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit

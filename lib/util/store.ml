@@ -10,8 +10,8 @@
      shared by [Pool] worker domains;
    - a sidecar lock file (journal.lock, fcntl-locked around every
      mutating operation) plus O_APPEND writes serialise handles in
-     *different processes*, so sweep workers spawned by the serve daemon
-     can append to and replay one journal concurrently; [refresh] picks
+     *different processes*, so two `rn_cli experiment` runs pointed at
+     one store can append to and replay it concurrently; [refresh] picks
      up records appended by peers since open (or the last refresh), and
      a [gc] rewrite by a peer is detected by inode change and answered
      by reopening the journal at its new identity. *)
@@ -429,7 +429,7 @@ let close t =
 let write_last_run ~dir ~hits ~misses ~failures =
   mkdir_p dir;
   let path = last_run_path dir in
-  (* pid-suffixed temp: concurrent worker processes sharing the store
+  (* pid-suffixed temp: concurrent processes sharing the store
      must not rename each other's temp files away *)
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in

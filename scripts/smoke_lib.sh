@@ -1,5 +1,5 @@
 # Shared helpers for the smoke scripts (store_smoke, shard_smoke,
-# adv_smoke, serve_smoke).  POSIX sh; source it after setting
+# adv_smoke).  POSIX sh; source it after setting
 # SMOKE_NAME:
 #
 #   SMOKE_NAME=store_smoke
@@ -13,11 +13,11 @@
 #   step ...    run any command under the per-step timeout
 #   assert_same REF GOT WHAT   byte-compare two files, diff on failure
 #   fail MSG / note MSG        uniform failure and progress lines
-#   cleanup()   override for extra teardown (e.g. killing a daemon);
+#   cleanup()   override for extra teardown (e.g. killing a child);
 #               runs before the scratch dir is removed
 #
 # Every CLI invocation goes through `timeout` (SMOKE_STEP_TIMEOUT
-# seconds, default 300) so a hung daemon or worker fails CI in minutes,
+# seconds, default 300) so a hung run fails CI in minutes,
 # not at the job time limit.
 
 set -eu

@@ -51,6 +51,69 @@ let test_experiment_smoke () =
       | None -> Alcotest.fail ("missing " ^ id))
     [ "E4a"; "E8b" ]
 
+(* `rn_cli trace cell`: against a warm store, the target cell is
+   recomputed under an ambient sink while the rest of the sweep replays.
+   The capture must be non-empty and repeatable, the table must equal the
+   cold one, and the journal must gain no record. *)
+let test_trace_cell () =
+  let module Store = Rn_util.Store in
+  let dir = Filename.temp_file "rn_trace_cell_test" "" in
+  Sys.remove dir;
+  let store = Store.open_ ~fsync:false dir in
+  let e5 () =
+    match All.find "E5" with
+    | Some f -> Harness.render (f Harness.Quick)
+    | None -> Alcotest.fail "E5 not registered"
+  in
+  let records () = List.length (Store.scan_file (Store.journal_path dir)).Store.good in
+  Fun.protect
+    ~finally:(fun () ->
+      Harness.clear_trace_target ();
+      Harness.clear_store ();
+      Harness.reset_store_counters ();
+      Harness.set_jobs 1;
+      Store.close store)
+    (fun () ->
+      Harness.set_store store;
+      Harness.set_jobs 1;
+      let cold = e5 () in
+      let before = records () in
+      Alcotest.(check bool) "cold sweep journalled cells" true (before > 0);
+      let coord =
+        match (Store.scan_file (Store.journal_path dir)).Store.good with
+        | r :: _ -> r.Store.key.Store.coord
+        | [] -> Alcotest.fail "store is empty"
+      in
+      let traced () =
+        Harness.set_trace_target ~exp:"E5" ~coord ();
+        let table = e5 () in
+        Harness.clear_trace_target ();
+        match Harness.take_trace_events () with
+        | Some evs -> (table, evs)
+        | None -> Alcotest.fail "target cell was not traced"
+      in
+      let table1, evs1 = traced () in
+      let table2, evs2 = traced () in
+      Alcotest.(check bool) "captured events are non-empty" true (evs1 <> []);
+      Alcotest.(check string)
+        "two runs capture identical events" (Rn_sim.Events.to_chrome evs1)
+        (Rn_sim.Events.to_chrome evs2);
+      Alcotest.(check string) "traced table = cold table" cold table1;
+      Alcotest.(check string) "second traced table = cold table" cold table2;
+      Alcotest.(check int) "journal gains no record" before (records ()))
+
+(* One size is a valid grid: the table renders and the exponent notes,
+   which need two points to fit, are left out. *)
+let test_scale_single_size () =
+  let r = Rn_harness.Exp_scale.run ~sizes:[ 256 ] Harness.Quick in
+  Alcotest.(check string) "id" "S1" r.Harness.id;
+  Alcotest.(check bool) "rendered" true (String.length r.Harness.body > 0);
+  let fitted n =
+    String.starts_with ~prefix:"world-gen seconds" n
+    || String.starts_with ~prefix:"per-round seconds" n
+  in
+  Alcotest.(check bool) "no exponent notes" false (List.exists fitted r.Harness.notes)
+
 let () =
   Alcotest.run "harness"
     [
@@ -62,5 +125,7 @@ let () =
           Alcotest.test_case "success rate" `Quick test_success_rate;
           Alcotest.test_case "render" `Quick test_render;
           Alcotest.test_case "experiment smoke" `Slow test_experiment_smoke;
+          Alcotest.test_case "trace cell" `Quick test_trace_cell;
+          Alcotest.test_case "scale with one size" `Quick test_scale_single_size;
         ] );
     ]

@@ -137,26 +137,7 @@ let test_percentiles () =
   Alcotest.(check int) "p100 exact" 1000 (Metrics.percentile h 1.0);
   Alcotest.(check (float 1e-9)) "mean exact" 500.5 (Metrics.hist_mean h)
 
-(* --- snapshot sexp codec --- *)
-
-let test_snapshot_sexp_roundtrip () =
-  Metrics.reset ();
-  let c = Metrics.counter "test.sexp.c" and g = Metrics.gauge "test.sexp.g" in
-  let h = Metrics.histogram "test.sexp.h" in
-  Metrics.add c 17;
-  Metrics.set g 5;
-  List.iter (Metrics.observe h) [ 1; 2; 3; 100; 10000 ];
-  let s = Metrics.snapshot () in
-  Alcotest.(check bool) "round-trips" true (Metrics.snapshot_of_sexp (Metrics.sexp_of_snapshot s) = s);
-  (* and through a printed string, as the store/CLI would *)
-  let printed = Rn_util.Sexp.to_string (Metrics.sexp_of_snapshot s) in
-  Alcotest.(check bool)
-    "round-trips via text" true
-    (Metrics.snapshot_of_sexp (Rn_util.Sexp.parse_string printed) = s);
-  Metrics.reset ();
-  Alcotest.(check bool) "reset clears" true (Metrics.is_empty (Metrics.snapshot ()))
-
-(* --- exposition: JSON and Prometheus text formats --- *)
+(* --- exposition: JSON --- *)
 
 let test_exposition_exact () =
   let h = Metrics.hist_of_values [ 1; 1; 3 ] in
@@ -169,32 +150,22 @@ let test_exposition_exact () =
     {|{"counters":{"eng.runs":3},"gauges":{"g.x":4},"hists":{"lat.us":{"count":3,"sum":5,"min":1,"max":3,"buckets":[[1,2],[3,1]]}}}|}
     (Metrics.to_json s);
   Alcotest.(check string)
-    "prometheus"
-    "# TYPE rn_eng_runs counter\nrn_eng_runs 3\n# TYPE rn_g_x gauge\nrn_g_x 4\n\
-     # TYPE rn_lat_us histogram\nrn_lat_us_bucket{le=\"1\"} 2\nrn_lat_us_bucket{le=\"3\"} 3\n\
-     rn_lat_us_bucket{le=\"+Inf\"} 3\nrn_lat_us_sum 5\nrn_lat_us_count 3\n"
-    (Metrics.to_prometheus s);
-  Alcotest.(check string)
     "empty json" {|{"counters":{},"gauges":{},"hists":{}}|}
     (Metrics.to_json Metrics.empty);
-  Alcotest.(check string) "empty prometheus" "" (Metrics.to_prometheus Metrics.empty);
-  (* names with quotes/backslashes stay valid JSON; prom names mangle *)
+  (* names with quotes/backslashes stay valid JSON *)
   let odd = { Metrics.empty with Metrics.counters = [ ({|a"b\c|}, 1) ] } in
   Alcotest.(check string)
     "json escaping" {|{"counters":{"a\"b\\c":1},"gauges":{},"hists":{}}|}
-    (Metrics.to_json odd);
-  Alcotest.(check string)
-    "prom mangling" "# TYPE rn_a_b_c counter\nrn_a_b_c 1\n" (Metrics.to_prometheus odd)
+    (Metrics.to_json odd)
 
-(* The daemon folds worker snapshots into its exposition in hashtable
-   order; both text formats must therefore be independent of merge
-   order. *)
+(* Per-cell snapshots reach an experiment's merged snapshot in
+   completion order, which varies with --jobs; the JSON export must
+   therefore be independent of merge order. *)
 let qcheck_exposition_merge_order =
   QCheck.Test.make ~name:"exposition independent of merge order" ~count:200
     (QCheck.make QCheck.Gen.(pair snap_gen snap_gen))
     (fun (a, b) ->
-      Metrics.to_json (Metrics.merge a b) = Metrics.to_json (Metrics.merge b a)
-      && Metrics.to_prometheus (Metrics.merge a b) = Metrics.to_prometheus (Metrics.merge b a))
+      Metrics.to_json (Metrics.merge a b) = Metrics.to_json (Metrics.merge b a))
 
 (* --- events: ring buffer semantics --- *)
 
@@ -387,7 +358,6 @@ let () =
           Alcotest.test_case "diff" `Quick test_diff;
           Alcotest.test_case "bucket geometry" `Quick test_bucket_geometry;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
-          Alcotest.test_case "sexp round-trip" `Quick test_snapshot_sexp_roundtrip;
           Alcotest.test_case "exposition exact" `Quick test_exposition_exact;
           qtest qcheck_exposition_merge_order;
         ] );

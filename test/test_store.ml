@@ -1,7 +1,8 @@
 (* Tests for the crash-safe result store and the harness checkpointing
    layer built on it: record codec round-trips, journal truncation at
    every byte offset, cached-vs-fresh sweep equality at jobs 1 and 4,
-   the retry/timeout failure paths, and gc/verify behaviour. *)
+   the retry/timeout failure paths, and gc/verify behaviour. Two handles
+   sharing one journal are covered in test_store_multiproc.ml. *)
 
 module Store = Rn_util.Store
 module Harness = Rn_harness.Harness
