@@ -7,9 +7,10 @@
    activate them with a boolean per edge.
 
    Gray edges are kept packed ([u * n + v], ascending, so the array index
-   IS the dense edge id) and gray incidence in CSR form — at a million
-   nodes the gray set runs to tens of millions of edges, where an array
-   of (neighbor, id) tuple arrays would cost gigabytes of boxed pairs.
+   IS the dense edge id) and gray incidence in CSR form, each entry one
+   int carrying both the edge id and the neighbour — at a million nodes
+   the gray set runs to tens of millions of edges, where an array of
+   (neighbor, id) tuple arrays would cost gigabytes of boxed pairs.
    [g'] is materialised lazily: the delivery engine never touches it
    (it works off G plus the gray set), so scale runs skip its cost
    entirely while verification-style callers still get it on demand.
@@ -24,16 +25,16 @@ type t = {
   gprime : Graph.t option Atomic.t; (* lazy E' = E ∪ gray *)
   gray_pk : int array; (* E' \ E as ascending u * n + v keys; index = edge id *)
   goff : int array; (* n + 1 CSR offsets into [gid] *)
-  gid : int array; (* incident gray edge ids, descending id within each row *)
+  gid : int array;
+      (* incident gray edges as [(id lsl gsh) lor neighbour], descending
+         id within each row *)
+  gsh : int; (* bit width of n - 1: the neighbour field of a [gid] entry *)
   pos : Rn_geom.Point.t array option; (* plane embedding, if geometric *)
   d : float; (* max distance of a G' edge (paper's constant d) *)
-  gray_masks : Bitset.t array option Atomic.t;
-      (* lazy: node -> bitset of incident gray edge ids, for the
-         word-parallel delivery kernel; same build-once / atomic-publish
-         discipline as [Graph]'s row cache *)
   adv_csr : adv_csr option Atomic.t;
       (* lazy: the adversary kernel's endpoint-split view of the gray
-         set (see below); same build-once discipline *)
+         set (see below); same build-once / atomic-publish discipline as
+         [Graph]'s row cache *)
 }
 
 (* Endpoint-split CSR over the gray set, for the word-parallel adversary
@@ -74,13 +75,14 @@ let gray_degree t v = t.goff.(v + 1) - t.goff.(v)
 
 (* Visit [(neighbor, edge id)] pairs of [v]'s gray incidence, descending
    edge id — the historical row order, which adversary policies consume
-   RNG draws in. *)
+   RNG draws in.  Each entry decodes with a mask and a shift; the walk
+   never touches [gray_pk]. *)
 let iter_gray_adj f t v =
-  let nn = Graph.n t.g in
+  let sh = t.gsh in
+  let mask = (1 lsl sh) - 1 in
   for i = t.goff.(v) to t.goff.(v + 1) - 1 do
-    let id = Array.unsafe_get t.gid i in
-    let e = Array.unsafe_get t.gray_pk id in
-    f ((e / nn) + (e mod nn) - v) id
+    let x = Array.unsafe_get t.gid i in
+    f (x land mask) (x lsr sh)
   done
 
 (* Compat view of one row as a materialised tuple array (tests, detector
@@ -96,9 +98,10 @@ let gray_adj t v =
     t v;
   a
 
-(* Shared lock for the lazy caches; builds are rare (at most one g' and
-   one mask cache per dual graph) and the double-check under the lock
-   keeps concurrent first uses from building twice. *)
+(* Shared lock for the lazy caches ([g'] and the adversary kernel's
+   endpoint-split CSR); builds are rare (at most one of each per dual
+   graph) and the double-check under the lock keeps concurrent first
+   uses from building twice. *)
 let lazy_lock = Mutex.create ()
 
 let g' t =
@@ -112,6 +115,16 @@ let g' t =
           let g' = Graph.union t.g (Graph.of_packed (Graph.n t.g) t.gray_pk) in
           Atomic.set t.gprime (Some g');
           g')
+
+(* Bit width of [n - 1], the neighbour field of a packed incidence
+   entry; rejects gray sets whose largest id [ng - 1] would not fit
+   above it. *)
+let incidence_shift ~n ~ng =
+  let rec width x = if x = 0 then 0 else 1 + width (x lsr 1) in
+  let sh = width (max 0 (n - 1)) in
+  if ng - 1 > max_int lsr sh then
+    invalid_arg "Dual.make_packed: gray ids overflow the packed incidence";
+  sh
 
 (* Build from already-canonical gray keys: strictly ascending packed
    [u * n + v] with [u < v], disjoint from [g]'s edges.  This is the
@@ -152,6 +165,7 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
   (* Counting fill of the incidence CSR; iterating ids high-to-low
      reproduces the historical row order (descending edge id), which
      adversary policies may consume RNG draws in. *)
+  let gsh = incidence_shift ~n ~ng in
   let goff = Array.make (n + 1) 0 in
   Array.iter
     (fun e ->
@@ -167,9 +181,9 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
   for id = ng - 1 downto 0 do
     let e = gray_pk.(id) in
     let u = e / n and v = e mod n in
-    gid.(fill.(u)) <- id;
+    gid.(fill.(u)) <- (id lsl gsh) lor v;
     fill.(u) <- fill.(u) + 1;
-    gid.(fill.(v)) <- id;
+    gid.(fill.(v)) <- (id lsl gsh) lor u;
     fill.(v) <- fill.(v) + 1
   done;
   {
@@ -178,9 +192,9 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
     gray_pk;
     goff;
     gid;
+    gsh;
     pos;
     d;
-    gray_masks = Atomic.make None;
     adv_csr = Atomic.make None;
   }
 
@@ -213,32 +227,16 @@ let make ?pos ?(d = 2.0) ~g ~gray () =
   in
   make_packed ?pos ~d ~g ~gray_pk ()
 
-(* Gray incidence as bitsets over gray edge ids: [gray_mask t v] has bit
-   [id] set iff gray edge [id] touches [v].  Lets the delivery kernel
-   intersect a node's incident gray edges with the round's active set in
-   O(gray/word) instead of walking the incidence row. *)
+(* Gray incidence as bitsets over gray edge ids, freshly built: bit
+   [id] of row [v] is set iff gray edge [id] touches [v].  O(n * gray)
+   bits — for replays and tests; the delivery engine walks
+   [iter_gray_adj] instead. *)
 let gray_masks t =
-  match Atomic.get t.gray_masks with
-  | Some m -> m
-  | None ->
-    Mutex.protect lazy_lock (fun () ->
-        match Atomic.get t.gray_masks with
-        | Some m -> m
-        | None ->
-          let ng = Array.length t.gray_pk in
-          let nn = Graph.n t.g in
-          let m =
-            Array.init nn (fun v ->
-                let b = Bitset.create ng in
-                for i = t.goff.(v) to t.goff.(v + 1) - 1 do
-                  Bitset.add b t.gid.(i)
-                done;
-                b)
-          in
-          Atomic.set t.gray_masks (Some m);
-          m)
-
-let gray_mask t v = (gray_masks t).(v)
+  let ng = gray_count t in
+  Array.init (n t) (fun v ->
+      let b = Bitset.create ng in
+      iter_gray_adj (fun _ id -> Bitset.add b id) t v;
+      b)
 
 (* The adversary kernel's endpoint-split view; built on first use (scale
    runs under randomized policies never pay for it), O(n + gray) ints. *)

@@ -55,18 +55,24 @@ val gray_adj : t -> int -> (int * int) array
 
 (** [iter_gray_adj f t v] calls [f neighbor edge_id] for each gray edge
     incident to [v], in descending edge-id order — the order adversary
-    policies consume RNG draws in.  No allocation. *)
+    policies consume RNG draws in.  No allocation, no division: each
+    incidence entry packs the id above the neighbour. *)
 val iter_gray_adj : (int -> int -> unit) -> t -> int -> unit
 
 val gray_degree : t -> int -> int
 
-(** Gray incidence of a node as a bitset over gray edge ids, for the
-    word-parallel delivery kernel.  Built lazily on first use, published
-    atomically — safe to share across Pool domains.  Do not mutate. *)
-val gray_mask : t -> int -> Rn_util.Bitset.t
-
-(** The whole mask array, same rules as {!gray_mask}. *)
+(** Gray incidence of every node as a bitset over gray edge ids, freshly
+    built on each call: bit [id] of row [v] is set iff gray edge [id]
+    touches [v].  Costs O(n * gray) bits, so it is meant for replays and
+    tests; the delivery engine walks {!iter_gray_adj} instead. *)
 val gray_masks : t -> Rn_util.Bitset.t array
+
+(** [incidence_shift ~n ~ng] is the bit width of [n - 1]: the field that
+    holds the neighbour in each packed incidence entry
+    [(id lsl shift) lor neighbour] of a dual graph with [n] nodes and
+    [ng] gray edges.  Raises [Invalid_argument] when the largest id
+    [ng - 1] would not fit above it; {!make_packed} applies this check. *)
+val incidence_shift : n:int -> ng:int -> int
 
 (** [gray_lower_range t u] is the contiguous id range [(lo, hi)] of the
     gray edges whose LOWER endpoint is [u] — contiguous because dense ids

@@ -651,6 +651,23 @@ module Make (M : MESSAGE) = struct
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
     let g = Dual.g dual in
+    (* The word-parallel paths' gray reach: a broadcaster's packed CSR
+       incidence row filtered by this round's [gray_active], O(gray
+       incidence).  [scatter_gray] feeds an accumulator pair;
+       [assign_gray] hands [m] to the synced receivers in [k_recv]. *)
+    let scatter_gray ~once ~twice u =
+      if Dual.gray_degree dual u > 0 then
+        Dual.iter_gray_adj
+          (fun v e -> if Bitset.mem gray_active e then Bitset.acc2_add ~once ~twice v)
+          dual u
+    in
+    let assign_gray m u =
+      if Dual.gray_degree dual u > 0 then
+        Dual.iter_gray_adj
+          (fun v e ->
+            if Bitset.mem gray_active e && Bitset.mem k_recv v then receives.(v) <- Recv m)
+          dual u
+    in
     (* Returns the encoded size so the broadcast event can carry it. *)
     let validate_send v =
       incr sends_total;
@@ -841,12 +858,7 @@ module Make (M : MESSAGE) = struct
                         Graph.iter_neighbors
                           (fun v -> Bitset.acc2_add ~once ~twice v)
                           g u;
-                        if Dual.gray_degree dual u > 0 then
-                          Dual.iter_gray_adj
-                            (fun v e ->
-                              if Bitset.mem gray_active e then
-                                Bitset.acc2_add ~once ~twice v)
-                            dual u
+                        scatter_gray ~once ~twice u
                       done)
                     shard_ids);
                Bitset.clear k_once;
@@ -866,29 +878,19 @@ module Make (M : MESSAGE) = struct
                      Graph.iter_neighbors
                        (fun v -> if Bitset.mem k_recv v then receives.(v) <- Recv m)
                        g u;
-                     if Dual.gray_degree dual u > 0 then
-                       Dual.iter_gray_adj
-                         (fun v e ->
-                           if Bitset.mem gray_active e && Bitset.mem k_recv v then
-                             receives.(v) <- Recv m)
-                         dual u)
+                     assign_gray m u)
                    broadcasters
              end
              else if use_kernel then begin
+               (* reliable reach as word-parallel row ORs, gray reach
+                  as in the sharded path *)
                let rows = Graph.adj_rows g in
-               let ng = Dual.gray_count dual in
-               let gmask = if ng > 0 then Dual.gray_masks dual else [||] in
                Bitset.clear k_once;
                Bitset.clear k_twice;
                Array.iter
                  (fun u ->
                    Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
-                   if ng > 0 && Dual.gray_degree dual u > 0 then
-                     Bitset.iter_inter
-                       (fun e ->
-                         Bitset.acc2_add ~once:k_once ~twice:k_twice
-                           (Dual.gray_other dual e u))
-                       gmask.(u) gray_active)
+                   scatter_gray ~once:k_once ~twice:k_twice u)
                  broadcasters;
                (* second sweep hands each receiving synced fiber its
                   sender's message; the sender is unique because an
@@ -900,12 +902,7 @@ module Make (M : MESSAGE) = struct
                    (fun u ->
                      let m = match sends.(u) with Some m -> m | None -> assert false in
                      Bitset.iter_inter (fun v -> receives.(v) <- Recv m) rows.(u) k_recv;
-                     if ng > 0 && Dual.gray_degree dual u > 0 then
-                       Bitset.iter_inter
-                         (fun e ->
-                           let v = Dual.gray_other dual e u in
-                           if Bitset.mem k_recv v then receives.(v) <- Recv m)
-                         gmask.(u) gray_active)
+                     assign_gray m u)
                    broadcasters
              end
              else begin

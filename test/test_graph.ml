@@ -216,6 +216,70 @@ let test_dual_gray_adj () =
       Alcotest.(check bool) "endpoint v sees e" true (has v u))
     (Dual.gray_edges dual)
 
+(* Random duals at and around powers of two, where the bit width of the
+   packed incidence's neighbour field changes. *)
+let arb_dual =
+  let open QCheck.Gen in
+  let edges n k = list_size (int_range 0 k) (pair (int_bound (n - 1)) (int_bound (n - 1))) in
+  let loopless = List.filter (fun (u, v) -> u <> v) in
+  let gen =
+    oneofl [ 2; 63; 64; 65; 255; 256; 257; 1000 ] >>= fun n ->
+    edges n (2 * n) >>= fun rel ->
+    edges n (3 * n) >|= fun gray ->
+    Dual.make ~g:(Graph.of_edges n (loopless rel)) ~gray:(loopless gray) ()
+  in
+  QCheck.make ~print:(Fmt.to_to_string Dual.pp) gen
+
+(* [iter_gray_adj] at [v] yields exactly the gray ids incident to [v], in
+   strictly descending order, each paired with [gray_other t id v]; and
+   every id turns up once at each endpoint. *)
+let prop_gray_incidence_layout =
+  QCheck.Test.make ~name:"gray incidence: ids, order, neighbours" ~count:200 arb_dual
+    (fun dual ->
+      let n = Dual.n dual and ng = Dual.gray_count dual in
+      let expected = Array.make n [] and seen = Array.make ng 0 in
+      for id = 0 to ng - 1 do
+        let u = Dual.gray_u dual id and v = Dual.gray_v dual id in
+        expected.(u) <- id :: expected.(u);
+        expected.(v) <- id :: expected.(v)
+      done;
+      let ok = ref true in
+      for v = 0 to n - 1 do
+        let ids = ref [] in
+        Dual.iter_gray_adj
+          (fun w id ->
+            if w <> Dual.gray_other dual id v then ok := false;
+            seen.(id) <- seen.(id) + 1;
+            ids := id :: !ids)
+          dual v;
+        if List.rev !ids <> expected.(v) then ok := false
+      done;
+      !ok && Array.for_all (( = ) 2) seen)
+
+let test_incidence_shift () =
+  Alcotest.check Alcotest.int "n=2" 1 (Dual.incidence_shift ~n:2 ~ng:1);
+  Alcotest.check Alcotest.int "n=64" 6 (Dual.incidence_shift ~n:64 ~ng:1);
+  Alcotest.check Alcotest.int "n=65" 7 (Dual.incidence_shift ~n:65 ~ng:1);
+  Alcotest.check Alcotest.int "n=2^20" 20 (Dual.incidence_shift ~n:(1 lsl 20) ~ng:1);
+  (* at a 40-bit neighbour field, ids up to max_int lsr 40 still fit *)
+  let top = max_int lsr 40 in
+  Alcotest.check Alcotest.int "largest id fits" 40
+    (Dual.incidence_shift ~n:(1 lsl 40) ~ng:(top + 1));
+  Alcotest.check_raises "one id too many"
+    (Invalid_argument "Dual.make_packed: gray ids overflow the packed incidence") (fun () ->
+      ignore (Dual.incidence_shift ~n:(1 lsl 40) ~ng:(top + 2)))
+
+(* The largest realistic width: n = 2^20, so neighbours fill all 20 bits
+   of the field at the top node. *)
+let test_incidence_n2p20 () =
+  let n = 1 lsl 20 in
+  let gray = [ (0, n - 1); (n - 2, n - 1); (12_345, 1 lsl 19) ] in
+  let dual = Dual.make ~g:(Graph.of_edges n []) ~gray () in
+  let adj v = Array.to_list (Dual.gray_adj dual v) in
+  Alcotest.(check (list (pair int int))) "top node" [ (n - 2, 2); (0, 0) ] (adj (n - 1));
+  Alcotest.(check (list (pair int int))) "node 0" [ (n - 1, 0) ] (adj 0);
+  Alcotest.(check (list (pair int int))) "node 2^19" [ (12_345, 1) ] (adj (1 lsl 19))
+
 let test_dual_gray_dedup () =
   let g = Gen.path 4 in
   (* gray edges already in G are dropped; duplicates collapse *)
@@ -271,6 +335,9 @@ let () =
           Alcotest.test_case "classic" `Quick test_dual_classic;
           Alcotest.test_case "gray adjacency" `Quick test_dual_gray_adj;
           Alcotest.test_case "gray dedup" `Quick test_dual_gray_dedup;
+          qtest prop_gray_incidence_layout;
+          Alcotest.test_case "incidence shift" `Quick test_incidence_shift;
+          Alcotest.test_case "incidence at n=2^20" `Quick test_incidence_n2p20;
           Alcotest.test_case "geometry validation" `Quick test_dual_geometry_validation;
         ] );
     ]

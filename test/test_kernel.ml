@@ -253,6 +253,61 @@ let test_kernel_n512 () =
   Alcotest.(check bool) "deliveries happened" true (on.E.stats.deliveries > 0);
   Alcotest.(check bool) "collisions happened" true (on.E.stats.collisions > 0)
 
+(* Twin of the pin above on a gray band: reliable ±1..32, gray ±33..40.
+   Every adversary here switches gray edges on, so the kernel's two gray
+   sweeps (reach accumulation, then receive assignment) run at scale;
+   the body logs each sender it hears, so a message that arrived over a
+   gray edge is visible in [returns]. *)
+let test_kernel_n512_gray () =
+  let n = 512 in
+  let es = ref [] and grays = ref [] in
+  for u = 0 to n - 1 do
+    for k = 1 to 40 do
+      let v = (u + k) mod n in
+      let e = (min u v, max u v) in
+      if k <= 32 then es := e :: !es else grays := e :: !grays
+    done
+  done;
+  let dual = Dual.make ~g:(Graph.of_edges n !es) ~gray:!grays () in
+  let det = Detector.static (Detector.perfect (Dual.g dual)) in
+  let over_gray v src =
+    let d = abs (v - src) in
+    min d (n - d) > 32
+  in
+  List.iter
+    (fun (name, adversary) ->
+      let cfg kernel =
+        E.config ~adversary ~seed:11 ~stop:(Rn_sim.Engine.At_round 30) ~kernel ~detector:det
+          dual
+      in
+      let body ctx =
+        let heard = ref [] in
+        for _ = 1 to 30 do
+          match E.sync_p ctx 0.03 (E.me ctx) with
+          | E.Recv src -> heard := src :: !heard
+          | E.Own | E.Silence -> ()
+        done;
+        !heard
+      in
+      let on = E.run (cfg `On) body and off = E.run (cfg `Off) body in
+      let oracle = E.run_reference (cfg `Auto) body in
+      Alcotest.(check bool) (name ^ ": `On = `Off") true (on = off);
+      Alcotest.(check bool) (name ^ ": `On = reference") true (on = oracle);
+      Alcotest.(check bool) (name ^ ": deliveries happened") true (on.E.stats.deliveries > 0);
+      let gray_receives = ref 0 in
+      Array.iteri
+        (fun v heard ->
+          List.iter
+            (fun src -> if over_gray v src then incr gray_receives)
+            (Option.value ~default:[] heard))
+        on.E.returns;
+      Alcotest.(check bool) (name ^ ": received over gray edges") true (!gray_receives > 0))
+    [
+      ("bernoulli 0.5", Adversary.bernoulli 0.5);
+      ("spiteful", Adversary.spiteful);
+      ("all_gray", Adversary.all_gray);
+    ]
+
 (* --- grid world generation ≡ naive oracle ------------------------------ *)
 
 let dual_eq a b =
@@ -313,6 +368,7 @@ let () =
           qtest prop_kernel_equiv;
           qtest prop_kernel_mis;
           Alcotest.test_case "circulant n=512 pin" `Quick test_kernel_n512;
+          Alcotest.test_case "circulant n=512 gray-band pin" `Quick test_kernel_n512_gray;
         ] );
       ( "world-gen",
         [ qtest prop_grid_gen_equiv; qtest prop_grid_gen_negative_coords ] );
