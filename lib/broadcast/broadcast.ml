@@ -76,30 +76,40 @@ let run ?(adversary = Rn_sim.Adversary.silent) ?(seed = 0) ~protocol ~source ~ro
           | Backbone { relay; _ } -> relay me || me = source
           | Round_robin | Decay _ -> true
         in
-        for r = 1 to rounds do
-          let wants_to_send =
-            !have && relay_allowed
-            &&
-            match protocol with
-            | Flood p | Backbone { p; _ } -> Rng.bool rng p
-            | Round_robin -> (r - 1) mod n = me
-            | Decay k ->
-              (* global round-aligned decay phases: probability 2^-(pos) *)
-              let pos = (r - 1) mod k in
-              Rng.bool rng (1.0 /. float_of_int (1 lsl min pos 30))
-          in
-          let send =
-            if wants_to_send then Some { Token.origin = source; hops = !hops } else None
-          in
-          match E.sync ctx send with
-          | E.Recv { Token.hops = h; _ } ->
+        let rec go r =
+          if r <= rounds then
             if not !have then begin
-              have := true;
-              hops := h + 1;
-              first_hear.(me) <- Some r
+              (* Uninformed: nothing to relay and no coin to flip, so
+                 park until the token arrives. *)
+              match E.listen ctx (rounds - r + 1) with
+              | Some (i, { Token.hops = h; _ }) ->
+                have := true;
+                hops := h + 1;
+                first_hear.(me) <- Some (r + i - 1);
+                go (r + i)
+              | None -> ()
             end
-          | E.Own | E.Silence -> ()
-        done;
+            else begin
+              let wants_to_send =
+                relay_allowed
+                &&
+                match protocol with
+                | Flood p | Backbone { p; _ } -> Rng.bool rng p
+                | Round_robin -> (r - 1) mod n = me
+                | Decay k ->
+                  (* global round-aligned decay phases: probability 2^-(pos) *)
+                  let pos = (r - 1) mod k in
+                  Rng.bool rng (1.0 /. float_of_int (1 lsl min pos 30))
+              in
+              let send =
+                if wants_to_send then Some { Token.origin = source; hops = !hops } else None
+              in
+              (* informed: further receives change nothing *)
+              ignore (E.sync ctx send);
+              go (r + 1)
+            end
+        in
+        go 1;
         !have)
   in
   let reached = Array.map (fun r -> r = Some true) res.E.returns in

@@ -34,14 +34,14 @@ let body ?(classic = false) ?(on_decide = fun _ -> ()) (params : Params.t) ctx =
      silently requires the listening constant to dominate the competition
      constant). *)
   let listen_len = params.c_listen * phases * lp in
-  (* Listen one round; raise on knock-out or coverage. *)
-  let listen_round ~send =
-    let recv = match send with None -> R.sync ctx None | Some (p, m) -> R.sync_p ctx p m in
+  (* Raise on knock-out or coverage. *)
+  let hear recv =
     match filter ctx recv with
     | Some (Msg.Mis_announce _) -> raise Covered
     | Some (Msg.Contender _) -> raise Knocked
     | Some _ | None -> ()
   in
+  let listen k = Radio.listen_for ctx k ~on_recv:(fun m -> hear (R.Recv m)) in
   let joined = ref false in
   let covered = ref false in
   (try
@@ -54,22 +54,21 @@ let body ?(classic = false) ?(on_decide = fun _ -> ()) (params : Params.t) ctx =
        incr epoch;
        try
          (* Listening phase: silent; any message restarts the epoch. *)
-         for _ = 1 to listen_len do
-           listen_round ~send:None
-         done;
+         listen listen_len;
          (* Competition phases with doubling probabilities. *)
          for ph = 0 to phases - 1 do
            let p = min 0.5 (float_of_int (1 lsl ph) /. float_of_int n) in
            for _ = 1 to lp do
-             listen_round ~send:(Some (p, Msg.Contender { src = me; lds = None }))
+             hear (R.sync_p ctx p (Msg.Contender { src = me; lds = None }))
            done
          done;
          joined := true
        with Knocked -> ()
      done;
+     (* Passive wait: parked until a message arrives. *)
      if not !joined then
        while true do
-         listen_round ~send:None
+         listen max_int
        done
    with Covered ->
      covered := true;

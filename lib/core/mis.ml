@@ -64,50 +64,43 @@ let body ?(filter = Radio.recv_from_detector) ?(label_lds = false)
       active
     | Some _ | None -> active
   in
+  (* Listen for [k] rounds without competing: only announcements matter. *)
+  let listen k = Radio.listen_for ctx k ~on_recv:(fun m -> ignore (handle (R.Recv m) false)) in
+  let announce () =
+    for _ = 1 to lp do
+      ignore (handle (R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })) false)
+    done
+  in
   for _epoch = 1 to n_epochs do
     if (not participate) || !in_mis || !covered then begin
       (* Inactive for the competition part: silent, but keep listening so
          the MIS set stays current. *)
-      for _ = 1 to phases * lp do
-        ignore (handle (R.sync ctx None) false)
-      done;
+      listen (phases * lp);
       (* MIS members re-announce in every epoch's announcement window (the
          robustness measure Section 9 prescribes for late listeners): only
          MIS members speak here, so contention stays constant. *)
-      for _ = 1 to lp do
-        let recv =
-          if !in_mis then R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })
-          else R.sync ctx None
-        in
-        ignore (handle recv false)
-      done
+      if !in_mis then announce () else listen lp
     end
     else begin
-      let active = ref true in
-      for ph = 0 to phases - 1 do
-        let p = min 0.5 (float_of_int (1 lsl ph) /. float_of_int n) in
-        for _ = 1 to lp do
-          let recv =
-            if !active then R.sync_p ctx p (Msg.Contender { src = me; lds = lds () })
-            else R.sync ctx None
-          in
-          active := handle recv !active
-        done
+      (* Compete until knocked out: round t of the competition lies in
+         phase t / lp. *)
+      let competition = phases * lp in
+      let t = ref 0 and active = ref true in
+      while !active && !t < competition do
+        let p = min 0.5 (float_of_int (1 lsl (!t / lp)) /. float_of_int n) in
+        active := handle (R.sync_p ctx p (Msg.Contender { src = me; lds = lds () })) true;
+        incr t
       done;
-      let survived = !active in
-      if survived then begin
+      if !active then begin
         in_mis := true;
         Hashtbl.replace mis_set me ();
-        on_decide 1
-      end;
-      for _ = 1 to lp do
-        let recv =
-          if survived then
-            R.sync_p ctx 0.5 (Msg.Mis_announce { src = me; lds = lds () })
-          else R.sync ctx None
-        in
-        ignore (handle recv false)
-      done
+        on_decide 1;
+        announce ()
+      end
+      else
+        (* Knocked out: listen through the rest of the competition and
+           the announcement window. *)
+        listen (competition - !t + lp)
     end
   done;
   let mis_neighbors =

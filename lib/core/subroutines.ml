@@ -27,10 +27,13 @@ let bb_rounds (params : Params.t) ~n ~delta =
    Every received message is handed to [on_recv] unfiltered — callers apply
    their own detector filtering. *)
 let bounded_broadcast (params : Params.t) ctx ~delta msg ~on_recv =
-  for _ = 1 to bb_rounds params ~n:(R.n ctx) ~delta do
-    let recv = match msg with Some m -> R.sync_p ctx 0.5 m | None -> R.sync ctx None in
-    match recv with Recv m -> on_recv m | Own | Silence -> ()
-  done
+  let rounds = bb_rounds params ~n:(R.n ctx) ~delta in
+  match msg with
+  | None -> Radio.listen_for ctx rounds ~on_recv
+  | Some m ->
+    for _ = 1 to rounds do
+      match R.sync_p ctx 0.5 m with Recv m -> on_recv m | Own | Silence -> ()
+    done
 
 let dd_phase_rounds (params : Params.t) ~n = params.c_dd * Ilog.log2_up n
 
@@ -75,20 +78,7 @@ let directed_decay_live ?(early_idle = true) (params : Params.t) ctx ~is_mis ~no
     incr i;
     let p = min 0.5 (float_of_int (1 lsl (!i - 1)) /. float_of_int n) in
     phase_received := false;
-    for _ = 1 to ldd do
-      (* Each virtual sender flips its own coin; simultaneous winners are
-         combined into a single physical message (the paper's message
-         merging — O(1) nominations since MIS neighbours are O(1)). *)
-      let sending =
-        Hashtbl.fold
-          (fun dest w acc -> if Rng.bool (R.rng ctx) p then (dest, w) :: acc else acc)
-          active []
-      in
-      let recv =
-        match take max_noms sending with
-        | [] -> R.sync ctx None
-        | noms -> R.sync ctx (Some (Msg.Nominations { src = me; noms }))
-      in
+    let hear recv =
       match Radio.recv_from_detector ctx recv with
       | Some (Msg.Nominations { src; noms }) when is_mis ->
         List.iter
@@ -99,7 +89,26 @@ let directed_decay_live ?(early_idle = true) (params : Params.t) ctx ~is_mis ~no
             end)
           noms
       | Some _ | None -> ()
-    done;
+    in
+    (* Only stop orders shrink the table, so an empty table stays empty
+       for the whole decay window: it flips no coins and only listens. *)
+    if Hashtbl.length active = 0 then
+      Radio.listen_for ctx ldd ~on_recv:(fun m -> hear (R.Recv m))
+    else
+      for _ = 1 to ldd do
+        (* Each virtual sender flips its own coin; simultaneous winners are
+           combined into a single physical message (the paper's message
+           merging — O(1) nominations since MIS neighbours are O(1)). *)
+        let sending =
+          Hashtbl.fold
+            (fun dest w acc -> if Rng.bool (R.rng ctx) p then (dest, w) :: acc else acc)
+            active []
+        in
+        hear
+          (match take max_noms sending with
+          | [] -> R.sync ctx None
+          | noms -> R.sync ctx (Some (Msg.Nominations { src = me; noms })))
+      done;
     let stop = if is_mis && !phase_received then Some (Msg.Stop_order { src = me }) else None in
     bounded_broadcast params ctx ~delta:params.delta_bb stop ~on_recv:(fun m ->
         match m with

@@ -11,7 +11,8 @@ val bb_rounds : Params.t -> n:int -> delta:int -> int
     probability 1/2 for [ℓ_BB(delta)] rounds; with at most [delta]
     concurrent callers in interference range the message reaches every
     reliable neighbour w.h.p.  Every received message is passed to
-    [on_recv] unfiltered. *)
+    [on_recv] unfiltered; a [None] caller only listens, parked between
+    messages ({!Radio.listen_for}). *)
 val bounded_broadcast :
   Params.t ->
   Radio.ctx ->

@@ -53,14 +53,13 @@ let body ?(on_decide = fun _ -> ()) (_params : Params.t) ctx =
   let n = R.n ctx and me = R.me ctx in
   let keep m = if Radio.in_detector ctx (Msg.src m) then Some m else None in
   (* One TDMA frame: [speak] builds my slot's message, [hear] sees every
-     detector-filtered reception. *)
+     detector-filtered reception.  Slots other than mine are pure
+     listening, so the fiber parks through them. *)
   let frame ~speak ~hear =
-    for slot = 0 to n - 1 do
-      let msg = if slot = me then speak () else None in
-      match R.sync ctx msg with
-      | R.Recv m -> ( match keep m with Some m -> hear m | None -> ())
-      | R.Own | R.Silence -> ()
-    done
+    let on_recv m = match keep m with Some m -> hear m | None -> () in
+    Radio.listen_for ctx me ~on_recv;
+    (match R.sync ctx (speak ()) with R.Recv m -> on_recv m | R.Own | R.Silence -> ());
+    Radio.listen_for ctx (n - 1 - me) ~on_recv
   in
   (* ---- frame A: greedy MIS by id ---- *)
   let mis_nbrs = ref [] in

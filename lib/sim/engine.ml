@@ -17,13 +17,15 @@
      only live ids;
    - wake rounds are pre-sorted into a round-ordered queue, so the wake
      phase is O(#wakers this round);
-   - fibers that declare themselves inert for k rounds ([idle]) park in a
-     min-heap keyed by resume round instead of being resumed k times;
+   - fibers that listen for k rounds ([idle], [listen]) perform one [Park]
+     and wait in a min-heap keyed by expiry round instead of being resumed
+     k times; a [listen]er is taken out of the heap early by the delivery
+     that wakes it, so silent rounds resume nobody;
    - the adversary RNG is re-derived per round from a root stream
      ([Rng.derive_into adv_root round]), so rounds with no broadcasters can
-     skip the adversary/delivery phases — and stretches of rounds with no
-     live fiber at all are fast-forwarded in one jump — without perturbing
-     any later round's randomness;
+     skip the adversary/delivery phases — and stretches of rounds in which
+     every fiber is asleep, finished or parked are fast-forwarded in one
+     jump — without perturbing any later round's randomness;
    - delivery scratch (`recv_count`/`recv_from`/`touched`) and the
      broadcaster buffer are preallocated and reset via the touched list, so
      steady-state rounds allocate nothing but the sorted broadcaster
@@ -70,6 +72,11 @@ let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 let m_resume_sharded_rounds = Metrics.counter "engine.resume_sharded_rounds"
 let m_resume_sharded_steps = Metrics.counter "engine.resume_sharded_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
+
+(* Continuations resumed (synced fibers, woken listeners and expired
+   parks), and listeners woken early by a delivery. *)
+let m_resumes = Metrics.counter "engine.resumes"
+let m_listen_wakes = Metrics.counter "engine.listen_wakes"
 let m_round_bcast = Metrics.histogram "engine.round_broadcasters"
 let m_run_rounds = Metrics.histogram "engine.run_rounds"
 
@@ -127,22 +134,27 @@ let default_resume_kernel : [ `Auto | `On | `Off ] Atomic.t = Atomic.make `Auto
 let set_default_resume_kernel k = Atomic.set default_resume_kernel k
 let get_default_resume_kernel () = Atomic.get default_resume_kernel
 
+(* Heap key of a park of [dur] rounds whose first round is [base]: the
+   round at whose end it expires, saturated at [max_int] ("never") so
+   that [listen ctx max_int] cannot wrap to a negative key. *)
+let park_expiry base dur = if dur > max_int - base then max_int else base + dur - 1
+
 (* Under [`Auto], a round's resume phase shards only when at least this
    many fibers await their receive: below it, the Pool dispatch and merge
    cost more than stepping the fibers on one domain. *)
 let resume_auto_threshold = 1024
 
 (* Private per-shard collection buffers for the sharded resume phase: a
-   stepped fiber contributes at most one join *or* one idle-parking, plus
+   stepped fiber contributes at most one join *or* one parking, plus
    at most one first decision and one finish, so slice-sized arrays never
    overflow.  Buffers hold only ints — the merge is blits, pushes, and
    counter adds on the main domain, in ascending shard order. *)
 type resume_buf = {
   rb_join : int array; (* fibers that performed Sync, in step order *)
   mutable rb_join_n : int;
-  rb_idle_r : int array; (* heap keys of fibers that performed Idle *)
-  rb_idle_v : int array;
-  mutable rb_idle_n : int;
+  rb_park_r : int array; (* heap keys of fibers that performed Park *)
+  rb_park_v : int array;
+  mutable rb_park_n : int;
   mutable rb_finished : int; (* fibers whose body returned *)
   mutable rb_decided : int; (* first-time outputs *)
 }
@@ -150,9 +162,12 @@ type resume_buf = {
 module Make (M : MESSAGE) = struct
   type receive = Own | Silence | Recv of M.t
 
+  (* [Park (k, wake)]: listen for up to [k] rounds.  With [wake] set the
+     first delivery ends the stretch: [Some (i, m)] when [m] arrived in
+     its i-th round; [None] after [k] rounds otherwise. *)
   type _ Effect.t +=
     | Sync : M.t option -> receive Effect.t
-    | Idle : int -> unit Effect.t
+    | Park : int * bool -> (int * M.t) option Effect.t
 
   type view = {
     view_round : int;
@@ -196,10 +211,11 @@ module Make (M : MESSAGE) = struct
     resume_shards : int;
         (* resume-phase sharding: with [resume_shards > 1] (and
            [resume_kernel] not [`Off], no sink), each round's work list —
-           the synced fibers in worklist order, then the idlers due this
-           round in heap-pop order — is partitioned into contiguous
-           slices stepped in parallel on Pool domains.  Each shard
-           collects its joins / idle-parkings / finish and decide counts
+           the synced fibers in worklist order, the woken listeners, then
+           the parks expiring this round in heap-pop order — is
+           partitioned into contiguous slices stepped in parallel on Pool
+           domains.  Each shard collects its joins / parkings / finish
+           and decide counts
            into a private buffer; the main domain merges the buffers in
            ascending shard order.  Pure evaluation strategy — results
            are byte-identical at any shard count (test_resume_shard). *)
@@ -278,14 +294,28 @@ module Make (M : MESSAGE) = struct
     ctx.local_round <- ctx.local_round + 1;
     r
 
-  (* Listen for [k] rounds, discarding receives.  A single [Idle] perform
+  (* Listen for [k] rounds, discarding receives.  A single [Park] perform
      lets the engine park the fiber for the whole stretch instead of
      resuming it k times; semantically identical to k silent syncs. *)
   let idle ctx k =
     if k > 0 then begin
-      Effect.perform (Idle k);
+      ignore (Effect.perform (Park (k, false)));
       ctx.local_round <- ctx.local_round + k
     end
+
+  (* Listen for up to [k] rounds, stopping at the first message: identical
+     to silent syncs until the first [Recv m] (in the stretch's i-th round,
+     giving [Some (i, m)]), but resumed once instead of once per round. *)
+  let listen ctx k =
+    if k <= 0 then None
+    else
+      match Effect.perform (Park (k, true)) with
+      | Some (i, _) as got ->
+        ctx.local_round <- ctx.local_round + i;
+        got
+      | None ->
+        ctx.local_round <- ctx.local_round + k;
+        None
 
   (* Broadcast with probability [p], otherwise listen. *)
   let sync_p ctx p send = if Rng.bool ctx.rng p then sync ctx (Some send) else sync ctx None
@@ -302,11 +332,12 @@ module Make (M : MESSAGE) = struct
   type fiber_status = Asleep | Running | Finished
 
   (* A fiber between resumptions: waiting on this round's receive, parked
-     by [idle], or absent (asleep / finished). *)
+     by [idle] ([Parked (false, _)]) or [listen] ([Parked (true, _)]), or
+     absent (asleep / finished). *)
   type fiber_pending =
     | No_fiber
     | Synced of (receive, unit) Effect.Deep.continuation
-    | Idling of (unit, unit) Effect.Deep.continuation
+    | Parked of bool * ((int * M.t) option, unit) Effect.Deep.continuation
 
   let no_broadcasters : int array = [||]
 
@@ -407,50 +438,69 @@ module Make (M : MESSAGE) = struct
     let n_active = ref 0 in
     let joining = Array.make (max 1 nn) 0 in
     let n_joining = ref 0 in
-    (* Idling fibers, min-heap keyed by the round at whose end they resume.
-       At most one entry per fiber. *)
+    (* Parked fibers, min-heap keyed by the round at whose end their
+       stretch expires.  At most one entry per fiber; [heap_pos.(v)] is
+       fiber [v]'s slot, so a listener woken early leaves the heap at
+       once instead of lingering as a stale entry. *)
     let heap_r = Array.make (max 1 nn) 0 in
     let heap_v = Array.make (max 1 nn) 0 in
+    let heap_pos = Array.make (max 1 nn) (-1) in
     let heap_n = ref 0 in
+    let heap_set i r v =
+      heap_r.(i) <- r;
+      heap_v.(i) <- v;
+      heap_pos.(v) <- i
+    in
     let heap_swap i j =
       let tr = heap_r.(i) and tv = heap_v.(i) in
-      heap_r.(i) <- heap_r.(j);
-      heap_v.(i) <- heap_v.(j);
-      heap_r.(j) <- tr;
-      heap_v.(j) <- tv
+      heap_set i heap_r.(j) heap_v.(j);
+      heap_set j tr tv
+    in
+    let rec sift_up i =
+      if i > 0 then begin
+        let p = (i - 1) / 2 in
+        if heap_r.(p) > heap_r.(i) then begin
+          heap_swap p i;
+          sift_up p
+        end
+      end
+    in
+    let rec sift_down i =
+      let l = (2 * i) + 1 and r = (2 * i) + 2 in
+      let s = if l < !heap_n && heap_r.(l) < heap_r.(i) then l else i in
+      let s = if r < !heap_n && heap_r.(r) < heap_r.(s) then r else s in
+      if s <> i then begin
+        heap_swap i s;
+        sift_down s
+      end
     in
     let heap_push r v =
-      let i = ref !heap_n in
-      heap_r.(!i) <- r;
-      heap_v.(!i) <- v;
+      let i = !heap_n in
       incr heap_n;
-      while !i > 0 && heap_r.((!i - 1) / 2) > heap_r.(!i) do
-        let p = (!i - 1) / 2 in
-        heap_swap p !i;
-        i := p
-      done
+      heap_set i r v;
+      sift_up i
     in
     let heap_min () = if !heap_n = 0 then max_int else heap_r.(0) in
-    let heap_pop () =
-      let v = heap_v.(0) in
+    let heap_remove_at i =
+      let v = heap_v.(i) in
       decr heap_n;
-      heap_r.(0) <- heap_r.(!heap_n);
-      heap_v.(0) <- heap_v.(!heap_n);
-      let i = ref 0 in
-      let sifting = ref true in
-      while !sifting do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let s = ref !i in
-        if l < !heap_n && heap_r.(l) < heap_r.(!s) then s := l;
-        if r < !heap_n && heap_r.(r) < heap_r.(!s) then s := r;
-        if !s = !i then sifting := false
-        else begin
-          heap_swap !i !s;
-          i := !s
-        end
-      done;
+      heap_pos.(v) <- -1;
+      if i < !heap_n then begin
+        heap_set i heap_r.(!heap_n) heap_v.(!heap_n);
+        sift_down i;
+        sift_up i
+      end;
       v
     in
+    let heap_pop () = heap_remove_at 0 in
+    let heap_remove v = ignore (heap_remove_at heap_pos.(v)) in
+    (* First round of each parked fiber's stretch, so a woken listener
+       learns how far into the stretch its message came. *)
+    let park_start = Array.make (max 1 nn) 0 in
+    (* Listeners a delivery woke this round, in delivery-discovery order. *)
+    let woken = Array.make (max 1 nn) 0 in
+    let n_woken = ref 0 in
+    let resumes = ref 0 and listen_wakes = ref 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
        monotonically, so the wake phase costs O(#wakers this round). *)
     let wake_order = Array.init nn (fun i -> i) in
@@ -461,12 +511,12 @@ module Make (M : MESSAGE) = struct
       wake_order;
     let wake_ptr = ref 0 in
     let next_wake () = if !wake_ptr >= nn then max_int else wake.(wake_order.(!wake_ptr)) in
-    (* The round a fresh [Idle k] starts counting from: the current round
+    (* The round a fresh [Park] starts counting from: the current round
        during the wake phase, the next round during the resume phase. *)
-    let idle_base = ref 0 in
+    let park_base = ref 0 in
     (* During a sharded resume the handler closures execute on whichever
        Pool domain stepped the fiber; [resume_assign.(v)] routes their
-       side effects into that shard's private buffer.  [idle_base] and
+       side effects into that shard's private buffer.  [park_base] and
        [round_counter] are only read during a resume phase and only
        written by the main domain between phases, so the reads are
        stable. *)
@@ -500,17 +550,19 @@ module Make (M : MESSAGE) = struct
                     b.rb_join.(b.rb_join_n) <- v;
                     b.rb_join_n <- b.rb_join_n + 1
                   end)
-            | Idle dur ->
+            | Park (dur, wake_early) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  pending.(v) <- Idling k;
+                  pending.(v) <- Parked (wake_early, k);
+                  park_start.(v) <- !park_base;
+                  let key = park_expiry !park_base dur in
                   let s = resume_assign.(v) in
-                  if s < 0 then heap_push (!idle_base + dur - 1) v
+                  if s < 0 then heap_push key v
                   else begin
                     let b = (!resume_bufs).(s) in
-                    b.rb_idle_r.(b.rb_idle_n) <- !idle_base + dur - 1;
-                    b.rb_idle_v.(b.rb_idle_n) <- v;
-                    b.rb_idle_n <- b.rb_idle_n + 1
+                    b.rb_park_r.(b.rb_park_n) <- key;
+                    b.rb_park_v.(b.rb_park_n) <- v;
+                    b.rb_park_n <- b.rb_park_n + 1
                   end)
             | _ -> None);
       }
@@ -545,7 +597,8 @@ module Make (M : MESSAGE) = struct
     let k_once = Bitset.create nn in
     let k_twice = Bitset.create nn in
     let k_sync = Bitset.create nn in
-    let k_idle = Bitset.create nn in
+    let k_parked = Bitset.create nn in
+    let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
     (* Intra-run sharding: with [shards > 1], broadcasting rounds slice
@@ -578,9 +631,9 @@ module Make (M : MESSAGE) = struct
         p
     in
     (* Sharded-resume scratch, built on the first sharded round: the work
-       list (synced fibers then due idlers) and one buffer per shard,
-       slice-sized — a stepped fiber appends at most one join or one
-       idle-parking. *)
+       list (synced fibers, woken listeners, then due parks) and one
+       buffer per shard, slice-sized — a stepped fiber appends at most
+       one join or one parking. *)
     let resume_work =
       if resume_shards > 1 then Array.make (max 1 nn) 0 else no_broadcasters
     in
@@ -592,9 +645,9 @@ module Make (M : MESSAGE) = struct
               {
                 rb_join = Array.make cap 0;
                 rb_join_n = 0;
-                rb_idle_r = Array.make cap 0;
-                rb_idle_v = Array.make cap 0;
-                rb_idle_n = 0;
+                rb_park_r = Array.make cap 0;
+                rb_park_v = Array.make cap 0;
+                rb_park_n = 0;
                 rb_finished = 0;
                 rb_decided = 0;
               })
@@ -620,36 +673,55 @@ module Make (M : MESSAGE) = struct
     (* Shared by the dense kernel and the sharded path: once the round's
        (once, twice) pair sits in [k_once]/[k_twice], classify every node
        word-parallel — receives = once ∧ ¬twice ∧ listeners, collisions =
-       twice ∧ listeners — update the counters, leave the synced
-       receivers in [k_recv], and report whether there are any. *)
+       twice ∧ listeners, where every synced or parked fiber listens —
+       update the counters, leave the receivers that take the message
+       (synced fibers and [listen]ers) in [k_recv], and report whether
+       there are any. *)
     let kernel_classify () =
       Bitset.clear k_sync;
-      Bitset.clear k_idle;
+      Bitset.clear k_parked;
+      Bitset.clear k_listen;
       for i = 0 to !n_active - 1 do
         let v = active.(i) in
         if sends.(v) = None then Bitset.add k_sync v
       done;
       for i = 0 to !heap_n - 1 do
-        Bitset.add k_idle heap_v.(i)
+        let v = heap_v.(i) in
+        Bitset.add k_parked v;
+        match pending.(v) with Parked (true, _) -> Bitset.add k_listen v | _ -> ()
       done;
       let any_recv = ref false in
       for w = 0 to k_words - 1 do
         let once = Bitset.get_word k_once w in
         let twice = Bitset.get_word k_twice w in
         let sy = Bitset.get_word k_sync w in
-        let listen = sy lor Bitset.get_word k_idle w in
+        let listen = sy lor Bitset.get_word k_parked w in
         let recv = once land lnot twice in
         deliveries := !deliveries + Bitset.popcount_word (recv land listen);
         collisions := !collisions + Bitset.popcount_word (twice land listen);
-        let rs = recv land sy in
+        let rs = recv land (sy lor Bitset.get_word k_listen w) in
         if rs <> 0 then any_recv := true;
         Bitset.set_word k_recv w rs
       done;
       !any_recv
     in
+    (* After a word-parallel assignment: the listeners in [k_recv] wake. *)
+    let kernel_woken () =
+      Bitset.iter_inter
+        (fun v ->
+          woken.(!n_woken) <- v;
+          incr n_woken)
+        k_recv k_listen
+    in
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
+    (* Scalar hand-off of the unique sender's message to receiver [v]. *)
+    let deliver v =
+      match sends.(recv_from.(v)) with
+      | Some m -> receives.(v) <- Recv m
+      | None -> assert false
+    in
     let g = Dual.g dual in
     (* The word-parallel paths' gray reach: a broadcaster's packed CSR
        incidence row filtered by this round's [gray_active], O(gray
@@ -682,6 +754,28 @@ module Make (M : MESSAGE) = struct
       | _ -> ());
       sz
     in
+    (* Resume fiber [v] at the end of round [r]: a synced fiber with its
+       receive, a parked one with the message that woke it (its receive
+       slot holds [Recv m] only then) or with [None] when its stretch
+       expired.  Runs on a Pool domain under the sharded resume, touching
+       only [v]'s own slots. *)
+    let step r v =
+      match pending.(v) with
+      | Synced k ->
+        let recv = receives.(v) in
+        receives.(v) <- Silence;
+        sends.(v) <- None;
+        pending.(v) <- No_fiber;
+        Effect.Deep.continue k recv
+      | Parked (_, k) -> (
+        pending.(v) <- No_fiber;
+        match receives.(v) with
+        | Recv m ->
+          receives.(v) <- Silence;
+          Effect.Deep.continue k (Some (r - park_start.(v) + 1, m))
+        | Own | Silence -> Effect.Deep.continue k None)
+      | No_fiber -> assert false
+    in
     let stop_now () =
       match cfg.stop with
       | All_done -> !n_finished = nn
@@ -699,11 +793,11 @@ module Make (M : MESSAGE) = struct
       (fun () ->
     try
        while not (stop_now ()) do
-         (* Fast-forward: with no fiber awaiting a receive and no observer,
-            every round before the next wake or idle expiry is a no-op —
-            nothing broadcasts, nothing listens, and the per-round adversary
-            derivation guarantees the skipped draws cannot influence later
-            rounds.  Jump there in one step. *)
+         (* Fast-forward: with no synced fiber and no observer, every round
+            before the next wake or park expiry is a no-op — nothing
+            broadcasts, so no parked listener can be woken, and the
+            per-round adversary derivation guarantees the skipped draws
+            cannot influence later rounds.  Jump there in one step. *)
          if !n_active = 0 && cfg.observer = None then begin
            let next_event = min (next_wake ()) (heap_min ()) in
            let cap =
@@ -729,9 +823,9 @@ module Make (M : MESSAGE) = struct
            incr round_counter;
            let r = !round_counter in
            (* 1. Wake processes scheduled for this round; they run to their
-              first sync/idle and thereby register this round's intent. *)
+              first sync or park and thereby register this round's intent. *)
            p_start ();
-           idle_base := r;
+           park_base := r;
            n_joining := 0;
            while !wake_ptr < nn && wake.(wake_order.(!wake_ptr)) = r do
              let v = wake_order.(!wake_ptr) in
@@ -748,6 +842,7 @@ module Make (M : MESSAGE) = struct
               message-size bound. *)
            p_start ();
            n_bcast := 0;
+           n_woken := 0;
            for i = 0 to !n_active - 1 do
              let v = active.(i) in
              if sends.(v) <> None then begin
@@ -871,7 +966,7 @@ module Make (M : MESSAGE) = struct
                   rows instead of bitset rows — the sharded path never
                   materialises the O(n^2)-bit row cache, which is what
                   lets it run at million-node sizes *)
-               if kernel_classify () then
+               if kernel_classify () then begin
                  Array.iter
                    (fun u ->
                      let m = match sends.(u) with Some m -> m | None -> assert false in
@@ -879,7 +974,9 @@ module Make (M : MESSAGE) = struct
                        (fun v -> if Bitset.mem k_recv v then receives.(v) <- Recv m)
                        g u;
                      assign_gray m u)
-                   broadcasters
+                   broadcasters;
+                 kernel_woken ()
+               end
              end
              else if use_kernel then begin
                (* reliable reach as word-parallel row ORs, gray reach
@@ -897,13 +994,15 @@ module Make (M : MESSAGE) = struct
                   exactly-one-sender node lies in exactly one
                   broadcaster's reach set.  Skipped outright when nobody
                   received (the common case under heavy contention). *)
-               if kernel_classify () then
+               if kernel_classify () then begin
                  Array.iter
                    (fun u ->
                      let m = match sends.(u) with Some m -> m | None -> assert false in
                      Bitset.iter_inter (fun v -> receives.(v) <- Recv m) rows.(u) k_recv;
                      assign_gray m u)
-                   broadcasters
+                   broadcasters;
+                 kernel_woken ()
+               end
              end
              else begin
                n_touched := 0;
@@ -918,11 +1017,18 @@ module Make (M : MESSAGE) = struct
                  let v = touched.(i) in
                  (if sends.(v) = None then
                     match pending.(v) with
-                    | Synced _ ->
+                    | No_fiber -> ()
+                    | (Synced _ | Parked _) as p ->
+                      (* Every synced or parked fiber listens: [idle]rs
+                         discard the message, [listen]ers wake with it. *)
                       if recv_count.(v) = 1 then begin
-                        (match sends.(recv_from.(v)) with
-                        | Some m -> receives.(v) <- Recv m
-                        | None -> assert false);
+                        (match p with
+                        | Synced _ -> deliver v
+                        | Parked (true, _) ->
+                          deliver v;
+                          woken.(!n_woken) <- v;
+                          incr n_woken
+                        | Parked (false, _) | No_fiber -> ());
                         incr deliveries;
                         if tracing then
                           emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
@@ -931,21 +1037,7 @@ module Make (M : MESSAGE) = struct
                         incr collisions;
                         if tracing then
                           emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                      end
-                    | Idling _ ->
-                      (* Parked listeners discard the message, but the
-                         delivery (or collision) still happened. *)
-                      if recv_count.(v) = 1 then begin
-                        incr deliveries;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
-                      end
-                      else begin
-                        incr collisions;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                      end
-                    | No_fiber -> ());
+                      end);
                  recv_count.(v) <- 0;
                  recv_from.(v) <- -1
                done
@@ -953,13 +1045,14 @@ module Make (M : MESSAGE) = struct
              Array.iter (fun v -> receives.(v) <- Own) broadcasters;
              p_stop Timing.Deliver
            end;
-           (* 5. Resume every live fiber with its receive, then unpark the
-              idlers whose stretch ends this round.  All receives were
-              computed before any resume, so next-round intents cannot
-              bleed into this round. *)
+           (* 5. Resume every synced fiber with its receive, then the
+              listeners a delivery woke, then the parks that expire this
+              round.  All receives were computed before any resume, so
+              next-round intents cannot bleed into this round. *)
            p_start ();
-           idle_base := r + 1;
+           park_base := r + 1;
            n_joining := 0;
+           listen_wakes := !listen_wakes + !n_woken;
            let use_resume_shards =
              resume_shards > 1
              &&
@@ -969,15 +1062,16 @@ module Make (M : MESSAGE) = struct
              | `Auto ->
                (* Pool dispatch + merge are a fixed per-round cost; only
                   rounds with enough fibers to step amortise it. *)
-               !n_active >= resume_auto_threshold
+               !n_active + !n_woken >= resume_auto_threshold
            in
            if use_resume_shards then begin
              (* Sharded resume: fix the work list up front — the synced
-                fibers in worklist order, then every idler due this round
-                in heap-pop order.  [idle] guarantees dur >= 1, so any
-                Idle performed by a stepped fiber parks at a key >= r+1:
-                the due set cannot grow while we step, which is what
-                makes popping it before the first step sound.  Contiguous
+                fibers in worklist order, the woken listeners (taken out
+                of the heap), then every park due this round in heap-pop
+                order.  [idle]/[listen] guarantee dur >= 1, so any Park
+                performed by a stepped fiber has a key >= r+1: the due
+                set cannot grow while we step, which is what makes
+                popping it before the first step sound.  Contiguous
                 slices then step on Pool domains; per-process RNG streams
                 are independently derived and a step reads only its own
                 [receives] slot, so slices are independent.  Merging the
@@ -988,12 +1082,17 @@ module Make (M : MESSAGE) = struct
                 against the scalar path and [run_reference] by
                 test_resume_shard. *)
              Array.blit active 0 resume_work 0 !n_active;
-             let mw = ref !n_active in
+             Array.blit woken 0 resume_work !n_active !n_woken;
+             for i = 0 to !n_woken - 1 do
+               heap_remove woken.(i)
+             done;
+             let mw = ref (!n_active + !n_woken) in
              while !heap_n > 0 && heap_r.(0) = r do
                resume_work.(!mw) <- heap_pop ();
                incr mw
              done;
              let m = !mw in
+             resumes := !resumes + m;
              if met then begin
                Metrics.incr m_resume_sharded_rounds;
                Metrics.add m_resume_sharded_steps m
@@ -1002,7 +1101,7 @@ module Make (M : MESSAGE) = struct
              for s = 0 to resume_shards - 1 do
                let b = bufs.(s) in
                b.rb_join_n <- 0;
-               b.rb_idle_n <- 0;
+               b.rb_park_n <- 0;
                b.rb_finished <- 0;
                b.rb_decided <- 0;
                for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
@@ -1012,26 +1111,15 @@ module Make (M : MESSAGE) = struct
              Pool.run_n (get_pool ())
                (fun s ->
                  for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
-                   let v = resume_work.(i) in
-                   match pending.(v) with
-                   | Synced k ->
-                     let recv = receives.(v) in
-                     receives.(v) <- Silence;
-                     sends.(v) <- None;
-                     pending.(v) <- No_fiber;
-                     Effect.Deep.continue k recv
-                   | Idling k ->
-                     pending.(v) <- No_fiber;
-                     Effect.Deep.continue k ()
-                   | No_fiber -> assert false
+                   step r resume_work.(i)
                  done)
                resume_shards;
              for s = 0 to resume_shards - 1 do
                let b = bufs.(s) in
                Array.blit b.rb_join 0 joining !n_joining b.rb_join_n;
                n_joining := !n_joining + b.rb_join_n;
-               for i = 0 to b.rb_idle_n - 1 do
-                 heap_push b.rb_idle_r.(i) b.rb_idle_v.(i)
+               for i = 0 to b.rb_park_n - 1 do
+                 heap_push b.rb_park_r.(i) b.rb_park_v.(i)
                done;
                n_finished := !n_finished + b.rb_finished;
                n_decided := !n_decided + b.rb_decided
@@ -1041,24 +1129,18 @@ module Make (M : MESSAGE) = struct
              done
            end
            else begin
+             resumes := !resumes + !n_active + !n_woken;
              for i = 0 to !n_active - 1 do
-               let v = active.(i) in
-               match pending.(v) with
-               | Synced k ->
-                 let recv = receives.(v) in
-                 receives.(v) <- Silence;
-                 sends.(v) <- None;
-                 pending.(v) <- No_fiber;
-                 Effect.Deep.continue k recv
-               | Idling _ | No_fiber -> assert false
+               step r active.(i)
+             done;
+             for i = 0 to !n_woken - 1 do
+               let v = woken.(i) in
+               heap_remove v;
+               step r v
              done;
              while !heap_n > 0 && heap_r.(0) = r do
-               let v = heap_pop () in
-               match pending.(v) with
-               | Idling k ->
-                 pending.(v) <- No_fiber;
-                 Effect.Deep.continue k ()
-               | Synced _ | No_fiber -> assert false
+               incr resumes;
+               step r (heap_pop ())
              done
            end;
            Array.blit joining 0 active 0 !n_joining;
@@ -1079,7 +1161,8 @@ module Make (M : MESSAGE) = struct
      with Exit -> ());
     if prof then begin
       Timing.add_rounds (!round_counter - !ff_skipped);
-      Timing.add_silent_skipped !ff_skipped
+      Timing.add_silent_skipped !ff_skipped;
+      Timing.add_resumes !resumes
     end;
     if met then begin
       Metrics.incr m_runs;
@@ -1089,6 +1172,8 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_collisions !collisions;
       Metrics.add m_bits_sent !bits_sent;
       Metrics.add m_silent_rounds !silent_rounds;
+      Metrics.add m_resumes !resumes;
+      Metrics.add m_listen_wakes !listen_wakes;
       if !timed_out then Metrics.incr m_timeouts;
       Metrics.observe m_run_rounds !round_counter
     end;
@@ -1135,6 +1220,7 @@ module Make (M : MESSAGE) = struct
     let sends = Array.make nn None in
     let pending = Array.make nn No_fiber in
     let resume_round = Array.make nn 0 in
+    let park_start = Array.make nn 0 in
     let round_counter = ref 0 in
     let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
     let bits_sent = ref 0 and silent_rounds = ref 0 in
@@ -1159,7 +1245,7 @@ module Make (M : MESSAGE) = struct
               decided.(v) <- Some !round_counter);
       }
     in
-    let idle_base = ref 0 in
+    let park_base = ref 0 in
     let handler v : (unit, unit) Effect.Deep.handler =
       {
         retc = (fun () -> status.(v) <- Finished);
@@ -1172,11 +1258,12 @@ module Make (M : MESSAGE) = struct
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
                   sends.(v) <- send;
                   pending.(v) <- Synced k)
-            | Idle dur ->
+            | Park (dur, wake_early) ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  pending.(v) <- Idling k;
-                  resume_round.(v) <- !idle_base + dur - 1)
+                  pending.(v) <- Parked (wake_early, k);
+                  park_start.(v) <- !park_base;
+                  resume_round.(v) <- park_expiry !park_base dur)
             | _ -> None);
       }
     in
@@ -1209,7 +1296,7 @@ module Make (M : MESSAGE) = struct
          incr round_counter;
          let r = !round_counter in
          (* 1. Wake. *)
-         idle_base := r;
+         park_base := r;
          for v = 0 to nn - 1 do
            if status.(v) = Asleep && wake.(v) = r then start v
          done;
@@ -1251,17 +1338,18 @@ module Make (M : MESSAGE) = struct
                (fun v e -> if Bitset.mem gray_active e then touch v m)
                dual u)
            broadcasters;
-         (* 5. Receives for every live fiber — parked idlers count towards
-            deliveries/collisions but discard the payload. *)
+         (* 5. Receives for every live fiber — parked fibers count towards
+            deliveries/collisions; [idle]rs discard the payload, [listen]ers
+            keep it and wake. *)
          for v = 0 to nn - 1 do
            receives.(v) <- Silence;
            match pending.(v) with
            | No_fiber -> ()
-           | Synced _ | Idling _ ->
+           | Synced _ | Parked _ ->
              if sends.(v) <> None then receives.(v) <- Own
              else if recv_count.(v) = 1 then begin
                (match pending.(v) with
-               | Synced _ -> (
+               | Synced _ | Parked (true, _) -> (
                  match recv_msg.(v) with
                  | Some m -> receives.(v) <- Recv m
                  | None -> assert false)
@@ -1276,21 +1364,27 @@ module Make (M : MESSAGE) = struct
              recv_msg.(v) <- None)
            !touched;
          touched := [];
-         (* 6. Resume synced fibers, then idlers whose stretch ends now. *)
-         idle_base := r + 1;
+         (* 6. Resume synced fibers (consuming their receives), then
+            parked fibers that heard a message or whose stretch ends now. *)
+         park_base := r + 1;
          for v = 0 to nn - 1 do
            match pending.(v) with
            | Synced k ->
+             let recv = receives.(v) in
+             receives.(v) <- Silence;
              sends.(v) <- None;
              pending.(v) <- No_fiber;
-             Effect.Deep.continue k receives.(v)
-           | Idling _ | No_fiber -> sends.(v) <- None
+             Effect.Deep.continue k recv
+           | Parked _ | No_fiber -> sends.(v) <- None
          done;
          for v = 0 to nn - 1 do
-           match pending.(v) with
-           | Idling k when resume_round.(v) = r ->
+           match pending.(v), receives.(v) with
+           | Parked (_, k), Recv m ->
              pending.(v) <- No_fiber;
-             Effect.Deep.continue k ()
+             Effect.Deep.continue k (Some (r - park_start.(v) + 1, m))
+           | Parked (_, k), _ when resume_round.(v) = r ->
+             pending.(v) <- No_fiber;
+             Effect.Deep.continue k None
            | _ -> ()
          done;
          match cfg.observer with

@@ -123,17 +123,18 @@ module Make (M : MESSAGE) : sig
     resume_shards : int;
         (** resume-phase sharding (≥ 1).  With [resume_shards > 1] (and
             [resume_kernel] not [`Off], no [sink]), each round's fiber
-            work list — the synced fibers in worklist order, then the
-            idlers due this round in heap-pop order — is cut into
+            work list — the synced fibers in worklist order, the
+            listeners a delivery woke, then the parks expiring this
+            round in heap-pop order — is cut into
             contiguous slices stepped in parallel on {!Rn_util.Pool}
             domains (OCaml 5 continuations are not domain-pinned).
-            Every shard collects its broadcast intents, idle-parkings,
+            Every shard collects its broadcast intents, parkings,
             and finish/decide counts into a private preallocated buffer;
             the main domain merges the buffers in ascending shard order.
             Steps are independent because per-process RNG streams are
             derived independently from the seed and a step reads only
             its own receive slot — so the broadcaster set, wake buckets,
-            idle heap, and every downstream adversary and delivery
+            park heap, and every downstream adversary and delivery
             decision are byte-identical at any shard count.  Pure
             evaluation strategy, like [kernel] and [shards]; defaults to
             {!set_default_resume_shards}'s value (1 initially). *)
@@ -199,10 +200,21 @@ module Make (M : MESSAGE) : sig
   val sync : ctx -> M.t option -> receive
 
   (** [idle ctx k]: listen for [k] rounds, discarding receives.
-      Semantically identical to [k] silent syncs, but performed as a single
-      effect so the engine can park the fiber for the whole stretch (and
-      fast-forward rounds in which no fiber is live at all). *)
+      Semantically identical to [k] silent syncs, but performed as one
+      park: the engine resumes the fiber once, when the stretch expires,
+      and fast-forwards rounds in which every fiber is parked or asleep.
+      A [k] of [max_int] parks for the rest of the run. *)
   val idle : ctx -> int -> unit
+
+  (** [listen ctx k]: listen for up to [k] rounds, stopping at the first
+      message.  [Some (i, m)] when [m] arrived in the stretch's [i]-th
+      round ([round] advances by [i]); [None] after [k] silent rounds
+      ([round] advances by [k]).  Semantically identical to a loop of
+      silent syncs that stops at the first [Recv], but performed as one
+      park that only a delivery or the stretch's expiry resumes — so
+      silent rounds cost the listener nothing and can be fast-forwarded.
+      [k <= 0] returns [None] at once. *)
+  val listen : ctx -> int -> (int * M.t) option
 
   (** Broadcast with probability [p], else listen. *)
   val sync_p : ctx -> float -> M.t -> receive
@@ -220,8 +232,9 @@ module Make (M : MESSAGE) : sig
       [max_rounds], setting [timed_out]).
 
       The round loop costs O(activity) per round: live fibers sit in a
-      worklist, wake rounds are pre-bucketed, idling fibers park in a heap,
-      and stretches of silent rounds are skipped outright.  The adversary's
+      worklist, wake rounds are pre-bucketed, [idle] and [listen] fibers
+      park in a heap (a delivery takes a listener out early), and
+      stretches of silent rounds are skipped outright.  The adversary's
       RNG is derived per round from the seed, which is what makes the skip
       sound.  If the detector declares [stabilizes_at], queries after the
       stabilisation round are served from a cache — detectors whose [at]

@@ -27,6 +27,7 @@ let seconds = Array.init n_sections (fun _ -> Atomic.make 0.0)
 let entries = Array.init n_sections (fun _ -> Atomic.make 0)
 let rounds_total = Atomic.make 0
 let silent_skipped = Atomic.make 0
+let resumes_total = Atomic.make 0
 
 let add_float a x =
   let rec go () =
@@ -49,17 +50,20 @@ let record sec dt =
 
 let add_rounds n = ignore (Atomic.fetch_and_add rounds_total n)
 let add_silent_skipped n = ignore (Atomic.fetch_and_add silent_skipped n)
+let add_resumes n = ignore (Atomic.fetch_and_add resumes_total n)
 
 let reset () =
   Array.iter (fun a -> Atomic.set a 0.0) seconds;
   Array.iter (fun a -> Atomic.set a 0) entries;
   Atomic.set rounds_total 0;
-  Atomic.set silent_skipped 0
+  Atomic.set silent_skipped 0;
+  Atomic.set resumes_total 0
 
 type snapshot = {
   sections : (string * int * float) list;
   rounds : int;
   silent : int;
+  resumes : int;
 }
 
 let snapshot () =
@@ -68,6 +72,7 @@ let snapshot () =
       List.mapi (fun i l -> (l, Atomic.get entries.(i), Atomic.get seconds.(i))) section_labels;
     rounds = Atomic.get rounds_total;
     silent = Atomic.get silent_skipped;
+    resumes = Atomic.get resumes_total;
   }
 
 (* Fold the section profile into the metrics snapshot format, so one
@@ -80,7 +85,11 @@ let metrics_snapshot () =
     (List.concat_map
        (fun (l, n, t) -> [ ("timing." ^ l ^ ".entries", n); ("timing." ^ l ^ ".ns", ns t) ])
        s.sections
-    @ [ ("timing.rounds", s.rounds); ("timing.silent_skipped", s.silent) ])
+    @ [
+        ("timing.rounds", s.rounds);
+        ("timing.silent_skipped", s.silent);
+        ("timing.resumes", s.resumes);
+      ])
 
 let pp_report ppf s =
   let open Format in
@@ -91,7 +100,9 @@ let pp_report ppf s =
       let share = if total > 0.0 then 100.0 *. t /. total else 0.0 in
       fprintf ppf "  %-10s %10.3f ms  %5.1f%%  (%d entries)@\n" l (t *. 1e3) share n)
     s.sections;
-  fprintf ppf "  rounds executed: %d, silent rounds fast-forwarded: %d@\n" s.rounds s.silent;
+  fprintf ppf "  rounds executed: %d, silent rounds fast-forwarded: %d, " s.rounds s.silent;
+  fprintf ppf "resumes per executed round: %.1f@\n"
+    (if s.rounds > 0 then float_of_int s.resumes /. float_of_int s.rounds else 0.0);
   if s.rounds + s.silent > 0 then
     fprintf ppf "  avg cost per executed round: %.0f ns@\n"
       (if s.rounds > 0 then total /. float_of_int s.rounds *. 1e9 else 0.0)

@@ -30,17 +30,22 @@ val add_rounds : int -> unit
 (** Rounds skipped or short-circuited as silent. *)
 val add_silent_skipped : int -> unit
 
+(** Fiber continuations resumed (synced fibers, woken listeners and
+    expired parks). *)
+val add_resumes : int -> unit
+
 type snapshot = {
   sections : (string * int * float) list;  (** label, entries, seconds *)
   rounds : int;
   silent : int;
+  resumes : int;
 }
 
 val snapshot : unit -> snapshot
 
 (** The section profile folded into the {!Metrics} snapshot format
     ([timing.<section>.entries], [timing.<section>.ns],
-    [timing.rounds], [timing.silent_skipped]), so profiler output can
+    [timing.rounds], [timing.silent_skipped], [timing.resumes]), so profiler output can
     be merged and exported through the one metrics pipeline. *)
 val metrics_snapshot : unit -> Metrics.snapshot
 

@@ -94,10 +94,11 @@ let config_of s =
     ~max_rounds:s.max_rounds ~detector:det s.dual
 
 (* A scripted body drawing its actions from the process RNG: broadcast,
-   listen, batched idle, decide.  With [unroll_idle] the idle stretch is
-   replaced by the equivalent sequence of silent syncs, which must not
-   change anything observable. *)
-let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
+   listen, batched idle, parked listen, decide.  With [unroll] the idle
+   stretch is replaced by the equivalent sequence of silent syncs, and the
+   parked listen by silent syncs that stop at the first [Recv] — neither
+   may change anything observable. *)
+let random_body ?(unroll = false) ~steps ~max_idle ctx =
   let rng = E.rng ctx in
   let me = E.me ctx in
   let log = ref [] in
@@ -107,17 +108,32 @@ let random_body ?(unroll_idle = false) ~steps ~max_idle ctx =
     | E.Own -> log := -1 :: !log
     | E.Silence -> ()
   in
+  let listen_unrolled k =
+    let rec go i =
+      if i > k then None
+      else
+        match E.sync ctx None with
+        | E.Recv m -> Some (i, m)
+        | E.Own | E.Silence -> go (i + 1)
+    in
+    go 1
+  in
   for _ = 1 to steps do
-    match Rng.int rng 6 with
+    match Rng.int rng 7 with
     | 0 | 1 -> note (E.sync ctx (Some me))
     | 2 | 3 -> note (E.sync ctx None)
     | 4 ->
       let k = 1 + Rng.int rng max_idle in
-      if unroll_idle then
+      if unroll then
         for _ = 1 to k do
           ignore (E.sync ctx None)
         done
       else E.idle ctx k
+    | 5 -> (
+      let k = 1 + Rng.int rng max_idle in
+      match if unroll then listen_unrolled k else E.listen ctx k with
+      | Some (i, m) -> log := m :: (-1 - i) :: !log
+      | None -> ())
     | _ ->
       if (not !decided) && Rng.int rng 3 = 0 then begin
         decided := true;
@@ -136,10 +152,10 @@ let prop_random_bodies =
       let body = random_body ~steps:12 ~max_idle:6 in
       let fast = E.run cfg body in
       let oracle = E.run_reference cfg body in
-      let unrolled = E.run cfg (random_body ~unroll_idle:true ~steps:12 ~max_idle:6) in
+      let unrolled = E.run cfg (random_body ~unroll:true ~steps:12 ~max_idle:6) in
       if fast <> oracle then QCheck.Test.fail_reportf "run <> run_reference: %s" (pp_scenario s);
       if fast <> unrolled then
-        QCheck.Test.fail_reportf "idle <> unrolled silent syncs: %s" (pp_scenario s);
+        QCheck.Test.fail_reportf "idle/listen <> unrolled silent syncs: %s" (pp_scenario s);
       true)
 
 (* Sparse wakes and long idles: the engine fast-forwards whole stretches of
@@ -265,6 +281,103 @@ let test_idle_past_stop () =
   Alcotest.(check int) "stopped at 10" 10 fast.E.rounds;
   Alcotest.(check bool) "no return yet" true (fast.E.returns = [| None; None |])
 
+(* "Park forever": the expiry key saturates at max_int instead of wrapping
+   negative, so the run still fast-forwards to its stop round. *)
+let test_idle_forever_fast_forwards () =
+  let det = Detector.static (Detector.perfect (Dual.g path2)) in
+  let cfg = E.config ~stop:(Rn_sim.Engine.At_round 1_000_000) ~detector:det path2 in
+  let body ctx =
+    ignore (E.sync ctx (Some (E.me ctx)));
+    E.idle ctx max_int
+  in
+  Rn_util.Timing.reset ();
+  Rn_util.Timing.set_enabled true;
+  let res =
+    Fun.protect
+      ~finally:(fun () -> Rn_util.Timing.set_enabled false)
+      (fun () -> E.run cfg body)
+  in
+  let prof = Rn_util.Timing.snapshot () in
+  Rn_util.Timing.reset ();
+  Alcotest.(check int) "stopped at 10^6" 1_000_000 res.E.rounds;
+  Alcotest.(check int) "one round executed" 1 prof.Rn_util.Timing.rounds;
+  Alcotest.(check int) "the rest fast-forwarded" 999_999 prof.Rn_util.Timing.silent;
+  Alcotest.(check int) "silent rounds counted" 999_999 res.E.stats.silent_rounds
+
+(* A listener parked for good wakes on the first message, however late:
+   node 1 wakes at round 50_000 and broadcasts at once. *)
+let test_listen_forever_wakes () =
+  let det = Detector.static (Detector.perfect (Dual.g path2)) in
+  let cfg = E.config ~wake:[| 1; 50_000 |] ~detector:det path2 in
+  let body ctx =
+    if E.me ctx = 0 then begin
+      let got = E.listen ctx max_int in
+      (got, E.round ctx)
+    end
+    else begin
+      ignore (E.sync ctx (Some 7));
+      (None, E.round ctx)
+    end
+  in
+  let fast = E.run cfg body in
+  Alcotest.(check bool) "identical results" true (fast = E.run_reference cfg body);
+  Alcotest.(check int) "ends at the late broadcast" 50_000 fast.E.rounds;
+  Alcotest.(check bool) "listener woke in the stretch's 50000th round" true
+    (fast.E.returns.(0) = Some (Some (50_000, 7), 50_000))
+
+(* A delivery in a stretch's last round finds the listener both due and
+   delivered-to: it must wake with the message, on every delivery and
+   resume path.  Nodes 0-1 and 1-2 are reliable, 0-2 is gray; node 0
+   listens for rounds 2..4 (parked from the resume phase), node 1 speaks
+   in round 4, node 2 too, so a gray-activating adversary turns node 0's
+   delivery into a collision. *)
+let test_listen_last_round () =
+  let dual = Dual.make ~g:(Graph.of_edges 3 [ (0, 1); (1, 2) ]) ~gray:[ (0, 2) ] () in
+  let det = Detector.static (Detector.perfect (Dual.g dual)) in
+  let body ctx =
+    let me = E.me ctx in
+    ignore (E.sync ctx None);
+    let got =
+      if me = 0 then E.listen ctx 3
+      else begin
+        E.idle ctx 2;
+        ignore (E.sync ctx (Some me));
+        None
+      end
+    in
+    ignore (E.sync ctx None);
+    (got, E.round ctx)
+  in
+  Array.iter
+    (fun (adv_name, adversary) ->
+      let expected = ref None in
+      List.iter
+        (fun (kernel, shards, resume_shards) ->
+          let cfg =
+            E.config ~adversary ~seed:3 ~kernel ~shards ~resume_shards ~resume_kernel:`On
+              ~detector:det dual
+          in
+          let fast = E.run cfg body in
+          let name =
+            Printf.sprintf "%s kernel=%s shards=%d resume_shards=%d" adv_name
+              (if kernel = `On then "on" else "off")
+              shards resume_shards
+          in
+          Alcotest.(check bool) (name ^ " = reference") true (fast = E.run_reference cfg body);
+          (match !expected with
+          | None -> expected := Some fast
+          | Some e -> Alcotest.(check bool) (name ^ " = first path") true (fast = e));
+          if adv_name = "silent" then
+            Alcotest.(check bool) (name ^ " woke in round 3 of 3") true
+              (fast.E.returns.(0) = Some (Some (3, 1), 5)))
+        (List.concat_map
+           (fun kernel ->
+             List.concat_map
+               (fun shards -> List.map (fun rs -> (kernel, shards, rs)) [ 1; 2; 4 ])
+               [ 1; 2; 4 ])
+           [ `On; `Off ]))
+    adversaries
+
 let test_observer_disables_jump () =
   (* With an observer every round must be materialised and observed. *)
   let seen = ref [] in
@@ -314,6 +427,12 @@ let () =
         [
           Alcotest.test_case "far wake jump" `Quick test_far_wake_jump;
           Alcotest.test_case "idle past stop" `Quick test_idle_past_stop;
+          Alcotest.test_case "idle forever fast-forwards" `Quick
+            test_idle_forever_fast_forwards;
+          Alcotest.test_case "listen forever wakes on a late message" `Quick
+            test_listen_forever_wakes;
+          Alcotest.test_case "listen: delivery in the stretch's last round" `Quick
+            test_listen_last_round;
           Alcotest.test_case "observer disables jump" `Quick test_observer_disables_jump;
         ] );
     ]

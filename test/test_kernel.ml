@@ -158,15 +158,16 @@ let config_of ~kernel s =
   E.config ~adversary:s.adv ~seed:s.seed ?wake:s.wake ~stop:s.stop ~max_rounds:5_000
     ~kernel ~detector:det s.dual
 
-(* Scripted body mixing broadcasts, listens, idles and decisions, logging
-   every receive — any delivery divergence shows up in [returns]. *)
+(* Scripted body mixing broadcasts, syncs, idles, parked listens and
+   decisions, logging every receive — any delivery divergence shows up
+   in [returns]. *)
 let body ctx =
   let rng = E.rng ctx in
   let me = E.me ctx in
   let log = ref [] in
   let decided = ref false in
   for _ = 1 to 14 do
-    match Rng.int rng 6 with
+    match Rng.int rng 7 with
     | 0 | 1 | 2 ->
       (* broadcast-heavy: dense rounds are the kernel's territory *)
       (match E.sync ctx (Some me) with
@@ -178,6 +179,10 @@ let body ctx =
       | E.Recv m -> log := m :: !log
       | E.Own | E.Silence -> ())
     | 4 -> E.idle ctx (1 + Rng.int rng 4)
+    | 5 -> (
+      match E.listen ctx (1 + Rng.int rng 4) with
+      | Some (i, m) -> log := m :: (-1 - i) :: !log
+      | None -> ())
     | _ ->
       if (not !decided) && Rng.int rng 4 = 0 then begin
         decided := true;

@@ -215,7 +215,7 @@ let body ctx =
   let log = ref [] in
   let decided = ref false in
   for _ = 1 to 14 do
-    match Rng.int rng 6 with
+    match Rng.int rng 7 with
     | 0 | 1 | 2 -> (
       match E.sync ctx (Some me) with
       | E.Recv m -> log := m :: !log
@@ -226,6 +226,10 @@ let body ctx =
       | E.Recv m -> log := m :: !log
       | E.Own | E.Silence -> ())
     | 4 -> E.idle ctx (1 + Rng.int rng 4)
+    | 5 -> (
+      match E.listen ctx (1 + Rng.int rng 4) with
+      | Some (i, m) -> log := m :: (-1 - i) :: !log
+      | None -> ())
     | _ ->
       if (not !decided) && Rng.int rng 4 = 0 then begin
         decided := true;
