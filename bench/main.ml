@@ -241,40 +241,16 @@ let kernel_perf () =
     t_dense t_gen;
   [ ("dense-delivery-n4096", t_dense); ("world-gen-n32k", t_gen) ]
 
-(* Scale-path timings, gated like the kernel entries:
+(* Scale-path timing, gated like the kernel entries:
 
-     sharded-delivery-n65536  the S1 beacon workload at n=65536 with the
-                              delivery scatter sharded across two pool
-                              domains — the intra-run sharding path end
-                              to end (scatter, merge, classify, receive);
-     world-alloc-n1m          one connected n=10^6 geometric world built
-                              through the packed-CSR + off-heap-bitset
-                              construction path — the memory half of the
-                              million-node milestone.
+     world-alloc-n1m  one connected n=10^6 geometric world built through
+                      the packed-CSR + off-heap-bitset construction
+                      path — the memory half of the million-node
+                      milestone.
 
-   A regression in either means the sharded scatter or the packed world
-   build stopped carrying its weight. *)
+   A regression means the packed world build stopped carrying its
+   weight. *)
 let scale_perf () =
-  let dual =
-    Gen.geometric ~rng:(Rng.create 21)
-      (Gen.default_spec ~n:65536 ~side:(Gen.side_for_degree ~n:65536 ~target_degree:16) ())
-  in
-  let det = Detector.static (Detector.perfect (Dual.g dual)) in
-  let sharded () =
-    let cfg =
-      Beacon_engine.config ~seed:9 ~stop:(Rn_sim.Engine.At_round 32)
-        ~adversary:(Rn_sim.Adversary.bernoulli 0.5)
-        ~shards:2 ~detector:det dual
-    in
-    ignore
-      (Beacon_engine.run cfg (fun ctx ->
-           let me = Beacon_engine.me ctx in
-           for _ = 1 to 32 do
-             ignore (Beacon_engine.sync_p ctx 0.25 me)
-           done))
-  in
-  sharded () (* warm-up *);
-  let (), t_shard = timed sharded in
   let (), t_world =
     timed (fun () ->
         ignore
@@ -283,10 +259,8 @@ let scale_perf () =
                 ~side:(Gen.side_for_degree ~n:1_000_000 ~target_degree:20)
                 ())))
   in
-  Printf.printf
-    "--- scale paths: sharded delivery n=64k %.3f s, world alloc n=1m %.3f s ---\n\n" t_shard
-    t_world;
-  [ ("sharded-delivery-n65536", t_shard); ("world-alloc-n1m", t_world) ]
+  Printf.printf "--- scale paths: world alloc n=1m %.3f s ---\n\n" t_world;
+  [ ("world-alloc-n1m", t_world) ]
 
 (* Adversary-phase timings, gated like the kernel entries:
 

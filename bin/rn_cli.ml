@@ -737,13 +737,8 @@ let figures_cmd =
 
 (* --- scale command --- *)
 
-let run_scale full out sizes shards kernel adv_kernel resume_shards resume_kernel adversary
-    check =
+let run_scale full out sizes kernel adv_kernel resume_shards resume_kernel adversary check =
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
-  if shards < 1 then begin
-    Printf.eprintf "rn_cli scale: --shards must be >= 1\n";
-    exit 2
-  end;
   if resume_shards < 1 then begin
     Printf.eprintf "rn_cli scale: --resume-shards must be >= 1\n";
     exit 2
@@ -769,8 +764,8 @@ let run_scale full out sizes shards kernel adv_kernel resume_shards resume_kerne
         exit 2)
   in
   Rn_harness.Harness.print
-    (Rn_harness.Exp_scale.run ?out ?sizes ~shards ~kernel ~adv_kernel ~resume_shards
-       ~resume_kernel ~adversary ~check scale)
+    (Rn_harness.Exp_scale.run ?out ?sizes ~kernel ~adv_kernel ~resume_shards ~resume_kernel
+       ~adversary ~check scale)
 
 let scale_out_arg =
   Arg.(
@@ -784,14 +779,6 @@ let scale_sizes_arg =
     & opt (some string) None
     & info [ "sizes" ] ~docv:"CSV"
         ~doc:"Override the size grid with a comma-separated list of n values.")
-
-let scale_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard each round's delivery scatter across N domains. Results are \
-           byte-identical at any shard count.")
 
 let scale_kernel_arg =
   Arg.(
@@ -839,7 +826,7 @@ let scale_check_arg =
     & info [ "check" ]
         ~doc:
           "Print only the deterministic columns (counts, no timings), suitable for \
-           byte-comparison across --shards/--kernel settings.")
+           byte-comparison across --resume-shards/--kernel settings.")
 
 let scale_cmd =
   Cmd.v
@@ -850,9 +837,9 @@ let scale_cmd =
           goes to n=1048576. Timings are machine-dependent, so this never touches the \
           result store.")
     Term.(
-      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_shards_arg
-      $ scale_kernel_arg $ scale_adv_kernel_arg $ scale_resume_shards_arg
-      $ scale_resume_kernel_arg $ scale_adversary_arg $ scale_check_arg)
+      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_kernel_arg
+      $ scale_adv_kernel_arg $ scale_resume_shards_arg $ scale_resume_kernel_arg
+      $ scale_adversary_arg $ scale_check_arg)
 
 (* --- graph command --- *)
 

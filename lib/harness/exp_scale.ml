@@ -12,11 +12,11 @@
        total work (rounds x n), i.e. per-round seconds ~ n^~1.
 
    Run it via [rn_cli scale] (quick: n up to 8192; --full: up to a
-   million nodes).  [--shards N] shards each round's delivery across N
-   Pool domains, [--resume-shards N] likewise shards the fiber resume
-   loop; [--check] prints only the deterministic columns (counts, no
-   timings), which is what lets scripts/shard_smoke.sh byte-compare
-   tables across shard counts and kernel modes. *)
+   million nodes).  [--resume-shards N] shards the fiber resume loop
+   across N Pool domains; [--check] prints only the deterministic
+   columns (counts, no timings), which is what lets
+   scripts/shard_smoke.sh byte-compare tables across shard counts and
+   kernel modes. *)
 
 module Rng = Rn_util.Rng
 module Table = Rn_util.Table
@@ -76,7 +76,7 @@ type row = {
    [beacon_rounds] rounds, which keeps expected per-neighbourhood
    traffic constant as n grows (throughput is then work-bound, not
    contention-bound). *)
-let measure ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shards = 1)
+let measure ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shards = 1)
     ?(resume_kernel = `Auto) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
   let t0 = Timing.now () in
   let dual = geometric ~seed:(0x5CA1E + n) ~n ~degree:(degree_for n) () in
@@ -99,7 +99,7 @@ let measure ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shard
     let cfg =
       E.config ~seed:(n lxor 0x5EED)
         ~stop:(Rn_sim.Engine.At_round beacon_rounds)
-        ~adversary ~observer ~kernel ~shards ~adv_kernel ~resume_shards ~resume_kernel
+        ~adversary ~observer ~kernel ~adv_kernel ~resume_shards ~resume_kernel
         ~detector:det dual
     in
     E.run cfg (fun ctx ->
@@ -153,16 +153,17 @@ let figure rows =
 
 (* [run ?out scale]: measure the grid, render the table, and (with
    [?out]) write the log-log figure next to the F* ones.  [?sizes]
-   overrides the grid; [?shards]/[?kernel] select the delivery strategy;
+   overrides the grid; [?kernel]/[?adv_kernel]/[?resume_shards]/
+   [?resume_kernel] select the evaluation strategy;
    [?check] renders only the deterministic columns so tables can be
    byte-compared across strategies. *)
-let run ?out ?sizes:sizes_override ?(shards = 1) ?(kernel = `Auto) ?(adv_kernel = `Auto)
+let run ?out ?sizes:sizes_override ?(kernel = `Auto) ?(adv_kernel = `Auto)
     ?(resume_shards = 1) ?(resume_kernel = `Auto) ?adversary ?(check = false) scale =
   let grid = match sizes_override with Some l -> l | None -> sizes scale in
   let rows =
     List.map
       (fun n ->
-        let r = measure ~shards ~kernel ~adv_kernel ~resume_shards ~resume_kernel ?adversary n in
+        let r = measure ~kernel ~adv_kernel ~resume_shards ~resume_kernel ?adversary n in
         (* between points: retire the previous world before building the
            next, so peak RSS holds one world, not two *)
         Gc.full_major ();

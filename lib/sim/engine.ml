@@ -61,7 +61,6 @@ let m_deliveries = Metrics.counter "engine.deliveries"
 let m_collisions = Metrics.counter "engine.collisions"
 let m_bits_sent = Metrics.counter "engine.bits_sent"
 let m_silent_rounds = Metrics.counter "engine.silent_rounds"
-let m_sharded_rounds = Metrics.counter "engine.sharded_rounds"
 let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 
 (* Resume-shard counters are recorded on the *calling* domain after the
@@ -69,8 +68,8 @@ let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
    snapshots see only the calling domain's records, so counting on the
    worker domains would leak the events out of per-cell snapshots even
    though the global atomics themselves merge commutatively. *)
-let m_resume_sharded_rounds = Metrics.counter "engine.resume_sharded_rounds"
-let m_resume_sharded_steps = Metrics.counter "engine.resume_sharded_steps"
+let m_resume_shard_rounds = Metrics.counter "engine.resume_shard_rounds"
+let m_resume_shard_steps = Metrics.counter "engine.resume_shard_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
 
 (* Continuations resumed (synced fibers, woken listeners and expired
@@ -193,21 +192,13 @@ module Make (M : MESSAGE) = struct
            model, `On forces it whenever legal, `Off never uses it.  A
            sink always forces the scalar path (the kernel cannot emit
            per-receiver events); results are identical either way. *)
-    shards : int;
-        (* intra-run delivery sharding: with [shards > 1] (and the
-           kernel not [`Off], no sink), each broadcasting round's
-           once/twice accumulation is partitioned across this many Pool
-           domains and merged in fixed shard order.  Pure evaluation
-           strategy — results are byte-identical at any shard count. *)
     adv_kernel : [ `Auto | `On | `Off ];
         (* word-parallel adversary kernel (mask algebra for the
            deterministic policies): `Auto switches per round on the
            policy's own cost model, `On forces it whenever the policy
            has one, `Off never uses it.  A sink forces the scalar path,
-           like [kernel].  Shares [shards]: with [shards > 1] the mask
-           accumulation is partitioned across the same Pool domains.
-           Results are byte-identical at any setting (certified by
-           test_adversary_kernel). *)
+           like [kernel].  Results are byte-identical at any setting
+           (certified by test_adversary_kernel). *)
     resume_shards : int;
         (* resume-phase sharding: with [resume_shards > 1] (and
            [resume_kernel] not [`Off], no sink), each round's work list —
@@ -231,6 +222,10 @@ module Make (M : MESSAGE) = struct
       ?wake ?(stop = All_done) ?(max_rounds = 2_000_000) ?observer ?sink
       ?(kernel = `Auto) ?(shards = 1) ?adv_kernel ?resume_shards ?resume_kernel
       ~detector dual =
+    (* [shards] selects nothing: delivery and the adversary run on the
+       calling domain, because sharding them lost on every measured
+       workload.  It is still accepted (and checked) for callers that
+       pass it. *)
     if shards < 1 then invalid_arg "Engine.config: shards < 1";
     let adv_kernel =
       match adv_kernel with Some k -> k | None -> Atomic.get default_adv_kernel
@@ -262,7 +257,6 @@ module Make (M : MESSAGE) = struct
       observer;
       sink;
       kernel;
-      shards;
       adv_kernel;
       resume_shards;
       resume_kernel;
@@ -601,32 +595,14 @@ module Make (M : MESSAGE) = struct
     let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
-    (* Intra-run sharding: with [shards > 1], broadcasting rounds slice
-       the sorted broadcaster array into [shards] contiguous ranges and
-       scatter each slice's reach into a private accumulator pair on a
-       Pool domain.  The pool is created on the first sharded round and
-       shut down when the run ends; tracing and [`Off] fall back to one
-       shard (the scalar path emits per-receiver events, and [`Off]
-       promises no word-parallel evaluation at all). *)
-    let shards = if tracing || cfg.kernel = `Off then 1 else cfg.shards in
-    let shard_once =
-      if shards > 1 then Array.init shards (fun _ -> Bitset.create nn) else [||]
-    in
-    let shard_twice =
-      if shards > 1 then Array.init shards (fun _ -> Bitset.create nn) else [||]
-    in
-    let shard_ids = List.init shards Fun.id in
-    (* The adversary kernel gates its sharding independently (it can run
-       sharded under [kernel = `Off], and vice versa); the Pool is shared
-       and sized for whichever path needs more domains. *)
-    let adv_shards = if tracing || cfg.adv_kernel = `Off then 1 else cfg.shards in
-    let adv_shard_ids = List.init adv_shards Fun.id in
+    (* The sharded resume's Pool, created on its first sharded round and
+       shut down when the run ends. *)
     let pool = ref None in
     let get_pool () =
       match !pool with
       | Some p -> p
       | None ->
-        let p = Pool.create ~jobs:(max (max shards adv_shards) resume_shards) in
+        let p = Pool.create ~jobs:resume_shards in
         pool := Some p;
         p
     in
@@ -661,22 +637,16 @@ module Make (M : MESSAGE) = struct
       match !adv_scratch with
       | Some s -> s
       | None ->
-        let run_shards =
-          if adv_shards > 1 then
-            Some (fun f -> ignore (Pool.run (get_pool ()) f adv_shard_ids))
-          else None
-        in
-        let s = Adversary.make_scratch ~shards:adv_shards ?run_shards dual in
+        let s = Adversary.make_scratch dual in
         adv_scratch := Some s;
         s
     in
-    (* Shared by the dense kernel and the sharded path: once the round's
-       (once, twice) pair sits in [k_once]/[k_twice], classify every node
-       word-parallel — receives = once ∧ ¬twice ∧ listeners, collisions =
-       twice ∧ listeners, where every synced or parked fiber listens —
-       update the counters, leave the receivers that take the message
-       (synced fibers and [listen]ers) in [k_recv], and report whether
-       there are any. *)
+    (* Once the dense kernel's (once, twice) pair sits in [k_once]/[k_twice],
+       classify every node word-parallel — receives = once ∧ ¬twice ∧
+       listeners, collisions = twice ∧ listeners, where every synced or
+       parked fiber listens — update the counters, leave the receivers
+       that take the message (synced fibers and [listen]ers) in [k_recv],
+       and report whether there are any. *)
     let kernel_classify () =
       Bitset.clear k_sync;
       Bitset.clear k_parked;
@@ -723,7 +693,7 @@ module Make (M : MESSAGE) = struct
       | None -> assert false
     in
     let g = Dual.g dual in
-    (* The word-parallel paths' gray reach: a broadcaster's packed CSR
+    (* The dense kernel's gray reach: a broadcaster's packed CSR
        incidence row filtered by this round's [gray_active], O(gray
        incidence).  [scatter_gray] feeds an accumulator pair;
        [assign_gray] hands [m] to the synced receivers in [k_recv]. *)
@@ -930,57 +900,9 @@ module Make (M : MESSAGE) = struct
                  done;
                  !reach > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
              in
-             if shards > 1 then begin
-               (* Sharded scatter: each Pool domain walks its contiguous
-                  slice of the sorted broadcaster array and scatters that
-                  slice's reach — CSR neighbors plus this round's active
-                  gray edges — into its private (once, twice) pair.  The
-                  pair is a pure function of the contribution multiset,
-                  so merging the shards (in fixed order, though any order
-                  gives the same bytes) reproduces the single-domain
-                  accumulators exactly; certified against the kernel,
-                  scalar, and reference paths by test_shard. *)
-               if met then Metrics.incr m_sharded_rounds;
-               let nb = !n_bcast in
-               ignore
-                 (Pool.run (get_pool ())
-                    (fun s ->
-                      let once = shard_once.(s) and twice = shard_twice.(s) in
-                      Bitset.clear once;
-                      Bitset.clear twice;
-                      for i = s * nb / shards to (((s + 1) * nb) / shards) - 1 do
-                        let u = broadcasters.(i) in
-                        Graph.iter_neighbors
-                          (fun v -> Bitset.acc2_add ~once ~twice v)
-                          g u;
-                        scatter_gray ~once ~twice u
-                      done)
-                    shard_ids);
-               Bitset.clear k_once;
-               Bitset.clear k_twice;
-               for s = 0 to shards - 1 do
-                 Bitset.acc2_merge_into ~once:k_once ~twice:k_twice
-                   ~src_once:shard_once.(s) ~src_twice:shard_twice.(s)
-               done;
-               (* second sweep as in the dense kernel, but walking CSR
-                  rows instead of bitset rows — the sharded path never
-                  materialises the O(n^2)-bit row cache, which is what
-                  lets it run at million-node sizes *)
-               if kernel_classify () then begin
-                 Array.iter
-                   (fun u ->
-                     let m = match sends.(u) with Some m -> m | None -> assert false in
-                     Graph.iter_neighbors
-                       (fun v -> if Bitset.mem k_recv v then receives.(v) <- Recv m)
-                       g u;
-                     assign_gray m u)
-                   broadcasters;
-                 kernel_woken ()
-               end
-             end
-             else if use_kernel then begin
+             if use_kernel then begin
                (* reliable reach as word-parallel row ORs, gray reach
-                  as in the sharded path *)
+                  through the packed CSR incidence *)
                let rows = Graph.adj_rows g in
                Bitset.clear k_once;
                Bitset.clear k_twice;
@@ -1094,8 +1016,8 @@ module Make (M : MESSAGE) = struct
              let m = !mw in
              resumes := !resumes + m;
              if met then begin
-               Metrics.incr m_resume_sharded_rounds;
-               Metrics.add m_resume_sharded_steps m
+               Metrics.incr m_resume_shard_rounds;
+               Metrics.add m_resume_shard_steps m
              end;
              let bufs = get_resume_bufs () in
              for s = 0 to resume_shards - 1 do

@@ -97,16 +97,6 @@ module Make (M : MESSAGE) : sig
             the kernel whenever legal, [`Off] never uses it.  An
             attached [sink] always forces the scalar path.  The choice
             is pure evaluation strategy — results are identical. *)
-    shards : int;
-        (** intra-run delivery sharding (≥ 1).  With [shards > 1] and
-            the kernel not [`Off] (and no [sink]), each broadcasting
-            round partitions the sorted broadcaster array into [shards]
-            contiguous slices, scatters every slice's reach into a
-            private once/twice accumulator pair on an {!Rn_util.Pool}
-            domain, and merges the pairs in fixed shard order.  The
-            accumulator pair is a pure function of the contribution
-            multiset, so results are byte-identical at any shard count
-            — pure evaluation strategy, like [kernel]. *)
     adv_kernel : [ `Auto | `On | `Off ];
         (** word-parallel adversary kernel for the deterministic
             policies ({!Adversary.all_gray}, {!Adversary.spiteful},
@@ -116,8 +106,7 @@ module Make (M : MESSAGE) : sig
             forces the kernel whenever the policy has one; [`Off] never
             uses it.  An attached [sink] forces the scalar path, and
             randomised policies always run scalar (their draw sequence
-            is the semantics).  Shares [shards] and the Pool with
-            delivery.  Pure evaluation strategy — byte-identical results
+            is the semantics).  Pure evaluation strategy — byte-identical results
             at any setting; defaults to {!set_default_adv_kernel}'s
             value ([`Auto] initially). *)
     resume_shards : int;
@@ -136,7 +125,7 @@ module Make (M : MESSAGE) : sig
             its own receive slot — so the broadcaster set, wake buckets,
             park heap, and every downstream adversary and delivery
             decision are byte-identical at any shard count.  Pure
-            evaluation strategy, like [kernel] and [shards]; defaults to
+            evaluation strategy, like [kernel]; defaults to
             {!set_default_resume_shards}'s value (1 initially). *)
     resume_kernel : [ `Auto | `On | `Off ];
         (** gates the sharded resume: [`Auto] shards a round only when
@@ -150,7 +139,11 @@ module Make (M : MESSAGE) : sig
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
       [delta_bound] defaulting to the true max degree of [G], synchronous
-      wake-up, stop at [All_done], 2M-round safety cap, no tracing. *)
+      wake-up, stop at [All_done], 2M-round safety cap, no tracing.
+
+      [?shards] (≥ 1, else [Invalid_argument]) is accepted for source
+      compatibility and selects nothing: delivery and the adversary's
+      gray-edge choice always run on the calling domain. *)
   val config :
     ?adversary:Adversary.t ->
     ?seed:int ->

@@ -6,7 +6,7 @@
 
    The words live in an off-heap [Bigarray] rather than an OCaml [int
    array]: at million-node scale the engine holds thousands of row masks
-   and per-shard accumulators, and keeping them out of the scanned heap
+   and kernel accumulators, and keeping them out of the scanned heap
    means the GC never walks them and [Gc.compact] never copies them.  The
    [int] Bigarray kind stores native OCaml ints, so every word still
    carries [Sys.int_size] (= 63 on 64-bit) usable bits and all the SWAR

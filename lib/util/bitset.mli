@@ -1,8 +1,8 @@
 (** Dense mutable bitsets over [0, capacity).
 
     The word storage is an off-heap [Bigarray] of native ints: the GC
-    never scans or moves it, so large row caches and per-shard kernel
-    accumulators cost nothing at collection time.  Each word still holds
+    never scans or moves it, so large row caches and kernel accumulators
+    cost nothing at collection time.  Each word still holds
     [bits_per_word] (= [Sys.int_size]) usable bits. *)
 
 type t
@@ -59,8 +59,7 @@ val acc2_add : once:t -> twice:t -> int -> unit
     the union of the two contribution multisets.  Because the pair is a
     pure function of the contribution multiset, feeding disjoint shards
     into private pairs and merging them — in any order — is byte-identical
-    to a single sequential pass; this is what makes intra-run sharding
-    deterministic. *)
+    to a single sequential pass. *)
 val acc2_merge_into : once:t -> twice:t -> src_once:t -> src_twice:t -> unit
 
 (** Word-level view for kernels: the set is [word_count] words of

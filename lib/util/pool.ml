@@ -9,8 +9,9 @@
    promises that parallel and sequential sweeps produce identical tables,
    so the pool must not introduce any ordering dependence.  [map]/[run]
    write each cell's result into its input slot and only the *scheduling*
-   is racy; and [~jobs:1] short-circuits to [List.map] before any domain
-   machinery is touched. *)
+   is racy; a failed batch re-raises its lowest-index failure, as
+   [List.map] would; and [~jobs:1] short-circuits to [List.map] before
+   any domain machinery is touched. *)
 
 let recommended_jobs ?(cap = 16) () =
   max 1 (min cap (Domain.recommended_domain_count () - 1))
@@ -67,13 +68,57 @@ let shutdown t =
     t.domains <- []
   end
 
-(* Per-batch completion state. *)
+(* Per-batch completion state.  [b_error] is the failure with the lowest
+   index seen so far: that is the one [List.map] (and the engine's scalar
+   resume) would raise, so it is the one the batch re-raises whatever
+   order the workers fail in. *)
 type batch = {
   b_mutex : Mutex.t;
   b_done : Condition.t;
   mutable b_pending : int;
-  mutable b_error : (exn * Printexc.raw_backtrace) option;
+  mutable b_error : (int * exn * Printexc.raw_backtrace) option;
 }
+
+(* Apply [f] to every index 0..n-1 (n >= 1) on [t]'s workers and block to
+   completion.  An index above a recorded failure is abandoned if it has
+   not started; an index below it still runs, since it may fail too and
+   then takes precedence. *)
+let run_batch t ~what f n =
+  let b =
+    { b_mutex = Mutex.create (); b_done = Condition.create (); b_pending = n; b_error = None }
+  in
+  let failed_below i = match b.b_error with Some (j, _, _) -> j < i | None -> false in
+  let task i () =
+    let abandoned = Mutex.protect b.b_mutex (fun () -> failed_below i) in
+    (if not abandoned then
+       match f i with
+       | () -> ()
+       | exception e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Mutex.protect b.b_mutex (fun () ->
+             if not (failed_below i) then b.b_error <- Some (i, e, bt)));
+    Mutex.protect b.b_mutex (fun () ->
+        b.b_pending <- b.b_pending - 1;
+        if b.b_pending = 0 then Condition.broadcast b.b_done)
+  in
+  Mutex.lock t.mutex;
+  if t.closed then begin
+    Mutex.unlock t.mutex;
+    invalid_arg (what ^ ": pool is shut down")
+  end;
+  for i = 0 to n - 1 do
+    Queue.add (task i) t.queue
+  done;
+  Condition.broadcast t.has_work;
+  Mutex.unlock t.mutex;
+  Mutex.lock b.b_mutex;
+  while b.b_pending > 0 do
+    Condition.wait b.b_done b.b_mutex
+  done;
+  Mutex.unlock b.b_mutex;
+  match b.b_error with
+  | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
 
 let run t f xs =
   match xs with
@@ -82,84 +127,14 @@ let run t f xs =
     let input = Array.of_list xs in
     let n = Array.length input in
     let results = Array.make n None in
-    let b =
-      { b_mutex = Mutex.create (); b_done = Condition.create (); b_pending = n; b_error = None }
-    in
-    let task i () =
-      let abandoned = Mutex.protect b.b_mutex (fun () -> b.b_error <> None) in
-      (if not abandoned then
-         match f input.(i) with
-         | v -> results.(i) <- Some v
-         | exception e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.protect b.b_mutex (fun () ->
-               if b.b_error = None then b.b_error <- Some (e, bt)));
-      Mutex.protect b.b_mutex (fun () ->
-          b.b_pending <- b.b_pending - 1;
-          if b.b_pending = 0 then Condition.broadcast b.b_done)
-    in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run: pool is shut down"
-    end;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
-    done;
-    Condition.broadcast t.has_work;
-    Mutex.unlock t.mutex;
-    Mutex.lock b.b_mutex;
-    while b.b_pending > 0 do
-      Condition.wait b.b_done b.b_mutex
-    done;
-    Mutex.unlock b.b_mutex;
-    (match b.b_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
+    run_batch t ~what:"Pool.run" (fun i -> results.(i) <- Some (f input.(i))) n;
     Array.to_list (Array.map (function Some v -> v | None -> assert false) results)
 
 (* [run_n t f n]: [run] specialised to the engine's pinned contiguous
    slices — apply [f] to each index 0..n-1 on the workers and block to
    completion, without building an id list or collecting results.  Same
-   first-exception contract as [run]. *)
-let run_n t f n =
-  if n = 1 then f 0
-  else if n > 1 then begin
-    let b =
-      { b_mutex = Mutex.create (); b_done = Condition.create (); b_pending = n; b_error = None }
-    in
-    let task i () =
-      let abandoned = Mutex.protect b.b_mutex (fun () -> b.b_error <> None) in
-      (if not abandoned then
-         match f i with
-         | () -> ()
-         | exception e ->
-           let bt = Printexc.get_raw_backtrace () in
-           Mutex.protect b.b_mutex (fun () ->
-               if b.b_error = None then b.b_error <- Some (e, bt)));
-      Mutex.protect b.b_mutex (fun () ->
-          b.b_pending <- b.b_pending - 1;
-          if b.b_pending = 0 then Condition.broadcast b.b_done)
-    in
-    Mutex.lock t.mutex;
-    if t.closed then begin
-      Mutex.unlock t.mutex;
-      invalid_arg "Pool.run_n: pool is shut down"
-    end;
-    for i = 0 to n - 1 do
-      Queue.add (task i) t.queue
-    done;
-    Condition.broadcast t.has_work;
-    Mutex.unlock t.mutex;
-    Mutex.lock b.b_mutex;
-    while b.b_pending > 0 do
-      Condition.wait b.b_done b.b_mutex
-    done;
-    Mutex.unlock b.b_mutex;
-    match b.b_error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end
+   lowest-index exception contract as [run]. *)
+let run_n t f n = if n = 1 then f 0 else if n > 1 then run_batch t ~what:"Pool.run_n" f n
 
 let map ~jobs f xs =
   if jobs <= 1 then List.map f xs

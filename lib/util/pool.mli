@@ -16,9 +16,11 @@ val recommended_jobs : ?cap:int -> unit -> int
 
     With [jobs <= 1] this is exactly [List.map f xs].  Otherwise a
     transient pool of [min jobs (List.length xs)] worker domains drains
-    the cells from a shared queue; the first exception raised by a worker
-    is re-raised (with its backtrace) after the pool has stopped, and any
-    cells not yet started at that point are abandoned. *)
+    the cells from a shared queue.  If cells raise, the exception of the
+    failing cell with the lowest index — the one [List.map] would raise —
+    is re-raised (with its backtrace) after the pool has stopped, whatever
+    order the cells failed in.  Cells above a failure that have not yet
+    started are abandoned; cells below it still run. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
 (** A persistent pool, for callers that want to amortise domain spawns
@@ -33,15 +35,17 @@ val create : jobs:int -> t
 val size : t -> int
 
 (** [run t f xs] is [map] executed on [t]'s workers: order-preserving,
-    first-exception-propagating.  The calling domain blocks until the
-    batch completes.  Raises [Invalid_argument] after [shutdown]. *)
+    re-raising the exception of the lowest-index failing element, with
+    the same abandonment rule.  The calling domain blocks until the batch
+    completes.  Raises [Invalid_argument] after [shutdown]. *)
 val run : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [run_n t f n] applies [f] to every index [0 .. n-1] on [t]'s workers
     and blocks until the batch completes: {!run} specialised to the
     pinned contiguous slices of the engine's sharded phases — no id
-    list, no result collection.  The first worker exception is re-raised
-    with its backtrace; the batch-completion mutex gives the caller a
+    list, no result collection.  The exception of the lowest failing
+    index is re-raised with its backtrace, as in {!run}; the
+    batch-completion mutex gives the caller a
     happens-before edge over every write the workers made.  [n = 1] runs
     [f 0] on the calling domain; [n <= 0] is a no-op. *)
 val run_n : t -> (int -> unit) -> int -> unit

@@ -1,16 +1,15 @@
 #!/bin/sh
 # Adversary-kernel equivalence smoke: the CI-facing proof that the
-# word-parallel adversary kernel is pure evaluation strategy (ISSUE 7
-# acceptance criteria), sibling of shard_smoke.sh.
+# word-parallel adversary kernel is pure evaluation strategy, sibling of
+# shard_smoke.sh.
 #
 #   scripts/adv_smoke.sh [SIZES]
 #
 # For each deterministic policy (spiteful, jamming, all) runs the S1
 # beacon scenario in --check mode (deterministic columns only) across
-# --adv-kernel on/off/auto x --shards 1/2/4 and byte-compares every
-# table against the policy's --adv-kernel off --shards 1 reference: the
-# mask-algebra kernel, the scalar per-edge walk, and the sharded mask
-# accumulation are all evaluation strategies for one semantics.
+# --adv-kernel on/auto and byte-compares every table against the
+# policy's --adv-kernel off reference: the mask-algebra kernel and the
+# scalar per-edge walk are evaluation strategies for one semantics.
 #
 # bernoulli keeps its scalar path by design (the per-edge draw sequence
 # IS the semantics) — one pair checks that --adv-kernel on is a no-op
@@ -32,21 +31,18 @@ run() { # run OUTFILE EXTRA_ARGS...
 }
 
 for adv in spiteful jamming all; do
-  note "$adv: reference (--adv-kernel off --shards 1)"
+  note "$adv: reference (--adv-kernel off)"
   run "$tmp/$adv.ref" --adversary "$adv" --adv-kernel off
   for mode in on auto; do
-    for s in 1 2 4; do
-      run "$tmp/$adv.$mode.$s" --adversary "$adv" --adv-kernel "$mode" --shards "$s"
-      assert_same "$tmp/$adv.ref" "$tmp/$adv.$mode.$s" \
-        "$adv --adv-kernel $mode --shards $s differs from scalar"
-    done
-    note "$adv: --adv-kernel $mode x shards 1/2/4 byte-identical"
+    run "$tmp/$adv.$mode" --adversary "$adv" --adv-kernel "$mode"
+    assert_same "$tmp/$adv.ref" "$tmp/$adv.$mode" "$adv --adv-kernel $mode differs from scalar"
+    note "$adv: --adv-kernel $mode byte-identical"
   done
 done
 
 note "bernoulli:0.5: --adv-kernel on is a no-op (no kernel, scalar draws)"
 run "$tmp/bern.ref" --adversary bernoulli:0.5 --adv-kernel off
-run "$tmp/bern.on" --adversary bernoulli:0.5 --adv-kernel on --shards 2
+run "$tmp/bern.on" --adversary bernoulli:0.5 --adv-kernel on
 assert_same "$tmp/bern.ref" "$tmp/bern.on" "bernoulli tables differ across --adv-kernel"
 
-echo "adv_smoke: OK (sizes=$sizes: spiteful/jamming/all x on/auto x shards 1/2/4 = scalar)"
+echo "adv_smoke: OK (sizes=$sizes: spiteful/jamming/all x on/auto = scalar)"

@@ -1,19 +1,17 @@
 #!/bin/sh
-# Shard-equivalence smoke: the CI-facing proof that intra-run delivery
-# sharding AND resume-loop sharding are pure evaluation strategy
-# (ISSUE 6 and ISSUE 10 acceptance criteria).
+# Resume-shard equivalence smoke: the CI-facing proof that the delivery
+# kernel and resume-loop sharding are pure evaluation strategy.
 #
 #   scripts/shard_smoke.sh [SIZES]
 #
 # Runs the S1 beacon scenario in --check mode (deterministic columns
-# only: world shape and send/delivery/collision counts, no timings) at
-# --shards 1, 2 and 4, once more with the kernel forced off (the
-# scalar per-edge path that predates both the word-parallel kernel and
-# sharding), and then across --resume-shards 1/2/4 x --kernel on/off
-# (resume kernel forced on, so sharding engages below the auto
-# threshold).  All tables must be byte-identical: the sharded scatter,
-# the dense kernel, the scalar walk, and the sharded resume loop are
-# evaluation strategies for one semantics.
+# only: world shape and send/delivery/collision counts, no timings) with
+# the default execution, once with the kernel forced off (the scalar
+# per-edge path), once with it forced on, and then across
+# --resume-shards 1/2/4 x --kernel on/off (resume kernel forced on, so
+# sharding engages below the auto threshold).  All tables must be
+# byte-identical: the dense kernel, the scalar walk, and the sharded
+# resume loop are evaluation strategies for one semantics.
 #
 # SIZES is a comma-separated n grid (default small enough for CI).
 #
@@ -30,34 +28,24 @@ run() { # run OUTFILE EXTRA_ARGS...
   rn scale --check --sizes "$sizes" "$@" > "$out" 2> "$out.err"
 }
 
-note "reference: --shards 1 (auto kernel)"
-run "$tmp/s1.out"
-
-for s in 2 4; do
-  note "--shards $s"
-  run "$tmp/s$s.out" --shards "$s"
-  assert_same "$tmp/s1.out" "$tmp/s$s.out" "--shards $s table differs from --shards 1"
-done
+note "reference: default execution (auto kernel)"
+run "$tmp/ref.out"
 
 note "--kernel off (scalar per-edge path)"
 run "$tmp/off.out" --kernel off
-assert_same "$tmp/s1.out" "$tmp/off.out" "scalar-path table differs from --shards 1"
+assert_same "$tmp/ref.out" "$tmp/off.out" "scalar-path table differs from reference"
 
-note "--kernel on --shards 4 (forced kernel under sharding)"
-run "$tmp/on4.out" --kernel on --shards 4
-assert_same "$tmp/s1.out" "$tmp/on4.out" "--kernel on --shards 4 table differs from --shards 1"
+note "--kernel on (forced kernel)"
+run "$tmp/on.out" --kernel on
+assert_same "$tmp/ref.out" "$tmp/on.out" "--kernel on table differs from reference"
 
 for rs in 1 2 4; do
   for k in on off; do
     note "--resume-shards $rs --resume-kernel on --kernel $k"
     run "$tmp/rs$rs-$k.out" --resume-shards "$rs" --resume-kernel on --kernel "$k"
-    assert_same "$tmp/s1.out" "$tmp/rs$rs-$k.out" \
+    assert_same "$tmp/ref.out" "$tmp/rs$rs-$k.out" \
       "--resume-shards $rs --kernel $k table differs from reference"
   done
 done
 
-note "--resume-shards 4 --shards 4 (both phases sharded)"
-run "$tmp/both4.out" --resume-shards 4 --resume-kernel on --shards 4
-assert_same "$tmp/s1.out" "$tmp/both4.out" "doubly sharded table differs from reference"
-
-echo "shard_smoke: OK (sizes=$sizes: shards 1 = 2 = 4 = scalar = forced kernel = resume-shards 1/2/4 x kernel on/off, byte-identical)"
+echo "shard_smoke: OK (sizes=$sizes: default = scalar = forced kernel = resume-shards 1/2/4 x kernel on/off, byte-identical)"

@@ -2,14 +2,14 @@
 
    Deterministic policies (all_gray, spiteful, jamming) carry a mask-
    algebra kernel that must reproduce the scalar [choose]'s activation
-   bitset bit for bit, at any shard count, with the same scratch reused
-   across rounds.  This suite certifies it at two levels:
+   bitset bit for bit, with the same scratch reused across rounds.  This
+   suite certifies it at two levels:
 
    - directly at the [Adversary] API: random duals x random broadcaster
-     sets, [choose] vs [choose_kernel] at shards 1/2/4, many consecutive
-     rounds against one scratch (so stale scratch state shows up);
+     sets, [choose] vs [choose_kernel], many consecutive rounds against
+     one scratch (so stale scratch state shows up);
    - end to end through the engine: whole-run equality across
-     [adv_kernel] `On/`Off/`Auto x shards 1/2/4 against [run_reference],
+     [adv_kernel] `On/`Off/`Auto against [run_reference],
      for every policy (randomised ones included — their scalar path was
      reworked too and must not have moved a single RNG draw), and traced
      vs untraced runs (a sink forces the scalar path but must not change
@@ -70,9 +70,7 @@ let prop_choose_equiv =
       let rel_w = 1 + Rng.int rng 4 and gray_w = 1 + Rng.int rng 5 in
       let dual = build_dual ~n ~rel_w ~gray_w (Rng.bits rng) in
       let ng = max 1 (Dual.gray_count dual) in
-      let scratches =
-        List.map (fun s -> (s, Adversary.make_scratch ~shards:s dual)) [ 1; 2; 4 ]
-      in
+      let scratch = Adversary.make_scratch dual in
       let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
       for round = 1 to 12 do
         let broadcasters = random_broadcasters rng n in
@@ -81,16 +79,12 @@ let prop_choose_equiv =
             let scalar = Bitset.create ng in
             Adversary.choose adv ~round ~broadcasters dual (Rng.derive adv_root round)
               scalar;
-            List.iter
-              (fun (s, scratch) ->
-                let masked = Bitset.create ng in
-                Adversary.choose_kernel adv ~round ~broadcasters dual
-                  (Rng.derive adv_root round) scratch masked;
-                if not (Bitset.equal scalar masked) then
-                  QCheck.Test.fail_reportf
-                    "%s: kernel <> scalar at n=%d round=%d shards=%d (#bcast=%d)" pname n
-                    round s (Array.length broadcasters))
-              scratches)
+            let masked = Bitset.create ng in
+            Adversary.choose_kernel adv ~round ~broadcasters dual (Rng.derive adv_root round)
+              scratch masked;
+            if not (Bitset.equal scalar masked) then
+              QCheck.Test.fail_reportf "%s: kernel <> scalar at n=%d round=%d (#bcast=%d)"
+                pname n round (Array.length broadcasters))
           kernel_policies
       done;
       true)
@@ -133,7 +127,7 @@ let test_circulant_pin () =
   done;
   let dual = Dual.make ~g:(Graph.of_edges n !es) ~gray:!grays () in
   let ng = Dual.gray_count dual in
-  let scratch = Adversary.make_scratch ~shards:3 dual in
+  let scratch = Adversary.make_scratch dual in
   let everyone = Array.init n Fun.id in
   let rng = Rng.create 3 in
   Array.iter
@@ -149,7 +143,7 @@ let test_circulant_pin () =
         [| everyone; [| 0; 1; 299; 599 |]; [| 42 |] |])
     kernel_policies
 
-(* --- engine end-to-end: adv_kernel x shards = reference ---------------- *)
+(* --- engine end-to-end: adv_kernel = reference -------------------------- *)
 
 let adversaries =
   [|
@@ -188,10 +182,10 @@ let scenario_of case_seed =
 let pp_scenario s =
   Printf.sprintf "n=%d adv=%s seed=%d" (Dual.n s.dual) s.adv_name s.seed
 
-let config_of ?sink ~adv_kernel ~shards s =
+let config_of ?sink ~adv_kernel s =
   let det = Detector.static (Detector.perfect (Dual.g s.dual)) in
   E.config ~adversary:s.adv ~seed:s.seed ?wake:s.wake ~stop:s.stop ~max_rounds:5_000
-    ~adv_kernel ~shards ?sink ~detector:det s.dual
+    ~adv_kernel ?sink ~detector:det s.dual
 
 (* Broadcast-heavy scripted body logging every receive, as in
    test_kernel.ml — any activation-set divergence perturbs deliveries. *)
@@ -220,17 +214,14 @@ let prop_engine_equiv =
     QCheck.(small_nat)
     (fun case ->
       let s = scenario_of case in
-      let oracle = E.run_reference (config_of ~adv_kernel:`Auto ~shards:1 s) body in
+      let oracle = E.run_reference (config_of ~adv_kernel:`Auto s) body in
       List.iter
         (fun adv_kernel ->
-          List.iter
-            (fun shards ->
-              let r = E.run (config_of ~adv_kernel ~shards s) body in
-              if r <> oracle then
-                QCheck.Test.fail_reportf "adv_kernel=%s shards=%d <> reference: %s"
-                  (match adv_kernel with `On -> "on" | `Off -> "off" | `Auto -> "auto")
-                  shards (pp_scenario s))
-            [ 1; 2; 4 ])
+          let r = E.run (config_of ~adv_kernel s) body in
+          if r <> oracle then
+            QCheck.Test.fail_reportf "adv_kernel=%s <> reference: %s"
+              (match adv_kernel with `On -> "on" | `Off -> "off" | `Auto -> "auto")
+              (pp_scenario s))
         [ `On; `Off; `Auto ];
       true)
 
@@ -239,9 +230,9 @@ let prop_traced_equiv =
     QCheck.(small_nat)
     (fun case ->
       let s = scenario_of case in
-      let plain = E.run (config_of ~adv_kernel:`On ~shards:2 s) body in
+      let plain = E.run (config_of ~adv_kernel:`On s) body in
       let sink = Events.create ~capacity:(1 lsl 12) () in
-      let traced = E.run (config_of ~sink ~adv_kernel:`On ~shards:2 s) body in
+      let traced = E.run (config_of ~sink ~adv_kernel:`On s) body in
       if plain <> traced then
         QCheck.Test.fail_reportf "traced <> untraced: %s" (pp_scenario s);
       true)

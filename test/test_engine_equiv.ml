@@ -352,16 +352,16 @@ let test_listen_last_round () =
     (fun (adv_name, adversary) ->
       let expected = ref None in
       List.iter
-        (fun (kernel, shards, resume_shards) ->
+        (fun (kernel, resume_shards) ->
           let cfg =
-            E.config ~adversary ~seed:3 ~kernel ~shards ~resume_shards ~resume_kernel:`On
+            E.config ~adversary ~seed:3 ~kernel ~resume_shards ~resume_kernel:`On
               ~detector:det dual
           in
           let fast = E.run cfg body in
           let name =
-            Printf.sprintf "%s kernel=%s shards=%d resume_shards=%d" adv_name
+            Printf.sprintf "%s kernel=%s resume_shards=%d" adv_name
               (if kernel = `On then "on" else "off")
-              shards resume_shards
+              resume_shards
           in
           Alcotest.(check bool) (name ^ " = reference") true (fast = E.run_reference cfg body);
           (match !expected with
@@ -371,10 +371,7 @@ let test_listen_last_round () =
             Alcotest.(check bool) (name ^ " woke in round 3 of 3") true
               (fast.E.returns.(0) = Some (Some (3, 1), 5)))
         (List.concat_map
-           (fun kernel ->
-             List.concat_map
-               (fun shards -> List.map (fun rs -> (kernel, shards, rs)) [ 1; 2; 4 ])
-               [ 1; 2; 4 ])
+           (fun kernel -> List.map (fun rs -> (kernel, rs)) [ 1; 2; 4 ])
            [ `On; `Off ]))
     adversaries
 

@@ -62,6 +62,45 @@ let test_persistent_pool () =
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Pool.run p Fun.id [ 1 ]))
 
+(* Index 1 raises first in time, index 0 only after it (an Atomic
+   handshake, spun on with a bound so a one-core host cannot hang); both
+   [run_n] and [run] must still raise index 0's failure, as [List.map]
+   does. *)
+let test_lowest_index_exception_wins () =
+  let spin_until ready =
+    let t0 = Rn_util.Timing.now () in
+    while (not (ready ())) && Rn_util.Timing.now () -. t0 < 5.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let f raised i =
+    if i = 1 then begin
+      Atomic.set raised true;
+      raise (Boom 1)
+    end
+    else begin
+      spin_until (fun () -> Atomic.get raised);
+      (* and a little longer, so index 1's failure is recorded first *)
+      let t0 = Rn_util.Timing.now () in
+      spin_until (fun () -> Rn_util.Timing.now () -. t0 > 0.02);
+      raise (Boom 0)
+    end
+  in
+  let p = Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown p)
+    (fun () ->
+      let raised_by g = try g (); None with Boom i -> Some i in
+      Alcotest.(check (option int))
+        "run_n" (Some 0)
+        (raised_by (fun () -> Pool.run_n p (f (Atomic.make false)) 2));
+      Alcotest.(check (option int))
+        "run" (Some 0)
+        (raised_by (fun () -> ignore (Pool.run p (f (Atomic.make false)) [ 0; 1 ])));
+      Alcotest.(check (option int))
+        "List.map" (Some 0)
+        (raised_by (fun () -> ignore (List.map (f (Atomic.make true)) [ 0; 1 ]))))
+
 (* A miniature experiment cell: deterministic in (seed, n), heavy enough
    to overlap across workers. *)
 let cell (seed, n) =
@@ -113,6 +152,8 @@ let () =
           Alcotest.test_case "jobs:1 is List.map" `Quick test_jobs1_is_list_map;
           Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
           Alcotest.test_case "reusable after failure" `Quick test_exception_pool_reusable_after_map;
+          Alcotest.test_case "lowest-index exception wins" `Quick
+            test_lowest_index_exception_wins;
           Alcotest.test_case "persistent pool" `Quick test_persistent_pool;
           QCheck_alcotest.to_alcotest qcheck_parallel_equals_sequential;
           QCheck_alcotest.to_alcotest qcheck_sweep_equals_sequential;

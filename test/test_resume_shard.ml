@@ -4,8 +4,8 @@
    active-and-due fibers into pid-contiguous slices, steps every slice on
    a pool domain (collecting joins, idle parkings and finish/decide
    counts into private per-shard buffers), and merges the buffers in
-   ascending shard order.  Like delivery sharding this is pure evaluation
-   strategy: for any config and body, any resume shard count must produce
+   ascending shard order.  This is pure evaluation strategy: for any
+   config and body, any resume shard count must produce
    results identical to the scalar resume loop and to [run_reference] —
    the per-process RNG streams are independently derived and a fiber's
    step reads only its own receive slot, so the slices are independent
@@ -14,8 +14,9 @@
    Scenarios reuse test_shard.ml's generator (dense duals, all adversary
    policies, random wake/stop, random bodies), plus the real MIS and
    TDMA-CCDS schedules, a traced≡untraced forcing check (a sink must
-   force the scalar path without changing results), and a fixed n=512
-   circulant pin. *)
+   force the scalar path without changing results), a fixed n=512
+   circulant pin, and a fault-injection case: fibers raising in two
+   slices of one round. *)
 
 module Rng = Rn_util.Rng
 module Graph = Rn_graph.Graph
@@ -268,6 +269,69 @@ let test_resume_n512 () =
   Alcotest.(check bool) "identical results at n=512, resume shards=4" true (one = four);
   Alcotest.(check bool) "deliveries happened" true (one.E.stats.deliveries > 0)
 
+exception Boom of int
+
+(* Fibers 0 and 63 of a 64-node ring both raise in round 1's resume, in
+   different slices at 2 and 4 shards, and fiber 63 raises first in time:
+   fiber 0 waits for it on an Atomic handshake (spun on with a bound, so
+   a one-core host cannot hang), then a little longer so fiber 63's
+   failure is recorded first.  The scalar paths step fiber 0 first and
+   never reach 63, so they get the flag pre-set.  Every path must raise
+   fiber 0's failure, as the scalar resume and [run_reference] do, and a
+   second run on the same config must then complete: the run shut its
+   pool down and left no fiber routed to a shard buffer. *)
+let test_resume_raise_lowest () =
+  let n = 64 in
+  let dual = Dual.classic (Gen.ring n) in
+  let det = Detector.static (Detector.perfect (Dual.g dual)) in
+  let cfg resume_shards =
+    E.config ~stop:(Rn_sim.Engine.At_round 3) ~resume_shards ~resume_kernel:`On
+      ~detector:det dual
+  in
+  let spin_until ready =
+    let t0 = Rn_util.Timing.now () in
+    while (not (ready ())) && Rn_util.Timing.now () -. t0 < 5.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let faulty raised ctx =
+    ignore (E.sync ctx None);
+    (match E.me ctx with
+    | 63 ->
+      Atomic.set raised true;
+      raise (Boom 63)
+    | 0 ->
+      spin_until (fun () -> Atomic.get raised);
+      let t0 = Rn_util.Timing.now () in
+      spin_until (fun () -> Rn_util.Timing.now () -. t0 > 0.02);
+      raise (Boom 0)
+    | _ -> ());
+    ignore (E.sync ctx (Some (E.me ctx)))
+  in
+  let quiet ctx =
+    ignore (E.sync ctx None);
+    E.sync ctx (Some (E.me ctx))
+  in
+  let raised_by run = try ignore (run ()); None with Boom i -> Some i in
+  Alcotest.(check (option int))
+    "run_reference" (Some 0)
+    (raised_by (fun () -> E.run_reference (cfg 1) (faulty (Atomic.make true))));
+  Alcotest.(check (option int))
+    "resume_shards 1" (Some 0)
+    (raised_by (fun () -> E.run (cfg 1) (faulty (Atomic.make true))));
+  List.iter
+    (fun k ->
+      let c = cfg k in
+      Alcotest.(check (option int))
+        (Printf.sprintf "resume_shards %d" k)
+        (Some 0)
+        (raised_by (fun () -> E.run c (faulty (Atomic.make false))));
+      Alcotest.(check bool)
+        (Printf.sprintf "resume_shards %d: next run completes" k)
+        true
+        (E.run c quiet = E.run_reference c quiet))
+    [ 2; 4 ]
+
 let test_resume_config_validation () =
   let dual = Dual.classic (Gen.clique 4) in
   let det = Detector.static (Detector.perfect (Dual.g dual)) in
@@ -289,6 +353,8 @@ let () =
           qtest prop_resume_traced_forcing;
           Alcotest.test_case "circulant n=512 pin" `Quick test_resume_n512;
           Alcotest.test_case "config validation" `Quick test_resume_config_validation;
+          Alcotest.test_case "raise in two slices: lowest fiber wins" `Quick
+            test_resume_raise_lowest;
         ] );
       ( "real-schedules",
         [ qtest prop_mis_resume_equiv; qtest prop_tdma_resume_equiv ] );

@@ -1,21 +1,19 @@
-(* Differential tests for intra-run delivery sharding and the
-   Bigarray-backed bitset words underneath it.
+(* [~shards] compatibility and the Bigarray-backed bitset words.
 
-   [Engine.run] with [shards > 1] partitions each round's broadcasters
-   into contiguous slices, scatters every slice's reach into a private
-   once/twice accumulator pair on a pool domain, and merges the pairs in
-   fixed shard order.  The whole point is that this is pure evaluation
-   strategy: for any config and body, any shard count must produce
-   results identical to [shards:1], to the scalar path, and to
+   [Engine.config] still accepts [~shards] (perfbench passes it for its
+   domains check), but delivery and the adversary run on the calling
+   domain whatever it says.  The [sharded-delivery] cases certify the
+   contract that check relies on: for any config and body, [~shards:k]
+   gives results identical to [~shards:1], to the scalar path, and to
    [run_reference].  The scenarios reuse test_kernel.ml's generator
    (dense duals, all adversary policies, random wake/stop) with the
    shard count drawn per case.
 
-   Also here: laws of the off-heap word layer the merge relies on — the
-   (once, twice) pair is a pure function of the contribution multiset
-   (checked against naive counting, as in test_kernel.ml), and
-   [acc2_merge_into] over any partition of the rows into any number of
-   shards reproduces the sequential accumulators bit for bit. *)
+   Also here: laws of the off-heap word layer — the (once, twice) pair
+   is a pure function of the contribution multiset (checked against
+   naive counting, as in test_kernel.ml), and [acc2_merge_into] over any
+   partition of the rows into any number of shards reproduces the
+   sequential accumulators bit for bit. *)
 
 module Bitset = Rn_util.Bitset
 module Rng = Rn_util.Rng
@@ -257,8 +255,7 @@ let prop_shard_equiv =
       true)
 
 let prop_shard_forced_kernel =
-  (* sharding composes with the forced dense kernel: the scatter feeds
-     the same classify step the rows-based kernel uses *)
+  (* [~shards:k] is inert under the forced dense kernel too *)
   QCheck.Test.make ~name:"shards k + kernel `On = kernel `On" ~count:60
     QCheck.(small_nat)
     (fun case ->
