@@ -1,11 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test fmt bench bench-full examples figures fuzz clean
-
-# Worker domains for the experiment sweeps (see "Parallel execution" in
-# README.md); tables are identical for every JOBS value.
-JOBS ?= 0
-JOBS_FLAG = $(if $(filter-out 0,$(JOBS)),--jobs $(JOBS),)
+.PHONY: all build test fmt examples figures fuzz clean
 
 all: build
 
@@ -18,12 +13,6 @@ test:
 # Requires ocamlformat (pinned in .ocamlformat); CI enforces this.
 fmt:
 	dune build @fmt --auto-promote
-
-bench:
-	dune exec bench/main.exe -- $(JOBS_FLAG)
-
-bench-full:
-	dune exec bench/main.exe -- --full $(JOBS_FLAG)
 
 examples:
 	dune build @examples

@@ -405,6 +405,14 @@ let json_escape s =
    cell was computed. *)
 let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_timeout
     adv_kernel resume_shards resume_kernel =
+  (* Ids are checked before any cell runs: a mistyped id must fail the
+     whole command, or a gate that names it would pass without a table. *)
+  (match List.filter (fun id -> Rn_harness.All.find id = None) ids with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "rn_cli experiment: unknown experiment %s (known: %s)\n"
+      (String.concat ", " unknown) (String.concat ", " Rn_harness.All.ids);
+    exit 2);
   Rn_harness.Harness.set_jobs jobs;
   (* The adversary and resume kernels are pure evaluation strategies
      (byte-identical results at any setting), so overrides are safe to
@@ -439,19 +447,14 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
   let any_failed = ref false in
   List.iter
     (fun id ->
-      match Rn_harness.All.find id with
-      | Some f -> begin
-        match f scale with
-        | r -> Rn_harness.Harness.print r
-        | exception Rn_harness.Harness.Cell_failed { exp; failed; total } ->
-          any_failed := true;
-          Printf.eprintf
-            "[store] %s: %d/%d cells failed; finished cells are cached, re-run to retry\n%!"
-            exp failed total
-      end
-      | None ->
-        Printf.eprintf "unknown experiment %s (known: %s)\n" id
-          (String.concat ", " Rn_harness.All.ids))
+      let f = Option.get (Rn_harness.All.find id) in
+      match f scale with
+      | r -> Rn_harness.Harness.print r
+      | exception Rn_harness.Harness.Cell_failed { exp; failed; total } ->
+        any_failed := true;
+        Printf.eprintf
+          "[store] %s: %d/%d cells failed; finished cells are cached, re-run to retry\n%!" exp
+          failed total)
     ids;
   (match store with
   | Some s ->

@@ -1,6 +1,6 @@
 (* Shared experiment plumbing: instance construction, repetition over
-   seeds, aggregation, and a uniform result format rendered by both
-   [bench/main.ml] and the CLI. *)
+   seeds, aggregation, and a uniform result format rendered by the CLI
+   and the benchmark. *)
 
 module Rng = Rn_util.Rng
 module Table = Rn_util.Table

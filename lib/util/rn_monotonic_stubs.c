@@ -1,9 +1,7 @@
 /* Monotonic clock for Rn_util.Timing.
 
    CLOCK_MONOTONIC is immune to NTP slews and wall-clock jumps, which
-   corrupted long profiling runs under gettimeofday (bench moved to a
-   monotonic clock in PR 2; this gives the profiler the same source
-   without pulling bechamel into rn_util). */
+   corrupted long profiling runs under gettimeofday. */
 
 #include <caml/alloc.h>
 #include <caml/memory.h>
