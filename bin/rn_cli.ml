@@ -33,15 +33,6 @@ let adversary_conv =
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (Rn_sim.Adversary.name a))
 
-let kernel_mode_of_string ~flag s =
-  match s with
-  | "auto" -> `Auto
-  | "on" -> `On
-  | "off" -> `Off
-  | s ->
-    Printf.eprintf "rn_cli: bad %s %S (want auto|on|off)\n" flag s;
-    exit 2
-
 let n_arg = Arg.(value & opt int 128 & info [ "n"; "nodes" ] ~doc:"Network size.")
 let degree_arg = Arg.(value & opt int 12 & info [ "degree" ] ~doc:"Target reliable degree.")
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Experiment seed.")
@@ -403,8 +394,7 @@ let json_escape s =
    (--metrics) keep that property because each cell's snapshot rides in
    its store payload: a warm sweep reports the metrics recorded when the
    cell was computed. *)
-let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_timeout
-    adv_kernel resume_shards resume_kernel =
+let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_timeout =
   (* Ids are checked before any cell runs: a mistyped id must fail the
      whole command, or a gate that names it would pass without a table. *)
   (match List.filter (fun id -> Rn_harness.All.find id = None) ids with
@@ -414,18 +404,6 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
       (String.concat ", " unknown) (String.concat ", " Rn_harness.All.ids);
     exit 2);
   Rn_harness.Harness.set_jobs jobs;
-  (* The adversary and resume kernels are pure evaluation strategies
-     (byte-identical results at any setting), so overrides are safe to
-     apply globally — they cannot invalidate cached cells. *)
-  Rn_sim.Engine.set_default_adv_kernel
-    (kernel_mode_of_string ~flag:"--adv-kernel" adv_kernel);
-  if resume_shards < 1 then begin
-    Printf.eprintf "rn_cli experiment: --resume-shards must be >= 1\n";
-    exit 2
-  end;
-  Rn_sim.Engine.set_default_resume_shards resume_shards;
-  Rn_sim.Engine.set_default_resume_kernel
-    (kernel_mode_of_string ~flag:"--resume-kernel" resume_kernel);
   if profile then Rn_util.Timing.set_enabled true;
   if metrics then begin
     Rn_util.Metrics.set_enabled true;
@@ -558,39 +536,12 @@ let cell_timeout_arg =
           "Per-cell wall-clock budget: a cell that reaches it is recorded as \
            failed-but-resumable and the rest of the sweep still runs (and caches).")
 
-let exp_adv_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "adv-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Adversary kernel mode for every cell: auto, on, or off. Pure evaluation \
-           strategy — tables are byte-identical for every value (and compatible with \
-           cached cells).")
-
-let exp_resume_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "resume-shards" ] ~docv:"N"
-        ~doc:
-          "Shard each round's fiber resume loop across N domains for every cell. \
-           Pure evaluation strategy — tables are byte-identical at any value (and \
-           compatible with cached cells).")
-
-let exp_resume_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "resume-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Resume kernel mode for every cell: auto (live-fiber cost model), on, or \
-           off (scalar path). Byte-identical for every value.")
-
 let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate the paper's experiment tables (see DESIGN.md).")
     Term.(
       const run_experiments $ ids_arg $ full_arg $ jobs_arg $ profile_arg $ metrics_arg
-      $ store_arg $ no_cache_arg $ retry_arg $ cell_timeout_arg $ exp_adv_kernel_arg
-      $ exp_resume_shards_arg $ exp_resume_kernel_arg)
+      $ store_arg $ no_cache_arg $ retry_arg $ cell_timeout_arg)
 
 (* --- store command --- *)
 
@@ -740,15 +691,12 @@ let figures_cmd =
 
 (* --- scale command --- *)
 
-let run_scale full out sizes kernel adv_kernel resume_shards resume_kernel adversary check =
+let run_scale full out sizes resume_shards adversary check =
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
   if resume_shards < 1 then begin
     Printf.eprintf "rn_cli scale: --resume-shards must be >= 1\n";
     exit 2
   end;
-  let kernel = kernel_mode_of_string ~flag:"--kernel" kernel in
-  let adv_kernel = kernel_mode_of_string ~flag:"--adv-kernel" adv_kernel in
-  let resume_kernel = kernel_mode_of_string ~flag:"--resume-kernel" resume_kernel in
   let sizes =
     match sizes with
     | None -> None
@@ -767,8 +715,7 @@ let run_scale full out sizes kernel adv_kernel resume_shards resume_kernel adver
         exit 2)
   in
   Rn_harness.Harness.print
-    (Rn_harness.Exp_scale.run ?out ?sizes ~kernel ~adv_kernel ~resume_shards ~resume_kernel
-       ~adversary ~check scale)
+    (Rn_harness.Exp_scale.run ?out ?sizes ~resume_shards ~adversary ~check scale)
 
 let scale_out_arg =
   Arg.(
@@ -783,36 +730,13 @@ let scale_sizes_arg =
     & info [ "sizes" ] ~docv:"CSV"
         ~doc:"Override the size grid with a comma-separated list of n values.")
 
-let scale_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "kernel" ] ~docv:"MODE"
-        ~doc:"Delivery kernel mode: auto (cost model), on, or off (scalar path).")
-
-let scale_adv_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "adv-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Adversary kernel mode: auto (per-round cost model), on (forced for policies \
-           that have one), or off (scalar path). Results are byte-identical either way.")
-
 let scale_resume_shards_arg =
   Arg.(
     value & opt int 1
     & info [ "resume-shards" ] ~docv:"N"
         ~doc:
-          "Shard each round's fiber resume loop across N domains. Results are \
-           byte-identical at any shard count.")
-
-let scale_resume_kernel_arg =
-  Arg.(
-    value & opt string "auto"
-    & info [ "resume-kernel" ] ~docv:"MODE"
-        ~doc:
-          "Resume kernel mode: auto (live-fiber cost model), on (forced whenever \
-           resume-shards > 1), or off (scalar path). Results are byte-identical \
-           either way.")
+          "Shard each round's fiber resume loop across N domains (rounds with at \
+           least 1024 fibers to step). Results are byte-identical at any shard count.")
 
 let scale_adversary_arg =
   Arg.(
@@ -829,7 +753,7 @@ let scale_check_arg =
     & info [ "check" ]
         ~doc:
           "Print only the deterministic columns (counts, no timings), suitable for \
-           byte-comparison across --resume-shards/--kernel settings.")
+           byte-comparison across --resume-shards settings.")
 
 let scale_cmd =
   Cmd.v
@@ -840,9 +764,8 @@ let scale_cmd =
           goes to n=1048576. Timings are machine-dependent, so this never touches the \
           result store.")
     Term.(
-      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_kernel_arg
-      $ scale_adv_kernel_arg $ scale_resume_shards_arg $ scale_resume_kernel_arg
-      $ scale_adversary_arg $ scale_check_arg)
+      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg
+      $ scale_resume_shards_arg $ scale_adversary_arg $ scale_check_arg)
 
 (* --- graph command --- *)
 

@@ -15,8 +15,8 @@
    million nodes).  [--resume-shards N] shards the fiber resume loop
    across N Pool domains; [--check] prints only the deterministic
    columns (counts, no timings), which is what lets
-   scripts/shard_smoke.sh byte-compare tables across shard counts and
-   kernel modes. *)
+   scripts/scale_smoke.sh compare each table against a pinned digest at
+   every shard count. *)
 
 module Rng = Rn_util.Rng
 module Table = Rn_util.Table
@@ -76,8 +76,7 @@ type row = {
    [beacon_rounds] rounds, which keeps expected per-neighbourhood
    traffic constant as n grows (throughput is then work-bound, not
    contention-bound). *)
-let measure ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shards = 1)
-    ?(resume_kernel = `Auto) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
+let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
   let t0 = Timing.now () in
   let dual = geometric ~seed:(0x5CA1E + n) ~n ~degree:(degree_for n) () in
   let gen_s = Timing.now () -. t0 in
@@ -99,8 +98,7 @@ let measure ?(kernel = `Auto) ?(adv_kernel = `Auto) ?(resume_shards = 1)
     let cfg =
       E.config ~seed:(n lxor 0x5EED)
         ~stop:(Rn_sim.Engine.At_round beacon_rounds)
-        ~adversary ~observer ~kernel ~adv_kernel ~resume_shards ~resume_kernel
-        ~detector:det dual
+        ~adversary ~observer ~resume_shards ~detector:det dual
     in
     E.run cfg (fun ctx ->
         let me = E.me ctx in
@@ -153,17 +151,15 @@ let figure rows =
 
 (* [run ?out scale]: measure the grid, render the table, and (with
    [?out]) write the log-log figure next to the F* ones.  [?sizes]
-   overrides the grid; [?kernel]/[?adv_kernel]/[?resume_shards]/
-   [?resume_kernel] select the evaluation strategy;
+   overrides the grid; [?resume_shards] sizes the sharded resume;
    [?check] renders only the deterministic columns so tables can be
-   byte-compared across strategies. *)
-let run ?out ?sizes:sizes_override ?(kernel = `Auto) ?(adv_kernel = `Auto)
-    ?(resume_shards = 1) ?(resume_kernel = `Auto) ?adversary ?(check = false) scale =
+   byte-compared across shard counts. *)
+let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = false) scale =
   let grid = match sizes_override with Some l -> l | None -> sizes scale in
   let rows =
     List.map
       (fun n ->
-        let r = measure ~kernel ~adv_kernel ~resume_shards ~resume_kernel ?adversary n in
+        let r = measure ~resume_shards ?adversary n in
         (* between points: retire the previous world before building the
            next, so peak RSS holds one world, not two *)
         Gc.full_major ();
@@ -176,10 +172,9 @@ let run ?out ?sizes:sizes_override ?(kernel = `Auto) ?(adv_kernel = `Auto)
   in
   if check then begin
     (* Deterministic columns only: counts are byte-identical across
-       shard counts and kernel modes (that is the sharding contract),
-       timings are not.  Notes likewise carry no timing or strategy
-       detail — two check tables from different strategies must compare
-       equal byte-for-byte. *)
+       shard counts (that is the sharding contract), timings are not.
+       Notes likewise carry no timing or shard detail — two check tables
+       from different shard counts must compare equal byte-for-byte. *)
     let t = Table.create [ "n"; "m"; "gray"; "sends"; "deliveries"; "collisions" ] in
     List.iter
       (fun r ->

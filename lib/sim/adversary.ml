@@ -36,7 +36,7 @@
      binary search per edge).
 
    A kernel must produce bit-for-bit the activation set of its scalar
-   [choose] (certified by test_adversary_kernel.ml), which is what lets
+   [choose] (certified by test_engine_paths.ml), which is what lets
    the engine switch per round on a cost model. *)
 
 module Bitset = Rn_util.Bitset
@@ -64,7 +64,7 @@ type kernel = {
   k_choose :
     round:int -> broadcasters:int array -> Dual.t -> Rng.t -> scratch -> Bitset.t -> unit;
   k_wins : broadcasters:int array -> Dual.t -> bool;
-      (* [`Auto] profitability: is the mask path expected to beat the
+      (* the engine's per-round choice: is the mask path expected to beat the
          scalar one on THIS round's broadcasters?  Must be O(#bcast). *)
 }
 

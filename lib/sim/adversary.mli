@@ -34,8 +34,9 @@ val make_scratch : Rn_graph.Dual.t -> scratch
 
 val has_kernel : t -> bool
 
-(** [`Auto] profitability estimate for this round's broadcasters; [false]
-    when the policy has no kernel.  O(#broadcasters). *)
+(** The engine's per-round choice: is the kernel expected to win on this
+    round's broadcasters?  [false] when the policy has no kernel.
+    O(#broadcasters). *)
 val kernel_wins : t -> broadcasters:int array -> Rn_graph.Dual.t -> bool
 
 (** Kernel counterpart of {!val:choose}: same contract, same resulting

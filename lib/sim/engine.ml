@@ -31,10 +31,20 @@
      steady-state rounds allocate nothing but the sorted broadcaster
      snapshot handed to the adversary and observer.
 
+   Each round the engine also picks how to evaluate three phases, by
+   cost: the adversary's gray-edge choice (a policy's mask kernel when
+   [Adversary.kernel_wins]), delivery (the word-parallel once/twice
+   kernel when the broadcasters' reach outweighs its word sweeps), and
+   the resume (sliced across Pool domains when [resume_shards > 1] and at
+   least [resume_shard_threshold] fibers await their receive).  Every
+   choice is pure evaluation strategy; an attached sink forces all three
+   onto the scalar path, which can emit per-event records.
+
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
    semantics now) as a differential-testing oracle: for any config and
-   body, [run] and [run_reference] must produce identical results.
+   body whose detector honours its declared [stabilizes_at], [run] and
+   [run_reference] must produce identical results.
 
    The functor is parameterised by the message type so each algorithm gets
    a typed payload; [size_bits] lets the engine enforce the model's bound b
@@ -61,6 +71,7 @@ let m_deliveries = Metrics.counter "engine.deliveries"
 let m_collisions = Metrics.counter "engine.collisions"
 let m_bits_sent = Metrics.counter "engine.bits_sent"
 let m_silent_rounds = Metrics.counter "engine.silent_rounds"
+let m_kernel_rounds = Metrics.counter "engine.kernel_rounds"
 let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 
 (* Resume-shard counters are recorded on the *calling* domain after the
@@ -111,37 +122,15 @@ type stats = {
 let semantics_version = 3
 let semantics_digest = Printf.sprintf "eng%d" semantics_version
 
-(* Process-wide default for [config]'s [?adv_kernel], so front-ends that
-   share one functor instantiation across every algorithm (the experiment
-   harness) can still plumb a CLI override through.  Safe to vary freely:
-   the adversary kernel is a pure evaluation strategy — any setting
-   produces byte-identical runs. *)
-let default_adv_kernel : [ `Auto | `On | `Off ] Atomic.t = Atomic.make `Auto
-
-let set_default_adv_kernel k = Atomic.set default_adv_kernel k
-let get_default_adv_kernel () = Atomic.get default_adv_kernel
-
-(* Same plumbing for the resume-phase sharding ([config]'s
-   [?resume_shards]/[?resume_kernel]): the sharded resume is a pure
-   evaluation strategy (per-process RNG streams are independently derived
-   and a fiber's step reads only its own receive slot), so a process-wide
-   override is safe and cannot invalidate cached results. *)
-let default_resume_shards : int Atomic.t = Atomic.make 1
-let set_default_resume_shards s = Atomic.set default_resume_shards (max 1 s)
-let get_default_resume_shards () = Atomic.get default_resume_shards
-let default_resume_kernel : [ `Auto | `On | `Off ] Atomic.t = Atomic.make `Auto
-let set_default_resume_kernel k = Atomic.set default_resume_kernel k
-let get_default_resume_kernel () = Atomic.get default_resume_kernel
-
 (* Heap key of a park of [dur] rounds whose first round is [base]: the
    round at whose end it expires, saturated at [max_int] ("never") so
    that [listen ctx max_int] cannot wrap to a negative key. *)
 let park_expiry base dur = if dur > max_int - base then max_int else base + dur - 1
 
-(* Under [`Auto], a round's resume phase shards only when at least this
-   many fibers await their receive: below it, the Pool dispatch and merge
-   cost more than stepping the fibers on one domain. *)
-let resume_auto_threshold = 1024
+(* A round's resume phase shards only when at least this many fibers
+   await their receive: below it, the Pool dispatch and merge cost more
+   than stepping the fibers on one domain. *)
+let resume_shard_threshold = 1024
 
 (* Private per-shard collection buffers for the sharded resume phase: a
    stepped fiber contributes at most one join *or* one parking, plus
@@ -187,56 +176,28 @@ module Make (M : MESSAGE) = struct
     max_rounds : int;
     observer : (view -> unit) option;
     sink : Events.sink option; (* structured event trace destination *)
-    kernel : [ `Auto | `On | `Off ];
-        (* dense-round delivery kernel: `Auto picks per round on a cost
-           model, `On forces it whenever legal, `Off never uses it.  A
-           sink always forces the scalar path (the kernel cannot emit
-           per-receiver events); results are identical either way. *)
-    adv_kernel : [ `Auto | `On | `Off ];
-        (* word-parallel adversary kernel (mask algebra for the
-           deterministic policies): `Auto switches per round on the
-           policy's own cost model, `On forces it whenever the policy
-           has one, `Off never uses it.  A sink forces the scalar path,
-           like [kernel].  Results are byte-identical at any setting
-           (certified by test_adversary_kernel). *)
     resume_shards : int;
-        (* resume-phase sharding: with [resume_shards > 1] (and
-           [resume_kernel] not [`Off], no sink), each round's work list —
-           the synced fibers in worklist order, the woken listeners, then
-           the parks expiring this round in heap-pop order — is
-           partitioned into contiguous slices stepped in parallel on Pool
-           domains.  Each shard collects its joins / parkings / finish
-           and decide counts
-           into a private buffer; the main domain merges the buffers in
-           ascending shard order.  Pure evaluation strategy — results
-           are byte-identical at any shard count (test_resume_shard). *)
-    resume_kernel : [ `Auto | `On | `Off ];
-        (* gates the sharded resume: `Auto shards a round only when the
-           live-fiber count clears [resume_auto_threshold] (Pool
-           dispatch has a fixed cost), `On shards every round, `Off
-           never shards.  A sink forces the scalar path, like the other
-           kernels (the scalar step emits Decide events in step order). *)
+        (* Pool domains for the sharded resume: with [resume_shards > 1],
+           no sink, and at least [resume_shard_threshold] fibers to step,
+           a round's work list — the synced fibers in worklist order,
+           the woken listeners, then the parks expiring this round in
+           heap-pop order — is partitioned into contiguous slices stepped
+           in parallel.  Each shard collects its joins / parkings /
+           finish and decide counts into a private buffer; the main
+           domain merges the buffers in ascending shard order.  Pure
+           evaluation strategy — results are byte-identical at any shard
+           count (test_engine_paths). *)
   }
 
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
       ?wake ?(stop = All_done) ?(max_rounds = 2_000_000) ?observer ?sink
-      ?(kernel = `Auto) ?(shards = 1) ?adv_kernel ?resume_shards ?resume_kernel
-      ~detector dual =
+      ?(shards = 1) ?(resume_shards = 1) ~detector dual =
     (* [shards] selects nothing: delivery and the adversary run on the
        calling domain, because sharding them lost on every measured
        workload.  It is still accepted (and checked) for callers that
        pass it. *)
     if shards < 1 then invalid_arg "Engine.config: shards < 1";
-    let adv_kernel =
-      match adv_kernel with Some k -> k | None -> Atomic.get default_adv_kernel
-    in
-    let resume_shards =
-      match resume_shards with Some s -> s | None -> Atomic.get default_resume_shards
-    in
     if resume_shards < 1 then invalid_arg "Engine.config: resume_shards < 1";
-    let resume_kernel =
-      match resume_kernel with Some k -> k | None -> Atomic.get default_resume_kernel
-    in
     (* No explicit sink: fall back to the process-wide ambient sink (the
        trace-on-demand hook).  Resolved here, once per config, so every
        consumer of [cfg.sink] sees the same decision. *)
@@ -256,10 +217,7 @@ module Make (M : MESSAGE) = struct
       max_rounds;
       observer;
       sink;
-      kernel;
-      adv_kernel;
       resume_shards;
-      resume_kernel;
     }
 
   type ctx = {
@@ -391,9 +349,7 @@ module Make (M : MESSAGE) = struct
        cleared after the merge, so the wake phase and the scalar path never
        see one.  A sink forces the scalar step (Decide events must come out
        in step order), like the delivery and adversary kernels. *)
-    let resume_shards =
-      if tracing || cfg.resume_kernel = `Off then 1 else cfg.resume_shards
-    in
+    let resume_shards = if tracing then 1 else cfg.resume_shards in
     let resume_assign = Array.make (max 1 nn) (-1) in
     let resume_bufs : resume_buf array ref = ref [||] in
     let mk_ctx v =
@@ -494,7 +450,7 @@ module Make (M : MESSAGE) = struct
     (* Listeners a delivery woke this round, in delivery-discovery order. *)
     let woken = Array.make (max 1 nn) 0 in
     let n_woken = ref 0 in
-    let resumes = ref 0 and listen_wakes = ref 0 in
+    let resumes = ref 0 and listen_wakes = ref 0 and kernel_rounds = ref 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
        monotonically, so the wake phase costs O(#wakers this round). *)
     let wake_order = Array.init nn (fun i -> i) in
@@ -631,7 +587,7 @@ module Make (M : MESSAGE) = struct
       !resume_bufs
     in
     (* Adversary kernel scratch, built on the first kernel round (never
-       for policies without a kernel or under [`Off]). *)
+       for policies without a kernel). *)
     let adv_scratch = ref None in
     let get_adv_scratch () =
       match !adv_scratch with
@@ -847,15 +803,8 @@ module Make (M : MESSAGE) = struct
                 byte-identical to the scalar [choose], so switching per
                 round on the policy's cost model is a pure evaluation
                 strategy.  Tracing forces scalar, like delivery. *)
-             let use_adv_kernel =
-               (not tracing)
-               &&
-               match cfg.adv_kernel with
-               | `Off -> false
-               | `On -> Adversary.has_kernel cfg.adversary
-               | `Auto -> Adversary.kernel_wins cfg.adversary ~broadcasters dual
-             in
-             if use_adv_kernel then begin
+             if (not tracing) && Adversary.kernel_wins cfg.adversary ~broadcasters dual
+             then begin
                if met then Metrics.incr m_adv_kernel_rounds;
                Adversary.choose_kernel cfg.adversary ~round:r ~broadcasters dual adv_rng
                  (get_adv_scratch ()) gray_active
@@ -880,27 +829,24 @@ module Make (M : MESSAGE) = struct
                 kernel on dense ones.  The kernel is only a faster
                 evaluation of the same collision rule — counts and
                 receives are identical by construction (certified by
-                test_kernel and test_engine_equiv) — but it cannot emit
-                per-receiver events, so a sink forces the scalar path. *)
+                test_engine_paths) — but it cannot emit per-receiver
+                events, so a sink forces the scalar path. *)
              p_start ();
              let use_kernel =
                (not tracing)
                &&
-               match cfg.kernel with
-               | `Off -> false
-               | `On -> true
-               | `Auto ->
-                 (* scalar cost ~ total broadcaster reach; kernel cost ~
-                    two word-sweeps per broadcaster plus rebuilding the
-                    listener masks from the worklist and the heap *)
-                 let reach = ref 0 in
-                 for i = 0 to !n_bcast - 1 do
-                   let u = bcast.(i) in
-                   reach := !reach + Graph.degree g u + Dual.gray_degree dual u
-                 done;
-                 !reach > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
+               (* scalar cost ~ total broadcaster reach; kernel cost ~
+                  two word-sweeps per broadcaster plus rebuilding the
+                  listener masks from the worklist and the heap *)
+               let reach = ref 0 in
+               for i = 0 to !n_bcast - 1 do
+                 let u = bcast.(i) in
+                 reach := !reach + Graph.degree g u + Dual.gray_degree dual u
+               done;
+               !reach > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
              in
              if use_kernel then begin
+               incr kernel_rounds;
                (* reliable reach as word-parallel row ORs, gray reach
                   through the packed CSR incidence *)
                let rows = Graph.adj_rows g in
@@ -975,18 +921,9 @@ module Make (M : MESSAGE) = struct
            park_base := r + 1;
            n_joining := 0;
            listen_wakes := !listen_wakes + !n_woken;
-           let use_resume_shards =
-             resume_shards > 1
-             &&
-             match cfg.resume_kernel with
-             | `Off -> false
-             | `On -> true
-             | `Auto ->
-               (* Pool dispatch + merge are a fixed per-round cost; only
-                  rounds with enough fibers to step amortise it. *)
-               !n_active + !n_woken >= resume_auto_threshold
-           in
-           if use_resume_shards then begin
+           (* Pool dispatch + merge are a fixed per-round cost; only
+              rounds with enough fibers to step amortise it. *)
+           if resume_shards > 1 && !n_active + !n_woken >= resume_shard_threshold then begin
              (* Sharded resume: fix the work list up front — the synced
                 fibers in worklist order, the woken listeners (taken out
                 of the heap), then every park due this round in heap-pop
@@ -1002,7 +939,7 @@ module Make (M : MESSAGE) = struct
                 residual ordering freedom (heap layout among equal keys,
                 worklist order) is unobservable in results — certified
                 against the scalar path and [run_reference] by
-                test_resume_shard. *)
+                test_engine_paths. *)
              Array.blit active 0 resume_work 0 !n_active;
              Array.blit woken 0 resume_work !n_active !n_woken;
              for i = 0 to !n_woken - 1 do
@@ -1096,6 +1033,7 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_silent_rounds !silent_rounds;
       Metrics.add m_resumes !resumes;
       Metrics.add m_listen_wakes !listen_wakes;
+      Metrics.add m_kernel_rounds !kernel_rounds;
       if !timed_out then Metrics.incr m_timeouts;
       Metrics.observe m_run_rounds !round_counter
     end;
@@ -1121,7 +1059,10 @@ module Make (M : MESSAGE) = struct
      (its per-round derived draws in broadcaster-free rounds are discarded,
      which is exactly the invariant that makes [run]'s skip sound).  Kept
      as the differential-testing oracle for [run]; see
-     test/test_engine_equiv.ml.
+     test/test_engine_paths.ml.  It queries the detector every round, so
+     a detector whose [at] keeps changing after its declared
+     [stabilizes_at] makes the two disagree: [run] serves the first
+     value it queried at or after that round.
 
      [cfg.sink] is ignored here on purpose: event emission is untestable
      by differencing (it is defined as having no observable effect on the

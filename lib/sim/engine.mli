@@ -40,27 +40,6 @@ val semantics_version : int
     under different engine semantics never collide. *)
 val semantics_digest : string
 
-(** Process-wide default for {!Make.config}'s [?adv_kernel], for
-    front-ends that share one functor instantiation across algorithms
-    and want to plumb a CLI override through.  Any setting yields
-    byte-identical runs (the adversary kernel is a pure evaluation
-    strategy), so changing it never invalidates cached results. *)
-val set_default_adv_kernel : [ `Auto | `On | `Off ] -> unit
-
-val get_default_adv_kernel : unit -> [ `Auto | `On | `Off ]
-
-(** Process-wide defaults for {!Make.config}'s [?resume_shards] and
-    [?resume_kernel], mirroring {!set_default_adv_kernel}: the sharded
-    resume phase is a pure evaluation strategy (byte-identical results
-    at any shard count), so a CLI override applied through the shared
-    functor instantiation never invalidates cached results.  Values
-    below 1 are clamped to 1. *)
-val set_default_resume_shards : int -> unit
-
-val get_default_resume_shards : unit -> int
-val set_default_resume_kernel : [ `Auto | `On | `Off ] -> unit
-val get_default_resume_kernel : unit -> [ `Auto | `On | `Off ]
-
 module Make (M : MESSAGE) : sig
   (** What a process sees at the end of a round: its own broadcast, silence
       (zero or ≥ 2 reachable broadcasters — indistinguishable), or a
@@ -89,57 +68,26 @@ module Make (M : MESSAGE) : sig
     sink : Events.sink option;
         (** structured event trace destination; emission has no
             observable effect on the run ({!run_reference} ignores it) *)
-    kernel : [ `Auto | `On | `Off ];
-        (** dense-round delivery kernel: [`Auto] chooses per round on a
-            cost model (scalar per-edge touches for sparse rounds, the
-            word-parallel once/twice kernel when the broadcasters' total
-            reach exceeds the kernel's word-sweep cost); [`On] forces
-            the kernel whenever legal, [`Off] never uses it.  An
-            attached [sink] always forces the scalar path.  The choice
-            is pure evaluation strategy — results are identical. *)
-    adv_kernel : [ `Auto | `On | `Off ];
-        (** word-parallel adversary kernel for the deterministic
-            policies ({!Adversary.all_gray}, {!Adversary.spiteful},
-            {!Adversary.jamming}): mask algebra over the dual graph's
-            CSR structures instead of per-edge callbacks.  [`Auto]
-            switches per round on the policy's own cost model; [`On]
-            forces the kernel whenever the policy has one; [`Off] never
-            uses it.  An attached [sink] forces the scalar path, and
-            randomised policies always run scalar (their draw sequence
-            is the semantics).  Pure evaluation strategy — byte-identical results
-            at any setting; defaults to {!set_default_adv_kernel}'s
-            value ([`Auto] initially). *)
     resume_shards : int;
-        (** resume-phase sharding (≥ 1).  With [resume_shards > 1] (and
-            [resume_kernel] not [`Off], no [sink]), each round's fiber
-            work list — the synced fibers in worklist order, the
-            listeners a delivery woke, then the parks expiring this
-            round in heap-pop order — is cut into
-            contiguous slices stepped in parallel on {!Rn_util.Pool}
-            domains (OCaml 5 continuations are not domain-pinned).
-            Every shard collects its broadcast intents, parkings,
-            and finish/decide counts into a private preallocated buffer;
-            the main domain merges the buffers in ascending shard order.
-            Steps are independent because per-process RNG streams are
-            derived independently from the seed and a step reads only
-            its own receive slot — so the broadcaster set, wake buckets,
-            park heap, and every downstream adversary and delivery
-            decision are byte-identical at any shard count.  Pure
-            evaluation strategy, like [kernel]; defaults to
-            {!set_default_resume_shards}'s value (1 initially). *)
-    resume_kernel : [ `Auto | `On | `Off ];
-        (** gates the sharded resume: [`Auto] shards a round only when
-            enough fibers await their receive to amortise the Pool
-            dispatch (a live-fiber-count cost model), [`On] shards every
-            round, [`Off] never shards.  An attached [sink] forces the
-            scalar step (Decide events must be emitted in step order).
-            Defaults to {!set_default_resume_kernel}'s value ([`Auto]
-            initially). *)
+        (** {!Rn_util.Pool} domains for the resume phase (≥ 1).  With
+            [resume_shards > 1], no [sink], and at least 1024 fibers to
+            step in a round, that round's fiber work list — the synced
+            fibers in worklist order, the listeners a delivery woke,
+            then the parks expiring this round in heap-pop order — is
+            cut into contiguous slices stepped in parallel (OCaml 5
+            continuations are not domain-pinned).  Every shard collects
+            its broadcast intents, parkings, and finish/decide counts
+            into a private preallocated buffer; the main domain merges
+            the buffers in ascending shard order.  Steps are independent
+            because per-process RNG streams are derived independently
+            from the seed and a step reads only its own receive slot —
+            so results are byte-identical at any shard count. *)
   }
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
       [delta_bound] defaulting to the true max degree of [G], synchronous
-      wake-up, stop at [All_done], 2M-round safety cap, no tracing.
+      wake-up, stop at [All_done], 2M-round safety cap, no tracing, one
+      resume domain ([resume_shards] < 1 raises [Invalid_argument]).
 
       [?shards] (≥ 1, else [Invalid_argument]) is accepted for source
       compatibility and selects nothing: delivery and the adversary's
@@ -154,11 +102,8 @@ module Make (M : MESSAGE) : sig
     ?max_rounds:int ->
     ?observer:(view -> unit) ->
     ?sink:Events.sink ->
-    ?kernel:[ `Auto | `On | `Off ] ->
     ?shards:int ->
-    ?adv_kernel:[ `Auto | `On | `Off ] ->
     ?resume_shards:int ->
-    ?resume_kernel:[ `Auto | `On | `Off ] ->
     detector:Rn_detect.Detector.dynamic ->
     Rn_graph.Dual.t ->
     config
@@ -233,18 +178,31 @@ module Make (M : MESSAGE) : sig
       stabilisation round are served from a cache — detectors whose [at]
       violates the declared stabilisation get the cached value.
 
+      Each round picks how to evaluate three phases, by cost alone: the
+      adversary's mask kernel when {!Adversary.kernel_wins}, the
+      word-parallel delivery kernel when the broadcasters' total reach
+      outweighs its word sweeps, and the sharded resume as described
+      under [resume_shards].  Every choice is pure evaluation strategy.
+      The counters [engine.adv_kernel_rounds], [engine.kernel_rounds] and
+      [engine.resume_shard_rounds] record how often each fast path ran.
+
       When [config.sink] is set, one {!Events.event} is emitted per wake,
       broadcast, delivery, collision, gray-edge resolution, first
       decision, and fast-forward jump.  Emission reads no RNG and mutates
       no engine state, so the result is byte-identical to an untraced
-      run.  When {!Rn_util.Metrics.enabled} (sampled once per run),
-      engine-level [engine.*] counters and histograms are recorded. *)
+      run, and every phase takes its scalar path.  When
+      {!Rn_util.Metrics.enabled} (sampled once per run), engine-level
+      [engine.*] counters and histograms are recorded. *)
   val run : config -> (ctx -> 'a) -> 'a result
 
   (** Straightforward O(n)-scans-per-round implementation of exactly the
       same semantics (including the per-round adversary derivation).  Slow;
       exists as the differential-testing oracle for [run] — for any config
       and body the two must agree on [outputs], [returns], [decided_round],
-      [rounds], [stats], and [timed_out]. *)
+      [rounds], [stats], and [timed_out], provided the detector honours its
+      declared [stabilizes_at].  The reference queries the detector every
+      round, so one whose [at] changes after that round reads differently
+      here than under [run], which caches the first value it queried at
+      or after it. *)
   val run_reference : config -> (ctx -> 'a) -> 'a result
 end

@@ -74,7 +74,7 @@ val clear : sink -> unit
     trace re-runs) by bracketing the computation with
     [set_ambient (Some s) … set_ambient None].  Like an explicit sink
     it forces the scalar engine path; results are byte-identical either
-    way (see test_engine_equiv). *)
+    way (see test_engine_paths). *)
 
 val set_ambient : sink option -> unit
 val ambient : unit -> sink option

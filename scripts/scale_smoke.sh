@@ -1,0 +1,37 @@
+#!/bin/sh
+# Scale smoke: the S1 beacon table at every resume shard count against
+# a pinned MD5 per adversary policy.
+#
+#   sh scripts/scale_smoke.sh
+#
+# For each policy below, runs `scale --check --sizes 512,1024,2048
+# --adversary P` (deterministic columns only: world shape and
+# send/delivery/collision counts, no timings) at --resume-shards 1, 2
+# and 4.  Every table must hash to the policy's pin.  Every beacon
+# round has all n fibers to step, so at n >= 1024 shard counts 2 and 4
+# take the sharded resume; the engine picks each round's delivery and
+# adversary path by cost.  Equal digests across shard counts and
+# against the pins show that those paths evaluate one semantics.
+#
+# Exits 1 on the first mismatch.  RN_CLI and SMOKE_STEP_TIMEOUT work
+# as in smoke_lib.sh.
+
+SMOKE_NAME=scale_smoke
+. "$(dirname "$0")/smoke_lib.sh"
+
+while read -r adv want; do
+  for rs in 1 2 4; do
+    rn scale --check --sizes 512,1024,2048 --adversary "$adv" --resume-shards "$rs" \
+      < /dev/null > "$tmp/table" 2> "$tmp/err"
+    got=$(md5sum < "$tmp/table" | cut -d ' ' -f 1)
+    [ "$got" = "$want" ] || fail "$adv --resume-shards $rs: md5 $got, pinned $want"
+    note "$adv --resume-shards $rs: $got"
+  done
+done << 'PINS'
+bernoulli:0.5 27c6cc7c2079229c8a5e3fb6a708b61e
+spiteful 4aeee9c9b08314da562512972923fb5b
+jamming c885c9e823b118b24ea6814323adcb1e
+all 4aeee9c9b08314da562512972923fb5b
+PINS
+
+echo "scale_smoke: OK (4 policies x --resume-shards 1/2/4 match their pins)"

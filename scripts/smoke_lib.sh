@@ -1,5 +1,5 @@
-# Shared helpers for the smoke scripts (store_smoke, shard_smoke,
-# adv_smoke).  POSIX sh; source it after setting
+# Shared helpers for the smoke scripts (store_smoke, scale_smoke,
+# quick_gate).  POSIX sh; source it after setting
 # SMOKE_NAME:
 #
 #   SMOKE_NAME=store_smoke

@@ -1,0 +1,1162 @@
+(* Differential tests for [Engine.run]'s evaluation paths.
+
+   [run] evaluates the Section 2 round with a live-fiber worklist, wake
+   buckets, parking, silent-round fast-forward, a cached detector and
+   three per-round cost choices: the adversary's mask kernel
+   ([Adversary.kernel_wins]), the word-parallel delivery kernel, and the
+   resume sliced across Pool domains ([resume_shards > 1] with at least
+   1024 fibers to step).  None of it may change a result.  One property
+   says so — [run] = [run_reference] = [run] with a sink, which forces
+   every phase onto its scalar path — over one scenario generator: sparse
+   and dense duals, n on both sides of 1024, every adversary policy,
+   random wake and stop, and any shard counts.  The fast-path cases read
+   the engine's path counters to show that their inputs engage the path
+   they target, and that sparse or small inputs do not.
+
+   Results are records of arrays/options/ints, so whole-result
+   structural equality is the comparison. *)
+
+module Bitset = Rn_util.Bitset
+module Metrics = Rn_util.Metrics
+module Rng = Rn_util.Rng
+module Graph = Rn_graph.Graph
+module Dual = Rn_graph.Dual
+module Gen = Rn_graph.Gen
+module Detector = Rn_detect.Detector
+module Adversary = Rn_sim.Adversary
+module Events = Rn_sim.Events
+module R = Core.Radio
+
+let qtest = QCheck_alcotest.to_alcotest
+
+module M = struct
+  type t = int
+
+  let size_bits ~n:_ _ = 16
+  let pp = Fmt.int
+end
+
+module E = Rn_sim.Engine.Make (M)
+
+let adversaries =
+  [|
+    ("silent", Adversary.silent);
+    ("all_gray", Adversary.all_gray);
+    ("bernoulli 0.5", Adversary.bernoulli 0.5);
+    ("bernoulli 0.9", Adversary.bernoulli 0.9);
+    ("harassing 0.7", Adversary.harassing 0.7);
+    ("spiteful", Adversary.spiteful);
+    ("jamming", Adversary.jamming);
+  |]
+
+(* --- duals ------------------------------------------------------------- *)
+
+(* Random dual: each pair is reliable w.p. rel_w/10, else gray w.p.
+   gray_w/10; [gray_w = 0] yields a classic dual (G = G'). *)
+let random_dual ~n ~rel_w ~gray_w gseed =
+  let rng = Rng.create gseed in
+  let es = ref [] and grays = ref [] in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      let r = Rng.int rng 10 in
+      if r < rel_w then es := (u, v) :: !es
+      else if r < rel_w + gray_w then grays := (u, v) :: !grays
+    done
+  done;
+  Dual.make ~g:(Graph.of_edges n !es) ~gray:!grays ()
+
+(* Circulant dual: u is reliable to u±1..rel and gray to
+   u±(rel+1)..(rel+gray), mod n (n > 2 (rel + gray)). *)
+let circulant ~n ~rel ~gray =
+  let es = ref [] and grays = ref [] in
+  for u = 0 to n - 1 do
+    for k = 1 to rel + gray do
+      let v = (u + k) mod n in
+      let e = (min u v, max u v) in
+      if k <= rel then es := e :: !es else grays := e :: !grays
+    done
+  done;
+  Dual.make ~g:(Graph.of_edges n !es) ~gray:!grays ()
+
+(* Duals with n >= 1024 cost as much to build as a run on them; cases
+   draw them from a few sizes and share them, keyed by shape name and n,
+   so each name stands for one construction. *)
+let shared =
+  let memo = Hashtbl.create 16 in
+  fun shape n build ->
+    match Hashtbl.find_opt memo (shape, n) with
+    | Some d -> (shape, d)
+    | None ->
+      let d = build () in
+      Hashtbl.add memo (shape, n) d;
+      (shape, d)
+
+(* The large circulants: reliable to u±1..rel, gray beyond to ±(rel+gray). *)
+let large_circulant n (shape, rel, gray) = shared shape n (fun () -> circulant ~n ~rel ~gray)
+let sparse_circulant = ("sparse circulant", 2, 1)
+let dense_circulant = ("dense circulant", 48, 8)
+let gray_circulant = ("gray circulant", 2, 24)
+
+let perfect dual = Detector.static (Detector.perfect (Dual.g dual))
+
+(* --- the one property -------------------------------------------------- *)
+
+(* Rounds in which each fast path ran, read through [Metrics.scoped]. *)
+type paths = { adv : int; deliver : int; resume : int }
+
+let counted f =
+  let r, snap = Metrics.scoped f in
+  let c name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
+  ( r,
+    {
+      adv = c "engine.adv_kernel_rounds";
+      deliver = c "engine.kernel_rounds";
+      resume = c "engine.resume_shard_rounds";
+    } )
+
+let no_paths = { adv = 0; deliver = 0; resume = 0 }
+let pp_paths p = Printf.sprintf "adv=%d deliver=%d resume=%d" p.adv p.deliver p.resume
+
+(* [run] = [run_reference] = traced [run], where [run sink] runs the case
+   with an optional sink.  The traced run must take no fast path.
+   Returns the untraced result and the paths it took. *)
+let agree ~what ~run ~reference =
+  let fast, paths = counted (fun () -> run None) in
+  let sink = Events.create () in
+  let traced, traced_paths = counted (fun () -> run (Some sink)) in
+  if fast <> reference () then QCheck.Test.fail_reportf "run <> run_reference: %s" what;
+  if fast <> traced then QCheck.Test.fail_reportf "run <> traced run: %s" what;
+  if traced_paths <> no_paths then
+    QCheck.Test.fail_reportf "a sink did not force scalar (%s): %s" (pp_paths traced_paths)
+      what;
+  if Events.emitted sink = 0 then QCheck.Test.fail_reportf "sink saw no events: %s" what;
+  (fast, paths)
+
+(* [agree] on this file's engine; [config sink] builds the case's config
+   with an optional sink. *)
+let agree_e ~what config body =
+  agree ~what
+    ~run:(fun sink -> E.run (config sink) body)
+    ~reference:(fun () -> E.run_reference (config None) body)
+
+(* --- the one scenario generator ---------------------------------------- *)
+
+type scenario = {
+  dual : Dual.t;
+  shape : string;
+  adv_name : string;
+  adv : Adversary.t;
+  wake : int array option;
+  stop : Rn_sim.Engine.stop_condition;
+  seed : int;
+  max_rounds : int;
+  shards : int; (* accepted and inert *)
+  resume_shards : int;
+}
+
+(* Small scenarios (n <= 40) draw one of five random-dual shapes; large
+   ones (four sizes from 1031 to 1423, none a multiple of 2) a sparse,
+   dense or gray-heavy circulant, so that a round in which every fiber is
+   stepped has at least the 1024 the sharded resume needs. *)
+let scenario ?(large = false) ?(max_wake = 8) ?(max_rounds = 5_000) case =
+  let rng = Rng.create ((if large then 0x1A46E else 0xE9A7) + case) in
+  let n =
+    if large then [| 1031; 1153; 1297; 1423 |].(Rng.int rng 4) else 2 + Rng.int rng 39
+  in
+  let shape, dual =
+    if large then
+      large_circulant n [| sparse_circulant; dense_circulant; gray_circulant |].(Rng.int rng 3)
+    else
+      match Rng.int rng 5 with
+      | 0 -> ("sparse", random_dual ~n ~rel_w:2 ~gray_w:2 (Rng.bits rng))
+      | 1 -> ("dense", random_dual ~n ~rel_w:6 ~gray_w:3 (Rng.bits rng))
+      | 2 -> ("classic", random_dual ~n ~rel_w:7 ~gray_w:0 (Rng.bits rng))
+      | 3 -> ("all-gray", random_dual ~n ~rel_w:1 ~gray_w:8 (Rng.bits rng))
+      | _ -> ("clique", Dual.classic (Gen.clique n))
+  in
+  let adv_name, adv = adversaries.(Rng.int rng (Array.length adversaries)) in
+  let wake =
+    if Rng.bool rng 0.5 then None
+    else Some (Array.init n (fun _ -> 1 + Rng.int rng max_wake))
+  in
+  let stop =
+    match Rng.int rng 4 with
+    | 0 -> Rn_sim.Engine.All_done
+    | 1 -> Rn_sim.Engine.All_decided
+    | _ -> Rn_sim.Engine.At_round ((if large then 12 else 5) + Rng.int rng 80)
+  in
+  {
+    dual;
+    shape;
+    adv_name;
+    adv;
+    wake;
+    stop;
+    seed = Rng.int rng 10_000;
+    max_rounds;
+    shards = 1 + Rng.int rng 4;
+    (* more shards than live fibers is legal (empty slices) *)
+    resume_shards = [| 1; 2; 4 |].(Rng.int rng 3);
+  }
+
+let pp_scenario s =
+  Printf.sprintf "n=%d shape=%s adv=%s wake=%s stop=%s seed=%d shards=%d resume_shards=%d"
+    (Dual.n s.dual) s.shape s.adv_name
+    (if s.wake = None then "sync" else "random")
+    (match s.stop with
+    | Rn_sim.Engine.All_done -> "all_done"
+    | Rn_sim.Engine.All_decided -> "all_decided"
+    | Rn_sim.Engine.At_round r -> Printf.sprintf "at_round %d" r)
+    s.seed s.shards s.resume_shards
+
+let config_of ?sink s =
+  E.config ~adversary:s.adv ~seed:s.seed ?wake:s.wake ~stop:s.stop ~max_rounds:s.max_rounds
+    ~shards:s.shards ~resume_shards:s.resume_shards ?sink ~detector:(perfect s.dual) s.dual
+
+let agree_on s body = agree_e ~what:(pp_scenario s) (fun sink -> config_of ?sink s) body
+
+(* The same scenario through the shared Radio instantiation, for the
+   real algorithm bodies (synchronous wake). *)
+let agree_radio s ~stop body =
+  let cfg ?sink () =
+    R.config ~adversary:s.adv ~seed:s.seed ~stop ~max_rounds:s.max_rounds ~shards:s.shards
+      ~resume_shards:s.resume_shards ?sink ~detector:(perfect s.dual) s.dual
+  in
+  agree ~what:(pp_scenario s)
+    ~run:(fun sink -> R.run (cfg ?sink ()) body)
+    ~reference:(fun () -> R.run_reference (cfg ()) body)
+
+(* A scripted body drawing its actions from the process RNG: broadcast,
+   listen, batched idle, parked listen, decide; it logs every receive,
+   so any divergence shows up in [returns].  With [unroll] the idle
+   stretch is replaced by the equivalent silent syncs, and the parked
+   listen by silent syncs that stop at the first [Recv] — neither may
+   change anything observable.  With [decide_first] every process
+   outputs right after its first action, so [All_decided] can stop a run
+   whose decisions were counted in a sharded resume. *)
+let random_body ?(unroll = false) ?(decide_first = false) ~steps ~max_idle ctx =
+  let rng = E.rng ctx in
+  let me = E.me ctx in
+  let log = ref [] in
+  let decided = ref false in
+  let note = function
+    | E.Recv m -> log := m :: !log
+    | E.Own -> log := -1 :: !log
+    | E.Silence -> ()
+  in
+  let listen_unrolled k =
+    let rec go i =
+      if i > k then None
+      else
+        match E.sync ctx None with
+        | E.Recv m -> Some (i, m)
+        | E.Own | E.Silence -> go (i + 1)
+    in
+    go 1
+  in
+  for _ = 1 to steps do
+    (match Rng.int rng 7 with
+    | 0 | 1 | 2 -> note (E.sync ctx (Some me))
+    | 3 -> note (E.sync ctx None)
+    | 4 ->
+      let k = 1 + Rng.int rng max_idle in
+      if unroll then
+        for _ = 1 to k do
+          ignore (E.sync ctx None)
+        done
+      else E.idle ctx k
+    | 5 -> (
+      let k = 1 + Rng.int rng max_idle in
+      match if unroll then listen_unrolled k else E.listen ctx k with
+      | Some (i, m) -> log := m :: (-1 - i) :: !log
+      | None -> ())
+    | _ ->
+      if (not !decided) && Rng.int rng 3 = 0 then begin
+        decided := true;
+        E.output ctx (Rng.int rng 2)
+      end;
+      note (E.sync ctx None));
+    if decide_first && not !decided then begin
+      decided := true;
+      E.output ctx (me land 1)
+    end
+  done;
+  (!log, E.round ctx)
+
+let prop_random_bodies =
+  QCheck.Test.make ~name:"run = run_reference (random send/listen/idle bodies)" ~count:200
+    QCheck.(small_nat)
+    (fun case ->
+      let s = scenario ~max_wake:12 case in
+      let fast, paths = agree_on s (random_body ~steps:14 ~max_idle:6) in
+      if paths.resume <> 0 then
+        QCheck.Test.fail_reportf "resume sharded below 1024 fibers: %s" (pp_scenario s);
+      if fast <> E.run (config_of s) (random_body ~unroll:true ~steps:14 ~max_idle:6) then
+        QCheck.Test.fail_reportf "idle/listen <> unrolled silent syncs: %s" (pp_scenario s);
+      true)
+
+(* The body of scenario [s] when large: whatever its wake round (at most
+   8), every fiber idles until round 9, listens in it and then runs
+   [random_body].  All n >= 1024 fibers sync in round 9, so any
+   resume_shards > 1 must shard its resume. *)
+let aligned_body s ctx =
+  (match s.wake with None -> E.idle ctx 8 | Some w -> E.idle ctx (9 - w.(E.me ctx)));
+  ignore (E.sync ctx None);
+  random_body ~decide_first:true ~steps:6 ~max_idle:4 ctx
+
+let prop_large =
+  QCheck.Test.make ~name:"resume shards k = scalar = reference" ~count:120
+    QCheck.(small_nat)
+    (fun case ->
+      let s = scenario ~large:true case in
+      let _, paths = agree_on s (aligned_body s) in
+      if s.resume_shards = 1 && paths.resume > 0 then
+        QCheck.Test.fail_reportf "sharded on one domain: %s" (pp_scenario s);
+      if s.resume_shards > 1 && paths.resume = 0 then
+        QCheck.Test.fail_reportf "round 9 did not shard: %s" (pp_scenario s);
+      true)
+
+(* Sparse wakes and long idles: the engine fast-forwards whole stretches
+   of silent rounds in one jump; the reference grinds through each round
+   (and consults the adversary in all of them). *)
+let prop_fast_forward =
+  QCheck.Test.make ~name:"silent-round fast-forward never changes results" ~count:60
+    QCheck.(small_nat)
+    (fun case ->
+      let s = { (scenario ~max_wake:400 ~max_rounds:3_000 case) with stop = All_done } in
+      let body ctx =
+        let rng = E.rng ctx in
+        let heard = ref 0 in
+        for _ = 1 to 3 do
+          E.idle ctx (20 + Rng.int rng 200);
+          (match E.sync ctx (Some (E.me ctx)) with E.Recv _ -> incr heard | _ -> ());
+          match E.sync ctx None with E.Recv _ -> incr heard | _ -> ()
+        done;
+        !heard
+      in
+      ignore (agree_on s body);
+      true)
+
+(* Flooding: one informed source, everyone forwards what they heard with
+   probability 1/2.  Exercises Recv payload paths under every adversary. *)
+let prop_flood =
+  QCheck.Test.make ~name:"run = run_reference (flood body)" ~count:80 QCheck.(small_nat)
+    (fun case ->
+      let s = { (scenario ~max_wake:6 case) with stop = At_round 40 } in
+      let body ctx =
+        let token = ref (if E.me ctx = 0 then Some 0 else None) in
+        let hops = ref [] in
+        for _ = 1 to 40 do
+          let send =
+            match !token with
+            | Some t when Rng.bool (E.rng ctx) 0.5 -> Some (t + 1)
+            | _ -> None
+          in
+          match E.sync ctx send with
+          | E.Recv t ->
+            hops := t :: !hops;
+            if !token = None then begin
+              token := Some t;
+              E.output ctx 1
+            end
+          | E.Own | E.Silence -> ()
+        done;
+        !hops
+      in
+      ignore (agree_on s body);
+      true)
+
+let prop_mis =
+  QCheck.Test.make ~name:"run = run_reference (MIS body)" ~count:25 QCheck.(small_nat)
+    (fun case ->
+      let s = scenario ~max_rounds:100_000 case in
+      let params = Core.Params.default in
+      let stop = R.At_round (Core.Mis.schedule_rounds params ~n:(Dual.n s.dual)) in
+      ignore (agree_radio s ~stop (fun ctx -> Core.Mis.body params ctx));
+      true)
+
+let prop_tdma =
+  QCheck.Test.make ~name:"run = run_reference (TDMA/CCDS body)" ~count:20 QCheck.(small_nat)
+    (fun case ->
+      let s = scenario ~max_rounds:100_000 case in
+      let body ctx = Core.Tdma_ccds.body Core.Params.default ctx in
+      ignore (agree_radio s ~stop:R.All_done body);
+      true)
+
+(* Moderate-scale pin: the generated scenarios stay at n <= 40 or use
+   circulants, so a geometric n=128 MIS run catches size-dependent
+   bookkeeping slips (heap ordering, wake-pointer drift, scratch reuse). *)
+let test_mis_n128 () =
+  let dual =
+    Gen.geometric ~rng:(Rng.create 7)
+      (Gen.default_spec ~n:128 ~side:(Gen.side_for_degree ~n:128 ~target_degree:12) ())
+  in
+  let params = Core.Params.default in
+  let stop = R.At_round (Core.Mis.schedule_rounds params ~n:(Dual.n dual)) in
+  let cfg =
+    R.config ~adversary:(Adversary.bernoulli 0.5) ~seed:41 ~stop ~detector:(perfect dual) dual
+  in
+  let fast = R.run cfg (fun ctx -> Core.Mis.body params ctx) in
+  let oracle = R.run_reference cfg (fun ctx -> Core.Mis.body params ctx) in
+  Alcotest.(check bool) "identical results at n=128" true (fast = oracle)
+
+(* --- fast-forward bookkeeping ------------------------------------------ *)
+
+let path2 = Dual.classic (Gen.path 2)
+
+let test_far_wake_jump () =
+  let cfg = E.config ~wake:[| 1; 300 |] ~detector:(perfect path2) path2 in
+  let body ctx = ignore (E.sync ctx (Some (E.me ctx))) in
+  let fast = E.run cfg body in
+  Alcotest.(check bool) "identical results" true (fast = E.run_reference cfg body);
+  Alcotest.(check int) "runs to the late wake" 300 fast.E.rounds;
+  (* rounds 2..299 have no broadcaster: fast-forwarded, still counted *)
+  Alcotest.(check int) "silent rounds counted" 298 fast.E.stats.silent_rounds
+
+let test_idle_past_stop () =
+  (* A fiber idling beyond At_round: the run ends mid-stretch. *)
+  let cfg = E.config ~stop:(At_round 10) ~detector:(perfect path2) path2 in
+  let body ctx =
+    ignore (E.sync ctx (Some (E.me ctx)));
+    E.idle ctx 1_000;
+    E.round ctx
+  in
+  let fast = E.run cfg body in
+  Alcotest.(check bool) "identical results" true (fast = E.run_reference cfg body);
+  Alcotest.(check int) "stopped at 10" 10 fast.E.rounds;
+  Alcotest.(check bool) "no return yet" true (fast.E.returns = [| None; None |])
+
+(* "Park forever": the expiry key saturates at max_int instead of wrapping
+   negative, so the run still fast-forwards to its stop round. *)
+let test_idle_forever_fast_forwards () =
+  let cfg = E.config ~stop:(At_round 1_000_000) ~detector:(perfect path2) path2 in
+  let body ctx =
+    ignore (E.sync ctx (Some (E.me ctx)));
+    E.idle ctx max_int
+  in
+  Rn_util.Timing.reset ();
+  Rn_util.Timing.set_enabled true;
+  let res =
+    Fun.protect
+      ~finally:(fun () -> Rn_util.Timing.set_enabled false)
+      (fun () -> E.run cfg body)
+  in
+  let prof = Rn_util.Timing.snapshot () in
+  Rn_util.Timing.reset ();
+  Alcotest.(check int) "stopped at 10^6" 1_000_000 res.E.rounds;
+  Alcotest.(check int) "one round executed" 1 prof.Rn_util.Timing.rounds;
+  Alcotest.(check int) "the rest fast-forwarded" 999_999 prof.Rn_util.Timing.silent;
+  Alcotest.(check int) "silent rounds counted" 999_999 res.E.stats.silent_rounds
+
+(* A listener parked for good wakes on the first message, however late:
+   node 1 wakes at round 50_000 and broadcasts at once. *)
+let test_listen_forever_wakes () =
+  let cfg = E.config ~wake:[| 1; 50_000 |] ~detector:(perfect path2) path2 in
+  let body ctx =
+    if E.me ctx = 0 then begin
+      let got = E.listen ctx max_int in
+      (got, E.round ctx)
+    end
+    else begin
+      ignore (E.sync ctx (Some 7));
+      (None, E.round ctx)
+    end
+  in
+  let fast = E.run cfg body in
+  Alcotest.(check bool) "identical results" true (fast = E.run_reference cfg body);
+  Alcotest.(check int) "ends at the late broadcast" 50_000 fast.E.rounds;
+  Alcotest.(check bool) "listener woke in the stretch's 50000th round" true
+    (fast.E.returns.(0) = Some (Some (50_000, 7), 50_000))
+
+(* A delivery in a stretch's last round finds the listener both due and
+   delivered-to: it must wake with the message, on the kernel and the
+   scalar delivery path.  Nodes 0-1 and 1-2 are reliable, 0-2 is gray;
+   node 0 listens for rounds 2..4 (parked from the resume phase), node 1
+   speaks in round 4, node 2 too, so a gray-activating adversary turns
+   node 0's delivery into a collision.  Nodes 3..22 are a separate
+   clique that broadcasts in rounds 1..5, which makes every one of those
+   rounds dense enough for the delivery kernel. *)
+let test_listen_last_round () =
+  let pad = 20 in
+  let clique =
+    List.concat_map
+      (fun i -> List.init (pad - 1 - i) (fun j -> (3 + i, 4 + i + j)))
+      (List.init pad Fun.id)
+  in
+  let dual =
+    Dual.make ~g:(Graph.of_edges (3 + pad) ([ (0, 1); (1, 2) ] @ clique)) ~gray:[ (0, 2) ] ()
+  in
+  let body ctx =
+    let me = E.me ctx in
+    if me >= 3 then begin
+      for _ = 1 to 5 do
+        ignore (E.sync ctx (Some me))
+      done;
+      (None, E.round ctx)
+    end
+    else begin
+      ignore (E.sync ctx None);
+      let got =
+        if me = 0 then E.listen ctx 3
+        else begin
+          E.idle ctx 2;
+          ignore (E.sync ctx (Some me));
+          None
+        end
+      in
+      ignore (E.sync ctx None);
+      (got, E.round ctx)
+    end
+  in
+  Array.iter
+    (fun (adv_name, adversary) ->
+      let fast, paths =
+        agree_e ~what:adv_name
+          (fun sink -> E.config ~adversary ~seed:3 ?sink ~detector:(perfect dual) dual)
+          body
+      in
+      Alcotest.(check bool) (adv_name ^ ": kernel delivered") true (paths.deliver >= 5);
+      if adv_name = "silent" then
+        Alcotest.(check bool) (adv_name ^ ": woke in round 3 of 3") true
+          (fast.E.returns.(0) = Some (Some (3, 1), 5)))
+    adversaries
+
+let test_observer_disables_jump () =
+  (* With an observer every round must be materialised and observed. *)
+  let seen = ref [] in
+  let cfg =
+    E.config ~wake:[| 1; 5 |]
+      ~observer:(fun v ->
+        seen := (v.E.view_round, Array.length v.E.view_broadcasters) :: !seen)
+      ~detector:(perfect path2) path2
+  in
+  ignore (E.run cfg (fun ctx -> ignore (E.sync ctx (Some (E.me ctx)))));
+  Alcotest.(check (list (pair int int)))
+    "observer saw every round" [ (1, 1); (2, 0); (3, 0); (4, 0); (5, 1) ] (List.rev !seen)
+
+(* A detector that breaks its declared stabilisation: declared stable
+   from round 3, its output changes again at round 6.  [run] serves the
+   first value it queried at or after round 3 for the rest of the run;
+   [run_reference] re-queries every round.  The two disagree, which is
+   why their agreement is only claimed for detectors that honour the
+   declaration.  Node 0 reads [1 ∈ L_0] before each of its 10 syncs. *)
+let test_detector_breaks_stabilisation () =
+  let ring = Gen.ring 4 in
+  let dual = Dual.classic ring in
+  let full = Detector.perfect ring in
+  let empty = Detector.of_sets (Array.init 4 (fun _ -> Bitset.create 4)) in
+  let detector =
+    Detector.dynamic ~at:(fun r -> if r < 6 then full else empty) ~stabilizes_at:3 ()
+  in
+  let cfg = E.config ~stop:(At_round 10) ~detector dual in
+  let body ctx =
+    String.init 10 (fun _ ->
+        let bit = if E.detector_mem ctx ((E.me ctx + 1) mod 4) then '1' else '0' in
+        ignore (E.sync ctx None);
+        bit)
+  in
+  Alcotest.(check (option string)) "run serves the cached value" (Some "1111111111")
+    (E.run cfg body).E.returns.(0);
+  Alcotest.(check (option string)) "run_reference re-queries" (Some "1111110000")
+    (E.run_reference cfg body).E.returns.(0)
+
+(* --- delivery kernel --------------------------------------------------- *)
+
+(* Each node broadcasts w.p. 0.03 for 30 rounds, logging every sender it
+   hears: ~2 expected senders per 64-neighbourhood, so deliveries and
+   collisions both occur in quantity. *)
+let beacon rounds ctx =
+  let heard = ref [] in
+  for _ = 1 to rounds do
+    match E.sync_p ctx 0.03 (E.me ctx) with
+    | E.Recv src -> heard := src :: !heard
+    | E.Own | E.Silence -> ()
+  done;
+  !heard
+
+let beacon_config ?(shards = 1) ?(resume_shards = 1) ?sink ~adversary dual =
+  E.config ~adversary ~seed:11 ~stop:(At_round 30) ~shards ~resume_shards ?sink
+    ~detector:(perfect dual) dual
+
+let agree_beacon ?shards ?resume_shards ~adversary ~what dual =
+  agree_e ~what
+    (fun sink -> beacon_config ?shards ?resume_shards ?sink ~adversary dual)
+    (beacon 30)
+
+(* A circulant at n=512 has every node at degree 64 — kernel rounds
+   throughout, with enough words per row to catch top-word masking and
+   word-indexing slips.  Its sparse twin (degree 4, gray degree 2, a
+   spiteful adversary) takes neither kernel. *)
+let test_kernel_n512 () =
+  let dense = circulant ~n:512 ~rel:32 ~gray:0 in
+  let r, p =
+    agree_beacon ~resume_shards:4 ~adversary:(Adversary.bernoulli 0.5) ~what:"dense" dense
+  in
+  Alcotest.(check bool) "deliveries happened" true (r.E.stats.deliveries > 0);
+  Alcotest.(check bool) "collisions happened" true (r.E.stats.collisions > 0);
+  Alcotest.(check bool) "dense: delivery kernel ran" true (p.deliver > 0);
+  Alcotest.(check int) "bernoulli: no adversary kernel" 0 p.adv;
+  Alcotest.(check int) "n=512: no sharded resume" 0 p.resume;
+  let sparse = circulant ~n:512 ~rel:2 ~gray:1 in
+  let r, p = agree_beacon ~adversary:Adversary.spiteful ~what:"sparse" sparse in
+  Alcotest.(check bool) "sparse: deliveries happened" true (r.E.stats.deliveries > 0);
+  Alcotest.(check string) "sparse: no fast path" (pp_paths no_paths) (pp_paths p)
+
+(* Twin of the pin above on a gray band: reliable ±1..32, gray ±33..40.
+   Every adversary here switches gray edges on, so the kernel's two gray
+   sweeps (reach accumulation, then receive assignment) run at scale; a
+   message that arrived over a gray edge is visible in [returns]. *)
+let test_kernel_n512_gray () =
+  let n = 512 in
+  let dual = circulant ~n ~rel:32 ~gray:8 in
+  let over_gray v src =
+    let d = abs (v - src) in
+    min d (n - d) > 32
+  in
+  List.iter
+    (fun (name, adversary, has_kernel) ->
+      let r, p = agree_beacon ~adversary ~what:name dual in
+      Alcotest.(check bool) (name ^ ": deliveries happened") true (r.E.stats.deliveries > 0);
+      Alcotest.(check bool) (name ^ ": delivery kernel ran") true (p.deliver > 0);
+      Alcotest.(check bool)
+        (name ^ ": adversary kernel ran iff it has one")
+        has_kernel (p.adv > 0);
+      let gray_receives = ref 0 in
+      Array.iteri
+        (fun v heard ->
+          List.iter
+            (fun src -> if over_gray v src then incr gray_receives)
+            (Option.value ~default:[] heard))
+        r.E.returns;
+      Alcotest.(check bool) (name ^ ": received over gray edges") true (!gray_receives > 0))
+    [
+      ("bernoulli 0.5", Adversary.bernoulli 0.5, false);
+      ("spiteful", Adversary.spiteful, true);
+      ("all_gray", Adversary.all_gray, true);
+    ]
+
+(* The next cases keep the names of the per-phase modes the engine once
+   had: "`On" is the kernel the engine picks on these dense rounds, "`Off"
+   the scalar path a sink forces. *)
+
+(* Dense duals (n >= 16) with a synchronous wake: round 1 alone has
+   enough broadcasters for the delivery kernel. *)
+let dense_scenario case =
+  let s = scenario case in
+  let rng = Rng.create (0xDE75 + case) in
+  let n = 16 + Rng.int rng 25 in
+  let shape, dual =
+    match Rng.int rng 3 with
+    | 0 -> ("dense", random_dual ~n ~rel_w:6 ~gray_w:3 (Rng.bits rng))
+    | 1 -> ("classic", random_dual ~n ~rel_w:7 ~gray_w:0 (Rng.bits rng))
+    | _ -> ("clique", Dual.classic (Gen.clique n))
+  in
+  { s with dual; shape; wake = None }
+
+let prop_kernel_equiv =
+  QCheck.Test.make ~name:"kernel `On = `Off = run_reference" ~count:200 QCheck.(small_nat)
+    (fun case ->
+      let s = dense_scenario case in
+      let _, paths = agree_on s (random_body ~steps:14 ~max_idle:4) in
+      if paths.deliver = 0 then
+        QCheck.Test.fail_reportf "delivery kernel never ran: %s" (pp_scenario s);
+      true)
+
+(* MIS discards messages from outside the detector set, so on a sparse G
+   it keeps several members whatever the adversary does, and every
+   announcement phase has rounds with two or more of them broadcasting.
+   Here G' is complete (each pair reliable or gray), so each broadcaster
+   reaches all n - 1 others and such a round is a kernel round. *)
+let prop_kernel_mis =
+  QCheck.Test.make ~name:"kernel `On = `Off (MIS body)" ~count:15 QCheck.(small_nat)
+    (fun case ->
+      let rng = Rng.create (0x3715 + case) in
+      let n = 24 + Rng.int rng 17 in
+      let s =
+        {
+          (dense_scenario case) with
+          dual = random_dual ~n ~rel_w:2 ~gray_w:8 (Rng.bits rng);
+          shape = "sparse G, complete G'";
+        }
+      in
+      let params = Core.Params.default in
+      let stop = R.At_round (Core.Mis.schedule_rounds params ~n:(Dual.n s.dual)) in
+      let _, paths = agree_radio s ~stop (fun ctx -> Core.Mis.body params ctx) in
+      if paths.deliver = 0 then
+        QCheck.Test.fail_reportf "delivery kernel never ran: %s" (pp_scenario s);
+      true)
+
+(* --- adversary kernel API: choose_kernel = choose ----------------------- *)
+
+let kernel_policies =
+  [|
+    ("all_gray", Adversary.all_gray);
+    ("spiteful", Adversary.spiteful);
+    ("jamming", Adversary.jamming);
+  |]
+
+let random_broadcasters rng n =
+  let p = [| 0.05; 0.3; 0.8 |].(Rng.int rng 3) in
+  let l = ref [] in
+  for v = n - 1 downto 0 do
+    if Rng.bool rng p then l := v :: !l
+  done;
+  Array.of_list !l
+
+(* Random duals x random broadcaster sets, many consecutive rounds
+   against one scratch (so stale scratch state shows up). *)
+let prop_choose_equiv =
+  QCheck.Test.make ~name:"choose_kernel = choose" ~count:120
+    QCheck.(small_nat)
+    (fun case ->
+      let rng = Rng.create (0xADF0 + case) in
+      let n = 2 + Rng.int rng 60 in
+      let rel_w = 1 + Rng.int rng 4 and gray_w = 1 + Rng.int rng 5 in
+      let dual = random_dual ~n ~rel_w ~gray_w (Rng.bits rng) in
+      let ng = max 1 (Dual.gray_count dual) in
+      let scratch = Adversary.make_scratch dual in
+      let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
+      for round = 1 to 12 do
+        let broadcasters = random_broadcasters rng n in
+        Array.iter
+          (fun (pname, adv) ->
+            let scalar = Bitset.create ng in
+            Adversary.choose adv ~round ~broadcasters dual (Rng.derive adv_root round) scalar;
+            let masked = Bitset.create ng in
+            Adversary.choose_kernel adv ~round ~broadcasters dual (Rng.derive adv_root round)
+              scratch masked;
+            if not (Bitset.equal scalar masked) then
+              QCheck.Test.fail_reportf "%s: kernel <> scalar at n=%d round=%d (#bcast=%d)"
+                pname n round (Array.length broadcasters))
+          kernel_policies
+      done;
+      true)
+
+let test_kernel_flags () =
+  Alcotest.(check bool) "all_gray has kernel" true (Adversary.has_kernel Adversary.all_gray);
+  Alcotest.(check bool) "spiteful has kernel" true (Adversary.has_kernel Adversary.spiteful);
+  Alcotest.(check bool) "jamming has kernel" true (Adversary.has_kernel Adversary.jamming);
+  Alcotest.(check bool) "bernoulli stays scalar" false
+    (Adversary.has_kernel (Adversary.bernoulli 0.5));
+  Alcotest.(check bool) "harassing stays scalar" false
+    (Adversary.has_kernel (Adversary.harassing 0.5));
+  Alcotest.(check bool) "silent stays scalar" false (Adversary.has_kernel Adversary.silent);
+  let dual = random_dual ~n:40 ~rel_w:2 ~gray_w:4 7 in
+  Alcotest.(check bool) "kernel_wins false without kernel" false
+    (Adversary.kernel_wins (Adversary.bernoulli 0.5)
+       ~broadcasters:(Array.init 40 Fun.id) dual);
+  Alcotest.check_raises "choose_kernel raises without kernel"
+    (Invalid_argument "Adversary.choose_kernel: policy has no kernel") (fun () ->
+      Adversary.choose_kernel Adversary.silent ~round:1 ~broadcasters:[||] dual (Rng.create 0)
+        (Adversary.make_scratch dual) (Bitset.create 1))
+
+(* Word-boundary pin: a circulant dual at n=600 whose per-node gray
+   ranges span several 63-bit words, all nodes broadcasting — the
+   fill_range fast path does the bulk of the work. *)
+let test_circulant_pin () =
+  let n = 600 in
+  let dual = circulant ~n ~rel:4 ~gray:20 in
+  let ng = Dual.gray_count dual in
+  let scratch = Adversary.make_scratch dual in
+  let rng = Rng.create 3 in
+  Array.iter
+    (fun (pname, adv) ->
+      Array.iter
+        (fun broadcasters ->
+          let scalar = Bitset.create ng and masked = Bitset.create ng in
+          Adversary.choose adv ~round:1 ~broadcasters dual rng scalar;
+          Adversary.choose_kernel adv ~round:1 ~broadcasters dual rng scratch masked;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s circulant n=600 #bcast=%d" pname (Array.length broadcasters))
+            true (Bitset.equal scalar masked))
+        [| Array.init n Fun.id; [| 0; 1; 299; 599 |]; [| 42 |] |])
+    kernel_policies
+
+(* --- adversary kernel inside the engine --------------------------------- *)
+
+(* Gray-heavy duals on which a kernel policy's mask path pays from round
+   1 on: all_gray and spiteful on n = 32..48 random duals, jamming on
+   n = 256..300 gray circulants (its kernel needs n >= 4 words). *)
+let adv_scenario case =
+  let s = scenario case in
+  let rng = Rng.create (0xADBE + case) in
+  let adv_name, adv = kernel_policies.(Rng.int rng (Array.length kernel_policies)) in
+  let shape, dual =
+    if adv_name = "jamming" then
+      ("gray circulant", circulant ~n:(256 + Rng.int rng 45) ~rel:2 ~gray:4)
+    else ("all-gray", random_dual ~n:(32 + Rng.int rng 17) ~rel_w:1 ~gray_w:8 (Rng.bits rng))
+  in
+  { s with dual; shape; adv_name; adv; wake = None }
+
+let prop_adv_engine =
+  QCheck.Test.make ~name:"adv_kernel `On/`Off/`Auto x shards 1/2/4 = reference" ~count:100
+    QCheck.(small_nat)
+    (fun case ->
+      let s = { (adv_scenario case) with shards = 1 } in
+      let body = random_body ~steps:14 ~max_idle:4 in
+      let r, paths = agree_on s body in
+      if paths.adv = 0 then
+        QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s);
+      List.iter
+        (fun shards ->
+          if E.run (config_of { s with shards }) body <> r then
+            QCheck.Test.fail_reportf "shards %d <> shards 1: %s" shards (pp_scenario s))
+        [ 2; 4 ];
+      true)
+
+(* A sink whose 64-event ring overflows many times over still forces
+   scalar and changes nothing. *)
+let prop_adv_traced =
+  QCheck.Test.make ~name:"traced run = untraced (adv_kernel `On)" ~count:40
+    QCheck.(small_nat)
+    (fun case ->
+      let s = adv_scenario (2000 + case) in
+      let body = random_body ~steps:14 ~max_idle:4 in
+      let plain, paths = counted (fun () -> E.run (config_of s) body) in
+      let sink = Events.create ~capacity:64 () in
+      let traced, traced_paths = counted (fun () -> E.run (config_of ~sink s) body) in
+      if paths.adv = 0 then
+        QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s);
+      if traced_paths <> no_paths then
+        QCheck.Test.fail_reportf "a sink did not force scalar (%s): %s" (pp_paths traced_paths)
+          (pp_scenario s);
+      if Events.emitted sink <= 64 then
+        QCheck.Test.fail_reportf "the ring did not overflow: %s" (pp_scenario s);
+      if traced <> plain then
+        QCheck.Test.fail_reportf "traced <> untraced: %s" (pp_scenario s);
+      true)
+
+(* --- ~shards: accepted, checked, inert --------------------------------- *)
+
+let prop_shard_equiv =
+  QCheck.Test.make ~name:"shards k = shards 1 = scalar = reference" ~count:120
+    QCheck.(small_nat)
+    (fun case ->
+      let s = { (scenario case) with shards = 2 + (case mod 3) } in
+      let body = random_body ~steps:14 ~max_idle:4 in
+      let r, _ = agree_on s body in
+      if E.run (config_of { s with shards = 1 }) body <> r then
+        QCheck.Test.fail_reportf "shards k <> shards 1: %s" (pp_scenario s);
+      true)
+
+let prop_shard_kernel =
+  QCheck.Test.make ~name:"shards k + kernel `On = kernel `On" ~count:60 QCheck.(small_nat)
+    (fun case ->
+      let s = { (dense_scenario (1000 + case)) with shards = 2 + (case mod 3) } in
+      let body = random_body ~steps:14 ~max_idle:4 in
+      let sharded, paths = counted (fun () -> E.run (config_of s) body) in
+      if paths.deliver = 0 then
+        QCheck.Test.fail_reportf "delivery kernel never ran: %s" (pp_scenario s);
+      if E.run (config_of { s with shards = 1 }) body <> sharded then
+        QCheck.Test.fail_reportf "shards k <> shards 1: %s" (pp_scenario s);
+      true)
+
+(* The n=512 delivery pin at a shard count that divides neither n nor
+   the broadcaster count. *)
+let test_shard_n512 () =
+  let dual = circulant ~n:512 ~rel:32 ~gray:0 in
+  let adversary = Adversary.bernoulli 0.5 in
+  let one = E.run (beacon_config ~adversary dual) (beacon 30) in
+  let three, p =
+    counted (fun () -> E.run (beacon_config ~shards:3 ~adversary dual) (beacon 30))
+  in
+  Alcotest.(check bool) "identical results at n=512, shards=3" true (one = three);
+  Alcotest.(check bool) "deliveries happened" true (one.E.stats.deliveries > 0);
+  Alcotest.(check bool) "collisions happened" true (one.E.stats.collisions > 0);
+  Alcotest.(check bool) "delivery kernel ran" true (p.deliver > 0)
+
+let test_shard_config_validation () =
+  let dual = Dual.classic (Gen.clique 4) in
+  Alcotest.check_raises "shards = 0 rejected" (Invalid_argument "Engine.config: shards < 1")
+    (fun () -> ignore (E.config ~shards:0 ~detector:(perfect dual) dual))
+
+(* --- sharded resume ---------------------------------------------------- *)
+
+(* At a shard count that does not divide the live-fiber count: uneven
+   slices, both sync and idle fibers in flight.  n=2048 shards; n=512 at
+   the same shard count stays below the 1024-fiber threshold. *)
+let test_resume_n2048 () =
+  let body ctx =
+    let rng = E.rng ctx in
+    let heard = ref 0 in
+    for _ = 1 to 40 do
+      if Rng.bool rng 0.1 then E.idle ctx (1 + Rng.int rng 3)
+      else
+        match E.sync_p ctx 0.03 (E.me ctx) with
+        | E.Recv _ -> incr heard
+        | E.Own | E.Silence -> ()
+    done;
+    !heard
+  in
+  let run ~n resume_shards =
+    let dual = circulant ~n ~rel:32 ~gray:0 in
+    agree_e
+      ~what:(Printf.sprintf "n=%d resume_shards=%d" n resume_shards)
+      (fun sink ->
+        E.config ~adversary:(Adversary.bernoulli 0.5) ~seed:11 ~stop:(At_round 40)
+          ~resume_shards ?sink ~detector:(perfect dual) dual)
+      body
+  in
+  let one, p1 = run ~n:2048 1 in
+  Alcotest.(check bool) "deliveries happened" true (one.E.stats.deliveries > 0);
+  Alcotest.(check int) "resume shards 1: scalar" 0 p1.resume;
+  List.iter
+    (fun k ->
+      let r, p = run ~n:2048 k in
+      Alcotest.(check bool) (Printf.sprintf "resume shards %d = 1" k) true (r = one);
+      Alcotest.(check bool) (Printf.sprintf "resume shards %d: sharded" k) true (p.resume > 0))
+    [ 3; 4 ];
+  let _, p = run ~n:512 4 in
+  Alcotest.(check int) "n=512: below the threshold" 0 p.resume
+
+(* An attached sink forces the scalar resume (events must come out in
+   step order) on rounds that would shard; forcing changes nothing. *)
+let prop_resume_traced =
+  QCheck.Test.make ~name:"traced (forced scalar) = untraced sharded" ~count:40
+    QCheck.(small_nat)
+    (fun case ->
+      let s =
+        { (scenario ~large:true (2000 + case)) with resume_shards = 2 + (2 * (case mod 2)) }
+      in
+      let body = aligned_body s in
+      let untraced, paths = counted (fun () -> E.run (config_of s) body) in
+      let sink = Events.create () in
+      let traced, traced_paths = counted (fun () -> E.run (config_of ~sink s) body) in
+      if paths.resume = 0 then
+        QCheck.Test.fail_reportf "round 9 did not shard: %s" (pp_scenario s);
+      if traced_paths <> no_paths then
+        QCheck.Test.fail_reportf "a sink did not force scalar (%s): %s" (pp_paths traced_paths)
+          (pp_scenario s);
+      if Events.emitted sink = 0 then
+        QCheck.Test.fail_reportf "sink saw no events: %s" (pp_scenario s);
+      if traced <> untraced then
+        QCheck.Test.fail_reportf "traced <> untraced: %s" (pp_scenario s);
+      true)
+
+let test_config_validation () =
+  let dual = Dual.classic (Gen.clique 4) in
+  Alcotest.check_raises "resume_shards = 0 rejected"
+    (Invalid_argument "Engine.config: resume_shards < 1") (fun () ->
+      ignore (E.config ~resume_shards:0 ~detector:(perfect dual) dual))
+
+exception Boom of int
+
+(* Fibers 0 and n-1 of an n=2048 ring both raise in round 1's resume —
+   2048 synced fibers, so the round shards — in different slices at 2
+   and 4 shards, and fiber n-1 raises first in time: fiber 0 waits for
+   it on an Atomic handshake (spun on with a bound, so a one-core host
+   cannot hang), then a little longer so fiber n-1's failure is recorded
+   first.  The scalar paths step fiber 0 first and never reach n-1, so
+   they get the flag pre-set.  Every path must raise fiber 0's failure,
+   as the scalar resume and [run_reference] do, and a second run on the
+   same config must then complete: the run shut its pool down and left
+   no fiber routed to a shard buffer. *)
+let test_resume_raise_lowest () =
+  let n = 2048 in
+  let dual = Dual.classic (Gen.ring n) in
+  let cfg resume_shards =
+    E.config ~stop:(At_round 3) ~resume_shards ~detector:(perfect dual) dual
+  in
+  let spin_until ready =
+    let t0 = Rn_util.Timing.now () in
+    while (not (ready ())) && Rn_util.Timing.now () -. t0 < 5.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let faulty raised ctx =
+    ignore (E.sync ctx None);
+    (match E.me ctx with
+    | 0 ->
+      spin_until (fun () -> Atomic.get raised);
+      let t0 = Rn_util.Timing.now () in
+      spin_until (fun () -> Rn_util.Timing.now () -. t0 > 0.02);
+      raise (Boom 0)
+    | v when v = n - 1 ->
+      Atomic.set raised true;
+      raise (Boom v)
+    | _ -> ());
+    ignore (E.sync ctx (Some (E.me ctx)))
+  in
+  let quiet ctx =
+    ignore (E.sync ctx None);
+    E.sync ctx (Some (E.me ctx))
+  in
+  let raised_by run = try ignore (run ()); None with Boom i -> Some i in
+  Alcotest.(check (option int))
+    "run_reference" (Some 0)
+    (raised_by (fun () -> E.run_reference (cfg 1) (faulty (Atomic.make true))));
+  Alcotest.(check (option int))
+    "resume_shards 1" (Some 0)
+    (raised_by (fun () -> E.run (cfg 1) (faulty (Atomic.make true))));
+  List.iter
+    (fun k ->
+      let c = cfg k in
+      let raised, p =
+        counted (fun () -> raised_by (fun () -> E.run c (faulty (Atomic.make false))))
+      in
+      Alcotest.(check (option int)) (Printf.sprintf "resume_shards %d" k) (Some 0) raised;
+      Alcotest.(check bool) (Printf.sprintf "resume_shards %d: sharded" k) true (p.resume > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "resume_shards %d: next run completes" k)
+        true
+        (E.run c quiet = E.run_reference c quiet))
+    [ 2; 4 ]
+
+(* --- real schedules at n >= 1024 --------------------------------------- *)
+
+(* The real bodies on four duals with n >= 1024 each, under every
+   adversary, at resume_shards 2 or 4.  [duals] draws the dual, [stop]
+   the round the run stops at. *)
+let algo_scenario ~duals ~stop case =
+  let rng = Rng.create (0x415 + case) in
+  let shape, dual = duals rng in
+  let adv_name, adv = adversaries.(Rng.int rng (Array.length adversaries)) in
+  {
+    (scenario ~max_rounds:1_000_000 case) with
+    dual;
+    shape;
+    adv_name;
+    adv;
+    wake = None;
+    stop = At_round (stop (Dual.n dual));
+    resume_shards = 2 + (2 * Rng.int rng 2);
+  }
+
+let agree_algo s body =
+  let _, p = agree_radio s ~stop:s.stop body in
+  if p.resume = 0 then QCheck.Test.fail_reportf "never sharded: %s" (pp_scenario s);
+  true
+
+(* MIS: in the first competition phases nearly every process contends,
+   so those rounds step n >= 1024 fibers and shard.  Phases are one
+   ⌈log₂ n⌉ long, and the run stops after the first epoch: every
+   competition phase and one announcement phase. *)
+let mis_duals rng =
+  let n = [| 1031; 1097 |].(Rng.int rng 2) in
+  match Rng.int rng 4 with
+  | 0 -> shared "ring" n (fun () -> Dual.classic (Gen.ring n))
+  | 1 -> large_circulant n sparse_circulant
+  | 2 -> large_circulant n gray_circulant
+  | _ ->
+    shared "geometric" n (fun () ->
+        Gen.geometric ~rng:(Rng.create n)
+          (Gen.default_spec ~n ~side:(Gen.side_for_degree ~n ~target_degree:10) ()))
+
+let prop_mis_resume =
+  let params = { Core.Params.fast with c_phase = 1 } in
+  let epoch n = (Core.Mis.competition_phases ~n + 1) * Core.Mis.phase_len params ~n in
+  QCheck.Test.make ~name:"MIS: resume shards k = scalar" ~count:30 QCheck.(small_nat)
+    (fun case ->
+      agree_algo (algo_scenario ~duals:mis_duals ~stop:epoch case) (Core.Mis.body params))
+
+(* TDMA-CCDS: hub 0 speaks in the first slot of each frame, and all n - 1
+   >= 1024 leaves wake from their parked listen, which shards that round.
+   The leaves carry nothing, a reliable ring, a gray ring or random gray
+   chords.  The run stops after frames A and B and the first slot of
+   frame C. *)
+let hub_duals rng =
+  let n = [| 1031; 1097 |].(Rng.int rng 2) in
+  let spokes = List.init (n - 1) (fun v -> (0, v + 1)) in
+  let leaf_ring = (1, n - 1) :: List.init (n - 2) (fun v -> (v + 1, v + 2)) in
+  match Rng.int rng 4 with
+  | 0 -> shared "star" n (fun () -> Dual.classic (Gen.star n))
+  | 1 -> shared "wheel" n (fun () -> Dual.classic (Graph.of_edges n (spokes @ leaf_ring)))
+  | 2 -> shared "star + gray ring" n (fun () -> Dual.make ~g:(Gen.star n) ~gray:leaf_ring ())
+  | _ ->
+    shared "star + gray chords" n (fun () ->
+        let rng = Rng.create n in
+        let chord _ =
+          let u = 1 + Rng.int rng (n - 1) and v = 1 + Rng.int rng (n - 1) in
+          if u = v then None else Some (min u v, max u v)
+        in
+        let chords = List.filter_map chord (List.init (2 * n) Fun.id) in
+        Dual.make ~g:(Gen.star n) ~gray:(List.sort_uniq compare chords) ())
+
+let prop_tdma_resume =
+  QCheck.Test.make ~name:"TDMA-CCDS: resume shards k = scalar" ~count:15 QCheck.(small_nat)
+    (fun case ->
+      let s = algo_scenario ~duals:hub_duals ~stop:(fun n -> (2 * n) + 1) case in
+      agree_algo s (Core.Tdma_ccds.body Core.Params.default))
+
+(* One report per suite these cases came from.  Alcotest pads group
+   labels to the widest in a report and truncates case names to fit, so
+   the old grouping keeps every case's printed name.  A failing report
+   raises [Alcotest.Test_error], which fails the process. *)
+let () =
+  Metrics.set_enabled true;
+  List.iter
+    (fun (name, groups) -> Alcotest.run ~and_exit:false name groups)
+    [
+      ( "engine-paths",
+        [
+          ( "differential",
+            [
+              qtest prop_random_bodies;
+              qtest prop_fast_forward;
+              qtest prop_flood;
+              qtest prop_mis;
+              qtest prop_tdma;
+              Alcotest.test_case "run = run_reference (MIS, n=128)" `Quick test_mis_n128;
+            ] );
+          ( "fast-forward",
+            [
+              Alcotest.test_case "far wake jump" `Quick test_far_wake_jump;
+              Alcotest.test_case "idle past stop" `Quick test_idle_past_stop;
+              Alcotest.test_case "idle forever fast-forwards" `Quick
+                test_idle_forever_fast_forwards;
+              Alcotest.test_case "listen forever wakes on a late message" `Quick
+                test_listen_forever_wakes;
+              Alcotest.test_case "listen: delivery in the stretch's last round" `Quick
+                test_listen_last_round;
+              Alcotest.test_case "observer disables jump" `Quick test_observer_disables_jump;
+            ] );
+          ( "detector",
+            [
+              Alcotest.test_case "run caches a broken stabilizes_at" `Quick
+                test_detector_breaks_stabilisation;
+            ] );
+        ] );
+      ( "engine-paths-delivery",
+        [
+          ( "delivery",
+            [
+              qtest prop_kernel_equiv;
+              qtest prop_kernel_mis;
+              Alcotest.test_case "circulant n=512 pin" `Quick test_kernel_n512;
+              Alcotest.test_case "circulant n=512 gray-band pin" `Quick test_kernel_n512_gray;
+            ] );
+        ] );
+      ( "engine-paths-adversary",
+        [
+          ( "choose",
+            [
+              qtest prop_choose_equiv;
+              Alcotest.test_case "kernel availability flags" `Quick test_kernel_flags;
+              Alcotest.test_case "circulant n=600 pin" `Quick test_circulant_pin;
+            ] );
+          ("engine", [ qtest prop_adv_engine; qtest prop_adv_traced ]);
+        ] );
+      ( "engine-paths-shards",
+        [
+          ( "sharded-delivery",
+            [
+              qtest prop_shard_equiv;
+              qtest prop_shard_kernel;
+              Alcotest.test_case "circulant n=512, shards=3 pin" `Quick test_shard_n512;
+              Alcotest.test_case "config validation" `Quick test_shard_config_validation;
+            ] );
+        ] );
+      ( "engine-paths-sharded",
+        [
+          ( "sharded-resume",
+            [
+              qtest prop_large;
+              qtest prop_resume_traced;
+              Alcotest.test_case "circulant n=2048 pin" `Quick test_resume_n2048;
+              Alcotest.test_case "config validation" `Quick test_config_validation;
+              Alcotest.test_case "raise in two slices: lowest fiber wins" `Quick
+                test_resume_raise_lowest;
+            ] );
+          ("real-schedules", [ qtest prop_mis_resume; qtest prop_tdma_resume ]);
+        ] );
+    ]

@@ -5,6 +5,7 @@ module Algo = Rn_graph.Algo
 module Dual = Rn_graph.Dual
 module Gen = Rn_graph.Gen
 module Rng = Rn_util.Rng
+module Point = Rn_geom.Point
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -296,6 +297,51 @@ let test_dual_geometry_validation () =
   Alcotest.check_raises "edge too long" (Invalid_argument "Dual.make: G' edge longer than d")
     (fun () -> ignore (Dual.make ~pos:pos2 ~g:(Graph.of_edges 2 [ (0, 1) ]) ~gray:[] ()))
 
+(* ---------------- grid world generation = naive oracle ---------------- *)
+
+let dual_eq a b =
+  Graph.n (Dual.g a) = Graph.n (Dual.g b)
+  && Graph.edges (Dual.g a) = Graph.edges (Dual.g b)
+  && Graph.edges (Dual.g' a) = Graph.edges (Dual.g' b)
+  && Dual.gray_edges a = Dual.gray_edges b
+  && Dual.d a = Dual.d b
+
+let prop_grid_gen_equiv =
+  QCheck.Test.make ~name:"grid of_positions = naive oracle (same RNG stream)" ~count:150
+    QCheck.(triple (int_range 1 60) (int_range 0 1000) (int_range 0 2))
+    (fun (n, pseed, dix) ->
+      let d = [| 1.0; 2.0; 3.5 |].(dix) in
+      let prng = Rng.create pseed in
+      (* spread tight enough that reliable and gray pairs both occur *)
+      let side = 1.0 +. sqrt (float_of_int n) in
+      let pos = Array.init n (fun _ -> Point.random prng ~w:side ~h:side) in
+      let grid = Gen.of_positions ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
+      let naive = Gen.of_positions_naive ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
+      if not (dual_eq grid naive) then
+        QCheck.Test.fail_reportf "grid <> naive at n=%d pseed=%d d=%.1f" n pseed d;
+      (* both must leave the RNG in the same state: draw-count equality *)
+      let r1 = Rng.create 42 and r2 = Rng.create 42 in
+      ignore (Gen.of_positions ~rng:r1 ~d ~gray_p:0.5 pos);
+      ignore (Gen.of_positions_naive ~rng:r2 ~d ~gray_p:0.5 pos);
+      if Rng.bits r1 <> Rng.bits r2 then
+        QCheck.Test.fail_reportf "RNG stream diverged at n=%d pseed=%d d=%.1f" n pseed d;
+      true)
+
+let prop_grid_gen_negative_coords =
+  (* the clusters generator places points at negative coordinates; the
+     grid must bucket them correctly *)
+  QCheck.Test.make ~name:"grid of_positions = naive (negative coords)" ~count:60
+    QCheck.(int_range 0 500)
+    (fun pseed ->
+      let prng = Rng.create pseed in
+      let pos =
+        Array.init 40 (fun _ ->
+            Point.make ((Rng.float prng -. 0.5) *. 8.0) ((Rng.float prng -. 0.5) *. 8.0))
+      in
+      let grid = Gen.of_positions ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
+      let naive = Gen.of_positions_naive ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
+      dual_eq grid naive)
+
 let () =
   Alcotest.run "rn_graph"
     [
@@ -340,4 +386,5 @@ let () =
           Alcotest.test_case "incidence at n=2^20" `Quick test_incidence_n2p20;
           Alcotest.test_case "geometry validation" `Quick test_dual_geometry_validation;
         ] );
+      ("world-gen", [ qtest prop_grid_gen_equiv; qtest prop_grid_gen_negative_coords ]);
     ]

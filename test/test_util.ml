@@ -278,6 +278,146 @@ let prop_bitset_cardinal =
     (fun a ->
       Bitset.cardinal (Bitset.of_list 100 a) = IS.cardinal (set_of_list a))
 
+(* ---------------- acc2 and the off-heap word layer ---------------- *)
+
+(* The delivery kernel's saturating (once, twice) accumulators: after
+   feeding rows, [once] holds every index seen at least once and [twice]
+   every index seen at least twice. *)
+
+let bs cap l = Bitset.of_list cap l
+
+let check_acc2 name ~cap rows ~exp_once ~exp_twice =
+  let once = Bitset.create cap and twice = Bitset.create cap in
+  List.iter (fun row -> Bitset.acc2_or_into ~once ~twice (bs cap row)) rows;
+  check (Alcotest.list Alcotest.int) (name ^ ": once") exp_once (Bitset.to_list once);
+  check (Alcotest.list Alcotest.int) (name ^ ": twice") exp_twice (Bitset.to_list twice)
+
+let test_acc2_units () =
+  check_acc2 "no senders" ~cap:130 [] ~exp_once:[] ~exp_twice:[];
+  check_acc2 "one sender" ~cap:130 [ [ 0; 63; 129 ] ] ~exp_once:[ 0; 63; 129 ] ~exp_twice:[];
+  check_acc2 "two disjoint" ~cap:130
+    [ [ 0; 64 ]; [ 1; 65 ] ]
+    ~exp_once:[ 0; 1; 64; 65 ] ~exp_twice:[];
+  check_acc2 "two overlapping" ~cap:130
+    [ [ 0; 63; 64 ]; [ 63; 64; 129 ] ]
+    ~exp_once:[ 0; 63; 64; 129 ] ~exp_twice:[ 63; 64 ];
+  (* saturation: a third and fourth sender must not clear the twice bit *)
+  check_acc2 "three senders saturate" ~cap:130
+    [ [ 5 ]; [ 5 ]; [ 5 ] ]
+    ~exp_once:[ 5 ] ~exp_twice:[ 5 ];
+  check_acc2 "four senders saturate" ~cap:130
+    [ [ 5; 70 ]; [ 5 ]; [ 5; 70 ]; [ 5; 70 ] ]
+    ~exp_once:[ 5; 70 ] ~exp_twice:[ 5; 70 ]
+
+let test_acc2_add_matches_or () =
+  (* element-wise feeding must equal set-wise feeding *)
+  let cap = 100 in
+  let rows = [ [ 1; 63; 64 ]; [ 2; 63 ]; [ 1; 99 ] ] in
+  let o1 = Bitset.create cap and t1 = Bitset.create cap in
+  List.iter (fun r -> Bitset.acc2_or_into ~once:o1 ~twice:t1 (bs cap r)) rows;
+  let o2 = Bitset.create cap and t2 = Bitset.create cap in
+  List.iter (List.iter (fun i -> Bitset.acc2_add ~once:o2 ~twice:t2 i)) rows;
+  Alcotest.(check bool) "once equal" true (Bitset.equal o1 o2);
+  Alcotest.(check bool) "twice equal" true (Bitset.equal t1 t2)
+
+let prop_acc2_counts =
+  QCheck.Test.make ~name:"acc2 = naive multiset counting" ~count:200
+    QCheck.(small_list (small_list (int_range 0 200)))
+    (fun rows ->
+      let cap = 201 in
+      let once = Bitset.create cap and twice = Bitset.create cap in
+      let counts = Array.make cap 0 in
+      List.iter
+        (fun row ->
+          let row = List.sort_uniq compare row in
+          List.iter (fun i -> counts.(i) <- counts.(i) + 1) row;
+          Bitset.acc2_or_into ~once ~twice (bs cap row))
+        rows;
+      let ok = ref true in
+      for i = 0 to cap - 1 do
+        if Bitset.mem once i <> (counts.(i) >= 1) then ok := false;
+        if Bitset.mem twice i <> (counts.(i) >= 2) then ok := false
+      done;
+      !ok)
+
+(* The same counting law for the element-wise feed [acc2_add], which the
+   kernel uses for gray reach. *)
+let prop_acc2_add_counts =
+  QCheck.Test.make ~name:"off-heap acc2 = naive multiset" ~count:200
+    QCheck.(small_list (small_list (int_range 0 200)))
+    (fun rows ->
+      let cap = 201 in
+      let once = Bitset.create cap and twice = Bitset.create cap in
+      let counts = Array.make cap 0 in
+      List.iter
+        (List.iter (fun i ->
+             counts.(i) <- counts.(i) + 1;
+             Bitset.acc2_add ~once ~twice i))
+        rows;
+      let ok = ref true in
+      for i = 0 to cap - 1 do
+        if Bitset.mem once i <> (counts.(i) >= 1) then ok := false;
+        if Bitset.mem twice i <> (counts.(i) >= 2) then ok := false
+      done;
+      !ok)
+
+let prop_word_ops_offheap =
+  (* union/inter/diff/cardinal/iter agree with a sorted-list model *)
+  QCheck.Test.make ~name:"off-heap word ops = list model" ~count:300
+    QCheck.(pair (small_list (int_range 0 190)) (small_list (int_range 0 190)))
+    (fun (la, lb) ->
+      let cap = 191 in
+      let la = List.sort_uniq compare la and lb = List.sort_uniq compare lb in
+      let a = bs cap la and b = bs cap lb in
+      let model f = List.filter (fun i -> f (List.mem i la) (List.mem i lb)) (List.init cap Fun.id) in
+      let got op =
+        let c = Bitset.copy a in
+        op ~into:c b;
+        Bitset.to_list c
+      in
+      got Bitset.union_into = model (fun x y -> x || y)
+      && got Bitset.inter_into = model (fun x y -> x && y)
+      && got Bitset.diff_into = model (fun x y -> x && not y)
+      && Bitset.cardinal a = List.length la
+      && Bitset.to_list a = la
+      && Bitset.equal a (bs cap la))
+
+(* [acc2_merge_into] folds one pair into another: feeding each slice of
+   the rows into a private pair and merging must equal feeding all rows
+   into one pair, for any partition into any number of slices. *)
+let prop_merge_equals_sequential =
+  QCheck.Test.make ~name:"sharded acc2 merge = sequential" ~count:300
+    QCheck.(pair (int_range 1 7) (small_list (small_list (int_range 0 220))))
+    (fun (shards, rows) ->
+      let cap = 221 in
+      let rows = Array.of_list rows in
+      let nr = Array.length rows in
+      let once = Bitset.create cap and twice = Bitset.create cap in
+      Array.iter (fun row -> Bitset.acc2_or_into ~once ~twice (bs cap row)) rows;
+      let m_once = Bitset.create cap and m_twice = Bitset.create cap in
+      for s = 0 to shards - 1 do
+        let so = Bitset.create cap and st = Bitset.create cap in
+        for i = s * nr / shards to (((s + 1) * nr) / shards) - 1 do
+          Bitset.acc2_or_into ~once:so ~twice:st (bs cap rows.(i))
+        done;
+        Bitset.acc2_merge_into ~once:m_once ~twice:m_twice ~src_once:so ~src_twice:st
+      done;
+      Bitset.equal once m_once && Bitset.equal twice m_twice)
+
+let test_merge_units () =
+  let cap = 130 in
+  let mk lo lt = (bs cap lo, bs cap lt) in
+  let merge (o1, t1) (o2, t2) =
+    let once = Bitset.copy o1 and twice = Bitset.copy t1 in
+    Bitset.acc2_merge_into ~once ~twice ~src_once:o2 ~src_twice:t2;
+    (Bitset.to_list once, Bitset.to_list twice)
+  in
+  let pairs = Alcotest.(pair (list int) (list int)) in
+  check pairs "disjoint singles" ([ 0; 64; 65; 129 ], [])
+    (merge (mk [ 0; 64 ] []) (mk [ 65; 129 ] []));
+  check pairs "overlap saturates" ([ 5; 70 ], [ 70 ]) (merge (mk [ 5; 70 ] []) (mk [ 70 ] []));
+  check pairs "src twice dominates" ([ 7 ], [ 7 ]) (merge (mk [] []) (mk [ 7 ] [ 7 ]))
+
 (* ---------------- Union_find ---------------- *)
 
 let test_uf_basic () =
@@ -380,6 +520,19 @@ let () =
           qtest prop_bitset_diff;
           qtest prop_bitset_subset;
           qtest prop_bitset_cardinal;
+        ] );
+      ( "acc2",
+        [
+          Alcotest.test_case "unit cases (0/1/2/3+ senders)" `Quick test_acc2_units;
+          Alcotest.test_case "acc2_add = acc2_or_into" `Quick test_acc2_add_matches_or;
+          qtest prop_acc2_counts;
+        ] );
+      ( "offheap-words",
+        [
+          qtest prop_acc2_add_counts;
+          qtest prop_word_ops_offheap;
+          Alcotest.test_case "acc2_merge_into unit cases" `Quick test_merge_units;
+          qtest prop_merge_equals_sequential;
         ] );
       ( "union-find",
         [
