@@ -79,11 +79,12 @@ let of_positions ~rng ~d ~gray_p pos =
       if dist <= 1.0 then push rel_buf rel_len ((u * n) + v)
       else if dist <= d then push cand_buf cand_len ((u * n) + v))
     grid pos;
-  (* packed (u * n + v) candidates sort as unboxed ints, and ascending
-     packed order is (u, v)-lexicographic — the naive scan's draw order *)
+  (* ascending packed (u * n + v) order is (u, v)-lexicographic — the
+     naive scan's draw order; [Int_sort.packed] buckets the candidates by
+     u and sorts each bucket in place *)
   let cand = Array.sub !cand_buf 0 !cand_len in
   cand_buf := [||];
-  Array.sort (fun (x : int) y -> compare x y) cand;
+  Rn_util.Int_sort.packed ~n cand;
   (* Bernoulli draws in ascending order produce the gray keys already
      ascending, exactly what [Dual.make_packed] wants. *)
   let gray_len = ref 0 in

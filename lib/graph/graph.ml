@@ -8,6 +8,13 @@
    chasing a million tiny arrays — and iteration over a row is a plain
    int-array scan either way.
 
+   Builders hand in packed [u * n + v] edge keys in any order.  They are
+   sorted by [Rn_util.Int_sort.packed] in O(len + n): a counting pass
+   and an in-place cycle permutation bucket the keys by [u], and each
+   bucket (one node's ~degree keys) is sorted by an int introsort.  No
+   scratch the size of the key array is allocated, so the sort adds
+   only O(n) counters to peak memory.
+
    [rows] is a lazily-built bitset view of the same adjacency (one
    Bitset per node), used by the engine's word-parallel delivery kernel
    on dense rounds.  It is built at most once, on first use, so sparse
@@ -94,19 +101,20 @@ let build_packed n packed m =
 
 let check_packable n = if n > 0x3FFF_FFFF then invalid_arg "Graph: n too large to pack edges"
 
+(* A canonical key [u * n + v] has [0 <= u < v < n]; with [n = 0] no key
+   is canonical (and none may be divided by n). *)
+let canonical n e = n > 0 && e >= 0 && e / n < e mod n
+
 let of_packed n packed =
   if n < 0 then invalid_arg "Graph.of_packed: negative n";
   check_packable n;
   let m = Array.length packed in
   for i = 0 to m - 1 do
     let e = packed.(i) in
-    let u = e / n and v = e mod n in
-    if e < 0 || u >= v || v >= n then invalid_arg "Graph.of_packed: bad key";
+    if not (canonical n e) then invalid_arg "Graph.of_packed: bad key";
     if i > 0 && packed.(i - 1) >= e then invalid_arg "Graph.of_packed: keys not ascending"
   done;
   build_packed n packed m
-
-let int_compare (x : int) y = if x < y then -1 else if x > y then 1 else 0
 
 (* Sort-dedup-build from an unvalidated packed key array; mutates
    [packed] in place (the builders that use this hold a scratch buffer
@@ -117,11 +125,9 @@ let of_packed_unsorted n packed =
   check_packable n;
   let len = Array.length packed in
   for i = 0 to len - 1 do
-    let e = packed.(i) in
-    let u = e / n and v = e mod n in
-    if e < 0 || u >= v || v >= n then invalid_arg "Graph.of_packed_unsorted: bad key"
+    if not (canonical n packed.(i)) then invalid_arg "Graph.of_packed_unsorted: bad key"
   done;
-  Array.sort int_compare packed;
+  Rn_util.Int_sort.packed ~n packed;
   let m = ref 0 in
   for i = 0 to len - 1 do
     let e = packed.(i) in
@@ -132,11 +138,10 @@ let of_packed_unsorted n packed =
   done;
   build_packed n packed !m
 
-(* Edges are canonicalised and deduplicated as packed ints: sorting an
-   unboxed int array is several times faster than [List.sort_uniq] on
-   tuples, which dominates construction at the experiment sizes.  Input
-   that is already sorted (e.g. re-building from [edges t]) skips the
-   sort. *)
+(* Edges are canonicalised as packed ints and go through
+   [of_packed_unsorted]: sorting an unboxed int array is far faster than
+   [List.sort_uniq] on tuples, and input that is already sorted (e.g.
+   re-building from [edges t]) costs one scan, not a sort. *)
 let of_edges n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
   check_packable n;
@@ -150,21 +155,7 @@ let of_edges n edges =
            if u < v then (u * n) + v else (v * n) + u)
          edges)
   in
-  let len = Array.length packed in
-  let sorted = ref true in
-  for i = 1 to len - 1 do
-    if packed.(i - 1) > packed.(i) then sorted := false
-  done;
-  if not !sorted then Array.sort int_compare packed;
-  let m = ref 0 in
-  Array.iteri
-    (fun i e ->
-      if i = 0 || packed.(i - 1) <> e then begin
-        packed.(!m) <- e;
-        incr m
-      end)
-    packed;
-  build_packed n packed !m
+  of_packed_unsorted n packed
 
 let degree t v =
   check_node t v;

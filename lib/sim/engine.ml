@@ -54,6 +54,7 @@ module Bitset = Rn_util.Bitset
 module Pool = Rn_util.Pool
 module Rng = Rn_util.Rng
 module Timing = Rn_util.Timing
+module Int_sort = Rn_util.Int_sort
 module Metrics = Rn_util.Metrics
 module Graph = Rn_graph.Graph
 module Dual = Rn_graph.Dual
@@ -780,7 +781,9 @@ module Make (M : MESSAGE) = struct
              if !n_bcast = 0 then no_broadcasters
              else begin
                let a = Array.sub bcast 0 !n_bcast in
-               Array.sort (compare : int -> int -> int) a;
+               (* ascending already whenever [active] is (every round
+                  of a beacon): then the sort is one scan *)
+               Int_sort.sort a;
                a
              end
            in

@@ -31,6 +31,24 @@ let test_graph_errors () =
     (Invalid_argument "Graph.of_edges: endpoint out of range") (fun () ->
       ignore (Graph.of_edges 3 [ (0, 3) ]))
 
+(* With n = 0 no key is canonical; the checks must say so rather than
+   divide by n. *)
+let test_packed_bad_keys () =
+  let raises name f = Alcotest.check_raises name (Invalid_argument name) (fun () -> ignore (f ())) in
+  raises "Graph.of_packed: bad key" (fun () -> Graph.of_packed 0 [| 0 |]);
+  raises "Graph.of_packed_unsorted: bad key" (fun () -> Graph.of_packed_unsorted 0 [| 5 |]);
+  raises "Dual.make_packed: bad gray key" (fun () ->
+      Dual.make_packed ~g:(Graph.of_packed 0 [||]) ~gray_pk:[| 0 |] ());
+  Alcotest.check Alcotest.int "n = 0, no keys" 0
+    (Graph.edge_count (Graph.of_packed_unsorted 0 [||]));
+  (* u >= v and negative keys, on both sides of the sort's cutoff *)
+  raises "Graph.of_packed: bad key" (fun () -> Graph.of_packed 4 [| 4 |]);
+  raises "Graph.of_packed_unsorted: bad key" (fun () -> Graph.of_packed_unsorted 4 [| 1; -1 |]);
+  raises "Graph.of_packed_unsorted: bad key" (fun () ->
+      Graph.of_packed_unsorted 64 (Array.init 1000 (fun i -> if i = 999 then 64 else 1 + (i mod 63))));
+  raises "Dual.make_packed: bad gray key" (fun () ->
+      Dual.make_packed ~g:(Graph.of_edges 4 []) ~gray_pk:[| 5 |] ())
+
 let test_graph_neighbors_sorted () =
   let g = Graph.of_edges 5 [ (2, 4); (2, 0); (2, 3); (2, 1) ] in
   Alcotest.(check (array Alcotest.int)) "sorted" [| 0; 1; 3; 4 |] (Graph.neighbors g 2);
@@ -306,26 +324,37 @@ let dual_eq a b =
   && Dual.gray_edges a = Dual.gray_edges b
   && Dual.d a = Dual.d b
 
+(* Grid and naive generation on [n] random points agree, and leave the
+   RNG in the same state; [None] when they do, else what differed. *)
+let grid_naive_mismatch ~n ~pseed ~d =
+  let prng = Rng.create pseed in
+  (* spread tight enough that reliable and gray pairs both occur *)
+  let side = 1.0 +. sqrt (float_of_int n) in
+  let pos = Array.init n (fun _ -> Point.random prng ~w:side ~h:side) in
+  let r1 = Rng.create 42 and r2 = Rng.create 42 in
+  let grid = Gen.of_positions ~rng:r1 ~d ~gray_p:0.5 pos in
+  let naive = Gen.of_positions_naive ~rng:r2 ~d ~gray_p:0.5 pos in
+  let at = Printf.sprintf "at n=%d pseed=%d d=%.1f" n pseed d in
+  if not (dual_eq grid naive) then Some ("grid <> naive " ^ at)
+    (* draw-count equality *)
+  else if Rng.bits r1 <> Rng.bits r2 then Some ("RNG stream diverged " ^ at)
+  else None
+
 let prop_grid_gen_equiv =
   QCheck.Test.make ~name:"grid of_positions = naive oracle (same RNG stream)" ~count:150
     QCheck.(triple (int_range 1 60) (int_range 0 1000) (int_range 0 2))
     (fun (n, pseed, dix) ->
-      let d = [| 1.0; 2.0; 3.5 |].(dix) in
-      let prng = Rng.create pseed in
-      (* spread tight enough that reliable and gray pairs both occur *)
-      let side = 1.0 +. sqrt (float_of_int n) in
-      let pos = Array.init n (fun _ -> Point.random prng ~w:side ~h:side) in
-      let grid = Gen.of_positions ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
-      let naive = Gen.of_positions_naive ~rng:(Rng.create 42) ~d ~gray_p:0.5 pos in
-      if not (dual_eq grid naive) then
-        QCheck.Test.fail_reportf "grid <> naive at n=%d pseed=%d d=%.1f" n pseed d;
-      (* both must leave the RNG in the same state: draw-count equality *)
-      let r1 = Rng.create 42 and r2 = Rng.create 42 in
-      ignore (Gen.of_positions ~rng:r1 ~d ~gray_p:0.5 pos);
-      ignore (Gen.of_positions_naive ~rng:r2 ~d ~gray_p:0.5 pos);
-      if Rng.bits r1 <> Rng.bits r2 then
-        QCheck.Test.fail_reportf "RNG stream diverged at n=%d pseed=%d d=%.1f" n pseed d;
-      true)
+      match grid_naive_mismatch ~n ~pseed ~d:[| 1.0; 2.0; 3.5 |].(dix) with
+      | Some msg -> QCheck.Test.fail_report msg
+      | None -> true)
+
+(* At n <= 60 the key arrays stay below the sort's bucket-pass cutoff;
+   these sizes put the reliable and gray-candidate keys through it. *)
+let test_grid_gen_real_sizes () =
+  List.iter
+    (fun (n, pseed, d) ->
+      Option.iter Alcotest.fail (grid_naive_mismatch ~n ~pseed ~d))
+    [ (1000, 1, 2.0); (1777, 2, 1.0); (2500, 3, 3.5); (3000, 4, 2.0) ]
 
 let prop_grid_gen_negative_coords =
   (* the clusters generator places points at negative coordinates; the
@@ -349,6 +378,7 @@ let () =
         [
           Alcotest.test_case "dedup" `Quick test_graph_dedup;
           Alcotest.test_case "errors" `Quick test_graph_errors;
+          Alcotest.test_case "packed bad keys" `Quick test_packed_bad_keys;
           Alcotest.test_case "neighbors sorted" `Quick test_graph_neighbors_sorted;
           Alcotest.test_case "union/subgraph" `Quick test_graph_union;
           Alcotest.test_case "induced" `Quick test_graph_induced;
@@ -386,5 +416,10 @@ let () =
           Alcotest.test_case "incidence at n=2^20" `Quick test_incidence_n2p20;
           Alcotest.test_case "geometry validation" `Quick test_dual_geometry_validation;
         ] );
-      ("world-gen", [ qtest prop_grid_gen_equiv; qtest prop_grid_gen_negative_coords ]);
+      ( "world-gen",
+        [
+          qtest prop_grid_gen_equiv;
+          qtest prop_grid_gen_negative_coords;
+          Alcotest.test_case "grid = naive at n in [1000, 3000]" `Quick test_grid_gen_real_sizes;
+        ] );
     ]

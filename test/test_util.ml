@@ -7,6 +7,7 @@ module Fit = Rn_util.Fit
 module Bitset = Rn_util.Bitset
 module Union_find = Rn_util.Union_find
 module Table = Rn_util.Table
+module Int_sort = Rn_util.Int_sort
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -452,6 +453,120 @@ let prop_uf_components =
       in
       Union_find.components uf = naive_components)
 
+(* ---------------- Int_sort ---------------- *)
+
+(* The oracle is [Array.stable_sort compare], which shares no code with
+   [Int_sort]; the world-generation oracles in test_graph go through
+   [Int_sort] on both sides. *)
+
+type shape = Random | Duplicates | One_bucket | All_equal | Ascending | Descending | Organ_pipe
+
+let shapes = [ Random; Duplicates; One_bucket; All_equal; Ascending; Descending; Organ_pipe ]
+
+let shape_name = function
+  | Random -> "random"
+  | Duplicates -> "duplicates"
+  | One_bucket -> "one bucket"
+  | All_equal -> "all equal"
+  | Ascending -> "ascending"
+  | Descending -> "descending"
+  | Organ_pipe -> "organ pipe"
+
+(* [len] keys [u * n + v] with [u, v < n], of the given shape, drawn
+   from [seed]. *)
+let packed_keys ~n ~shape ~len seed =
+  let rng = Rng.create seed in
+  let key () = (Rng.int rng n * n) + Rng.int rng n in
+  let a =
+    match shape with
+    | Duplicates ->
+      let pool = Array.init (1 + (len / 8)) (fun _ -> key ()) in
+      Array.init len (fun _ -> pool.(Rng.int rng (Array.length pool)))
+    | One_bucket ->
+      let u = Rng.int rng n in
+      Array.init len (fun _ -> (u * n) + Rng.int rng n)
+    | All_equal -> Array.make len (key ())
+    | Random | Ascending | Descending | Organ_pipe -> Array.init len (fun _ -> key ())
+  in
+  (match shape with
+  | Ascending -> Array.sort compare a
+  | Descending -> Array.sort (fun x y -> compare y x) a
+  | Organ_pipe ->
+    Array.sort compare a;
+    let h = len / 2 in
+    let back = Array.sub a h (len - h) in
+    Array.iteri (fun i x -> a.(len - 1 - i) <- x) back
+  | Random | Duplicates | One_bucket | All_equal -> ());
+  a
+
+(* Both entry points agree with the oracle on [a]. *)
+let int_sort_agrees ~n a =
+  let expect = Array.copy a in
+  Array.stable_sort compare expect;
+  let p = Array.copy a and s = Array.copy a in
+  Int_sort.packed ~n p;
+  Int_sort.sort s;
+  p = expect && s = expect
+
+(* Lengths on both sides of the short-array cutoff (a few hundred keys);
+   with n <= 64 most long arrays take the bucket pass, with larger n most
+   have fewer keys than buckets and go straight to the introsort. *)
+let prop_int_sort_packed =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 1; 2; 3; 64; 4096; 65536 ] >>= fun n ->
+    oneofl shapes >>= fun shape ->
+    oneof [ int_bound 300; int_bound 4000 ] >>= fun len ->
+    int_bound 1_000_000 >|= fun seed -> (n, shape, len, seed)
+  in
+  let print (n, shape, len, seed) =
+    Printf.sprintf "n=%d %s len=%d seed=%d" n (shape_name shape) len seed
+  in
+  QCheck.Test.make ~name:"packed and sort = stable_sort compare" ~count:500
+    (QCheck.make ~print gen) (fun (n, shape, len, seed) ->
+      int_sort_agrees ~n (packed_keys ~n ~shape ~len seed))
+
+(* Sizes fixed to reach the bucket pass at large n (more keys than
+   buckets), and the sparse large-n case that must skip it. *)
+let test_int_sort_sizes () =
+  List.iter
+    (fun (n, len) ->
+      List.iteri
+        (fun i shape ->
+          if not (int_sort_agrees ~n (packed_keys ~n ~shape ~len (n + i))) then
+            Alcotest.failf "n=%d len=%d %s" n len (shape_name shape))
+        shapes)
+    [ (4096, 20_000); (65536, 70_000); (1 lsl 20, 100) ];
+  (* n² overflows an int: every non-negative key is in range *)
+  let a = [| max_int; 0; max_int - 1 |] in
+  Int_sort.packed ~n:(1 lsl 31) a;
+  Alcotest.(check (array int)) "n = 2^31" [| 0; max_int - 1; max_int |] a
+
+let prop_int_sort_any_ints =
+  QCheck.Test.make ~name:"sort = stable_sort compare (any ints)" ~count:300
+    QCheck.(oneof [ array int; array_of_size Gen.(int_bound 3000) (int_bound 50) ])
+    (fun a ->
+      let expect = Array.copy a and s = Array.copy a in
+      Array.stable_sort compare expect;
+      Int_sort.sort s;
+      s = expect)
+
+let test_int_sort_errors () =
+  let bad = Invalid_argument "Int_sort.packed: key out of range" in
+  Alcotest.check_raises "n = 0" bad (fun () -> Int_sort.packed ~n:0 [| 0 |]);
+  Alcotest.check_raises "key = n^2" bad (fun () -> Int_sort.packed ~n:4 [| 16 |]);
+  Alcotest.check_raises "negative key" bad (fun () -> Int_sort.packed ~n:4 [| -1 |]);
+  Int_sort.packed ~n:0 [||];
+  (* a rejected array is left as it was, long or short *)
+  List.iter
+    (fun len ->
+      let a = Array.init len (fun i -> (len - i) mod 16) in
+      a.(len - 1) <- 16;
+      let before = Array.copy a in
+      Alcotest.check_raises "bad last key" bad (fun () -> Int_sort.packed ~n:4 a);
+      Alcotest.(check (array int)) "unchanged" before a)
+    [ 3; 1000 ]
+
 (* ---------------- Table ---------------- *)
 
 let test_table_render () =
@@ -520,6 +635,13 @@ let () =
           qtest prop_bitset_diff;
           qtest prop_bitset_subset;
           qtest prop_bitset_cardinal;
+        ] );
+      ( "int-sort",
+        [
+          qtest prop_int_sort_packed;
+          Alcotest.test_case "large n, counting and sparse" `Quick test_int_sort_sizes;
+          qtest prop_int_sort_any_ints;
+          Alcotest.test_case "errors" `Quick test_int_sort_errors;
         ] );
       ( "acc2",
         [
