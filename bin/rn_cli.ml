@@ -84,19 +84,24 @@ let run_mis n degree seed tau adversary trace =
   let dual, det = build_instance ~seed ~n ~degree ~tau in
   Printf.printf "instance: %s, Delta=%d\n" (Format.asprintf "%a" Dual.pp dual)
     (Dual.max_degree_g dual);
-  let tracer = Rn_sim.Trace.create () in
-  let observer (v : R.view) =
-    Rn_sim.Trace.observe tracer ~view_round:v.R.view_round
-      ~view_broadcasters:v.R.view_broadcasters ~view_decided:v.R.view_decided
-      ~view_outputs:v.R.view_outputs
+  (* An observer disables silent-round fast-forward, so only a traced
+     run installs one. *)
+  let tracer = if trace then Some (Rn_sim.Trace.create ()) else None in
+  let observer =
+    Option.map
+      (fun tracer (v : R.view) ->
+        Rn_sim.Trace.observe tracer ~view_round:v.R.view_round
+          ~view_broadcasters:v.R.view_broadcasters ~view_decided:v.R.view_decided
+          ~view_outputs:v.R.view_outputs)
+      tracer
   in
-  let cfg = R.config ~adversary ~seed ~observer ~detector:(Detector.static det) dual in
+  let cfg = R.config ~adversary ~seed ?observer ~detector:(Detector.static det) dual in
   let res =
     R.run cfg (fun ctx ->
         Core.Mis.body ~on_decide:(fun v -> R.output ctx v) Core.Params.default ctx)
   in
   summarize_engine "mis" (res.R.rounds, res.R.stats, res.R.timed_out);
-  if trace then Format.printf "%a@." Rn_sim.Trace.pp tracer;
+  Option.iter (Format.printf "%a@." Rn_sim.Trace.pp) tracer;
   print_mis_report dual det res.R.outputs
 
 let trace_arg =

@@ -28,8 +28,12 @@
      jump — without perturbing any later round's randomness;
    - delivery scratch (`recv_count`/`recv_from`/`touched`) and the
      broadcaster buffer are preallocated and reset via the touched list, so
-     steady-state rounds allocate nothing but the sorted broadcaster
-     snapshot handed to the adversary and observer.
+     collect and delivery allocate nothing but the sorted broadcaster
+     snapshot handed to the adversary and observer and each delivery's
+     [Recv m];
+   - the handlers return where a fiber stopped, through continuation
+     functions shared by every fiber, so a perform allocates no handler
+     closure (DESIGN.md, "Allocation budget of a fiber round").
 
    Each round the engine also picks how to evaluate three phases, by
    cost: the adversary's gray-edge choice (a policy's mask kernel when
@@ -88,6 +92,15 @@ let m_timeouts = Metrics.counter "engine.timeouts"
    parks), and listeners woken early by a delivery. *)
 let m_resumes = Metrics.counter "engine.resumes"
 let m_listen_wakes = Metrics.counter "engine.listen_wakes"
+(* Words allocated in the minor heap, and words promoted to the major
+   heap, while a [run] executes.  They are read from [Gc.counters] at the
+   start and the end of the run, so they count the calling domain only:
+   the sharded resume's Pool workers step fibers on their own domains,
+   and what those steps allocate is not included.  ([Gc.quick_stat]
+   would sum every domain, which blends concurrent cells under
+   [--jobs N].) *)
+let m_minor_words = Metrics.counter "engine.minor_words"
+let m_promoted_words = Metrics.counter "engine.promoted_words"
 let m_round_bcast = Metrics.histogram "engine.round_broadcasters"
 let m_run_rounds = Metrics.histogram "engine.run_rounds"
 
@@ -286,11 +299,23 @@ module Make (M : MESSAGE) = struct
 
   (* A fiber between resumptions: waiting on this round's receive, parked
      by [idle] ([Parked (false, _)]) or [listen] ([Parked (true, _)]), or
-     absent (asleep / finished). *)
-  type fiber_pending =
+     absent (asleep / finished).  ['r] is the handler's result type. *)
+  type 'r fiber_pending =
     | No_fiber
-    | Synced of (receive, unit) Effect.Deep.continuation
-    | Parked of bool * ((int * M.t) option, unit) Effect.Deep.continuation
+    | Synced of (receive, 'r) Effect.Deep.continuation
+    | Parked of bool * ((int * M.t) option, 'r) Effect.Deep.continuation
+
+  (* [run]'s handlers return where the fiber stopped, so starting or
+     resuming a fiber evaluates to its new pending state and the caller
+     records it.  The continuation functions then need no fiber id: they
+     are built once, here, and shared by every fiber of every run. *)
+  type stopped = Stopped of stopped fiber_pending [@@unboxed]
+
+  let stop_sync =
+    Some (fun (k : (receive, stopped) Effect.Deep.continuation) -> Stopped (Synced k))
+  let stop_listen = Some (fun k -> Stopped (Parked (true, k)))
+  let stop_idle = Some (fun k -> Stopped (Parked (false, k)))
+  let stop_return () = Stopped No_fiber
 
   let no_broadcasters : int array = [||]
 
@@ -316,6 +341,13 @@ module Make (M : MESSAGE) = struct
       wake
 
   let run cfg body =
+    let met = Metrics.enabled () in
+    let minor0, promoted0 =
+      if met then
+        let minor, promoted, _ = Gc.counters () in
+        (minor, promoted)
+      else (0.0, 0.0)
+    in
     let dual = cfg.dual in
     let nn = Dual.n dual in
     let root_rng = Rng.create cfg.seed in
@@ -327,7 +359,7 @@ module Make (M : MESSAGE) = struct
     let decided = Array.make nn None in
     let returns = Array.make nn None in
     let sends = Array.make nn None in
-    let pending = Array.make nn No_fiber in
+    let pending : stopped fiber_pending array = Array.make nn No_fiber in
     let round_counter = ref 0 in
     let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
     let bits_sent = ref 0 and silent_rounds = ref 0 in
@@ -341,11 +373,10 @@ module Make (M : MESSAGE) = struct
       | Some s -> (true, fun e -> Events.emit s e)
       | None -> (false, fun (_ : Events.event) -> ())
     in
-    let met = Metrics.enabled () in
-    (* Resume-phase sharding.  [resume_assign.(v)] routes fiber [v]'s next
-       effect: -1 (the default, and always outside a sharded resume) means
-       the handler mutates the global worklist/heap/counters directly; a
-       shard index means it appends to that shard's private buffer.
+    (* Resume-phase sharding.  [resume_assign.(v)] routes fiber [v]'s
+       first decision: -1 (the default, and always outside a sharded
+       resume) means [do_output] counts it directly; a shard index means
+       it counts in that shard's private buffer.
        Assignments are set by the main domain before the Pool dispatch and
        cleared after the merge, so the wake phase and the scalar path never
        see one.  A sink forces the scalar step (Decide events must come out
@@ -465,62 +496,64 @@ module Make (M : MESSAGE) = struct
     (* The round a fresh [Park] starts counting from: the current round
        during the wake phase, the next round during the resume phase. *)
     let park_base = ref 0 in
-    (* During a sharded resume the handler closures execute on whichever
-       Pool domain stepped the fiber; [resume_assign.(v)] routes their
-       side effects into that shard's private buffer.  [park_base] and
-       [round_counter] are only read during a resume phase and only
-       written by the main domain between phases, so the reads are
-       stable. *)
-    let handler v : (unit, unit) Effect.Deep.handler =
+    (* One handler per fiber, built when the fiber starts.  Its [effc]
+       stores the effect's payload in the fiber's own slot ([sends.(v)],
+       [park_dur.(v)]) and returns one of the shared continuation
+       functions, so a [Sync] or [Park] perform allocates no handler
+       closure and a fiber holds only this record and its [effc]. *)
+    let park_dur = Array.make (max 1 nn) 0 in
+    let handler v : (unit, stopped) Effect.Deep.handler =
       {
-        retc =
-          (fun () ->
-            pending.(v) <- No_fiber;
-            let s = resume_assign.(v) in
-            if s < 0 then incr n_finished
-            else begin
-              let b = (!resume_bufs).(s) in
-              b.rb_finished <- b.rb_finished + 1
-            end);
+        retc = stop_return;
         exnc = raise;
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, stopped) Effect.Deep.continuation -> stopped) option ->
             match eff with
             | Sync send ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  sends.(v) <- send;
-                  pending.(v) <- Synced k;
-                  let s = resume_assign.(v) in
-                  if s < 0 then begin
-                    joining.(!n_joining) <- v;
-                    incr n_joining
-                  end
-                  else begin
-                    let b = (!resume_bufs).(s) in
-                    b.rb_join.(b.rb_join_n) <- v;
-                    b.rb_join_n <- b.rb_join_n + 1
-                  end)
+              sends.(v) <- send;
+              stop_sync
             | Park (dur, wake_early) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  pending.(v) <- Parked (wake_early, k);
-                  park_start.(v) <- !park_base;
-                  let key = park_expiry !park_base dur in
-                  let s = resume_assign.(v) in
-                  if s < 0 then heap_push key v
-                  else begin
-                    let b = (!resume_bufs).(s) in
-                    b.rb_park_r.(b.rb_park_n) <- key;
-                    b.rb_park_v.(b.rb_park_n) <- v;
-                    b.rb_park_n <- b.rb_park_n + 1
-                  end)
+              park_dur.(v) <- dur;
+              if wake_early then stop_listen else stop_idle
             | _ -> None);
       }
     in
+    (* Record where fiber [v] stopped: a synced fiber joins the next
+       worklist, a parked one enters the heap with the stretch starting
+       at [park_base].  [settle] updates the engine's own structures;
+       [settle_shard] runs on a Pool domain during a sharded resume and
+       appends to that shard's private buffer instead.  [park_base] is
+       only written by the main domain between phases, so the read is
+       stable. *)
+    let settle v (Stopped p) =
+      pending.(v) <- p;
+      match p with
+      | Synced _ ->
+        joining.(!n_joining) <- v;
+        incr n_joining
+      | Parked _ ->
+        park_start.(v) <- !park_base;
+        heap_push (park_expiry !park_base park_dur.(v)) v
+      | No_fiber -> incr n_finished
+    in
+    let settle_shard b v (Stopped p) =
+      pending.(v) <- p;
+      match p with
+      | Synced _ ->
+        b.rb_join.(b.rb_join_n) <- v;
+        b.rb_join_n <- b.rb_join_n + 1
+      | Parked _ ->
+        park_start.(v) <- !park_base;
+        b.rb_park_r.(b.rb_park_n) <- park_expiry !park_base park_dur.(v);
+        b.rb_park_v.(b.rb_park_n) <- v;
+        b.rb_park_n <- b.rb_park_n + 1
+      | No_fiber -> b.rb_finished <- b.rb_finished + 1
+    in
     let start v =
       let ctx = mk_ctx v in
-      Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v)
+      settle v
+        (Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v))
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
@@ -685,7 +718,8 @@ module Make (M : MESSAGE) = struct
        receive, a parked one with the message that woke it (its receive
        slot holds [Recv m] only then) or with [None] when its stretch
        expired.  Runs on a Pool domain under the sharded resume, touching
-       only [v]'s own slots. *)
+       only [v]'s own slots.  Evaluates to where the fiber stopped next,
+       for [settle] or [settle_shard]. *)
     let step r v =
       match pending.(v) with
       | Synced k ->
@@ -972,8 +1006,10 @@ module Make (M : MESSAGE) = struct
              done;
              Pool.run_n (get_pool ())
                (fun s ->
+                 let b = bufs.(s) in
                  for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
-                   step r resume_work.(i)
+                   let v = resume_work.(i) in
+                   settle_shard b v (step r v)
                  done)
                resume_shards;
              for s = 0 to resume_shards - 1 do
@@ -993,16 +1029,18 @@ module Make (M : MESSAGE) = struct
            else begin
              resumes := !resumes + !n_active + !n_woken;
              for i = 0 to !n_active - 1 do
-               step r active.(i)
+               let v = active.(i) in
+               settle v (step r v)
              done;
              for i = 0 to !n_woken - 1 do
                let v = woken.(i) in
                heap_remove v;
-               step r v
+               settle v (step r v)
              done;
              while !heap_n > 0 && heap_r.(0) = r do
                incr resumes;
-               step r (heap_pop ())
+               let v = heap_pop () in
+               settle v (step r v)
              done
            end;
            Array.blit joining 0 active 0 !n_joining;
@@ -1038,7 +1076,10 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_listen_wakes !listen_wakes;
       Metrics.add m_kernel_rounds !kernel_rounds;
       if !timed_out then Metrics.incr m_timeouts;
-      Metrics.observe m_run_rounds !round_counter
+      Metrics.observe m_run_rounds !round_counter;
+      let minor, promoted, _ = Gc.counters () in
+      Metrics.add m_minor_words (int_of_float (minor -. minor0));
+      Metrics.add m_promoted_words (int_of_float (promoted -. promoted0))
     end;
     {
       outputs;

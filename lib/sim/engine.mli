@@ -192,7 +192,11 @@ module Make (M : MESSAGE) : sig
       no engine state, so the result is byte-identical to an untraced
       run, and every phase takes its scalar path.  When
       {!Rn_util.Metrics.enabled} (sampled once per run), engine-level
-      [engine.*] counters and histograms are recorded. *)
+      [engine.*] counters and histograms are recorded.  Among them,
+      [engine.minor_words] and [engine.promoted_words] are the words the
+      run allocated in, and promoted from, the minor heap of the calling
+      domain only: what the sharded resume's workers allocate on their
+      own domains is not counted. *)
   val run : config -> (ctx -> 'a) -> 'a result
 
   (** Straightforward O(n)-scans-per-round implementation of exactly the

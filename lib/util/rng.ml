@@ -1,53 +1,68 @@
-(* Deterministic splittable PRNG based on splitmix64.
+(* Deterministic PRNG based on splitmix64.
 
    Every stochastic component of the simulator draws from an [Rng.t] derived
    from a single experiment seed, so executions are reproducible bit-for-bit
-   across runs and machines.  [split] derives an independent stream, which is
-   how each simulated process receives its own generator. *)
+   across runs and machines.  [derive] gives each labelled sub-component
+   (each simulated process, the adversary) its own stream.
 
-type t = { mutable state : int64 }
+   The 64-bit state lives unboxed in an 8-byte [Bytes.t], read and written
+   with the unchecked native-endian primitives.  A [{ mutable state :
+   int64 }] record would box a fresh [int64] on every store, and without
+   flambda every call into a separate mixing function boxes its argument
+   and its result.  So [mix] is inlined into each draw: a draw loads the
+   state, advances, stores and mixes in one function body with no boxed
+   [int64] or [float] in between, and allocates nothing (test_util's
+   allocation budget checks this). *)
+
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline always] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+(* Advance [t] and return the mixed output. *)
+let[@inline always] next t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  mix s
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let split t =
-  let s = next_int64 t in
-  { state = mix64 s }
+let create seed = of_state (mix (Int64.of_int seed))
 
-(* Derive a stream for a labelled sub-component: deterministic in both the
-   parent state *value* (not identity) and the label. *)
-let derive t label =
-  let s = mix64 (Int64.logxor t.state (Int64.of_int (0x61C88647 * (label + 1)))) in
-  { state = s }
+(* The state [derive] seeds from: deterministic in both the parent state
+   *value* (not identity) and the label. *)
+let[@inline always] derived parent label =
+  mix (Int64.logxor (get64 parent 0) (Int64.of_int (0x61C88647 * (label + 1))))
+
+let derive t label = of_state (derived t label)
 
 (* Same derivation as [derive], but re-seeds an existing generator instead of
    allocating one.  The engine re-derives the adversary stream every round, so
    this keeps the hot loop allocation-free. *)
-let derive_into dst ~parent label =
-  dst.state <- mix64 (Int64.logxor parent.state (Int64.of_int (0x61C88647 * (label + 1))))
+let derive_into dst ~parent label = set64 dst 0 (derived parent label)
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   bits t mod bound
 
-let float t =
-  (* 53 uniform bits mapped to [0, 1). *)
-  let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  x /. 9007199254740992.0
+(* 53 uniform bits mapped to [0, 1). *)
+let[@inline always] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
 
-let bool t p = float t < p
+let float t = unit_float t
+let bool t p = unit_float t < p
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

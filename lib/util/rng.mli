@@ -1,15 +1,13 @@
-(** Deterministic splittable PRNG (splitmix64).
+(** Deterministic PRNG (splitmix64).
 
     All randomness in the simulator flows from a single experiment seed
-    through [create]/[split]/[derive], making every execution reproducible. *)
+    through [create]/[derive], making every execution reproducible.  The
+    draws [bits], [int], [bool] and [derive_into] allocate nothing. *)
 
 type t
 
 (** [create seed] returns a fresh generator determined by [seed]. *)
 val create : int -> t
-
-(** [split t] advances [t] and returns an independent generator. *)
-val split : t -> t
 
 (** [derive t label] returns a generator determined by [t]'s current state
     and [label], without advancing [t].  Used to give process [label] its own

@@ -560,6 +560,36 @@ let test_detector_breaks_stabilisation () =
   Alcotest.(check (option string)) "run_reference re-queries" (Some "1111110000")
     (E.run_reference cfg body).E.returns.(0)
 
+(* --- allocation budget --------------------------------------------------- *)
+
+(* A steady-state round allocates only what a fiber round cannot avoid
+   yet: the [Sync] effect and its [Some], the continuation, its [Synced]
+   wrapper and a delivery's [Recv].  The draw in [sync_p] and the
+   handler's continuation function allocate nothing: 11.1 words per
+   fiber-round on this ring.  A boxed RNG state or a handler closure
+   built per perform each adds 8, which the budget of 15 catches.  Two
+   runs that differ only in length cancel the setup's allocation. *)
+let test_beacon_alloc_budget () =
+  let n = 2048 and short = 8 and long = 40 in
+  let dual = Dual.classic (Gen.ring n) in
+  let words rounds =
+    let cfg = E.config ~seed:5 ~stop:(At_round rounds) ~detector:(perfect dual) dual in
+    let body ctx =
+      for _ = 1 to rounds do
+        ignore (E.sync_p ctx 0.25 (E.me ctx))
+      done
+    in
+    let w0 = Gc.minor_words () in
+    let r = E.run cfg body in
+    let w = Gc.minor_words () -. w0 in
+    Alcotest.(check int) (Printf.sprintf "%d rounds run" rounds) rounds r.E.rounds;
+    w
+  in
+  ignore (words short);
+  let per_fiber_round = (words long -. words short) /. float_of_int (n * (long - short)) in
+  if per_fiber_round > 15.0 then
+    Alcotest.failf "%.1f words per fiber-round, budget 15" per_fiber_round
+
 (* --- delivery kernel --------------------------------------------------- *)
 
 (* Each node broadcasts w.p. 0.03 for 30 rounds, logging every sender it
@@ -1114,6 +1144,11 @@ let () =
             [
               Alcotest.test_case "run caches a broken stabilizes_at" `Quick
                 test_detector_breaks_stabilisation;
+            ] );
+          ( "allocation",
+            [
+              Alcotest.test_case "steady-state beacon: <= 15 words per fiber-round" `Quick
+                test_beacon_alloc_budget;
             ] );
         ] );
       ( "engine-paths-delivery",

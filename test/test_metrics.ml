@@ -268,6 +268,10 @@ let test_engine_metrics_recorded () =
     "collisions"
     (Some r.R.stats.Rn_sim.Engine.collisions)
     (c "engine.collisions");
+  (* a run of n = 32 fibers allocates; it need not promote anything *)
+  Alcotest.(check bool)
+    "minor words recorded" true
+    (match c "engine.minor_words" with Some w -> w > 0 | None -> false);
   Metrics.reset ()
 
 (* --- harness: per-experiment metrics, cold sweep = warm replay --- *)

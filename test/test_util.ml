@@ -91,6 +91,142 @@ let test_rng_geometric_support () =
     Alcotest.(check bool) "geometric >= 1" true (Rng.geometric t 0.5 >= 1)
   done
 
+(* The splitmix64 generator as it was first written: a boxed [int64]
+   record that boxes on every draw.  [Rng] keeps its state unboxed, and
+   must give bit-identical streams to this reference. *)
+module Rng_ref = struct
+  type t = { mutable state : int64 }
+
+  let mix64 z =
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.(logxor z (shift_right_logical z 31))
+
+  let create seed = { state = mix64 (Int64.of_int seed) }
+
+  let next_int64 t =
+    t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
+    mix64 t.state
+
+  let derive t label =
+    { state = mix64 (Int64.logxor t.state (Int64.of_int (0x61C88647 * (label + 1)))) }
+
+  let derive_into dst ~parent label =
+    dst.state <- mix64 (Int64.logxor parent.state (Int64.of_int (0x61C88647 * (label + 1))))
+  let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+  let int t bound = bits t mod bound
+
+  let float t =
+    Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) /. 9007199254740992.0
+
+  let bool t p = float t < p
+
+  let shuffle_in_place t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+
+  let permutation t n =
+    let a = Array.init n (fun i -> i) in
+    shuffle_in_place t a;
+    a
+end
+
+(* The next [k] draws of both generators agree. *)
+let same_bits ?(k = 8) t r =
+  List.init k (fun _ -> Rng.bits t) = List.init k (fun _ -> Rng_ref.bits r)
+
+let prop_rng_ref_derive =
+  QCheck.Test.make ~name:"create, derive and derive_into = reference" ~count:500
+    QCheck.(quad int int int (int_range 0 5))
+    (fun (seed, l1, l2, skip) ->
+      let t = Rng.create seed and r = Rng_ref.create seed in
+      let fresh = same_bits (Rng.create seed) (Rng_ref.create seed) in
+      (* derive from a parent some draws into its stream *)
+      for _ = 1 to skip do
+        ignore (Rng.bits t);
+        ignore (Rng_ref.bits r)
+      done;
+      let d = Rng.derive t l1 and dr = Rng_ref.derive r l1 in
+      (* [derive_into] overwrites a generator that has a stream of its own *)
+      let into = Rng.create l2 and into_r = Rng_ref.create l2 in
+      Rng.derive_into into ~parent:d l2;
+      Rng_ref.derive_into into_r ~parent:dr l2;
+      fresh && same_bits into into_r && same_bits d dr && same_bits t r)
+
+type draw = Bits | Int of int | Float | Bool of float
+
+let draw_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return Bits;
+        map (fun b -> Int b) (oneof [ int_range 1 100; int_range 1 max_int ]);
+        return Float;
+        map (fun p -> Bool p) (float_range (-0.1) 1.1);
+      ])
+
+let prop_rng_ref_interleaved =
+  QCheck.Test.make ~name:"interleaved bits, int, float and bool = reference" ~count:300
+    QCheck.(pair int (make Gen.(list_size (int_range 0 200) draw_gen)))
+    (fun (seed, draws) ->
+      let t = Rng.create seed and r = Rng_ref.create seed in
+      List.for_all
+        (function
+          | Bits -> Rng.bits t = Rng_ref.bits r
+          | Int b -> Rng.int t b = Rng_ref.int r b
+          | Float -> Int64.bits_of_float (Rng.float t) = Int64.bits_of_float (Rng_ref.float r)
+          | Bool p -> Rng.bool t p = Rng_ref.bool r p)
+        draws)
+
+let prop_rng_ref_permutation =
+  QCheck.Test.make ~name:"permutation and shuffle_in_place = reference" ~count:300
+    QCheck.(triple int (int_range 0 300) (list small_int))
+    (fun (seed, n, l) ->
+      let t = Rng.create seed and r = Rng_ref.create seed in
+      let perm = Rng.permutation t n = Rng_ref.permutation r n in
+      let a = Array.of_list l and b = Array.of_list l in
+      Rng.shuffle_in_place t a;
+      Rng_ref.shuffle_in_place r b;
+      perm && a = b && same_bits t r)
+
+(* Minor-heap words [f] allocates, less what the probe itself costs. *)
+let minor_words_of f =
+  let words g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let probe = words ignore in
+  words f -. probe
+
+let test_rng_alloc_free () =
+  let t = Rng.create 5 and dst = Rng.create 0 in
+  let budget name f =
+    Alcotest.(check (float 0.0))
+      (name ^ ": 10,000 draws allocate nothing")
+      0.0 (minor_words_of f)
+  in
+  budget "bool" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Rng.bool t 0.25))
+      done);
+  budget "bits" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Rng.bits t))
+      done);
+  budget "int" (fun () ->
+      for i = 1 to 10_000 do
+        ignore (Sys.opaque_identity (Rng.int t i))
+      done);
+  budget "derive_into" (fun () ->
+      for i = 1 to 10_000 do
+        Rng.derive_into dst ~parent:t i
+      done)
+
 (* ---------------- Ilog ---------------- *)
 
 let test_ilog_known () =
@@ -599,6 +735,10 @@ let () =
           qtest prop_rng_float_unit;
           qtest prop_rng_permutation;
           qtest prop_rng_shuffle_multiset;
+          qtest prop_rng_ref_derive;
+          qtest prop_rng_ref_interleaved;
+          qtest prop_rng_ref_permutation;
+          Alcotest.test_case "draws allocate nothing" `Quick test_rng_alloc_free;
         ] );
       ( "ilog",
         [
