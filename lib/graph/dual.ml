@@ -85,6 +85,14 @@ let iter_gray_adj f t v =
     f (x land mask) (x lsr sh)
   done
 
+(* Read-only incidence access for closure-free walks: entry [i] of
+   [v]'s row, for [i] in [gray_lo t v, gray_hi t v), descending id like
+   [iter_gray_adj]. *)
+let gray_lo t v = t.goff.(v)
+let gray_hi t v = t.goff.(v + 1)
+let gray_nbr_at t i = t.gid.(i) land ((1 lsl t.gsh) - 1)
+let gray_id_at t i = t.gid.(i) lsr t.gsh
+
 (* Compat view of one row as a materialised tuple array (tests, detector
    construction); hot paths use {!iter_gray_adj}. *)
 let gray_adj t v =
@@ -273,14 +281,14 @@ let adv_csr t =
           Atomic.set t.adv_csr (Some c);
           c)
 
-let gray_lower_range t u =
+(* Every gray edge incident to [u] into [active]: the lower-endpoint
+   ids as one word-parallel range fill, the upper-endpoint ids one by
+   one. *)
+let add_gray_incident t active u =
   let c = adv_csr t in
-  (c.loff.(u), c.loff.(u + 1))
-
-let iter_gray_upper f t v =
-  let c = adv_csr t in
-  for i = c.uoff.(v) to c.uoff.(v + 1) - 1 do
-    f (Array.unsafe_get c.uid i)
+  Bitset.fill_range active c.loff.(u) c.loff.(u + 1);
+  for i = c.uoff.(u) to c.uoff.(u + 1) - 1 do
+    Bitset.add active (Array.unsafe_get c.uid i)
   done
 
 (* A dual graph with no unreliable links: the classic radio model G = G'. *)

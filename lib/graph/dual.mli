@@ -61,6 +61,16 @@ val iter_gray_adj : (int -> int -> unit) -> t -> int -> unit
 
 val gray_degree : t -> int -> int
 
+(** Read-only incidence access, for per-round walks that must not build
+    a closure: [v]'s gray incidence is entries [i] from [gray_lo t v] to
+    [gray_hi t v - 1], in the order of {!iter_gray_adj}; entry [i]
+    joins [v] to [gray_nbr_at t i] by gray edge [gray_id_at t i]. *)
+val gray_lo : t -> int -> int
+
+val gray_hi : t -> int -> int
+val gray_nbr_at : t -> int -> int
+val gray_id_at : t -> int -> int
+
 (** Gray incidence of every node as a bitset over gray edge ids, freshly
     built on each call: bit [id] of row [v] is set iff gray edge [id]
     touches [v].  Costs O(n * gray) bits, so it is meant for replays and
@@ -74,19 +84,16 @@ val gray_masks : t -> Rn_util.Bitset.t array
     [ng - 1] would not fit above it; {!make_packed} applies this check. *)
 val incidence_shift : n:int -> ng:int -> int
 
-(** [gray_lower_range t u] is the contiguous id range [(lo, hi)] of the
-    gray edges whose LOWER endpoint is [u] — contiguous because dense ids
-    follow ascending packed [(u, v)] order.  The adversary kernel turns
-    "activate every gray edge of broadcaster [u]" into a word-parallel
-    {!Rn_util.Bitset.fill_range} over this range plus per-id visits of
-    {!iter_gray_upper}.  Backed by a lazily-built O(n + gray)-int CSR,
-    published atomically (safe to share across domains). *)
-val gray_lower_range : t -> int -> int * int
-
-(** [iter_gray_upper f t v] calls [f id] for each gray edge whose UPPER
-    endpoint is [v], ascending id.  Same lazy CSR as
-    {!gray_lower_range}; every gray edge appears exactly once per side. *)
-val iter_gray_upper : (int -> unit) -> t -> int -> unit
+(** [add_gray_incident t active u] adds the id of every gray edge
+    incident to [u] to [active] (capacity {!gray_count}), word-parallel
+    on the side where [u] is the lower endpoint: dense ids follow
+    ascending packed [(u, v)] order, so those ids form one contiguous
+    range and take one {!Rn_util.Bitset.fill_range}; the ids where [u] is
+    the upper endpoint are added one by one.  The adversary kernel's
+    "activate every gray edge of a broadcaster".  Backed by a
+    lazily-built O(n + gray)-int endpoint-split CSR, published atomically
+    (safe to share across domains). *)
+val add_gray_incident : t -> Rn_util.Bitset.t -> int -> unit
 
 val positions : t -> Rn_geom.Point.t array option
 

@@ -68,8 +68,6 @@ let adj_rows t =
           Atomic.set t.rows (Some r);
           r)
 
-let adj_row t v = (adj_rows t).(v)
-
 let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Graph: node out of range"
 
@@ -174,13 +172,11 @@ let iter_neighbors f t v =
     f (Array.unsafe_get t.nbr i)
   done
 
-let fold_neighbors f t v init =
-  check_node t v;
-  let acc = ref init in
-  for i = t.off.(v) to t.off.(v + 1) - 1 do
-    acc := f (Array.unsafe_get t.nbr i) !acc
-  done;
-  !acc
+(* Read-only CSR access for closure-free walks: the neighbours of [v]
+   are [nbr_at t i] for [i] in [row_lo t v, row_hi t v), increasing. *)
+let row_lo t v = t.off.(v)
+let row_hi t v = t.off.(v + 1)
+let nbr_at t i = t.nbr.(i)
 
 let max_degree t = t.maxdeg
 

@@ -28,7 +28,13 @@ val neighbors : t -> int -> int array
     without allocating. *)
 val iter_neighbors : (int -> unit) -> t -> int -> unit
 
-val fold_neighbors : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
+(** Read-only CSR access, for per-round walks that must not build a
+    closure: the neighbours of [v] are [nbr_at t i] for [i] from
+    [row_lo t v] to [row_hi t v - 1], in increasing order. *)
+val row_lo : t -> int -> int
+
+val row_hi : t -> int -> int
+val nbr_at : t -> int -> int
 val degree : t -> int -> int
 
 (** Memoised at construction — O(1). *)
@@ -36,14 +42,11 @@ val max_degree : t -> int
 
 val mem_edge : t -> int -> int -> bool
 
-(** Bitset view of a node's adjacency, for word-parallel kernels.  The
-    per-node row cache is built lazily on first use (so sparse workloads
-    never pay its memory) and published atomically, making it safe to
-    share one graph across Pool domains.  Do not mutate the result. *)
-val adj_row : t -> int -> Rn_util.Bitset.t
-
-(** The whole row cache, same laziness and sharing rules as {!adj_row};
-    hoists the cache lookup out of per-broadcaster loops. *)
+(** Bitset view of every node's adjacency, for word-parallel kernels:
+    row [v] holds [v]'s neighbours.  The row cache is built lazily on
+    first use (so sparse workloads never pay its memory) and published
+    atomically, making it safe to share one graph across Pool domains.
+    Do not mutate the result. *)
 val adj_rows : t -> Rn_util.Bitset.t array
 
 (** All edges with [u < v], lexicographic order. *)

@@ -20,9 +20,9 @@
      range: the kernel ORs each broadcaster's row in as one
      [Bitset.fill_range] (word-parallel, ranges of distinct nodes
      disjoint) plus per-id visits of the scattered upper-endpoint side
-     ([Dual.iter_gray_upper]) — each gray edge is visited at most once
-     per side, where the scalar callback walk visits it from every
-     broadcasting endpoint and pays a div/mod per visit.
+     ([Dual.add_gray_incident]) — each gray edge is visited at most once
+     per side, where the scalar walk visits it from every broadcasting
+     endpoint.
    - [jamming] finds its victims — nodes about to hear exactly one
      reliable broadcaster — with the delivery kernel's once/twice
      saturating accumulator over the broadcasters' reliable neighbours,
@@ -37,7 +37,12 @@
 
    A kernel must produce bit-for-bit the activation set of its scalar
    [choose] (certified by test_engine_paths.ml), which is what lets
-   the engine switch per round on a cost model. *)
+   the engine switch per round on a cost model.
+
+   Per-broadcaster walks index the CSR rows directly ([Dual.gray_lo] …
+   [Dual.gray_id_at], [Graph.row_lo] … [Graph.nbr_at]) instead of passing
+   a callback: a callback that captures the round's bitset or RNG is a
+   closure allocated per broadcaster per round. *)
 
 module Bitset = Rn_util.Bitset
 module Rng = Rn_util.Rng
@@ -99,30 +104,35 @@ let silent = { name = "silent"; choose = (fun ~round:_ ~broadcasters:_ _ _ _ -> 
    to a broadcaster, as one contiguous lower-range fill plus the
    scattered upper ids per broadcaster. *)
 let or_rows_masks ~broadcasters dual active =
-  Array.iter
-    (fun u ->
-      let l0, l1 = Dual.gray_lower_range dual u in
-      Bitset.fill_range active l0 l1;
-      Dual.iter_gray_upper (fun id -> Bitset.add active id) dual u)
-    broadcasters
+  for j = 0 to Array.length broadcasters - 1 do
+    Dual.add_gray_incident dual active broadcasters.(j)
+  done
+
+(* The scalar twin: every gray edge incident to a broadcaster, one
+   incidence entry at a time. *)
+let add_incident ~broadcasters dual active =
+  for j = 0 to Array.length broadcasters - 1 do
+    let u = broadcasters.(j) in
+    for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+      Bitset.add active (Dual.gray_id_at dual i)
+    done
+  done
 
 (* Mask path pays once per broadcaster (range fill) plus once per
-   upper-side incidence; scalar pays the full incidence with a div/mod
-   callback per visit.  Ask for a modest margin over the fixed per-round
+   upper-side incidence; scalar pays one visit per incidence entry on
+   both sides.  Ask for a modest margin over the fixed per-round
    sweep overhead before switching. *)
 let dense_enough ~broadcasters dual =
   let reach = ref 0 in
-  Array.iter (fun u -> reach := !reach + Dual.gray_degree dual u) broadcasters;
+  for j = 0 to Array.length broadcasters - 1 do
+    reach := !reach + Dual.gray_degree dual broadcasters.(j)
+  done;
   !reach > (8 * Array.length broadcasters) + 64
 
 let all_gray =
   {
     name = "all-gray";
-    choose =
-      (fun ~round:_ ~broadcasters dual _ active ->
-        Array.iter
-          (fun u -> Dual.iter_gray_adj (fun _ e -> Bitset.add active e) dual u)
-          broadcasters);
+    choose = (fun ~round:_ ~broadcasters dual _ active -> add_incident ~broadcasters dual active);
     kernel =
       Some
         {
@@ -153,16 +163,21 @@ let bernoulli p =
         let cell = Domain.DLS.get dls in
         if Bitset.capacity !cell <> n then cell := Bitset.create n;
         let bcast = !cell in
-        Array.iter (fun u -> Bitset.add bcast u) broadcasters;
-        Array.iter
-          (fun u ->
-            Dual.iter_gray_adj
-              (fun v e ->
-                if not (v < u && Bitset.mem bcast v) then
-                  if Rng.bool rng p then Bitset.add active e)
-              dual u)
-          broadcasters;
-        Array.iter (fun u -> Bitset.remove bcast u) broadcasters);
+        let nb = Array.length broadcasters in
+        for j = 0 to nb - 1 do
+          Bitset.add bcast broadcasters.(j)
+        done;
+        for j = 0 to nb - 1 do
+          let u = broadcasters.(j) in
+          for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+            let v = Dual.gray_nbr_at dual i in
+            if not (v < u && Bitset.mem bcast v) then
+              if Rng.bool rng p then Bitset.add active (Dual.gray_id_at dual i)
+          done
+        done;
+        for j = 0 to nb - 1 do
+          Bitset.remove bcast broadcasters.(j)
+        done);
     kernel = None;
   }
 
@@ -175,12 +190,12 @@ let harassing p =
     name = Printf.sprintf "harassing(%.2f)" p;
     choose =
       (fun ~round:_ ~broadcasters dual rng active ->
-        Array.iter
-          (fun u ->
-            Dual.iter_gray_adj
-              (fun _ e -> if Rng.bool rng p then Bitset.add active e)
-              dual u)
-          broadcasters);
+        for j = 0 to Array.length broadcasters - 1 do
+          let u = broadcasters.(j) in
+          for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+            if Rng.bool rng p then Bitset.add active (Dual.gray_id_at dual i)
+          done
+        done);
     kernel = None;
   }
 
@@ -191,10 +206,7 @@ let spiteful =
     name = "spiteful";
     choose =
       (fun ~round:_ ~broadcasters dual _ active ->
-        if Array.length broadcasters >= 2 then
-          Array.iter
-            (fun u -> Dual.iter_gray_adj (fun _ e -> Bitset.add active e) dual u)
-            broadcasters);
+        if Array.length broadcasters >= 2 then add_incident ~broadcasters dual active);
     kernel =
       Some
         {
@@ -210,14 +222,15 @@ let spiteful =
 (* Picks the gray edge the scalar jamming loop would: the first
    broadcasting gray neighbour of [v] in descending edge-id order. *)
 let jam_victim ~bcast_mem dual active v =
-  let jammed = ref false in
-  Dual.iter_gray_adj
-    (fun w e ->
-      if (not !jammed) && bcast_mem w then begin
-        Bitset.add active e;
-        jammed := true
-      end)
-    dual v
+  let hi = Dual.gray_hi dual v in
+  let i = ref (Dual.gray_lo dual v) in
+  while !i < hi do
+    if bcast_mem (Dual.gray_nbr_at dual !i) then begin
+      Bitset.add active (Dual.gray_id_at dual !i);
+      i := hi
+    end
+    else incr i
+  done
 
 (* The broadcast-hardness adversary of the dual graph line of work
    (references [10, 11] of the paper): wherever a node is about to hear a
@@ -246,22 +259,32 @@ let jamming =
             cell := Some s;
             s
         in
-        Array.iter (fun u -> Bytes.unsafe_set bcast u '\001') broadcasters;
-        Array.iter
-          (fun u ->
-            Graph.iter_neighbors
-              (fun v -> Array.unsafe_set counts v (Array.unsafe_get counts v + 1))
-              g u)
-          broadcasters;
+        let nb = Array.length broadcasters in
+        for j = 0 to nb - 1 do
+          Bytes.unsafe_set bcast broadcasters.(j) '\001'
+        done;
+        for j = 0 to nb - 1 do
+          let u = broadcasters.(j) in
+          for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
+            let v = Graph.nbr_at g i in
+            counts.(v) <- counts.(v) + 1
+          done
+        done;
+        let bcast_mem w = Bytes.unsafe_get bcast w = '\001' in
         for v = 0 to n - 1 do
           if Bytes.unsafe_get bcast v = '\000' && Array.unsafe_get counts v = 1 then
             (* one gray broadcaster suffices to collide v *)
-            jam_victim ~bcast_mem:(fun w -> Bytes.unsafe_get bcast w = '\001') dual active v
+            jam_victim ~bcast_mem dual active v
         done;
-        Array.iter
-          (fun u -> Graph.iter_neighbors (fun v -> Array.unsafe_set counts v 0) g u)
-          broadcasters;
-        Array.iter (fun u -> Bytes.unsafe_set bcast u '\000') broadcasters);
+        for j = 0 to nb - 1 do
+          let u = broadcasters.(j) in
+          for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
+            counts.(Graph.nbr_at g i) <- 0
+          done
+        done;
+        for j = 0 to nb - 1 do
+          Bytes.unsafe_set bcast broadcasters.(j) '\000'
+        done);
     kernel =
       Some
         {
@@ -272,10 +295,17 @@ let jamming =
               let once = scratch.sc_once and twice = scratch.sc_twice in
               Bitset.clear once;
               Bitset.clear twice;
-              Array.iter (fun u -> Bitset.add bcast u) broadcasters;
-              Array.iter
-                (fun u -> Graph.iter_neighbors (fun v -> Bitset.acc2_add ~once ~twice v) g u)
-                broadcasters;
+              let nb = Array.length broadcasters in
+              for j = 0 to nb - 1 do
+                Bitset.add bcast broadcasters.(j)
+              done;
+              for j = 0 to nb - 1 do
+                let u = broadcasters.(j) in
+                for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
+                  Bitset.acc2_add ~once ~twice (Graph.nbr_at g i)
+                done
+              done;
+              let bcast_mem u = Bitset.mem bcast u in
               (* victims = once ∧ ¬twice ∧ ¬bcast, read off word-parallel
                  in ascending order — the same order, and per victim the
                  same gray edge, as the scalar n-scan *)
@@ -291,10 +321,12 @@ let jamming =
                 while !word <> 0 do
                   let v = base + Bitset.lowest_bit !word in
                   word := !word land (!word - 1);
-                  jam_victim ~bcast_mem:(fun u -> Bitset.mem bcast u) dual active v
+                  jam_victim ~bcast_mem dual active v
                 done
               done;
-              Array.iter (fun u -> Bitset.remove bcast u) broadcasters);
+              for j = 0 to nb - 1 do
+                Bitset.remove bcast broadcasters.(j)
+              done);
           k_wins =
             (fun ~broadcasters:_ dual ->
               (* scalar cost is O(n) regardless of activity; the kernel

@@ -1,7 +1,7 @@
 (* The dual graph round engine (Section 2 semantics).
 
    Each process runs as an OCaml-5 effect fiber: algorithm code is written
-   in direct style and performs [Sync send] once per round.  The engine
+   in direct style and performs [Listen] or [Send m] once per round.  The engine
    gathers all send intents, lets the adversary pick the round's reach set
    (all of E plus an arbitrary subset of gray edges), computes receives
    under the collision rule — a node receives a message iff it did not
@@ -17,8 +17,8 @@
      only live ids;
    - wake rounds are pre-sorted into a round-ordered queue, so the wake
      phase is O(#wakers this round);
-   - fibers that listen for k rounds ([idle], [listen]) perform one [Park]
-     and wait in a min-heap keyed by expiry round instead of being resumed
+   - fibers that listen for k rounds ([idle], [listen]) perform one park
+     effect and wait in a min-heap keyed by expiry round instead of being resumed
      k times; a [listen]er is taken out of the heap early by the delivery
      that wakes it, so silent rounds resume nobody;
    - the adversary RNG is re-derived per round from a root stream
@@ -27,13 +27,16 @@
      every fiber is asleep, finished or parked are fast-forwarded in one
      jump — without perturbing any later round's randomness;
    - delivery scratch (`recv_count`/`recv_from`/`touched`) and the
-     broadcaster buffer are preallocated and reset via the touched list, so
+     broadcaster buffer are preallocated and reset via the touched list,
+     and every per-broadcaster walk indexes the CSR rows directly, so
      collect and delivery allocate nothing but the sorted broadcaster
-     snapshot handed to the adversary and observer and each delivery's
-     [Recv m];
-   - the handlers return where a fiber stopped, through continuation
-     functions shared by every fiber, so a perform allocates no handler
-     closure (DESIGN.md, "Allocation budget of a fiber round").
+     snapshot handed to the adversary and observer and the [Recv m] a
+     receiver is resumed with;
+   - a fiber-round allocates only the runtime's continuation (and a
+     broadcaster's [Send m]): the effects a listener performs are
+     constants, a fiber's state is one continuation slot plus one state
+     byte, and the one shared continuation function is the identity
+     (DESIGN.md, "Allocation budget of a fiber round").
 
    Each round the engine also picks how to evaluate three phases, by
    cost: the adversary's gray-edge choice (a policy's mask kernel when
@@ -101,6 +104,11 @@ let m_listen_wakes = Metrics.counter "engine.listen_wakes"
    [--jobs N].) *)
 let m_minor_words = Metrics.counter "engine.minor_words"
 let m_promoted_words = Metrics.counter "engine.promoted_words"
+
+(* Fibers still suspended when a run stopped (at [At_round], at
+   [All_decided] before every body returned, or on a timeout), which
+   the run then unwound. *)
+let m_discontinued = Metrics.counter "engine.discontinued"
 let m_round_bcast = Metrics.histogram "engine.round_broadcasters"
 let m_run_rounds = Metrics.histogram "engine.run_rounds"
 
@@ -152,9 +160,9 @@ let resume_shard_threshold = 1024
    overflow.  Buffers hold only ints — the merge is blits, pushes, and
    counter adds on the main domain, in ascending shard order. *)
 type resume_buf = {
-  rb_join : int array; (* fibers that performed Sync, in step order *)
+  rb_join : int array; (* fibers that synced, in step order *)
   mutable rb_join_n : int;
-  rb_park_r : int array; (* heap keys of fibers that performed Park *)
+  rb_park_r : int array; (* heap keys of fibers that parked *)
   rb_park_v : int array;
   mutable rb_park_n : int;
   mutable rb_finished : int; (* fibers whose body returned *)
@@ -164,12 +172,16 @@ type resume_buf = {
 module Make (M : MESSAGE) = struct
   type receive = Own | Silence | Recv of M.t
 
-  (* [Park (k, wake)]: listen for up to [k] rounds.  With [wake] set the
-     first delivery ends the stretch: [Some (i, m)] when [m] arrived in
-     its i-th round; [None] after [k] rounds otherwise. *)
+  (* One round: [Listen] silently, or [Send m].  [Idle] and [Wait] park
+     the fiber for the duration it wrote in its park slot: [Idle]
+     discards every receive, [Wait] ends at the first delivery.  Every
+     effect answers a [receive], and the ones a listener performs are
+     constants, so performing them allocates nothing. *)
   type _ Effect.t +=
-    | Sync : M.t option -> receive Effect.t
-    | Park : int * bool -> (int * M.t) option Effect.t
+    | Listen : receive Effect.t
+    | Send : M.t -> receive Effect.t
+    | Idle : receive Effect.t
+    | Wait : receive Effect.t
 
   type view = {
     view_round : int;
@@ -242,7 +254,12 @@ module Make (M : MESSAGE) = struct
     rng : Rng.t;
     mutable local_round : int; (* completed syncs *)
     current_detector : unit -> Detector.t;
-    do_output : int -> unit;
+    do_output : int -> int -> unit; (* [do_output me value], one per run *)
+    park : int array;
+        (* the run's per-fiber park slots, indexed by [me]: the fiber
+           writes a park's duration before performing [Idle] or [Wait],
+           the engine writes a woken [Wait]'s stretch index before
+           resuming it *)
   }
 
   let me ctx = ctx.me
@@ -253,38 +270,47 @@ module Make (M : MESSAGE) = struct
   let round ctx = ctx.local_round
   let detector ctx = Detector.set (ctx.current_detector ()) ctx.me
   let detector_mem ctx v = Bitset.mem (detector ctx) v
-  let output ctx v = ctx.do_output v
+  let output ctx v = ctx.do_output ctx.me v
 
   let sync ctx send =
-    let r = Effect.perform (Sync send) in
+    let r = match send with None -> Effect.perform Listen | Some m -> Effect.perform (Send m) in
     ctx.local_round <- ctx.local_round + 1;
     r
 
-  (* Listen for [k] rounds, discarding receives.  A single [Park] perform
+  (* Listen for [k] rounds, discarding receives.  A single [Idle] perform
      lets the engine park the fiber for the whole stretch instead of
      resuming it k times; semantically identical to k silent syncs. *)
   let idle ctx k =
     if k > 0 then begin
-      ignore (Effect.perform (Park (k, false)));
+      ctx.park.(ctx.me) <- k;
+      ignore (Effect.perform Idle);
       ctx.local_round <- ctx.local_round + k
     end
 
   (* Listen for up to [k] rounds, stopping at the first message: identical
      to silent syncs until the first [Recv m] (in the stretch's i-th round,
-     giving [Some (i, m)]), but resumed once instead of once per round. *)
+     giving [Some (i, m)]), but resumed once instead of once per round.
+     The engine leaves i in the park slot before resuming a woken
+     fiber. *)
   let listen ctx k =
     if k <= 0 then None
-    else
-      match Effect.perform (Park (k, true)) with
-      | Some (i, _) as got ->
+    else begin
+      ctx.park.(ctx.me) <- k;
+      match Effect.perform Wait with
+      | Recv m ->
+        let i = ctx.park.(ctx.me) in
         ctx.local_round <- ctx.local_round + i;
-        got
-      | None ->
+        Some (i, m)
+      | Own | Silence ->
         ctx.local_round <- ctx.local_round + k;
         None
+    end
 
   (* Broadcast with probability [p], otherwise listen. *)
-  let sync_p ctx p send = if Rng.bool ctx.rng p then sync ctx (Some send) else sync ctx None
+  let sync_p ctx p send =
+    let r = if Rng.bool ctx.rng p then Effect.perform (Send send) else Effect.perform Listen in
+    ctx.local_round <- ctx.local_round + 1;
+    r
 
   type 'a result = {
     outputs : int option array;
@@ -297,25 +323,94 @@ module Make (M : MESSAGE) = struct
 
   type fiber_status = Asleep | Running | Finished
 
-  (* A fiber between resumptions: waiting on this round's receive, parked
-     by [idle] ([Parked (false, _)]) or [listen] ([Parked (true, _)]), or
-     absent (asleep / finished).  ['r] is the handler's result type. *)
-  type 'r fiber_pending =
-    | No_fiber
-    | Synced of (receive, 'r) Effect.Deep.continuation
-    | Parked of bool * ((int * M.t) option, 'r) Effect.Deep.continuation
+  (* Where a fiber stands between resumptions, one byte per fiber: no
+     fiber (asleep or finished), synced for this round (listening or
+     sending), parked by [idle], or parked by [listen].  The synced
+     states sort below the parked ones. *)
+  let st_none = '\000'
+  let st_listen = '\001'
+  let st_send = '\002'
+  let st_idle = '\003'
+  let st_wait = '\004'
 
-  (* [run]'s handlers return where the fiber stopped, so starting or
-     resuming a fiber evaluates to its new pending state and the caller
-     records it.  The continuation functions then need no fiber id: they
-     are built once, here, and shared by every fiber of every run. *)
-  type stopped = Stopped of stopped fiber_pending [@@unboxed]
+  (* Starting or resuming a fiber evaluates to where it stopped: the
+     handler's [effc] records the state byte (and a [Send]) in the
+     fiber's slots and returns the continuation itself.  [Stopped] is
+     unboxed, so the one continuation function shared by every fiber of
+     every run, [fun k -> Stopped k], allocates nothing. *)
+  type stopped = Stopped of (receive, stopped) Effect.Deep.continuation [@@unboxed]
 
-  let stop_sync =
-    Some (fun (k : (receive, stopped) Effect.Deep.continuation) -> Stopped (Synced k))
-  let stop_listen = Some (fun k -> Stopped (Parked (true, k)))
-  let stop_idle = Some (fun k -> Stopped (Parked (false, k)))
-  let stop_return () = Stopped No_fiber
+  let stop : ((receive, stopped) Effect.Deep.continuation -> stopped) option =
+    Some (fun k -> Stopped k)
+
+  (* The continuation held by empty slots, and returned for a fiber whose
+     body returned: a fiber that performed [Listen] once, captured here
+     once and never resumed. *)
+  let sentinel =
+    let (Stopped k) =
+      Effect.Deep.match_with
+        (fun () -> ignore (Effect.perform Listen))
+        ()
+        {
+          retc = (fun () -> assert false);
+          exnc = raise;
+          effc =
+            (fun (type a) (eff : a Effect.t) :
+                 ((a, stopped) Effect.Deep.continuation -> stopped) option ->
+              match eff with Listen -> stop | _ -> None);
+        }
+    in
+    k
+
+  let stop_return () = Stopped sentinel
+
+  (* Fiber [v]'s handler, one per fiber, built when it starts: [effc]
+     writes the state byte and, for [Send], the effect itself into
+     [sends.(v)], which is read only while the state is [st_send]. *)
+  let handler state (sends : receive Effect.t array) v : (unit, stopped) Effect.Deep.handler =
+    {
+      retc = stop_return;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) :
+             ((a, stopped) Effect.Deep.continuation -> stopped) option ->
+          match eff with
+          | Listen ->
+            Bytes.unsafe_set state v st_listen;
+            stop
+          | Send _ ->
+            sends.(v) <- eff;
+            Bytes.unsafe_set state v st_send;
+            stop
+          | Idle ->
+            Bytes.unsafe_set state v st_idle;
+            stop
+          | Wait ->
+            Bytes.unsafe_set state v st_wait;
+            stop
+          | _ -> None);
+    }
+
+  let[@inline] payload = function Send m -> m | _ -> assert false
+
+  (* Raised into every fiber still suspended when a run ends. *)
+  exception Run_ended
+
+  (* Unwind every fiber still suspended, so its stack is freed and its
+     [Fun.protect ~finally] runs, and count them.  What an unwinding
+     raises (normally [Run_ended] itself, re-raised by the handler) is
+     swallowed, and a fiber that suspends again while unwinding is left
+     as it stands. *)
+  let discontinue_all state conts =
+    let cut = ref 0 in
+    for v = 0 to Bytes.length state - 1 do
+      if Bytes.get state v <> st_none then begin
+        Bytes.set state v st_none;
+        incr cut;
+        try ignore (Effect.Deep.discontinue conts.(v) Run_ended) with _ -> ()
+      end
+    done;
+    !cut
 
   let no_broadcasters : int array = [||]
 
@@ -358,12 +453,17 @@ module Make (M : MESSAGE) = struct
     let outputs = Array.make nn None in
     let decided = Array.make nn None in
     let returns = Array.make nn None in
-    let sends = Array.make nn None in
-    let pending : stopped fiber_pending array = Array.make nn No_fiber in
+    (* Fiber [v] stands at [state.(v)] (one of the [st_*] bytes) with
+       continuation [conts.(v)]; [sends.(v)] is its [Send m] while it
+       broadcasts this round; [park.(v)] is its park slot (see [ctx]). *)
+    let state = Bytes.make nn st_none in
+    let conts = Array.make nn sentinel in
+    let sends : receive Effect.t array = Array.make nn Listen in
+    let park = Array.make nn 0 in
     let round_counter = ref 0 in
     let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
     let bits_sent = ref 0 and silent_rounds = ref 0 in
-    let n_finished = ref 0 and n_decided = ref 0 in
+    let n_finished = ref 0 and n_decided = ref 0 and discontinued = ref 0 in
     let current_detector = detector_query cfg.detector round_counter in
     (* Event tracing: sampled once per run.  [emit] only ever appends to
        the sink's ring buffer — it reads no RNG and mutates no engine
@@ -384,6 +484,22 @@ module Make (M : MESSAGE) = struct
     let resume_shards = if tracing then 1 else cfg.resume_shards in
     let resume_assign = Array.make (max 1 nn) (-1) in
     let resume_bufs : resume_buf array ref = ref [||] in
+    let do_output v value =
+      match outputs.(v) with
+      | Some old when old <> value ->
+        invalid_arg (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
+      | Some _ -> ()
+      | None ->
+        outputs.(v) <- Some value;
+        decided.(v) <- Some !round_counter;
+        (let s = resume_assign.(v) in
+         if s < 0 then incr n_decided
+         else begin
+           let b = (!resume_bufs).(s) in
+           b.rb_decided <- b.rb_decided + 1
+         end);
+        if tracing then emit { Events.round = !round_counter; proc = v; kind = Decide { value } }
+    in
     let mk_ctx v =
       {
         me = v;
@@ -393,29 +509,13 @@ module Make (M : MESSAGE) = struct
         rng = Rng.derive root_rng (v + 1);
         local_round = 0;
         current_detector;
-        do_output =
-          (fun value ->
-            match outputs.(v) with
-            | Some old when old <> value ->
-              invalid_arg
-                (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
-            | Some _ -> ()
-            | None ->
-              outputs.(v) <- Some value;
-              decided.(v) <- Some !round_counter;
-              (let s = resume_assign.(v) in
-               if s < 0 then incr n_decided
-               else begin
-                 let b = (!resume_bufs).(s) in
-                 b.rb_decided <- b.rb_decided + 1
-               end);
-              if tracing then
-                emit { Events.round = !round_counter; proc = v; kind = Decide { value } });
+        do_output;
+        park;
       }
     in
-    (* Live worklist: [active.(0 .. n_active-1)] are the fibers holding a
-       [Synced] continuation for the current round.  [joining] collects the
-       fibers that perform [Sync] during a start/resume phase. *)
+    (* Live worklist: [active.(0 .. n_active-1)] are the fibers synced
+       for the current round.  [joining] collects the fibers that perform
+       [Listen] or [Send] during a start/resume phase. *)
     let active = Array.make (max 1 nn) 0 in
     let n_active = ref 0 in
     let joining = Array.make (max 1 nn) 0 in
@@ -493,32 +593,9 @@ module Make (M : MESSAGE) = struct
       wake_order;
     let wake_ptr = ref 0 in
     let next_wake () = if !wake_ptr >= nn then max_int else wake.(wake_order.(!wake_ptr)) in
-    (* The round a fresh [Park] starts counting from: the current round
+    (* The round a fresh park starts counting from: the current round
        during the wake phase, the next round during the resume phase. *)
     let park_base = ref 0 in
-    (* One handler per fiber, built when the fiber starts.  Its [effc]
-       stores the effect's payload in the fiber's own slot ([sends.(v)],
-       [park_dur.(v)]) and returns one of the shared continuation
-       functions, so a [Sync] or [Park] perform allocates no handler
-       closure and a fiber holds only this record and its [effc]. *)
-    let park_dur = Array.make (max 1 nn) 0 in
-    let handler v : (unit, stopped) Effect.Deep.handler =
-      {
-        retc = stop_return;
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) :
-               ((a, stopped) Effect.Deep.continuation -> stopped) option ->
-            match eff with
-            | Sync send ->
-              sends.(v) <- send;
-              stop_sync
-            | Park (dur, wake_early) ->
-              park_dur.(v) <- dur;
-              if wake_early then stop_listen else stop_idle
-            | _ -> None);
-      }
-    in
     (* Record where fiber [v] stopped: a synced fiber joins the next
        worklist, a parked one enters the heap with the stretch starting
        at [park_base].  [settle] updates the engine's own structures;
@@ -526,34 +603,41 @@ module Make (M : MESSAGE) = struct
        appends to that shard's private buffer instead.  [park_base] is
        only written by the main domain between phases, so the read is
        stable. *)
-    let settle v (Stopped p) =
-      pending.(v) <- p;
-      match p with
-      | Synced _ ->
+    let settle v (Stopped k) =
+      conts.(v) <- k;
+      let s = Bytes.unsafe_get state v in
+      if s = st_none then incr n_finished
+      else if s < st_idle then begin
         joining.(!n_joining) <- v;
         incr n_joining
-      | Parked _ ->
+      end
+      else begin
         park_start.(v) <- !park_base;
-        heap_push (park_expiry !park_base park_dur.(v)) v
-      | No_fiber -> incr n_finished
+        heap_push (park_expiry !park_base park.(v)) v
+      end
     in
-    let settle_shard b v (Stopped p) =
-      pending.(v) <- p;
-      match p with
-      | Synced _ ->
+    let settle_shard b v (Stopped k) =
+      conts.(v) <- k;
+      let s = Bytes.unsafe_get state v in
+      if s = st_none then b.rb_finished <- b.rb_finished + 1
+      else if s < st_idle then begin
         b.rb_join.(b.rb_join_n) <- v;
         b.rb_join_n <- b.rb_join_n + 1
-      | Parked _ ->
+      end
+      else begin
         park_start.(v) <- !park_base;
-        b.rb_park_r.(b.rb_park_n) <- park_expiry !park_base park_dur.(v);
+        b.rb_park_r.(b.rb_park_n) <- park_expiry !park_base park.(v);
         b.rb_park_v.(b.rb_park_n) <- v;
         b.rb_park_n <- b.rb_park_n + 1
-      | No_fiber -> b.rb_finished <- b.rb_finished + 1
+      end
     in
     let start v =
       let ctx = mk_ctx v in
       settle v
-        (Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v))
+        (Effect.Deep.match_with
+           (fun () -> returns.(v) <- Some (body ctx))
+           ()
+           (handler state sends v))
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
@@ -643,12 +727,12 @@ module Make (M : MESSAGE) = struct
       Bitset.clear k_listen;
       for i = 0 to !n_active - 1 do
         let v = active.(i) in
-        if sends.(v) = None then Bitset.add k_sync v
+        if Bytes.unsafe_get state v = st_listen then Bitset.add k_sync v
       done;
       for i = 0 to !heap_n - 1 do
         let v = heap_v.(i) in
         Bitset.add k_parked v;
-        match pending.(v) with Parked (true, _) -> Bitset.add k_listen v | _ -> ()
+        if Bytes.unsafe_get state v = st_wait then Bitset.add k_listen v
       done;
       let any_recv = ref false in
       for w = 0 to k_words - 1 do
@@ -666,44 +750,43 @@ module Make (M : MESSAGE) = struct
       !any_recv
     in
     (* After a word-parallel assignment: the listeners in [k_recv] wake. *)
-    let kernel_woken () =
-      Bitset.iter_inter
-        (fun v ->
-          woken.(!n_woken) <- v;
-          incr n_woken)
-        k_recv k_listen
+    let push_woken v =
+      woken.(!n_woken) <- v;
+      incr n_woken
     in
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
     (* Scalar hand-off of the unique sender's message to receiver [v]. *)
-    let deliver v =
-      match sends.(recv_from.(v)) with
-      | Some m -> receives.(v) <- Recv m
-      | None -> assert false
-    in
+    let deliver v = receives.(v) <- Recv (payload sends.(recv_from.(v))) in
     let g = Dual.g dual in
     (* The dense kernel's gray reach: a broadcaster's packed CSR
        incidence row filtered by this round's [gray_active], O(gray
-       incidence).  [scatter_gray] feeds an accumulator pair;
-       [assign_gray] hands [m] to the synced receivers in [k_recv]. *)
-    let scatter_gray ~once ~twice u =
-      if Dual.gray_degree dual u > 0 then
-        Dual.iter_gray_adj
-          (fun v e -> if Bitset.mem gray_active e then Bitset.acc2_add ~once ~twice v)
-          dual u
+       incidence).  [scatter_gray] feeds the accumulator pair through
+       [iter_gray_adj] and a visitor built once per run (on the dense
+       rows this path serves, its unchecked inner loop beats indexing
+       the row through the accessors). *)
+    let scatter_gray_edge v e =
+      if Bitset.mem gray_active e then Bitset.acc2_add ~once:k_once ~twice:k_twice v
     in
-    let assign_gray m u =
-      if Dual.gray_degree dual u > 0 then
-        Dual.iter_gray_adj
-          (fun v e ->
-            if Bitset.mem gray_active e && Bitset.mem k_recv v then receives.(v) <- Recv m)
-          dual u
+    let scatter_gray u = Dual.iter_gray_adj scatter_gray_edge dual u in
+    (* The kernel's second sweep hands [!sweep_recv], the current
+       broadcaster's [Recv m], to the receivers in [k_recv] it reaches:
+       on its adjacency row through [assign_recv], a visitor built once
+       per run, and on its active gray edges through [assign_gray]. *)
+    let sweep_recv = ref Silence in
+    let assign_recv v = receives.(v) <- !sweep_recv in
+    let assign_gray u =
+      for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+        let v = Dual.gray_nbr_at dual i in
+        if Bitset.mem gray_active (Dual.gray_id_at dual i) && Bitset.mem k_recv v then
+          receives.(v) <- !sweep_recv
+      done
     in
     (* Returns the encoded size so the broadcast event can carry it. *)
     let validate_send v =
       incr sends_total;
-      let m = match sends.(v) with Some m -> m | None -> assert false in
+      let m = payload sends.(v) in
       let sz = M.size_bits ~n:nn m in
       bits_sent := !bits_sent + sz;
       (match cfg.b_bits with
@@ -715,27 +798,32 @@ module Make (M : MESSAGE) = struct
       sz
     in
     (* Resume fiber [v] at the end of round [r]: a synced fiber with its
-       receive, a parked one with the message that woke it (its receive
-       slot holds [Recv m] only then) or with [None] when its stretch
-       expired.  Runs on a Pool domain under the sharded resume, touching
-       only [v]'s own slots.  Evaluates to where the fiber stopped next,
-       for [settle] or [settle_shard]. *)
+       receive, a parked one with the [Recv m] that woke it (its stretch
+       index written to its park slot first) or with [Silence] when its
+       stretch expired.  Runs on a Pool domain under the sharded resume,
+       touching only [v]'s own slots.  Evaluates to where the fiber
+       stopped next, for [settle] or [settle_shard].  The slot keeps the
+       continuation until [settle] overwrites it with the next one:
+       overwriting it before [continue], while the major GC marks, would
+       make the write barrier mark it with its stack still attached and
+       scan that whole stack on the spot. *)
     let step r v =
-      match pending.(v) with
-      | Synced k ->
-        let recv = receives.(v) in
+      let k = conts.(v) in
+      let s = Bytes.unsafe_get state v in
+      Bytes.unsafe_set state v st_none;
+      let recv = receives.(v) in
+      if s < st_idle then begin
         receives.(v) <- Silence;
-        sends.(v) <- None;
-        pending.(v) <- No_fiber;
+        if s = st_send then sends.(v) <- Listen;
         Effect.Deep.continue k recv
-      | Parked (_, k) -> (
-        pending.(v) <- No_fiber;
-        match receives.(v) with
-        | Recv m ->
+      end
+      else
+        match recv with
+        | Recv _ ->
           receives.(v) <- Silence;
-          Effect.Deep.continue k (Some (r - park_start.(v) + 1, m))
-        | Own | Silence -> Effect.Deep.continue k None)
-      | No_fiber -> assert false
+          park.(v) <- r - park_start.(v) + 1;
+          Effect.Deep.continue k recv
+        | Own | Silence -> Effect.Deep.continue k Silence
     in
     let stop_now () =
       match cfg.stop with
@@ -750,7 +838,9 @@ module Make (M : MESSAGE) = struct
     let p_start () = if prof then t_mark := Timing.now () in
     let p_stop sec = if prof then Timing.record sec (Timing.now () -. !t_mark) in
     Fun.protect
-      ~finally:(fun () -> match !pool with Some p -> Pool.shutdown p | None -> ())
+      ~finally:(fun () ->
+        (match !pool with Some p -> Pool.shutdown p | None -> ());
+        discontinued := discontinue_all state conts)
       (fun () ->
     try
        while not (stop_now ()) do
@@ -806,7 +896,7 @@ module Make (M : MESSAGE) = struct
            n_woken := 0;
            for i = 0 to !n_active - 1 do
              let v = active.(i) in
-             if sends.(v) <> None then begin
+             if Bytes.unsafe_get state v = st_send then begin
                bcast.(!n_bcast) <- v;
                incr n_bcast
              end
@@ -821,11 +911,11 @@ module Make (M : MESSAGE) = struct
                a
              end
            in
-           Array.iter
-             (fun v ->
-               let sz = validate_send v in
-               if tracing then emit { Events.round = r; proc = v; kind = Broadcast { bits = sz } })
-             broadcasters;
+           for j = 0 to !n_bcast - 1 do
+             let v = broadcasters.(j) in
+             let sz = validate_send v in
+             if tracing then emit { Events.round = r; proc = v; kind = Broadcast { bits = sz } }
+           done;
            if met then Metrics.observe m_round_bcast !n_bcast;
            p_stop Timing.Collect;
            if !n_bcast = 0 then incr silent_rounds
@@ -889,65 +979,67 @@ module Make (M : MESSAGE) = struct
                let rows = Graph.adj_rows g in
                Bitset.clear k_once;
                Bitset.clear k_twice;
-               Array.iter
-                 (fun u ->
-                   Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
-                   scatter_gray ~once:k_once ~twice:k_twice u)
-                 broadcasters;
+               for j = 0 to !n_bcast - 1 do
+                 let u = broadcasters.(j) in
+                 Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
+                 scatter_gray u
+               done;
                (* second sweep hands each receiving synced fiber its
                   sender's message; the sender is unique because an
                   exactly-one-sender node lies in exactly one
                   broadcaster's reach set.  Skipped outright when nobody
                   received (the common case under heavy contention). *)
                if kernel_classify () then begin
-                 Array.iter
-                   (fun u ->
-                     let m = match sends.(u) with Some m -> m | None -> assert false in
-                     Bitset.iter_inter (fun v -> receives.(v) <- Recv m) rows.(u) k_recv;
-                     assign_gray m u)
-                   broadcasters;
-                 kernel_woken ()
+                 for j = 0 to !n_bcast - 1 do
+                   let u = broadcasters.(j) in
+                   (* one [Recv m] shared by all of [u]'s receivers *)
+                   sweep_recv := Recv (payload sends.(u));
+                   Bitset.iter_inter assign_recv rows.(u) k_recv;
+                   assign_gray u
+                 done;
+                 Bitset.iter_inter push_woken k_recv k_listen
                end
              end
              else begin
                n_touched := 0;
-               Array.iter
-                 (fun u ->
-                   Graph.iter_neighbors (fun v -> touch u v) g u;
-                   Dual.iter_gray_adj
-                     (fun v e -> if Bitset.mem gray_active e then touch u v)
-                     dual u)
-                 broadcasters;
+               for j = 0 to !n_bcast - 1 do
+                 let u = broadcasters.(j) in
+                 for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
+                   touch u (Graph.nbr_at g i)
+                 done;
+                 for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+                   if Bitset.mem gray_active (Dual.gray_id_at dual i) then
+                     touch u (Dual.gray_nbr_at dual i)
+                 done
+               done;
                for i = 0 to !n_touched - 1 do
                  let v = touched.(i) in
-                 (if sends.(v) = None then
-                    match pending.(v) with
-                    | No_fiber -> ()
-                    | (Synced _ | Parked _) as p ->
-                      (* Every synced or parked fiber listens: [idle]rs
-                         discard the message, [listen]ers wake with it. *)
-                      if recv_count.(v) = 1 then begin
-                        (match p with
-                        | Synced _ -> deliver v
-                        | Parked (true, _) ->
-                          deliver v;
-                          woken.(!n_woken) <- v;
-                          incr n_woken
-                        | Parked (false, _) | No_fiber -> ());
-                        incr deliveries;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
-                      end
-                      else begin
-                        incr collisions;
-                        if tracing then
-                          emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                      end);
+                 let s = Bytes.unsafe_get state v in
+                 (if s <> st_none && s <> st_send then
+                    (* Every synced or parked fiber listens: [idle]rs
+                       discard the message, [listen]ers wake with it. *)
+                    if recv_count.(v) = 1 then begin
+                      if s = st_listen then deliver v
+                      else if s = st_wait then begin
+                        deliver v;
+                        push_woken v
+                      end;
+                      incr deliveries;
+                      if tracing then
+                        emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
+                    end
+                    else begin
+                      incr collisions;
+                      if tracing then
+                        emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
+                    end);
                  recv_count.(v) <- 0;
                  recv_from.(v) <- -1
                done
              end;
-             Array.iter (fun v -> receives.(v) <- Own) broadcasters;
+             for j = 0 to !n_bcast - 1 do
+               receives.(broadcasters.(j)) <- Own
+             done;
              p_stop Timing.Deliver
            end;
            (* 5. Resume every synced fiber with its receive, then the
@@ -964,7 +1056,7 @@ module Make (M : MESSAGE) = struct
              (* Sharded resume: fix the work list up front — the synced
                 fibers in worklist order, the woken listeners (taken out
                 of the heap), then every park due this round in heap-pop
-                order.  [idle]/[listen] guarantee dur >= 1, so any Park
+                order.  [idle]/[listen] guarantee dur >= 1, so any park
                 performed by a stepped fiber has a key >= r+1: the due
                 set cannot grow while we step, which is what makes
                 popping it before the first step sound.  Contiguous
@@ -1079,7 +1171,8 @@ module Make (M : MESSAGE) = struct
       Metrics.observe m_run_rounds !round_counter;
       let minor, promoted, _ = Gc.counters () in
       Metrics.add m_minor_words (int_of_float (minor -. minor0));
-      Metrics.add m_promoted_words (int_of_float (promoted -. promoted0))
+      Metrics.add m_promoted_words (int_of_float (promoted -. promoted0));
+      Metrics.add m_discontinued !discontinued
     end;
     {
       outputs;
@@ -1124,13 +1217,25 @@ module Make (M : MESSAGE) = struct
     let decided = Array.make nn None in
     let returns = Array.make nn None in
     let status = Array.make nn Asleep in
-    let sends = Array.make nn None in
-    let pending = Array.make nn No_fiber in
+    let state = Bytes.make nn st_none in
+    let conts = Array.make nn sentinel in
+    let sends : receive Effect.t array = Array.make nn Listen in
+    let park = Array.make nn 0 in
     let resume_round = Array.make nn 0 in
     let park_start = Array.make nn 0 in
     let round_counter = ref 0 in
     let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
     let bits_sent = ref 0 and silent_rounds = ref 0 in
+    let do_output v value =
+      match outputs.(v) with
+      | Some old when old <> value ->
+        invalid_arg (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
+      | Some _ -> ()
+      | None ->
+        outputs.(v) <- Some value;
+        decided.(v) <- Some !round_counter
+    in
+    let current_detector () = Detector.at cfg.detector !round_counter in
     let mk_ctx v =
       {
         me = v;
@@ -1139,45 +1244,35 @@ module Make (M : MESSAGE) = struct
         b_bits = cfg.b_bits;
         rng = Rng.derive root_rng (v + 1);
         local_round = 0;
-        current_detector = (fun () -> Detector.at cfg.detector !round_counter);
-        do_output =
-          (fun value ->
-            match outputs.(v) with
-            | Some old when old <> value ->
-              invalid_arg
-                (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
-            | Some _ -> ()
-            | None ->
-              outputs.(v) <- Some value;
-              decided.(v) <- Some !round_counter);
+        current_detector;
+        do_output;
+        park;
       }
     in
+    (* Record where fiber [v] stopped: a parked fiber's stretch starts
+       at [park_base] and ends at [resume_round.(v)]. *)
     let park_base = ref 0 in
-    let handler v : (unit, unit) Effect.Deep.handler =
-      {
-        retc = (fun () -> status.(v) <- Finished);
-        exnc = raise;
-        effc =
-          (fun (type a) (eff : a Effect.t) ->
-            match eff with
-            | Sync send ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  sends.(v) <- send;
-                  pending.(v) <- Synced k)
-            | Park (dur, wake_early) ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  pending.(v) <- Parked (wake_early, k);
-                  park_start.(v) <- !park_base;
-                  resume_round.(v) <- park_expiry !park_base dur)
-            | _ -> None);
-      }
+    let settle v (Stopped k) =
+      conts.(v) <- k;
+      let s = Bytes.get state v in
+      if s = st_none then status.(v) <- Finished
+      else if s >= st_idle then begin
+        park_start.(v) <- !park_base;
+        resume_round.(v) <- park_expiry !park_base park.(v)
+      end
+    in
+    let resume v recv =
+      Bytes.set state v st_none;
+      settle v (Effect.Deep.continue conts.(v) recv)
     in
     let start v =
       status.(v) <- Running;
       let ctx = mk_ctx v in
-      Effect.Deep.match_with (fun () -> returns.(v) <- Some (body ctx)) () (handler v)
+      settle v
+        (Effect.Deep.match_with
+           (fun () -> returns.(v) <- Some (body ctx))
+           ()
+           (handler state sends v))
     in
     let recv_count = Array.make nn 0 in
     let recv_msg : M.t option array = Array.make nn None in
@@ -1194,7 +1289,10 @@ module Make (M : MESSAGE) = struct
       | At_round r -> !round_counter >= r
     in
     let timed_out = ref false in
-    (try
+    Fun.protect
+      ~finally:(fun () -> ignore (discontinue_all state conts))
+      (fun () ->
+    try
        while not (stop_now ()) do
          if !round_counter >= cfg.max_rounds then begin
            timed_out := true;
@@ -1210,13 +1308,13 @@ module Make (M : MESSAGE) = struct
          (* 2. Collect broadcasters and enforce the message-size bound. *)
          let bcast = ref [] in
          for v = nn - 1 downto 0 do
-           if sends.(v) <> None then bcast := v :: !bcast
+           if Bytes.get state v = st_send then bcast := v :: !bcast
          done;
          let broadcasters = Array.of_list !bcast in
          Array.iter
            (fun v ->
              incr sends_total;
-             let m = match sends.(v) with Some m -> m | None -> assert false in
+             let m = payload sends.(v) in
              let sz = M.size_bits ~n:nn m in
              bits_sent := !bits_sent + sz;
              match cfg.b_bits with
@@ -1239,7 +1337,7 @@ module Make (M : MESSAGE) = struct
          in
          Array.iter
            (fun u ->
-             let m = match sends.(u) with Some m -> m | None -> assert false in
+             let m = payload sends.(u) in
              Graph.iter_neighbors (fun v -> touch v m) g u;
              Dual.iter_gray_adj
                (fun v e -> if Bitset.mem gray_active e then touch v m)
@@ -1250,17 +1348,14 @@ module Make (M : MESSAGE) = struct
             keep it and wake. *)
          for v = 0 to nn - 1 do
            receives.(v) <- Silence;
-           match pending.(v) with
-           | No_fiber -> ()
-           | Synced _ | Parked _ ->
-             if sends.(v) <> None then receives.(v) <- Own
+           let s = Bytes.get state v in
+           if s <> st_none then
+             if s = st_send then receives.(v) <- Own
              else if recv_count.(v) = 1 then begin
-               (match pending.(v) with
-               | Synced _ | Parked (true, _) -> (
-                 match recv_msg.(v) with
-                 | Some m -> receives.(v) <- Recv m
-                 | None -> assert false)
-               | _ -> ());
+               (if s = st_listen || s = st_wait then
+                  match recv_msg.(v) with
+                  | Some m -> receives.(v) <- Recv m
+                  | None -> assert false);
                incr deliveries
              end
              else if recv_count.(v) >= 2 then incr collisions
@@ -1275,24 +1370,22 @@ module Make (M : MESSAGE) = struct
             parked fibers that heard a message or whose stretch ends now. *)
          park_base := r + 1;
          for v = 0 to nn - 1 do
-           match pending.(v) with
-           | Synced k ->
+           let s = Bytes.get state v in
+           if s = st_listen || s = st_send then begin
              let recv = receives.(v) in
              receives.(v) <- Silence;
-             sends.(v) <- None;
-             pending.(v) <- No_fiber;
-             Effect.Deep.continue k recv
-           | Parked _ | No_fiber -> sends.(v) <- None
+             sends.(v) <- Listen;
+             resume v recv
+           end
          done;
          for v = 0 to nn - 1 do
-           match pending.(v), receives.(v) with
-           | Parked (_, k), Recv m ->
-             pending.(v) <- No_fiber;
-             Effect.Deep.continue k (Some (r - park_start.(v) + 1, m))
-           | Parked (_, k), _ when resume_round.(v) = r ->
-             pending.(v) <- No_fiber;
-             Effect.Deep.continue k None
-           | _ -> ()
+           let s = Bytes.get state v in
+           if s = st_idle || s = st_wait then
+             match receives.(v) with
+             | Recv _ as recv ->
+               park.(v) <- r - park_start.(v) + 1;
+               resume v recv
+             | Own | Silence -> if resume_round.(v) = r then resume v Silence
          done;
          match cfg.observer with
          | Some f ->

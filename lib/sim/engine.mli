@@ -196,7 +196,14 @@ module Make (M : MESSAGE) : sig
       [engine.minor_words] and [engine.promoted_words] are the words the
       run allocated in, and promoted from, the minor heap of the calling
       domain only: what the sharded resume's workers allocate on their
-      own domains is not counted. *)
+      own domains is not counted.
+
+      A run that stops while fibers are still suspended (at [At_round],
+      at [All_decided] before every body returned, on a timeout, or
+      because a fiber raised) unwinds each of them with an exception
+      private to the engine, so their stacks are freed and a body's
+      [Fun.protect ~finally] runs; whatever the unwinding raises is
+      swallowed.  [engine.discontinued] counts those fibers. *)
   val run : config -> (ctx -> 'a) -> 'a result
 
   (** Straightforward O(n)-scans-per-round implementation of exactly the
@@ -207,6 +214,7 @@ module Make (M : MESSAGE) : sig
       declared [stabilizes_at].  The reference queries the detector every
       round, so one whose [at] changes after that round reads differently
       here than under [run], which caches the first value it queried at
-      or after it. *)
+      or after it.  Fibers still suspended at the end are unwound as in
+      [run]. *)
   val run_reference : config -> (ctx -> 'a) -> 'a result
 end

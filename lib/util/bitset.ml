@@ -104,19 +104,6 @@ let iter_inter f a b =
     done
   done
 
-(* First member of [a ∧ b], or [-1] when the intersection is empty. *)
-let find_inter a b =
-  if a.capacity <> b.capacity then invalid_arg "Bitset.find_inter";
-  let res = ref (-1) in
-  let w = ref 0 in
-  let nw = Bigarray.Array1.dim a.words in
-  while !res < 0 && !w < nw do
-    let word = a.words.{!w} land b.words.{!w} in
-    if word <> 0 then res := (!w * bits_per_word) + lowest_bit word;
-    incr w
-  done;
-  !res
-
 let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;

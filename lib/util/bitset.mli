@@ -25,9 +25,6 @@ val iter : (int -> unit) -> t -> unit
     match. *)
 val iter_inter : (int -> unit) -> t -> t -> unit
 
-(** First member of [a ∧ b], or [-1] when the intersection is empty. *)
-val find_inter : t -> t -> int
-
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
 (** Members in increasing order. *)

@@ -130,5 +130,4 @@ val bucket_upper : int -> int
     pairs.  Deterministic (snapshots are name-sorted). *)
 val to_json : snapshot -> string
 
-val pp_hist : Format.formatter -> hist_snapshot -> unit
 val pp_snapshot : Format.formatter -> snapshot -> unit

@@ -49,5 +49,4 @@ val snapshot : unit -> snapshot
     be merged and exported through the one metrics pipeline. *)
 val metrics_snapshot : unit -> Metrics.snapshot
 
-val pp_report : Format.formatter -> snapshot -> unit
 val print_report : unit -> unit
