@@ -28,10 +28,6 @@ val sweep_players : beta:int -> player * player
 (** A single-game automaton built by the Lemma 7.3 construction. *)
 type single_automaton
 
-(** Monte-Carlo estimate of a player's hit probability within [rounds]. *)
-val estimate_success :
-  player -> target:int -> input:int -> rounds:int -> samples:int -> seed:int -> float
-
 (** Lemma 7.3: from a pair solving the [beta2]-double game, build an
     automaton for the [beta2/2]-single game via the winner table (estimated
     over [samples] seeds). *)

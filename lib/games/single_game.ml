@@ -24,16 +24,41 @@ let guesses rng strategy ~beta ~max_rounds =
   | Memoryless -> Array.init max_rounds (fun _ -> 1 + Rng.int rng beta)
   | Custom f -> Array.init max_rounds (fun i -> f rng ~beta ~round:(i + 1))
 
-(* Rounds until the target is guessed, or [None] within [max_rounds]. *)
+(* Rounds until the target is guessed, or [None] within [max_rounds].
+   The RNG stream advances exactly as if all [max_rounds] guesses of
+   [guesses] were drawn, but no guess array is built: the hit usually
+   comes within about beta rounds of a 1000 * beta budget.  A memoryless
+   guess is one draw, so the rounds after the hit are skipped in O(1);
+   a [Custom] automaton may draw any number of times per guess, so it
+   is still asked for every round. *)
 let play rng strategy ~beta ~target ~max_rounds =
   if target < 1 || target > beta then invalid_arg "Single_game.play: target";
-  let gs = guesses rng strategy ~beta ~max_rounds in
-  let rec loop i =
-    if i >= Array.length gs then None
-    else if gs.(i) = target then Some (i + 1)
-    else loop (i + 1)
-  in
-  loop 0
+  if max_rounds < 0 then invalid_arg "Single_game.play: max_rounds";
+  match strategy with
+  | Permutation ->
+    let p = Rng.permutation rng beta in
+    let rec loop i =
+      if i >= min beta max_rounds then None
+      else if p.(i) + 1 = target then Some (i + 1)
+      else loop (i + 1)
+    in
+    loop 0
+  | Memoryless ->
+    let rec loop i =
+      if i >= max_rounds then None
+      else if 1 + Rng.int rng beta = target then begin
+        Rng.skip rng (max_rounds - i - 1);
+        Some (i + 1)
+      end
+      else loop (i + 1)
+    in
+    loop 0
+  | Custom f ->
+    let hit = ref None in
+    for round = 1 to max_rounds do
+      if f rng ~beta ~round = target && !hit = None then hit := Some round
+    done;
+    !hit
 
 (* Mean hit time over uniformly random targets. *)
 let mean_rounds rng strategy ~beta ~samples =

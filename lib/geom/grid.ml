@@ -7,19 +7,26 @@
    only against the points of its own cell and the eight surrounding
    ones, instead of against all n - 1 others.  This is what turns world
    construction (Gen.of_positions, Dual.make's embedding validation)
-   from O(n^2) into O(n) expected. *)
+   from O(n^2) into O(n) expected.
+
+   The points are stored in cell order as flat arrays: slot [k] holds
+   point [ids.(k)] at ([xs.(k)], [ys.(k)]), so a scan of a cell's
+   members reads unboxed floats side by side instead of chasing a
+   boxed [Point.t] per member.  Cells are numbered row-major, so the
+   cells of one grid row around a point are one contiguous slot range,
+   and callers walk a point's 3x3 block as three such ranges. *)
 
 type t = {
-  cell : float; (* cell side; also the largest radius fully covered *)
   cols : int;
   rows : int;
-  min_x : float;
-  min_y : float;
-  start : int array; (* cell id -> first index into [ids] (CSR layout) *)
-  ids : int array; (* point indices grouped by cell, ascending in a cell *)
+  start : int array; (* cell id -> first slot (CSR layout), ncells + 1 *)
+  ids : int array; (* slot -> point index, ascending within a cell *)
+  xs : float array; (* slot -> x coordinate *)
+  ys : float array; (* slot -> y coordinate *)
+  col : int array; (* point index -> its cell's column *)
+  row : int array; (* point index -> its cell's row *)
+  slot : int array; (* point index -> its slot *)
 }
-
-let cell_size t = t.cell
 
 let build ~cell (pos : Point.t array) =
   if not (Float.is_finite cell) || cell <= 0.0 then invalid_arg "Grid.build: cell <= 0";
@@ -38,80 +45,73 @@ let build ~cell (pos : Point.t array) =
   let cols = if n = 0 then 1 else 1 + span !max_x min_x in
   let rows = if n = 0 then 1 else 1 + span !max_y min_y in
   let ncells = cols * rows in
+  let col = Array.map (fun (p : Point.t) -> span p.Point.x min_x) pos in
+  let row = Array.map (fun (p : Point.t) -> span p.Point.y min_y) pos in
   (* counting sort into CSR: one pass to count, one to place *)
   let count = Array.make (ncells + 1) 0 in
-  let cell_of p =
-    let cx = span p.Point.x min_x and cy = span p.Point.y min_y in
-    (cy * cols) + cx
-  in
-  Array.iter (fun p -> count.(cell_of p + 1) <- count.(cell_of p + 1) + 1) pos;
+  for i = 0 to n - 1 do
+    let c = (row.(i) * cols) + col.(i) in
+    count.(c + 1) <- count.(c + 1) + 1
+  done;
   for c = 1 to ncells do
     count.(c) <- count.(c) + count.(c - 1)
   done;
   let start = Array.copy count in
-  let ids = Array.make n 0 in
+  let ids = Array.make n 0 and slot = Array.make n 0 in
+  let xs = Array.create_float n and ys = Array.create_float n in
   (* placing in index order keeps each cell's ids ascending *)
   Array.iteri
-    (fun i p ->
-      let c = cell_of p in
-      ids.(count.(c)) <- i;
-      count.(c) <- count.(c) + 1)
+    (fun i (p : Point.t) ->
+      let c = (row.(i) * cols) + col.(i) in
+      let k = count.(c) in
+      ids.(k) <- i;
+      slot.(i) <- k;
+      xs.(k) <- p.Point.x;
+      ys.(k) <- p.Point.y;
+      count.(c) <- k + 1)
     pos;
-  { cell; cols; rows; min_x; min_y; start; ids }
+  { cols; rows; start; ids; xs; ys; col; row; slot }
 
-(* [iter_pairs f grid pos] calls [f u v dist] once per unordered pair
-   with [u < v] and [dist <= cell] (plus some pairs slightly beyond,
-   up to cell * sqrt 8 — callers re-check the distance, which is passed
-   so they need not recompute it).  Each in-range pair is visited
-   exactly once: within a cell ids are ascending so i < j suffices, and
-   across cells only the four forward neighbors (E, SW, S, SE) are
-   scanned. *)
-let iter_pairs f t (pos : Point.t array) =
-  let cell_members c = (t.start.(c), t.start.(c + 1)) in
-  let emit i j =
-    let u = t.ids.(i) and v = t.ids.(j) in
-    let u, v = if u < v then (u, v) else (v, u) in
-    f u v (Point.dist pos.(u) pos.(v))
-  in
+let adjacent t u v = abs (t.col.(u) - t.col.(v)) <= 1 && abs (t.row.(u) - t.row.(v)) <= 1
+
+(* Every unordered pair in the same or adjacent cells is taken once:
+   slot i of cell c against the later slots of c and all of the cell to
+   its east (one contiguous range), then against the three cells of the
+   next row from south-west to south-east (another).  The distance is
+   [Point.dist] of the two points bit for bit: a difference and its
+   negation square to the same float, so the slot order does not
+   matter.  The counts are branch-free: about as many pairs fall inside
+   as outside each radius, so a branch would mispredict half the time.
+   Every [j] below is a slot, hence the unchecked reads. *)
+let count_pairs t r1 r2 =
+  let near = ref 0 and far = ref 0 in
+  let xs = t.xs and ys = t.ys in
   for cy = 0 to t.rows - 1 do
     for cx = 0 to t.cols - 1 do
       let c = (cy * t.cols) + cx in
-      let lo, hi = cell_members c in
-      (* within-cell pairs *)
-      for i = lo to hi - 1 do
-        for j = i + 1 to hi - 1 do
-          emit i j
+      let east_hi = t.start.(if cx + 1 < t.cols then c + 2 else c + 1) in
+      let south = (cy + 1) * t.cols in
+      let south_lo = if cy + 1 < t.rows then t.start.(south + max 0 (cx - 1)) else 0 in
+      let south_hi =
+        if cy + 1 < t.rows then t.start.(south + min (t.cols - 1) (cx + 1) + 1) else 0
+      in
+      for i = t.start.(c) to t.start.(c + 1) - 1 do
+        let x = xs.(i) and y = ys.(i) in
+        for j = i + 1 to east_hi - 1 do
+          let dx = x -. Array.unsafe_get xs j and dy = y -. Array.unsafe_get ys j in
+          let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
+          let a = Bool.to_int (dist <= r1) in
+          near := !near + a;
+          far := !far + (Bool.to_int (dist <= r2) land (a lxor 1))
+        done;
+        for j = south_lo to south_hi - 1 do
+          let dx = x -. Array.unsafe_get xs j and dy = y -. Array.unsafe_get ys j in
+          let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
+          let a = Bool.to_int (dist <= r1) in
+          near := !near + a;
+          far := !far + (Bool.to_int (dist <= r2) land (a lxor 1))
         done
-      done;
-      (* forward neighbor cells *)
-      List.iter
-        (fun (dx, dy) ->
-          let nx = cx + dx and ny = cy + dy in
-          if nx >= 0 && nx < t.cols && ny < t.rows then begin
-            let lo', hi' = cell_members ((ny * t.cols) + nx) in
-            for i = lo to hi - 1 do
-              for j = lo' to hi' - 1 do
-                emit i j
-              done
-            done
-          end)
-        [ (1, 0); (-1, 1); (0, 1); (1, 1) ]
-    done
-  done
-
-(* [iter_within f grid pos i r]: every j <> i with dist(i, j) <= r,
-   requiring r <= cell.  Scans the 3x3 cell neighborhood of i. *)
-let iter_within f t (pos : Point.t array) i r =
-  if r > t.cell +. 1e-12 then invalid_arg "Grid.iter_within: radius exceeds cell size";
-  let p = pos.(i) in
-  let cx = int_of_float ((p.Point.x -. t.min_x) /. t.cell) in
-  let cy = int_of_float ((p.Point.y -. t.min_y) /. t.cell) in
-  for ny = max 0 (cy - 1) to min (t.rows - 1) (cy + 1) do
-    for nx = max 0 (cx - 1) to min (t.cols - 1) (cx + 1) do
-      let c = (ny * t.cols) + nx in
-      for k = t.start.(c) to t.start.(c + 1) - 1 do
-        let j = t.ids.(k) in
-        if j <> i && Point.dist p pos.(j) <= r then f j
       done
     done
-  done
+  done;
+  (!near, !far)

@@ -2,20 +2,39 @@
     pairs within a fixed radius, replacing O(n²) pairwise scans in world
     construction. *)
 
-type t
+(** The points in cell order, as flat arrays.  Cells are square, of the
+    side given to {!build}, numbered row-major (cell [(cx, cy)] is
+    [cy * cols + cx]); the points of cell [c] occupy slots [start.(c)] to
+    [start.(c + 1) - 1], in ascending point index.  Slot [k] holds point
+    [ids.(k)] at [(xs.(k), ys.(k))], the very floats of its [Point.t].
+    Point [i] lies in cell [(col.(i), row.(i))], at slot [slot.(i)].
+    Every pair at distance at most the cell side lies in the same or
+    adjacent cells, so a point's partners within that distance are found
+    in its 3x3 block, whose three grid rows are three contiguous slot
+    ranges. *)
+type t = private {
+  cols : int;
+  rows : int;
+  start : int array;
+  ids : int array;
+  xs : float array;
+  ys : float array;
+  col : int array;
+  row : int array;
+  slot : int array;
+}
 
 (** [build ~cell pos] buckets the points into square cells of side
     [cell].  Raises [Invalid_argument] unless [cell > 0] and finite. *)
 val build : cell:float -> Point.t array -> t
 
-val cell_size : t -> float
+(** [adjacent grid u v] iff points [u] and [v] lie in the same or
+    adjacent cells (diagonals included): the pairs {!count_pairs} sees. *)
+val adjacent : t -> int -> int -> bool
 
-(** [iter_pairs f grid pos] calls [f u v dist] exactly once per
-    unordered pair [u < v] lying in the same or adjacent cells — a
-    superset of all pairs with [dist <= cell_size].  [dist] is the exact
-    Euclidean distance; callers filter on it. *)
-val iter_pairs : (int -> int -> float -> unit) -> t -> Point.t array -> unit
-
-(** [iter_within f grid pos i r] calls [f j] for every [j <> i] with
-    [dist(i, j) <= r].  Requires [r <= cell_size]. *)
-val iter_within : (int -> unit) -> t -> Point.t array -> int -> float -> unit
+(** [count_pairs grid r1 r2] takes every unordered pair of points in the
+    same or adjacent cells once — a superset of all pairs at distance at
+    most the cell side — and returns how many lie at distance [<= r1],
+    and how many at distance in [(r1, r2\]].  The distance is
+    [Point.dist] of the two points, bit for bit. *)
+val count_pairs : t -> float -> float -> int * int

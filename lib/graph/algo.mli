@@ -6,9 +6,6 @@ val unreachable : int
 (** Hop distances from a source ([unreachable] where no path). *)
 val bfs_dist : Graph.t -> int -> int array
 
-(** BFS visiting only nodes allowed by the predicate. *)
-val bfs_dist_restricted : Graph.t -> int -> allow:(int -> bool) -> int array
-
 val is_connected : Graph.t -> bool
 
 (** Is the subgraph induced by the listed nodes connected?  Vacuously true

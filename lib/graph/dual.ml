@@ -153,22 +153,29 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
   | Some p ->
     if Array.length p <> n then invalid_arg "Dual.make: positions arity";
     (* Model constraints: unit-distance pairs must be reliable links and no
-       G' edge may exceed distance d.  The first only concerns pairs at
-       distance <= 1, which a unit hash-grid enumerates in O(n) expected;
-       the second is checked edge-by-edge over E and the gray set, so the
-       lazy G' union is never forced here. *)
+       G' edge may exceed distance d.  The first is checked by counting,
+       not by searching: a unit hash-grid counts the pairs at distance
+       <= 1 in the same or adjacent cells, and the walk over E counts
+       E's edges at distance <= 1 between such cells.  E holds each pair
+       at most once, so the two counts agree iff every pair the grid
+       counts is in E — the same pairs, under the same float distance,
+       that a membership test per pair would check.  The length check
+       runs edge by edge over E and the gray set, so the lazy G' union
+       is never forced here. *)
     let grid = Rn_geom.Grid.build ~cell:1.0 p in
-    Rn_geom.Grid.iter_pairs
-      (fun u v dist ->
-        if dist <= 1.0 && not (Graph.mem_edge g u v) then
-          invalid_arg "Dual.make: unit-distance pair missing from E")
-      grid p;
-    let check_len u v =
-      if Rn_geom.Point.dist p.(u) p.(v) > d +. 1e-9 then
-        invalid_arg "Dual.make: G' edge longer than d"
-    in
-    Graph.iter_edges check_len g;
-    Array.iter (fun e -> check_len (e / n) (e mod n)) gray_pk
+    let units, _ = Rn_geom.Grid.count_pairs grid 1.0 1.0 in
+    let covered = ref 0 and too_long = ref false in
+    Graph.iter_edges
+      (fun u v ->
+        let dist = Rn_geom.Point.dist p.(u) p.(v) in
+        if dist <= 1.0 && Rn_geom.Grid.adjacent grid u v then incr covered;
+        if dist > d +. 1e-9 then too_long := true)
+      g;
+    if !covered <> units then invalid_arg "Dual.make: unit-distance pair missing from E";
+    Array.iter
+      (fun e -> if Rn_geom.Point.dist p.(e / n) p.(e mod n) > d +. 1e-9 then too_long := true)
+      gray_pk;
+    if !too_long then invalid_arg "Dual.make: G' edge longer than d"
   | None -> ());
   (* Counting fill of the incidence CSR; iterating ids high-to-low
      reproduces the historical row order (descending edge id), which

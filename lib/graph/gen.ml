@@ -8,6 +8,8 @@
 
 module Rng = Rn_util.Rng
 module Point = Rn_geom.Point
+module Bitset = Rn_util.Bitset
+module Grid = Rn_geom.Grid
 
 type geometric_spec = {
   n : int;
@@ -42,62 +44,95 @@ let of_positions_naive ~rng ~d ~gray_p pos =
   Dual.make ~pos ~d ~g ~gray:!gray ()
 
 (* Derive a dual graph from fixed positions, O(n) expected for bounded
-   density: a hash-grid of cell max(d, 1) enumerates exactly the pairs
-   that can be reliable or gray-zone.
+   density: a hash-grid of cell max(d, 1) holds, in each node's 3x3
+   block of cells, every pair that can be reliable or gray-zone.
 
    RNG-stream compatibility matters here: the naive scan draws one
    Bernoulli per gray-zone pair in (u, v)-lexicographic order, and every
-   cached experiment table depends on that stream.  The grid visits
-   pairs in cell order, so gray-zone *candidates* are collected first
-   and sorted back to (u, v) order before any draw — the produced dual
-   graph is identical to the naive one, bit for bit. *)
+   cached experiment table depends on that stream.  So the keys are
+   emitted node-major: for u = 0, 1, ..., the partners v > u in u's
+   block are collected and sorted — a few dozen — and appended, which
+   gives ascending packed (u * n + v) order, the naive scan's, without
+   sorting the key set as a whole.
+
+   Three passes keep every key array at its exact final size:
+   - [Grid.count_pairs] counts the reliable pairs and the gray-zone
+     candidates;
+   - one Bernoulli per candidate is drawn, in candidate order, into a
+     bitset (bit i decides the i-th candidate in ascending order);
+   - the node-major walk fills the reliable keys and the kept gray keys.
+   The produced dual graph and the RNG state after it are identical to
+   the naive one's, bit for bit. *)
 let of_positions ~rng ~d ~gray_p pos =
   let n = Array.length pos in
-  (* Growable unboxed buffers of packed (u * n + v) keys: at a million
-     nodes the reliable and gray-zone sets run to tens of millions of
-     pairs, where tuple lists cost gigabytes of boxed cells.  The
-     amortised-doubling push keeps peak memory at ~2x the final size. *)
-  let push bufref lenref e =
-    let buf = !bufref and len = !lenref in
-    let buf =
-      if len < Array.length buf then buf
-      else begin
-        let b = Array.make (2 * len) 0 in
-        Array.blit buf 0 b 0 len;
-        bufref := b;
-        b
-      end
-    in
-    buf.(len) <- e;
-    lenref := len + 1
-  in
-  let rel_buf = ref (Array.make 1024 0) and rel_len = ref 0 in
-  let cand_buf = ref (Array.make 1024 0) and cand_len = ref 0 in
-  let grid = Rn_geom.Grid.build ~cell:(Float.max d 1.0) pos in
-  Rn_geom.Grid.iter_pairs
-    (fun u v dist ->
-      if dist <= 1.0 then push rel_buf rel_len ((u * n) + v)
-      else if dist <= d then push cand_buf cand_len ((u * n) + v))
-    grid pos;
-  (* ascending packed (u * n + v) order is (u, v)-lexicographic — the
-     naive scan's draw order; [Int_sort.packed] buckets the candidates by
-     u and sorts each bucket in place *)
-  let cand = Array.sub !cand_buf 0 !cand_len in
-  cand_buf := [||];
-  Rn_util.Int_sort.packed ~n cand;
-  (* Bernoulli draws in ascending order produce the gray keys already
-     ascending, exactly what [Dual.make_packed] wants. *)
-  let gray_len = ref 0 in
-  Array.iter
-    (fun e ->
-      if Rng.bool rng gray_p then begin
-        cand.(!gray_len) <- e;
-        incr gray_len
-      end)
-    cand;
-  let gray_pk = Array.sub cand 0 !gray_len in
-  let g = Graph.of_packed_unsorted n (Array.sub !rel_buf 0 !rel_len) in
-  rel_buf := [||];
+  let grid = Grid.build ~cell:(Float.max d 1.0) pos in
+  let nrel, ncand = Grid.count_pairs grid 1.0 d in
+  (* bit b of word k holds the draw of candidate k * w + b; the words
+     are built branch-free, as half the draws come up *)
+  let keep = Bitset.create ncand in
+  let w = Bitset.bits_per_word in
+  for k = 0 to Rn_util.Ilog.cdiv ncand w - 1 do
+    let bits = ref 0 in
+    for b = 0 to min w (ncand - (k * w)) - 1 do
+      bits := !bits lor (Bool.to_int (Rng.bool rng gray_p) lsl b)
+    done;
+    Bitset.set_word keep k !bits
+  done;
+  let rel = Array.make nrel 0 and gray_pk = Array.make (Bitset.cardinal keep) 0 in
+  let { Grid.cols; rows; start; ids; xs; ys; _ } = grid in
+  (* Per-node scratch: the walk below stores every key it visits before
+     deciding whether to keep it, so it needs room for a whole 3x3 block;
+     the most populous one bounds them all. *)
+  let widest = ref 0 in
+  for cy = 0 to rows - 1 do
+    for cx = 0 to cols - 1 do
+      let x0 = max 0 (cx - 1) and x1 = min (cols - 1) (cx + 1) and p = ref 0 in
+      for ny = max 0 (cy - 1) to min (rows - 1) (cy + 1) do
+        p := !p + start.((ny * cols) + x1 + 1) - start.((ny * cols) + x0)
+      done;
+      widest := max !widest !p
+    done
+  done;
+  let rb = Array.make !widest 0 and cb = Array.make !widest 0 in
+  let nr = ref 0 and nc = ref 0 and ng = ref 0 in
+  for u = 0 to n - 1 do
+    let k = grid.slot.(u) and cx = grid.col.(u) and cy = grid.row.(u) in
+    let ux = xs.(k) and uy = ys.(k) in
+    let x0 = max 0 (cx - 1) and x1 = min (cols - 1) (cx + 1) in
+    let a = ref 0 and b = ref 0 in
+    for ny = max 0 (cy - 1) to min (rows - 1) (cy + 1) do
+      (* [j] is a slot, and [!a], [!b] stay below the number of slots
+         visited so far, at most [!widest]: the accesses are in bounds *)
+      for j = start.((ny * cols) + x0) to start.((ny * cols) + x1 + 1) - 1 do
+        let v = Array.unsafe_get ids j in
+        (* [Point.dist pos.(u) pos.(v)] bit for bit.  Branch-free: the
+           tests below split about evenly, so branches would mispredict
+           half the time. *)
+        let dx = ux -. Array.unsafe_get xs j and dy = uy -. Array.unsafe_get ys j in
+        let dist = sqrt ((dx *. dx) +. (dy *. dy)) in
+        let up = Bool.to_int (v > u) and near = Bool.to_int (dist <= 1.0) in
+        Array.unsafe_set rb !a ((u * n) + v);
+        a := !a + (near land up);
+        Array.unsafe_set cb !b ((u * n) + v);
+        b := !b + (Bool.to_int (dist <= d) land (near lxor 1) land up)
+      done
+    done;
+    Rn_util.Int_sort.sort_range rb 0 !a;
+    Array.blit rb 0 rel !nr !a;
+    nr := !nr + !a;
+    (* keep the candidates whose draw came up, in order *)
+    Rn_util.Int_sort.sort_range cb 0 !b;
+    let m = ref 0 in
+    for j = 0 to !b - 1 do
+      cb.(!m) <- cb.(j);
+      m := !m + Bool.to_int (Bitset.mem keep (!nc + j))
+    done;
+    Array.blit cb 0 gray_pk !ng !m;
+    nc := !nc + !b;
+    ng := !ng + !m
+  done;
+  (* [Graph.of_packed] rejects keys that are not strictly ascending *)
+  let g = Graph.of_packed n rel in
   Dual.make_packed ~pos ~d ~g ~gray_pk ()
 
 (* Random geometric dual graph, resampled until G is connected. *)

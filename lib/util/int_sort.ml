@@ -97,7 +97,11 @@ let rec intro (a : int array) lo hi depth =
     intro a !i hi (depth - 1)
   end
 
-let sort_range a lo hi = if hi - lo > 1 then intro a lo hi (2 * Ilog.floor_log2 (hi - lo))
+let sort_slice a lo hi = if hi - lo > 1 then intro a lo hi (2 * Ilog.floor_log2 (hi - lo))
+
+let sort_range a lo hi =
+  if lo < 0 || hi > Array.length a || lo > hi then invalid_arg "Int_sort.sort_range";
+  sort_slice a lo hi
 
 let ascending (a : int array) =
   let len = Array.length a in
@@ -107,7 +111,7 @@ let ascending (a : int array) =
   done;
   !i >= len
 
-let sort a = if not (ascending a) then sort_range a 0 (Array.length a)
+let sort a = if not (ascending a) then sort_slice a 0 (Array.length a)
 
 let packed ~n (a : int array) =
   let len = Array.length a in
@@ -120,7 +124,7 @@ let packed ~n (a : int array) =
     if i > 0 && Array.unsafe_get a (i - 1) > k then sorted := false
   done;
   if !sorted then ()
-  else if len < counting_min || n > len then sort_range a 0 len
+  else if len < counting_min || n > len then sort_slice a 0 len
   else begin
     (* Every key is in [0, n²), so each bucket index [k / n] is in [0, n). *)
     let start = Array.make (n + 1) 0 in
@@ -154,6 +158,6 @@ let packed ~n (a : int array) =
         Array.unsafe_set next u (j + 1)
       done;
       (* Bucket u is complete and no later cycle touches it. *)
-      sort_range a (Array.unsafe_get start u) stop
+      sort_slice a (Array.unsafe_get start u) stop
     done
   end

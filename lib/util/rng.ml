@@ -51,6 +51,12 @@ let derive t label = of_state (derived t label)
    this keeps the hot loop allocation-free. *)
 let derive_into dst ~parent label = set64 dst 0 (derived parent label)
 
+(* Every draw adds [golden_gamma] to the state and mixes a copy of it,
+   so [k] draws move the state by [k * golden_gamma] (mod 2^64). *)
+let skip t k =
+  if k < 0 then invalid_arg "Rng.skip: negative count";
+  set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
 let bits t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =

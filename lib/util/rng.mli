@@ -31,6 +31,12 @@ val bool : t -> float -> bool
 (** Non-negative pseudo-random bits (62 of them). *)
 val bits : t -> int
 
+(** [skip t k] advances [t] exactly as [k] draws would, in O(1): after
+    it, [t] is in the state [k] calls of {!bits} (or of {!int}, {!float}
+    or {!bool}, one draw each) would leave.  Raises [Invalid_argument] if
+    [k < 0]. *)
+val skip : t -> int -> unit
+
 (** Fisher-Yates shuffle. *)
 val shuffle_in_place : t -> 'a array -> unit
 

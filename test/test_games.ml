@@ -54,6 +54,95 @@ let prop_quantile_at_least_mean_target =
       Single.quantile_rounds rng Permutation ~beta ~samples:50 ~q:0.9
       >= float_of_int beta /. 2.0)
 
+(* The hitting game as it was first written: [play] builds every one of
+   the [max_rounds] guesses with [Single.guesses] and then scans them.
+   [Single.play] stops drawing at the hit and skips the rest of the
+   stream; the means, the quantiles and the stream after them must not
+   move. *)
+module Single_ref = struct
+  let play rng strategy ~beta ~target ~max_rounds =
+    let gs = Single.guesses rng strategy ~beta ~max_rounds in
+    let rec loop i =
+      if i >= Array.length gs then None
+      else if gs.(i) = target then Some (i + 1)
+      else loop (i + 1)
+    in
+    loop 0
+
+  let mean_rounds rng strategy ~beta ~samples =
+    let total = ref 0 in
+    let max_rounds = 1000 * beta in
+    for _ = 1 to samples do
+      let target = 1 + Rng.int rng beta in
+      match play rng strategy ~beta ~target ~max_rounds with
+      | Some r -> total := !total + r
+      | None -> total := !total + max_rounds
+    done;
+    float_of_int !total /. float_of_int samples
+
+  let quantile_rounds rng strategy ~beta ~samples ~q =
+    let worst = ref 0.0 in
+    let max_rounds = 1000 * beta in
+    for target = 1 to beta do
+      let times =
+        Array.init samples (fun _ ->
+            match play rng strategy ~beta ~target ~max_rounds with
+            | Some r -> float_of_int r
+            | None -> float_of_int max_rounds)
+      in
+      let t = Rn_util.Stats.percentile times q in
+      if t > !worst then worst := t
+    done;
+    !worst
+end
+
+(* A custom automaton that draws a varying number of times per guess
+   (round mod 3 extra draws), and one that never hits target 1, so that
+   the whole budget is spent. *)
+let strategies =
+  [
+    ("permutation", Single.Permutation);
+    ("memoryless", Single.Memoryless);
+    ( "custom, varying draws",
+      Single.Custom
+        (fun rng ~beta ~round ->
+          for _ = 1 to round mod 3 do
+            ignore (Rng.bits rng)
+          done;
+          1 + Rng.int rng beta) );
+    ("custom, misses 1", Single.Custom (fun rng ~beta ~round:_ -> 2 + Rng.int rng (beta - 1)));
+  ]
+
+let prop_single_matches_reference =
+  QCheck.Test.make ~name:"mean and quantile = array-building reference, same stream" ~count:30
+    QCheck.(triple (int_range 0 3) (int_range 2 8) small_nat)
+    (fun (six, beta, seed) ->
+      let _, strategy = List.nth strategies six in
+      let r1 = Rng.create seed and r2 = Rng.create seed in
+      let m1 = Single.mean_rounds r1 strategy ~beta ~samples:5 in
+      let m2 = Single_ref.mean_rounds r2 strategy ~beta ~samples:5 in
+      let q1 = Single.quantile_rounds r1 strategy ~beta ~samples:3 ~q:0.9 in
+      let q2 = Single_ref.quantile_rounds r2 strategy ~beta ~samples:3 ~q:0.9 in
+      m1 = m2 && q1 = q2 && Rng.bits r1 = Rng.bits r2)
+
+(* One quick E4a cell, beta = 64: both means over 200 samples, then the
+   permutation's p90 over 50, all from one stream. *)
+let test_single_matches_reference_e4a () =
+  let cell (mean, quantile) rng =
+    let perm = mean rng Single.Permutation ~beta:64 ~samples:200 in
+    let memless = mean rng Single.Memoryless ~beta:64 ~samples:200 in
+    let p90 = quantile rng Single.Permutation ~beta:64 ~samples:50 ~q:0.9 in
+    (perm, memless, p90, Rng.bits rng)
+  in
+  let mean = Single.mean_rounds and quantile = Single.quantile_rounds in
+  let ref_mean = Single_ref.mean_rounds and ref_quantile = Single_ref.quantile_rounds in
+  let p1, m1, q1, b1 = cell (mean, quantile) (Rng.create (0xE4A + 64)) in
+  let p2, m2, q2, b2 = cell (ref_mean, ref_quantile) (Rng.create (0xE4A + 64)) in
+  Alcotest.(check (float 0.0)) "permutation mean" p2 p1;
+  Alcotest.(check (float 0.0)) "memoryless mean" m2 m1;
+  Alcotest.(check (float 0.0)) "p90" q2 q1;
+  Alcotest.(check int) "stream after" b2 b1
+
 (* --- double hitting game --- *)
 
 let test_sweep_players_solve () =
@@ -139,6 +228,8 @@ let () =
           Alcotest.test_case "means linear" `Quick test_mean_rounds_linear;
           Alcotest.test_case "custom strategy" `Quick test_custom_strategy;
           qtest prop_quantile_at_least_mean_target;
+          qtest prop_single_matches_reference;
+          Alcotest.test_case "E4a sizes = reference" `Quick test_single_matches_reference_e4a;
         ] );
       ( "double",
         [

@@ -313,7 +313,45 @@ let test_dual_geometry_validation () =
       ignore (Dual.make ~pos ~g:(Graph.of_edges 2 []) ~gray:[] ()));
   let pos2 = [| Rn_geom.Point.make 0.0 0.0; Rn_geom.Point.make 5.0 0.0 |] in
   Alcotest.check_raises "edge too long" (Invalid_argument "Dual.make: G' edge longer than d")
-    (fun () -> ignore (Dual.make ~pos:pos2 ~g:(Graph.of_edges 2 [ (0, 1) ]) ~gray:[] ()))
+    (fun () -> ignore (Dual.make ~pos:pos2 ~g:(Graph.of_edges 2 [ (0, 1) ]) ~gray:[] ()));
+  (* a longer link in E does not stand in for the missing unit pair *)
+  let pos3 =
+    [| Rn_geom.Point.make 0.0 0.0; Rn_geom.Point.make 0.5 0.0; Rn_geom.Point.make 1.8 0.0 |]
+  in
+  Alcotest.check_raises "unit pair swapped for a long link"
+    (Invalid_argument "Dual.make: unit-distance pair missing from E") (fun () ->
+      ignore (Dual.make ~pos:pos3 ~g:(Graph.of_edges 3 [ (0, 2) ]) ~gray:[] ()));
+  (* both faults: the missing unit pair is reported first *)
+  Alcotest.check_raises "missing unit pair first"
+    (Invalid_argument "Dual.make: unit-distance pair missing from E") (fun () ->
+      ignore (Dual.make ~pos:pos3 ~d:1.5 ~g:(Graph.of_edges 3 [ (0, 2) ]) ~gray:[] ()));
+  Alcotest.check_raises "gray edge too long"
+    (Invalid_argument "Dual.make: G' edge longer than d") (fun () ->
+      ignore (Dual.make ~pos:pos3 ~d:1.5 ~g:(Graph.of_edges 3 [ (0, 1) ]) ~gray:[ (0, 2) ] ()))
+
+(* The unit-pair check counts instead of searching; it must reject
+   exactly the reliable graphs that miss some pair at distance <= 1,
+   also when E holds longer links that make up the edge count. *)
+let prop_dual_unit_check =
+  QCheck.Test.make ~name:"unit-pair check = brute force" ~count:200
+    QCheck.(pair (int_range 2 30) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Rng.create seed in
+      let pos = Array.init n (fun _ -> Point.random rng ~w:4.0 ~h:4.0) in
+      let edges = ref [] and missing = ref false in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          let dist = Point.dist pos.(u) pos.(v) in
+          if dist <= 1.0 then
+            if Rng.bool rng 0.9 then edges := (u, v) :: !edges else missing := true
+          else if dist <= 2.0 && Rng.bool rng 0.3 then edges := (u, v) :: !edges
+        done
+      done;
+      let g = Graph.of_edges n !edges in
+      match Dual.make ~pos ~d:2.0 ~g ~gray:[] () with
+      | _ -> not !missing
+      | exception Invalid_argument m ->
+        !missing && m = "Dual.make: unit-distance pair missing from E")
 
 (* ---------------- grid world generation = naive oracle ---------------- *)
 
@@ -324,21 +362,33 @@ let dual_eq a b =
   && Dual.gray_edges a = Dual.gray_edges b
   && Dual.d a = Dual.d b
 
-(* Grid and naive generation on [n] random points agree, and leave the
-   RNG in the same state; [None] when they do, else what differed. *)
+(* Grid and naive generation on [pos] agree, and leave the RNG in the
+   same state; [None] when they do, else what differed.  Agreeing
+   includes rejecting the same placements the same way: with d < 1 a
+   reliable link longer than d breaks the model, and both raise. *)
+let positions_mismatch ?(gray_p = 0.5) ~d ~at pos =
+  let r1 = Rng.create 42 and r2 = Rng.create 42 in
+  let build f rng = try Ok (f ~rng ~d ~gray_p pos) with Invalid_argument m -> Error m in
+  let grid = build Gen.of_positions r1 and naive = build Gen.of_positions_naive r2 in
+  let at = Printf.sprintf "%s d=%.1f" at d in
+  let same =
+    match (grid, naive) with
+    | Ok a, Ok b -> dual_eq a b
+    | Error a, Error b -> a = b
+    | _ -> false
+  in
+  if not same then Some ("grid <> naive " ^ at)
+    (* draw-count equality *)
+  else if Rng.bits r1 <> Rng.bits r2 then Some ("RNG stream diverged " ^ at)
+  else None
+
+(* The same on [n] random points. *)
 let grid_naive_mismatch ~n ~pseed ~d =
   let prng = Rng.create pseed in
   (* spread tight enough that reliable and gray pairs both occur *)
   let side = 1.0 +. sqrt (float_of_int n) in
   let pos = Array.init n (fun _ -> Point.random prng ~w:side ~h:side) in
-  let r1 = Rng.create 42 and r2 = Rng.create 42 in
-  let grid = Gen.of_positions ~rng:r1 ~d ~gray_p:0.5 pos in
-  let naive = Gen.of_positions_naive ~rng:r2 ~d ~gray_p:0.5 pos in
-  let at = Printf.sprintf "at n=%d pseed=%d d=%.1f" n pseed d in
-  if not (dual_eq grid naive) then Some ("grid <> naive " ^ at)
-    (* draw-count equality *)
-  else if Rng.bits r1 <> Rng.bits r2 then Some ("RNG stream diverged " ^ at)
-  else None
+  positions_mismatch ~d ~at:(Printf.sprintf "at n=%d pseed=%d" n pseed) pos
 
 let prop_grid_gen_equiv =
   QCheck.Test.make ~name:"grid of_positions = naive oracle (same RNG stream)" ~count:150
@@ -370,6 +420,75 @@ let prop_grid_gen_negative_coords =
       let grid = Gen.of_positions ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
       let naive = Gen.of_positions_naive ~rng:(Rng.create 7) ~d:2.0 ~gray_p:0.3 pos in
       dual_eq grid naive)
+
+(* Placements where float boundaries decide: the grid's cell side is
+   max d 1, and every case runs at d = 0.5 and 1.0 (cell side 1), 2.0
+   and 3.5.  At d = 0.5 most of them have a reliable link longer than
+   d, which both builders must reject alike. *)
+let boundary_cases d =
+  let c = Float.max d 1.0 in
+  let pt = Point.make in
+  let lattice k f = List.concat (List.init k (fun i -> List.init k (fun j -> f i j))) in
+  let prng = Rng.create 11 in
+  let inside () = Rng.float prng *. c *. 0.99 in
+  [
+    ("n = 0", [||]);
+    ("n = 1", [| pt 0.3 0.7 |]);
+    ( "coincident points",
+      Array.append (Array.make 4 (pt 1.0 1.0)) [| pt 1.5 1.0; pt 3.0 1.0; pt 3.0 1.0 |] );
+    ( "pairs at exactly 1 and exactly d",
+      Array.append
+        [| pt 0.0 0.0; pt 1.0 0.0; pt 0.0 1.0; pt 0.6 0.8 |]
+        [| pt d 0.0; pt 0.0 d; pt (1.0 +. d) 0.0 |] );
+    (* points on cell borders, the last on the grid's last row and column *)
+    ( "cell borders",
+      Array.of_list
+        (lattice 4 (fun i j -> pt (float_of_int i *. c) (float_of_int j *. c))
+        @ lattice 3 (fun i j -> pt ((float_of_int i +. 0.5) *. c) (float_of_int j *. c))) );
+    ("one cell", Array.init 30 (fun _ -> pt (inside ()) (inside ())));
+    ( "unit lattice",
+      Array.of_list (lattice 6 (fun i j -> pt (float_of_int i) (0.5 *. float_of_int j))) );
+    (* links no longer than 0.5 (some exactly 0.5), the only placements
+       that satisfy the model at d = 0.5; centres on cell borders *)
+    ( "tight clusters",
+      Array.of_list
+        (List.concat
+           (lattice 3 (fun i j ->
+                let x = 3.0 *. float_of_int i and y = 3.0 *. float_of_int j in
+                [ pt x y; pt (x +. 0.5) y; pt (x +. 0.25) (y +. 0.4) ]))) );
+  ]
+
+let test_grid_gen_boundaries () =
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (name, pos) -> Option.iter Alcotest.fail (positions_mismatch ~d ~at:name pos))
+        (boundary_cases d))
+    [ 0.5; 1.0; 2.0; 3.5 ]
+
+(* A world at n = 131072, twice the size of scale_smoke.sh's pinned
+   world, where a bucket sort of the gray-zone candidates already runs
+   out of cache.  The pins were recorded from a build that bucket-sorted
+   them, so they hold node-major emission to the same world and the
+   same stream.  The MD5 covers G's packed edge keys and then the gray
+   keys, in order, as 8-byte little-endian ints. *)
+let test_world_pin_n131072 () =
+  let n = 131072 in
+  let rng = Rng.create 2 in
+  let spec = Gen.default_spec ~n ~side:(Gen.side_for_degree ~n ~target_degree:16) () in
+  let dual = Gen.geometric ~rng spec in
+  let g = Dual.g dual in
+  let b = Buffer.create (8 * (Graph.edge_count g + Dual.gray_count dual)) in
+  Graph.iter_edges (fun u v -> Buffer.add_int64_le b (Int64.of_int ((u * n) + v))) g;
+  for id = 0 to Dual.gray_count dual - 1 do
+    Buffer.add_int64_le b (Int64.of_int ((Dual.gray_u dual id * n) + Dual.gray_v dual id))
+  done;
+  Alcotest.(check int) "G edges" 1045018 (Graph.edge_count g);
+  Alcotest.(check int) "gray edges" 1551914 (Dual.gray_count dual);
+  Alcotest.(check string)
+    "md5" "3c1f5676a71b6333ffb9d5a17cc5a57c"
+    (Digest.to_hex (Digest.string (Buffer.contents b)));
+  Alcotest.(check int) "stream after" 1415221425286367211 (Rng.bits rng)
 
 let () =
   Alcotest.run "rn_graph"
@@ -415,11 +534,14 @@ let () =
           Alcotest.test_case "incidence shift" `Quick test_incidence_shift;
           Alcotest.test_case "incidence at n=2^20" `Quick test_incidence_n2p20;
           Alcotest.test_case "geometry validation" `Quick test_dual_geometry_validation;
+          qtest prop_dual_unit_check;
         ] );
       ( "world-gen",
         [
           qtest prop_grid_gen_equiv;
           qtest prop_grid_gen_negative_coords;
           Alcotest.test_case "grid = naive at n in [1000, 3000]" `Quick test_grid_gen_real_sizes;
+          Alcotest.test_case "grid = naive, boundary cases" `Quick test_grid_gen_boundaries;
+          Alcotest.test_case "world at n = 131072 pinned" `Slow test_world_pin_n131072;
         ] );
     ]

@@ -193,6 +193,26 @@ let prop_rng_ref_permutation =
       Rng_ref.shuffle_in_place r b;
       perm && a = b && same_bits t r)
 
+(* [skip t k] lands where [k] draws land: k = 0, small k, and k up to
+   10^6 (drawn one by one here, so the large cases stay few). *)
+let prop_rng_skip =
+  QCheck.Test.make ~name:"skip t k = k calls of bits" ~count:60
+    QCheck.(
+      pair int
+        (make ~print:string_of_int
+           Gen.(oneof [ return 0; int_range 1 100; int_range 1000 1_000_000 ])))
+    (fun (seed, k) ->
+      let t = Rng.create seed and r = Rng.create seed in
+      Rng.skip t k;
+      for _ = 1 to k do
+        ignore (Rng.bits r)
+      done;
+      List.init 8 (fun _ -> Rng.bits t) = List.init 8 (fun _ -> Rng.bits r))
+
+let test_rng_skip_negative () =
+  Alcotest.check_raises "k < 0" (Invalid_argument "Rng.skip: negative count") (fun () ->
+      Rng.skip (Rng.create 1) (-1))
+
 (* Minor-heap words [f] allocates, less what the probe itself costs. *)
 let minor_words_of f =
   let words g =
@@ -687,12 +707,34 @@ let prop_int_sort_any_ints =
       Int_sort.sort s;
       s = expect)
 
+(* [sort_range] sorts its slice and leaves the rest of the array as it
+   was. *)
+let prop_int_sort_range =
+  QCheck.Test.make ~name:"sort_range sorts the slice only" ~count:300
+    QCheck.(triple (array_of_size Gen.(int_bound 200) (int_bound 1000)) small_nat small_nat)
+    (fun (a, x, y) ->
+      let len = Array.length a in
+      let lo = min x len and hi = min (x + y) len in
+      let s = Array.copy a in
+      Int_sort.sort_range s lo hi;
+      let slice = Array.sub a lo (hi - lo) in
+      Array.stable_sort compare slice;
+      Array.sub s 0 lo = Array.sub a 0 lo
+      && Array.sub s lo (hi - lo) = slice
+      && Array.sub s hi (len - hi) = Array.sub a hi (len - hi))
+
 let test_int_sort_errors () =
   let bad = Invalid_argument "Int_sort.packed: key out of range" in
   Alcotest.check_raises "n = 0" bad (fun () -> Int_sort.packed ~n:0 [| 0 |]);
   Alcotest.check_raises "key = n^2" bad (fun () -> Int_sort.packed ~n:4 [| 16 |]);
   Alcotest.check_raises "negative key" bad (fun () -> Int_sort.packed ~n:4 [| -1 |]);
   Int_sort.packed ~n:0 [||];
+  let range = Invalid_argument "Int_sort.sort_range" in
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises "bad slice" range (fun () ->
+          Int_sort.sort_range [| 3; 2; 1 |] lo hi))
+    [ (-1, 2); (0, 4); (2, 1) ];
   (* a rejected array is left as it was, long or short *)
   List.iter
     (fun len ->
@@ -738,6 +780,8 @@ let () =
           qtest prop_rng_ref_derive;
           qtest prop_rng_ref_interleaved;
           qtest prop_rng_ref_permutation;
+          qtest prop_rng_skip;
+          Alcotest.test_case "skip negative" `Quick test_rng_skip_negative;
           Alcotest.test_case "draws allocate nothing" `Quick test_rng_alloc_free;
         ] );
       ( "ilog",
@@ -781,6 +825,7 @@ let () =
           qtest prop_int_sort_packed;
           Alcotest.test_case "large n, counting and sparse" `Quick test_int_sort_sizes;
           qtest prop_int_sort_any_ints;
+          qtest prop_int_sort_range;
           Alcotest.test_case "errors" `Quick test_int_sort_errors;
         ] );
       ( "acc2",
