@@ -45,7 +45,8 @@ let adversary_arg =
   Arg.(
     value
     & opt adversary_conv (Rn_sim.Adversary.bernoulli 0.5)
-    & info [ "adversary" ] ~doc:"Gray-edge policy: silent|all|spiteful|bernoulli:P|harassing:P.")
+    & info [ "adversary" ]
+        ~doc:"Gray-edge policy: silent|all|spiteful|jamming|bernoulli:P|harassing:P.")
 
 let build_instance ~seed ~n ~degree ~tau =
   let dual = Rn_harness.Harness.geometric ~seed ~n ~degree () in

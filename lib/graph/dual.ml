@@ -31,25 +31,9 @@ type t = {
   gsh : int; (* bit width of n - 1: the neighbour field of a [gid] entry *)
   pos : Rn_geom.Point.t array option; (* plane embedding, if geometric *)
   d : float; (* max distance of a G' edge (paper's constant d) *)
-  adv_csr : adv_csr option Atomic.t;
-      (* lazy: the adversary kernel's endpoint-split view of the gray
-         set (see below); same build-once / atomic-publish discipline as
-         [Graph]'s row cache *)
-}
-
-(* Endpoint-split CSR over the gray set, for the word-parallel adversary
-   kernel.  Because gray ids follow ascending packed (u, v) order with
-   u < v, the ids whose LOWER endpoint is u form one contiguous range —
-   [loff] indexes those ranges directly into the id space, so "every
-   gray edge of a broadcaster, seen from its lower endpoint" is a
-   word-parallel bitset range fill.  The ids whose UPPER endpoint is v
-   are scattered; [uoff]/[uid] hold them as a conventional CSR
-   (ascending id within each row).  Every gray edge appears exactly once
-   on each side. *)
-and adv_csr = {
-  loff : int array; (* n + 1: gray ids with lower endpoint u are [loff.(u), loff.(u+1)) *)
-  uoff : int array; (* n + 1 CSR offsets into [uid] *)
-  uid : int array; (* gray ids with that upper endpoint, ascending id *)
+  reach : Bitset.t array option Atomic.t;
+      (* lazy: one bitset row over nodes per node, N_G'(v); same
+         build-once / atomic-publish discipline as [Graph]'s row cache *)
 }
 
 let g t = t.g
@@ -106,10 +90,9 @@ let gray_adj t v =
     t v;
   a
 
-(* Shared lock for the lazy caches ([g'] and the adversary kernel's
-   endpoint-split CSR); builds are rare (at most one of each per dual
-   graph) and the double-check under the lock keeps concurrent first
-   uses from building twice. *)
+(* Shared lock for the lazy caches ([g'] and the reach rows); builds
+   are rare (at most one of each per dual graph) and the double-check
+   under the lock keeps concurrent first uses from building twice. *)
 let lazy_lock = Mutex.create ()
 
 let g' t =
@@ -123,6 +106,33 @@ let g' t =
           let g' = Graph.union t.g (Graph.of_packed (Graph.n t.g) t.gray_pk) in
           Atomic.set t.gprime (Some g');
           g')
+
+(* N_G'(v) as a bitset row per node, for the delivery kernel's rounds in
+   which every gray edge of a broadcaster is active.  Built from G's CSR
+   rows and the gray incidence directly, so neither [g'] nor
+   [Graph.adj_rows] is forced; O(n^2 / word) bits, built on first use. *)
+let reach_rows t =
+  match Atomic.get t.reach with
+  | Some r -> r
+  | None ->
+    Mutex.protect lazy_lock (fun () ->
+        match Atomic.get t.reach with
+        | Some r -> r
+        | None ->
+          let nn = Graph.n t.g in
+          let r =
+            Array.init nn (fun v ->
+                let b = Bitset.create nn in
+                for i = Graph.row_lo t.g v to Graph.row_hi t.g v - 1 do
+                  Bitset.add b (Graph.nbr_at t.g i)
+                done;
+                for i = gray_lo t v to gray_hi t v - 1 do
+                  Bitset.add b (gray_nbr_at t i)
+                done;
+                b)
+          in
+          Atomic.set t.reach (Some r);
+          r)
 
 (* Bit width of [n - 1], the neighbour field of a packed incidence
    entry; rejects gray sets whose largest id [ng - 1] would not fit
@@ -141,13 +151,38 @@ let incidence_shift ~n ~ng =
 let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
   let n = Graph.n g in
   let ng = Array.length gray_pk in
+  let bad_key () = invalid_arg "Dual.make_packed: bad gray key" in
+  (* One pass validates the keys and counts each node's gray degree into
+     [goff].  Ascending keys let the lower endpoint u advance by
+     comparison ([base] = u * n) instead of a division per key, and the
+     "already reliable" test is a merge walk along u's sorted G row. *)
+  let goff = Array.make (n + 1) 0 in
+  let u = ref 0 and base = ref 0 in
+  let j = ref (if n = 0 then 0 else Graph.row_lo g 0) in
   for i = 0 to ng - 1 do
     let e = gray_pk.(i) in
-    if n = 0 || e < 0 || e / n >= e mod n then invalid_arg "Dual.make_packed: bad gray key";
-    let u = e / n and v = e mod n in
-    if i > 0 && gray_pk.(i - 1) >= e then
-      invalid_arg "Dual.make_packed: keys not ascending";
-    if Graph.mem_edge g u v then invalid_arg "Dual.make_packed: gray edge already reliable"
+    if n = 0 || e < 0 then bad_key ();
+    if i > 0 && gray_pk.(i - 1) >= e then begin
+      if e / n >= e mod n then bad_key ();
+      invalid_arg "Dual.make_packed: keys not ascending"
+    end;
+    if e - !base >= n then begin
+      while !u < n && e - !base >= n do
+        incr u;
+        base := !base + n
+      done;
+      if !u < n then j := Graph.row_lo g !u
+    end;
+    let v = e - !base in
+    if !u >= n || !u >= v then bad_key ();
+    let hi = Graph.row_hi g !u in
+    while !j < hi && Graph.nbr_at g !j < v do
+      incr j
+    done;
+    if !j < hi && Graph.nbr_at g !j = v then
+      invalid_arg "Dual.make_packed: gray edge already reliable";
+    goff.(!u + 1) <- goff.(!u + 1) + 1;
+    goff.(v + 1) <- goff.(v + 1) + 1
   done;
   (match pos with
   | Some p ->
@@ -177,29 +212,28 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
       gray_pk;
     if !too_long then invalid_arg "Dual.make: G' edge longer than d"
   | None -> ());
-  (* Counting fill of the incidence CSR; iterating ids high-to-low
-     reproduces the historical row order (descending edge id), which
-     adversary policies may consume RNG draws in. *)
+  (* Counting fill of the incidence CSR.  Each row fills from its end
+     while ids ascend, which leaves it in the historical row order
+     (descending edge id) that adversary policies may consume RNG
+     draws in. *)
   let gsh = incidence_shift ~n ~ng in
-  let goff = Array.make (n + 1) 0 in
-  Array.iter
-    (fun e ->
-      let u = e / n and v = e mod n in
-      goff.(u + 1) <- goff.(u + 1) + 1;
-      goff.(v + 1) <- goff.(v + 1) + 1)
-    gray_pk;
   for v = 0 to n - 1 do
     goff.(v + 1) <- goff.(v + 1) + goff.(v)
   done;
   let gid = Array.make (2 * ng) 0 in
-  let fill = Array.copy goff in
-  for id = ng - 1 downto 0 do
+  let fill = Array.sub goff 1 n in
+  let u = ref 0 and base = ref 0 in
+  for id = 0 to ng - 1 do
     let e = gray_pk.(id) in
-    let u = e / n and v = e mod n in
-    gid.(fill.(u)) <- (id lsl gsh) lor v;
-    fill.(u) <- fill.(u) + 1;
-    gid.(fill.(v)) <- (id lsl gsh) lor u;
-    fill.(v) <- fill.(v) + 1
+    while e - !base >= n do
+      incr u;
+      base := !base + n
+    done;
+    let v = e - !base in
+    fill.(!u) <- fill.(!u) - 1;
+    gid.(fill.(!u)) <- (id lsl gsh) lor v;
+    fill.(v) <- fill.(v) - 1;
+    gid.(fill.(v)) <- (id lsl gsh) lor !u
   done;
   {
     g;
@@ -210,7 +244,7 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
     gsh;
     pos;
     d;
-    adv_csr = Atomic.make None;
+    reach = Atomic.make None;
   }
 
 let make ?pos ?(d = 2.0) ~g ~gray () =
@@ -253,50 +287,6 @@ let gray_masks t =
       let b = Bitset.create ng in
       iter_gray_adj (fun _ id -> Bitset.add b id) t v;
       b)
-
-(* The adversary kernel's endpoint-split view; built on first use (scale
-   runs under randomized policies never pay for it), O(n + gray) ints. *)
-let adv_csr t =
-  match Atomic.get t.adv_csr with
-  | Some c -> c
-  | None ->
-    Mutex.protect lazy_lock (fun () ->
-        match Atomic.get t.adv_csr with
-        | Some c -> c
-        | None ->
-          let nn = Graph.n t.g in
-          let ng = Array.length t.gray_pk in
-          let loff = Array.make (nn + 1) 0 in
-          let uoff = Array.make (nn + 1) 0 in
-          Array.iter
-            (fun e ->
-              loff.((e / nn) + 1) <- loff.((e / nn) + 1) + 1;
-              uoff.((e mod nn) + 1) <- uoff.((e mod nn) + 1) + 1)
-            t.gray_pk;
-          for v = 0 to nn - 1 do
-            loff.(v + 1) <- loff.(v + 1) + loff.(v);
-            uoff.(v + 1) <- uoff.(v + 1) + uoff.(v)
-          done;
-          let uid = Array.make ng 0 in
-          let fill = Array.copy uoff in
-          for id = 0 to ng - 1 do
-            let v = t.gray_pk.(id) mod nn in
-            uid.(fill.(v)) <- id;
-            fill.(v) <- fill.(v) + 1
-          done;
-          let c = { loff; uoff; uid } in
-          Atomic.set t.adv_csr (Some c);
-          c)
-
-(* Every gray edge incident to [u] into [active]: the lower-endpoint
-   ids as one word-parallel range fill, the upper-endpoint ids one by
-   one. *)
-let add_gray_incident t active u =
-  let c = adv_csr t in
-  Bitset.fill_range active c.loff.(u) c.loff.(u + 1);
-  for i = c.uoff.(u) to c.uoff.(u + 1) - 1 do
-    Bitset.add active (Array.unsafe_get c.uid i)
-  done
 
 (* A dual graph with no unreliable links: the classic radio model G = G'. *)
 let classic g = make_packed ~g ~gray_pk:[||] ()

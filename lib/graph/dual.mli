@@ -84,16 +84,14 @@ val gray_masks : t -> Rn_util.Bitset.t array
     [ng - 1] would not fit above it; {!make_packed} applies this check. *)
 val incidence_shift : n:int -> ng:int -> int
 
-(** [add_gray_incident t active u] adds the id of every gray edge
-    incident to [u] to [active] (capacity {!gray_count}), word-parallel
-    on the side where [u] is the lower endpoint: dense ids follow
-    ascending packed [(u, v)] order, so those ids form one contiguous
-    range and take one {!Rn_util.Bitset.fill_range}; the ids where [u] is
-    the upper endpoint are added one by one.  The adversary kernel's
-    "activate every gray edge of a broadcaster".  Backed by a
-    lazily-built O(n + gray)-int endpoint-split CSR, published atomically
-    (safe to share across domains). *)
-val add_gray_incident : t -> Rn_util.Bitset.t -> int -> unit
+(** [reach_rows t] is one bitset row over nodes per node: row [v] holds
+    N_G'(v), [v]'s reliable and gray neighbours.  The delivery kernel
+    ORs it in for a broadcaster on a round in which every gray edge
+    incident to a broadcaster is active.  Built from [g]'s CSR rows and
+    the gray incidence on first use (O(n^2 / word) bits, forcing neither
+    {!g'} nor [Graph.adj_rows]) and published atomically, so it is safe
+    to share across domains. *)
+val reach_rows : t -> Rn_util.Bitset.t array
 
 val positions : t -> Rn_geom.Point.t array option
 

@@ -14,7 +14,7 @@
                 (clusters (clusters K) (per-cluster M))
                 (bridge (beta B))
                 (ring (n N)) | (path (n N)) | (clique (n N)) | (star (n N))
-   Adversaries: silent | all | spiteful | (bernoulli P) | (harassing P)
+   Adversaries: silent | all | spiteful | jamming | (bernoulli P) | (harassing P)
    Algorithms:  mis | ccds-banned | ccds-explore | ccds-tdma | async-mis
 
    Everything else is optional with sensible defaults.  Parsing failures

@@ -5,39 +5,42 @@
    edges E' \ E (Section 2).  A policy fills a bitset over gray-edge ids.
 
    The [spiteful] policy is the Section 7 simulation adversary: whenever two
-   or more processes broadcast it activates every gray edge, colliding any
-   message that would otherwise have crossed between weakly-connected parts;
-   a solo broadcaster is left alone so its message travels only on E.
+   or more processes broadcast it activates every gray edge incident to a
+   broadcaster, colliding any message that would otherwise have crossed
+   between weakly-connected parts; a solo broadcaster is left alone so its
+   message travels only on E.
 
-   Deterministic policies additionally carry an optional word-parallel
-   KERNEL — a second implementation of exactly the same activation set
-   that works by mask algebra instead of per-edge callbacks, mirroring
-   the engine's delivery kernel:
+   Every policy also declares, in O(1) from the broadcasters, what kind of
+   reach set it is about to pick ([reach]):
 
-   - [all_gray]/[spiteful] activate every gray edge incident to a
-     broadcaster.  Dense gray ids follow ascending packed (u, v) order,
-     so the ids whose lower endpoint is a given node form one contiguous
-     range: the kernel ORs each broadcaster's row in as one
-     [Bitset.fill_range] (word-parallel, ranges of distinct nodes
-     disjoint) plus per-id visits of the scattered upper-endpoint side
-     ([Dual.add_gray_incident]) — each gray edge is visited at most once
-     per side, where the scalar walk visits it from every broadcasting
-     endpoint.
-   - [jamming] finds its victims — nodes about to hear exactly one
-     reliable broadcaster — with the delivery kernel's once/twice
-     saturating accumulator over the broadcasters' reliable neighbours,
-     then reads them off word-parallel as once ∧ ¬twice ∧ ¬bcast instead
-     of scanning all n nodes; the per-victim choice of one colliding
-     gray edge is unchanged (same edge, same order).
-   - [bernoulli]/[harassing] have NO kernel: their per-edge RNG draws
-     are the semantics — any evaluation that reorders or batches the
-     draws changes the stream — so they keep the scalar loop (made
-     cheaper below: broadcaster membership is a per-round bitset, not a
-     binary search per edge).
+   - [No_gray] ([silent], and [spiteful] below two broadcasters): no gray
+     edge incident to a broadcaster is active;
+   - [All_incident] ([all_gray], and [spiteful] from two broadcasters on):
+     every gray edge incident to a broadcaster is active;
+   - [Chosen] ([bernoulli], [harassing], [jamming], [custom]): only
+     [choose] knows.
 
-   A kernel must produce bit-for-bit the activation set of its scalar
-   [choose] (certified by test_engine_paths.ml), which is what lets
-   the engine switch per round on a cost model.
+   On a declared round the reach set is a fixed function of the
+   broadcasters, so an untraced engine run skips the adversary phase and
+   delivers along E alone or along all of E' ([Dual.reach_rows]).  The
+   declaring policies' [choose] is derived from the declaration, and
+   test_engine_paths.ml holds every policy's [choose] to it.
+
+   [jamming] additionally carries a word-parallel KERNEL — a second
+   implementation of exactly the same activation set: it finds its
+   victims (nodes about to hear exactly one reliable broadcaster) with
+   the delivery kernel's once/twice saturating accumulator over the
+   broadcasters' reliable neighbours, then reads them off word-parallel
+   as once ∧ ¬twice ∧ ¬bcast instead of scanning all n nodes; the
+   per-victim choice of one colliding gray edge is unchanged (same edge,
+   same order).  The kernel must produce bit-for-bit the activation set
+   of the scalar [choose] (certified by test_engine_paths.ml), which is
+   what lets the engine switch per round on a cost model.
+   [bernoulli]/[harassing] have NO kernel: their per-edge RNG draws are
+   the semantics — any evaluation that reorders or batches the draws
+   changes the stream — so they keep the scalar loop (made cheaper
+   below: broadcaster membership is a per-round bitset, not a binary
+   search per edge).
 
    Per-broadcaster walks index the CSR rows directly ([Dual.gray_lo] …
    [Dual.gray_id_at], [Graph.row_lo] … [Graph.nbr_at]) instead of passing
@@ -73,12 +76,22 @@ type kernel = {
          scalar one on THIS round's broadcasters?  Must be O(#bcast). *)
 }
 
-type t = { name : string; choose : choose_fn; kernel : kernel option }
+type reach = No_gray | All_incident | Chosen
+
+type t = {
+  name : string;
+  choose : choose_fn;
+  reach : broadcasters:int array -> reach; (* O(1) *)
+  kernel : kernel option;
+}
 
 let name t = t.name
 
 let choose t ~round ~broadcasters dual rng active =
   t.choose ~round ~broadcasters dual rng active
+
+let reach t ~broadcasters = t.reach ~broadcasters
+let chosen ~broadcasters:_ = Chosen
 
 let has_kernel t = t.kernel <> None
 
@@ -98,18 +111,8 @@ let choose_kernel t ~round ~broadcasters dual rng scratch active =
    relevant edge still gets one independent draw per round, from the
    round's derived stream). *)
 
-let silent = { name = "silent"; choose = (fun ~round:_ ~broadcasters:_ _ _ _ -> ()); kernel = None }
-
-(* Shared by [all_gray] and [spiteful]: activate every gray edge incident
-   to a broadcaster, as one contiguous lower-range fill plus the
-   scattered upper ids per broadcaster. *)
-let or_rows_masks ~broadcasters dual active =
-  for j = 0 to Array.length broadcasters - 1 do
-    Dual.add_gray_incident dual active broadcasters.(j)
-  done
-
-(* The scalar twin: every gray edge incident to a broadcaster, one
-   incidence entry at a time. *)
+(* Every gray edge incident to a broadcaster, one incidence entry at a
+   time. *)
 let add_incident ~broadcasters dual active =
   for j = 0 to Array.length broadcasters - 1 do
     let u = broadcasters.(j) in
@@ -118,30 +121,30 @@ let add_incident ~broadcasters dual active =
     done
   done
 
-(* Mask path pays once per broadcaster (range fill) plus once per
-   upper-side incidence; scalar pays one visit per incidence entry on
-   both sides.  Ask for a modest margin over the fixed per-round
-   sweep overhead before switching. *)
-let dense_enough ~broadcasters dual =
-  let reach = ref 0 in
-  for j = 0 to Array.length broadcasters - 1 do
-    reach := !reach + Dual.gray_degree dual broadcasters.(j)
-  done;
-  !reach > (8 * Array.length broadcasters) + 64
-
-let all_gray =
+(* A policy whose every round is declared: [choose] fills exactly the
+   reach set its declaration names. *)
+let declared name reach =
   {
-    name = "all-gray";
-    choose = (fun ~round:_ ~broadcasters dual _ active -> add_incident ~broadcasters dual active);
-    kernel =
-      Some
-        {
-          k_choose =
-            (fun ~round:_ ~broadcasters dual _ _ active ->
-              or_rows_masks ~broadcasters dual active);
-          k_wins = dense_enough;
-        };
+    name;
+    choose =
+      (fun ~round:_ ~broadcasters dual _ active ->
+        match reach ~broadcasters with
+        | All_incident -> add_incident ~broadcasters dual active
+        | No_gray | Chosen -> ());
+    reach;
+    kernel = None;
   }
+
+let silent = declared "silent" (fun ~broadcasters:_ -> No_gray)
+let all_gray = declared "all-gray" (fun ~broadcasters:_ -> All_incident)
+
+(* Section 7 simulation adversary: every gray edge of a broadcaster
+   whenever at least two processes broadcast, colliding what would cross
+   between weakly-connected parts; never interfere with a solo
+   broadcaster. *)
+let spiteful =
+  declared "spiteful" (fun ~broadcasters ->
+      if Array.length broadcasters >= 2 then All_incident else No_gray)
 
 (* Each gray edge independently active with probability p, fresh each
    round.  One draw per distinct incident edge: the lowest-id broadcasting
@@ -178,6 +181,7 @@ let bernoulli p =
         for j = 0 to nb - 1 do
           Bitset.remove bcast broadcasters.(j)
         done);
+    reach = chosen;
     kernel = None;
   }
 
@@ -196,27 +200,8 @@ let harassing p =
             if Rng.bool rng p then Bitset.add active (Dual.gray_id_at dual i)
           done
         done);
+    reach = chosen;
     kernel = None;
-  }
-
-(* Section 7 simulation adversary: collide everything whenever at least two
-   processes broadcast, never interfere with a solo broadcaster. *)
-let spiteful =
-  {
-    name = "spiteful";
-    choose =
-      (fun ~round:_ ~broadcasters dual _ active ->
-        if Array.length broadcasters >= 2 then add_incident ~broadcasters dual active);
-    kernel =
-      Some
-        {
-          k_choose =
-            (fun ~round:_ ~broadcasters dual _ _ active ->
-              if Array.length broadcasters >= 2 then or_rows_masks ~broadcasters dual active);
-          k_wins =
-            (fun ~broadcasters dual ->
-              Array.length broadcasters >= 2 && dense_enough ~broadcasters dual);
-        };
   }
 
 (* Picks the gray edge the scalar jamming loop would: the first
@@ -246,6 +231,7 @@ let jamming =
   let dls = Domain.DLS.new_key (fun () -> ref None) in
   {
     name = "jamming";
+    reach = chosen;
     choose =
       (fun ~round:_ ~broadcasters dual _ active ->
         let g = Dual.g dual in
@@ -336,4 +322,4 @@ let jamming =
         };
   }
 
-let custom ~name choose = { name; choose; kernel = None }
+let custom ~name choose = { name; choose; reach = chosen; kernel = None }

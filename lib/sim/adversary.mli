@@ -17,15 +17,29 @@ val choose :
   Rn_util.Bitset.t ->
   unit
 
+(** {2 Declared reach}
+
+    What kind of reach set a policy is about to pick, known from the
+    broadcasters alone: no gray edge incident to a broadcaster active,
+    every one of them active, or a set only {!val:choose} computes. *)
+type reach = No_gray | All_incident | Chosen
+
+(** This round's declaration, in O(1): [No_gray] for {!silent} and for
+    {!spiteful} below two broadcasters, [All_incident] for {!all_gray}
+    and for {!spiteful} from two on, [Chosen] for every other policy.
+    On a declared round {!val:choose} fills exactly the declared set
+    (as far as the gray edges incident to a broadcaster go), so the
+    engine may deliver along it without calling {!val:choose}. *)
+val reach : t -> broadcasters:int array -> reach
+
 (** {2 Word-parallel kernel path}
 
-    Deterministic policies ({!all_gray}, {!spiteful}, {!jamming}) carry a
-    second implementation of the same activation set that works by mask
-    algebra over the dual graph's CSR structures instead of per-edge
-    callbacks, mirroring the engine's delivery kernel.  Randomised
-    policies ({!bernoulli}, {!harassing}) have none: their per-edge draw
-    sequence IS the semantics.  A kernel is certified byte-identical to
-    its scalar [choose]. *)
+    {!jamming} carries a second implementation of the same activation
+    set that finds its victims by mask algebra over the broadcasters'
+    reliable rows instead of scanning every node, mirroring the engine's
+    delivery kernel.  Randomised policies ({!bernoulli}, {!harassing})
+    have none: their per-edge draw sequence IS the semantics.  A kernel
+    is certified byte-identical to its scalar [choose]. *)
 
 (** Preallocated per-run kernel scratch. *)
 type scratch
@@ -55,7 +69,7 @@ val choose_kernel :
 (** Never activates a gray edge. *)
 val silent : t
 
-(** Activates every gray edge every round. *)
+(** Activates every gray edge incident to a broadcaster, every round. *)
 val all_gray : t
 
 (** Every gray edge independently active with probability [p] per round. *)
@@ -64,7 +78,8 @@ val bernoulli : float -> t
 (** Gray edges incident to broadcasters active with probability [p]. *)
 val harassing : float -> t
 
-(** The Section 7 adversary: all gray edges active iff ≥ 2 broadcasters. *)
+(** The Section 7 adversary: every gray edge incident to a broadcaster
+    active iff there are ≥ 2 broadcasters, none otherwise. *)
 val spiteful : t
 
 (** The broadcast-hardness adversary ([10,11]-style): adds one gray

@@ -30,22 +30,29 @@
      broadcaster buffer are preallocated and reset via the touched list,
      and every per-broadcaster walk indexes the CSR rows directly, so
      collect and delivery allocate nothing but the sorted broadcaster
-     snapshot handed to the adversary and observer and the [Recv m] a
-     receiver is resumed with;
+     snapshot handed to the adversary and observer and one [Recv m] per
+     sender that reached a receiver, shared by its receivers;
    - a fiber-round allocates only the runtime's continuation (and a
      broadcaster's [Send m]): the effects a listener performs are
      constants, a fiber's state is one continuation slot plus one state
      byte, and the one shared continuation function is the identity
      (DESIGN.md, "Allocation budget of a fiber round").
 
-   Each round the engine also picks how to evaluate three phases, by
-   cost: the adversary's gray-edge choice (a policy's mask kernel when
-   [Adversary.kernel_wins]), delivery (the word-parallel once/twice
-   kernel when the broadcasters' reach outweighs its word sweeps), and
-   the resume (sliced across Pool domains when [resume_shards > 1] and at
-   least [resume_shard_threshold] fibers await their receive).  Every
-   choice is pure evaluation strategy; an attached sink forces all three
-   onto the scalar path, which can emit per-event records.
+   Each round the adversary first declares its reach from the
+   broadcasters ([Adversary.reach]): no gray edge of a broadcaster, all
+   of them, or a set only its [choose] computes.  A declared round skips
+   the adversary phase, and delivery walks no gray row, or every gray
+   row without a membership test (on the kernel, it ORs [Graph.adj_rows]
+   or [Dual.reach_rows]).  The engine also picks how to evaluate three
+   phases, by cost: the adversary's gray-edge choice on a [Chosen] round
+   (a policy's mask kernel when [Adversary.kernel_wins]), delivery (the
+   word-parallel once/twice kernel when the broadcasters' reach
+   outweighs its word sweeps), and the resume (sliced across Pool
+   domains when [resume_shards > 1] and at least
+   [resume_shard_threshold] fibers await their receive).  Every choice
+   is pure evaluation strategy; an attached sink treats every round as
+   [Chosen] and forces all three phases onto the scalar path, which can
+   emit per-event records.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
@@ -81,6 +88,10 @@ let m_bits_sent = Metrics.counter "engine.bits_sent"
 let m_silent_rounds = Metrics.counter "engine.silent_rounds"
 let m_kernel_rounds = Metrics.counter "engine.kernel_rounds"
 let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
+
+(* Rounds whose reach the adversary declared ([Adversary.reach]), so the
+   adversary phase was skipped. *)
+let m_declared_reach_rounds = Metrics.counter "engine.declared_reach_rounds"
 
 (* Resume-shard counters are recorded on the *calling* domain after the
    merge (the per-shard buffers carry the raw counts home): [Metrics.scoped]
@@ -583,6 +594,7 @@ module Make (M : MESSAGE) = struct
     let woken = Array.make (max 1 nn) 0 in
     let n_woken = ref 0 in
     let resumes = ref 0 and listen_wakes = ref 0 and kernel_rounds = ref 0 in
+    let declared_rounds = ref 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
        monotonically, so the wake phase costs O(#wakers this round). *)
     let wake_order = Array.init nn (fun i -> i) in
@@ -757,8 +769,23 @@ module Make (M : MESSAGE) = struct
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
-    (* Scalar hand-off of the unique sender's message to receiver [v]. *)
-    let deliver v = receives.(v) <- Recv (payload sends.(recv_from.(v))) in
+    (* Scalar hand-off of the unique sender's message to receiver [v].
+       The sender's [Recv m] is built at its first delivery and kept in
+       the sender's own receive slot, which nothing else writes before
+       the end of delivery overwrites it with [Own]: one [Recv m] per
+       sender, shared by its receivers, as in the kernel. *)
+    let deliver v =
+      let u = recv_from.(v) in
+      let m =
+        match receives.(u) with
+        | Recv _ as m -> m
+        | Own | Silence ->
+          let m = Recv (payload sends.(u)) in
+          receives.(u) <- m;
+          m
+      in
+      receives.(v) <- m
+    in
     let g = Dual.g dual in
     (* The dense kernel's gray reach: a broadcaster's packed CSR
        incidence row filtered by this round's [gray_active], O(gray
@@ -921,43 +948,55 @@ module Make (M : MESSAGE) = struct
            if !n_bcast = 0 then incr silent_rounds
            else begin
              (* 3. Adversary picks the gray edges that behave reliably,
-                from a stream derived fresh for this round. *)
-             p_start ();
-             Bitset.clear gray_active;
-             Rng.derive_into adv_rng ~parent:adv_root r;
-             (* Deterministic policies carry a word-parallel kernel that
-                fills [gray_active] by mask algebra; it is certified
-                byte-identical to the scalar [choose], so switching per
-                round on the policy's cost model is a pure evaluation
-                strategy.  Tracing forces scalar, like delivery. *)
-             if (not tracing) && Adversary.kernel_wins cfg.adversary ~broadcasters dual
-             then begin
-               if met then Metrics.incr m_adv_kernel_rounds;
-               Adversary.choose_kernel cfg.adversary ~round:r ~broadcasters dual adv_rng
-                 (get_adv_scratch ()) gray_active
-             end
-             else
-               Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng gray_active;
-             if tracing then
-               emit
-                 {
-                   Events.round = r;
-                   proc = -1;
-                   kind =
-                     Gray
-                       {
-                         active = Bitset.cardinal gray_active;
-                         total = Dual.gray_count dual;
-                       };
-                 };
-             p_stop Timing.Adversary;
-             (* 4. Deliveries along E plus activated gray edges: scalar
-                per-edge touches on sparse rounds, the word-parallel
-                kernel on dense ones.  The kernel is only a faster
-                evaluation of the same collision rule — counts and
+                from a stream derived fresh for this round.  A round whose
+                reach the policy declares skips the phase: delivery
+                follows the declaration.  Tracing keeps every round on
+                [choose], so its [Gray] events are those of the oracle. *)
+             let reach =
+               if tracing then Adversary.Chosen
+               else Adversary.reach cfg.adversary ~broadcasters
+             in
+             if reach <> Adversary.Chosen then incr declared_rounds
+             else begin
+               p_start ();
+               Bitset.clear gray_active;
+               Rng.derive_into adv_rng ~parent:adv_root r;
+               (* A policy's word-parallel kernel is certified
+                  byte-identical to its scalar [choose], so switching
+                  per round on its cost model is a pure evaluation
+                  strategy.  Tracing forces scalar, like delivery. *)
+               if (not tracing) && Adversary.kernel_wins cfg.adversary ~broadcasters dual
+               then begin
+                 if met then Metrics.incr m_adv_kernel_rounds;
+                 Adversary.choose_kernel cfg.adversary ~round:r ~broadcasters dual adv_rng
+                   (get_adv_scratch ()) gray_active
+               end
+               else
+                 Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng
+                   gray_active;
+               if tracing then
+                 emit
+                   {
+                     Events.round = r;
+                     proc = -1;
+                     kind =
+                       Gray
+                         {
+                           active = Bitset.cardinal gray_active;
+                           total = Dual.gray_count dual;
+                         };
+                   };
+               p_stop Timing.Adversary
+             end;
+             (* 4. Deliveries along E plus the round's gray reach:
+                scalar per-edge touches on sparse rounds, the
+                word-parallel kernel on dense ones.  The kernel is only a
+                faster evaluation of the same collision rule — counts and
                 receives are identical by construction (certified by
                 test_engine_paths) — but it cannot emit per-receiver
-                events, so a sink forces the scalar path. *)
+                events, so a sink forces the scalar path.  The gray reach
+                is none ([No_gray]), every gray edge of a broadcaster
+                ([All_incident]) or the edges in [gray_active]. *)
              p_start ();
              let use_kernel =
                (not tracing)
@@ -965,24 +1004,29 @@ module Make (M : MESSAGE) = struct
                (* scalar cost ~ total broadcaster reach; kernel cost ~
                   two word-sweeps per broadcaster plus rebuilding the
                   listener masks from the worklist and the heap *)
-               let reach = ref 0 in
+               let reach_sum = ref 0 in
                for i = 0 to !n_bcast - 1 do
                  let u = bcast.(i) in
-                 reach := !reach + Graph.degree g u + Dual.gray_degree dual u
+                 reach_sum := !reach_sum + Graph.degree g u + Dual.gray_degree dual u
                done;
-               !reach > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
+               !reach_sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
              in
              if use_kernel then begin
                incr kernel_rounds;
-               (* reliable reach as word-parallel row ORs, gray reach
-                  through the packed CSR incidence *)
-               let rows = Graph.adj_rows g in
+               (* reach as word-parallel row ORs: N_G'(u) on an
+                  [All_incident] round, else N_G(u) plus the active gray
+                  edges through the packed CSR incidence *)
+               let rows =
+                 if reach = Adversary.All_incident then Dual.reach_rows dual
+                 else Graph.adj_rows g
+               in
+               let chosen = reach = Adversary.Chosen in
                Bitset.clear k_once;
                Bitset.clear k_twice;
                for j = 0 to !n_bcast - 1 do
                  let u = broadcasters.(j) in
                  Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
-                 scatter_gray u
+                 if chosen then scatter_gray u
                done;
                (* second sweep hands each receiving synced fiber its
                   sender's message; the sender is unique because an
@@ -995,7 +1039,7 @@ module Make (M : MESSAGE) = struct
                    (* one [Recv m] shared by all of [u]'s receivers *)
                    sweep_recv := Recv (payload sends.(u));
                    Bitset.iter_inter assign_recv rows.(u) k_recv;
-                   assign_gray u
+                   if chosen then assign_gray u
                  done;
                  Bitset.iter_inter push_woken k_recv k_listen
                end
@@ -1007,10 +1051,17 @@ module Make (M : MESSAGE) = struct
                  for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
                    touch u (Graph.nbr_at g i)
                  done;
-                 for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-                   if Bitset.mem gray_active (Dual.gray_id_at dual i) then
+                 match reach with
+                 | Adversary.No_gray -> ()
+                 | Adversary.All_incident ->
+                   for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
                      touch u (Dual.gray_nbr_at dual i)
-                 done
+                   done
+                 | Adversary.Chosen ->
+                   for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+                     if Bitset.mem gray_active (Dual.gray_id_at dual i) then
+                       touch u (Dual.gray_nbr_at dual i)
+                   done
                done;
                for i = 0 to !n_touched - 1 do
                  let v = touched.(i) in
@@ -1167,6 +1218,7 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_resumes !resumes;
       Metrics.add m_listen_wakes !listen_wakes;
       Metrics.add m_kernel_rounds !kernel_rounds;
+      Metrics.add m_declared_reach_rounds !declared_rounds;
       if !timed_out then Metrics.incr m_timeouts;
       Metrics.observe m_run_rounds !round_counter;
       let minor, promoted, _ = Gc.counters () in

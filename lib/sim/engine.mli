@@ -178,19 +178,24 @@ module Make (M : MESSAGE) : sig
       stabilisation round are served from a cache — detectors whose [at]
       violates the declared stabilisation get the cached value.
 
-      Each round picks how to evaluate three phases, by cost alone: the
-      adversary's mask kernel when {!Adversary.kernel_wins}, the
+      A round whose reach the adversary declares ({!Adversary.reach})
+      skips the adversary phase and delivers along the declared reach.
+      Each round also picks how to evaluate three phases, by cost alone:
+      the adversary's mask kernel when {!Adversary.kernel_wins}, the
       word-parallel delivery kernel when the broadcasters' total reach
       outweighs its word sweeps, and the sharded resume as described
       under [resume_shards].  Every choice is pure evaluation strategy.
-      The counters [engine.adv_kernel_rounds], [engine.kernel_rounds] and
+      The counters [engine.declared_reach_rounds],
+      [engine.adv_kernel_rounds], [engine.kernel_rounds] and
       [engine.resume_shard_rounds] record how often each fast path ran.
 
       When [config.sink] is set, one {!Events.event} is emitted per wake,
       broadcast, delivery, collision, gray-edge resolution, first
       decision, and fast-forward jump.  Emission reads no RNG and mutates
       no engine state, so the result is byte-identical to an untraced
-      run, and every phase takes its scalar path.  When
+      run; every round then consults {!Adversary.choose}, so its gray
+      events are those of the declared rounds' full evaluation, and
+      every phase takes its scalar path.  When
       {!Rn_util.Metrics.enabled} (sampled once per run), engine-level
       [engine.*] counters and histograms are recorded.  Among them,
       [engine.minor_words] and [engine.promoted_words] are the words the

@@ -195,28 +195,6 @@ let set_word t i w =
   if valid <= 0 then invalid_arg "Bitset.set_word";
   t.words.{i} <- (if valid >= bits_per_word then w else w land ((1 lsl valid) - 1))
 
-(* Word-parallel fill of the index range [lo, hi): partial masks on the
-   boundary words, -1 (all 63 bits) on the interior ones.  The adversary
-   kernel uses this to switch on a broadcaster's whole contiguous
-   lower-endpoint gray range in O(range/word). *)
-let fill_range t lo hi =
-  if lo < 0 || hi > t.capacity || lo > hi then invalid_arg "Bitset.fill_range";
-  if lo < hi then begin
-    let w0 = lo / bits_per_word and w1 = (hi - 1) / bits_per_word in
-    let b0 = lo mod bits_per_word and b1 = (hi - 1) mod bits_per_word in
-    (* mask of bits [a, b] within one word; b - a = 62 (the full word)
-       must not shift by 63, which OCaml leaves unspecified *)
-    let mask a b = if b - a >= bits_per_word - 1 then -1 else ((1 lsl (b - a + 1)) - 1) lsl a in
-    if w0 = w1 then t.words.{w0} <- t.words.{w0} lor mask b0 b1
-    else begin
-      t.words.{w0} <- t.words.{w0} lor mask b0 (bits_per_word - 1);
-      for w = w0 + 1 to w1 - 1 do
-        Bigarray.Array1.unsafe_set t.words w (-1)
-      done;
-      t.words.{w1} <- t.words.{w1} lor mask 0 b1
-    end
-  end
-
 let diff a b =
   if a.capacity <> b.capacity then invalid_arg "Bitset.diff";
   let r = copy a in

@@ -77,11 +77,6 @@ val set_word : t -> int -> int -> unit
     iteration: [w land (w - 1)] strips it). *)
 val lowest_bit : int -> int
 
-(** [fill_range t lo hi] sets every index in [\[lo, hi)], word-parallel:
-    boundary masks plus whole-word interior fills.  [0 <= lo <= hi <=
-    capacity] required. *)
-val fill_range : t -> int -> int -> unit
-
 (** [diff a b] is a fresh set [a \ b]. *)
 val diff : t -> t -> t
 

@@ -10,8 +10,12 @@
 # and 4.  Every table must hash to the policy's pin.  Every beacon
 # round has all n fibers to step, so at n >= 1024 shard counts 2 and 4
 # take the sharded resume; the engine picks each round's delivery and
-# adversary path by cost.  Equal digests across shard counts and
-# against the pins show that those paths evaluate one semantics.
+# adversary path by cost, and skips the adversary phase on a round whose
+# reach the policy declares (silent, all, and spiteful).  The pins cover
+# every built-in policy, so every declaration is checked against the
+# tables that the adversary phase gives.  Equal digests across shard
+# counts and against the pins show that those paths evaluate one
+# semantics.
 #
 # One more pin runs `scale --check --sizes 65536 --adversary
 # bernoulli:0.5 --resume-shards 1`: world construction at the size of
@@ -38,6 +42,8 @@ while read -r adv want; do
   done
 done << 'PINS'
 bernoulli:0.5 27c6cc7c2079229c8a5e3fb6a708b61e
+harassing:0.5 5d31d6c56bedecdccb8a12c2823a62c8
+silent 7470b07f3dbf153ee38786035d01fa1e
 spiteful 4aeee9c9b08314da562512972923fb5b
 jamming c885c9e823b118b24ea6814323adcb1e
 all 4aeee9c9b08314da562512972923fb5b
@@ -45,4 +51,4 @@ PINS
 
 check 65536 bernoulli:0.5 1 15eb50d0722b9fa5f6a73cac20caaeb2
 
-echo "scale_smoke: OK (4 policies x --resume-shards 1/2/4 and n=65536 match their pins)"
+echo "scale_smoke: OK (6 policies x --resume-shards 1/2/4 and n=65536 match their pins)"

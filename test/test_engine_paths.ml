@@ -1,13 +1,16 @@
 (* Differential tests for [Engine.run]'s evaluation paths.
 
    [run] evaluates the Section 2 round with a live-fiber worklist, wake
-   buckets, parking, silent-round fast-forward, a cached detector and
-   three per-round cost choices: the adversary's mask kernel
-   ([Adversary.kernel_wins]), the word-parallel delivery kernel, and the
-   resume sliced across Pool domains ([resume_shards > 1] with at least
-   1024 fibers to step).  None of it may change a result.  One property
-   says so — [run] = [run_reference] = [run] with a sink, which forces
-   every phase onto its scalar path — over one scenario generator: sparse
+   buckets, parking, silent-round fast-forward, a cached detector, the
+   adversary's declared reach ([Adversary.reach], which skips the
+   adversary phase) and three per-round cost choices: the adversary's
+   mask kernel ([Adversary.kernel_wins]), the word-parallel delivery
+   kernel, and the resume sliced across Pool domains
+   ([resume_shards > 1] with at least 1024 fibers to step).  None of it
+   may change a result.  One property says so — [run] =
+   [run_reference] = [run] with a sink, which forces every round onto
+   [choose] and every phase onto its scalar path — over one scenario
+   generator: sparse
    and dense duals, n on both sides of 1024, every adversary policy,
    random wake and stop, and any shard counts.  The fast-path cases read
    the engine's path counters to show that their inputs engage the path
@@ -103,21 +106,26 @@ let perfect dual = Detector.static (Detector.perfect (Dual.g dual))
 
 (* --- the one property -------------------------------------------------- *)
 
-(* Rounds in which each fast path ran, read through [Metrics.scoped]. *)
-type paths = { adv : int; deliver : int; resume : int }
+(* Rounds in which each fast path ran, read through [Metrics.scoped]:
+   [declared] counts the rounds whose declared reach skipped the
+   adversary phase. *)
+type paths = { declared : int; adv : int; deliver : int; resume : int }
 
 let counted f =
   let r, snap = Metrics.scoped f in
   let c name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
   ( r,
     {
+      declared = c "engine.declared_reach_rounds";
       adv = c "engine.adv_kernel_rounds";
       deliver = c "engine.kernel_rounds";
       resume = c "engine.resume_shard_rounds";
     } )
 
-let no_paths = { adv = 0; deliver = 0; resume = 0 }
-let pp_paths p = Printf.sprintf "adv=%d deliver=%d resume=%d" p.adv p.deliver p.resume
+let no_paths = { declared = 0; adv = 0; deliver = 0; resume = 0 }
+
+let pp_paths p =
+  Printf.sprintf "declared=%d adv=%d deliver=%d resume=%d" p.declared p.adv p.deliver p.resume
 
 (* [run] = [run_reference] = traced [run], where [run sink] runs the case
    with an optional sink.  The traced run must take no fast path.
@@ -663,22 +671,25 @@ let perform_words =
      ignore (run 100);
      (run 10_100 -. run 100) /. 10_000.)
 
+(* The minor words and the result of [body rounds] on [dual], run for
+   [rounds] rounds. *)
+let run_words ?(adversary = Adversary.silent) dual body rounds =
+  let cfg =
+    E.config ~adversary ~seed:5 ~stop:(At_round rounds) ~detector:(perfect dual) dual
+  in
+  let w0 = Gc.minor_words () in
+  let r = E.run cfg (body rounds) in
+  let w = Gc.minor_words () -. w0 in
+  Alcotest.(check int) (Printf.sprintf "%d rounds run" rounds) rounds r.E.rounds;
+  (w, r)
+
 (* Words per fiber-round of [body rounds] on [dual] over [rounds] rounds:
    the difference of an 8- and a 40-round run over the 32 extra rounds,
    so the setup's allocation cancels.  Checked against [perform_words]
    plus [slack] and printed. *)
-let check_fiber_round_words ~what ~slack ?(adversary = Adversary.silent) dual body =
+let check_fiber_round_words ~what ~slack ?adversary dual body =
   let n = Dual.n dual and short = 8 and long = 40 in
-  let words rounds =
-    let cfg =
-      E.config ~adversary ~seed:5 ~stop:(At_round rounds) ~detector:(perfect dual) dual
-    in
-    let w0 = Gc.minor_words () in
-    let r = E.run cfg (body rounds) in
-    let w = Gc.minor_words () -. w0 in
-    Alcotest.(check int) (Printf.sprintf "%d rounds run" rounds) rounds r.E.rounds;
-    w
-  in
+  let words rounds = fst (run_words ?adversary dual body rounds) in
   ignore (words short);
   let per_fiber_round = (words long -. words short) /. float_of_int (n * (long - short)) in
   let p = Lazy.force perform_words in
@@ -723,6 +734,38 @@ let test_alloc_all_broadcast () =
         ignore (E.sync_p ctx 1.0 (E.me ctx))
       done)
 
+(* Deliveries on the scalar path: in round i the nodes v with
+   v + i = 0 (mod 17) broadcast on a degree-16 circulant of 17 * 120
+   nodes, so each broadcaster's 16 neighbours all hear it, and one
+   broadcaster in 17 keeps every round off the delivery kernel.  Beyond a
+   perform per fiber-round, a round allocates a [Send m] per broadcaster
+   (3 words) and the [Recv m] its receivers share (2): 0.3 words per
+   delivery.  A [Recv m] per receiver would add 2. *)
+let test_alloc_deliveries () =
+  let dual = circulant ~n:(17 * 120) ~rel:8 ~gray:0 in
+  let body rounds ctx =
+    let me = E.me ctx in
+    for i = 1 to rounds do
+      ignore (E.sync_p ctx (if (me + i) mod 17 = 0 then 1.0 else 0.0) me)
+    done
+  in
+  ignore (run_words dual body 8);
+  let w_short, r_short = run_words dual body 8 in
+  let w_long, r_long = run_words dual body 40 in
+  let fiber_rounds = float_of_int (Dual.n dual * 32) in
+  let deliveries = r_long.E.stats.deliveries - r_short.E.stats.deliveries in
+  Alcotest.(check int) "every neighbour of a broadcaster hears it" (16 * 120 * 32) deliveries;
+  let p = Lazy.force perform_words in
+  let per_delivery = (w_long -. w_short -. (fiber_rounds *. p)) /. float_of_int deliveries in
+  let budget = p /. 2.0 in
+  Printf.printf
+    "scalar deliveries: %.2f words per delivery (a bare perform: %.2f, budget %.2f)\n%!"
+    per_delivery p budget;
+  if per_delivery > budget then
+    Alcotest.failf
+      "scalar deliveries: %.2f words per delivery, budget %.2f (half a bare perform)"
+      per_delivery budget
+
 (* --- delivery kernel --------------------------------------------------- *)
 
 (* Each node broadcasts w.p. 0.03 for 30 rounds, logging every sender it
@@ -749,7 +792,8 @@ let agree_beacon ?shards ?resume_shards ~adversary ~what dual =
 (* A circulant at n=512 has every node at degree 64 — kernel rounds
    throughout, with enough words per row to catch top-word masking and
    word-indexing slips.  Its sparse twin (degree 4, gray degree 2, a
-   spiteful adversary) takes neither kernel. *)
+   spiteful adversary) takes neither kernel, only spiteful's declared
+   reach. *)
 let test_kernel_n512 () =
   let dense = circulant ~n:512 ~rel:32 ~gray:0 in
   let r, p =
@@ -763,12 +807,16 @@ let test_kernel_n512 () =
   let sparse = circulant ~n:512 ~rel:2 ~gray:1 in
   let r, p = agree_beacon ~adversary:Adversary.spiteful ~what:"sparse" sparse in
   Alcotest.(check bool) "sparse: deliveries happened" true (r.E.stats.deliveries > 0);
-  Alcotest.(check string) "sparse: no fast path" (pp_paths no_paths) (pp_paths p)
+  Alcotest.(check bool) "sparse: declared reach" true (p.declared > 0);
+  Alcotest.(check string) "sparse: no other fast path" (pp_paths no_paths)
+    (pp_paths { p with declared = 0 })
 
 (* Twin of the pin above on a gray band: reliable ±1..32, gray ±33..40.
-   Every adversary here switches gray edges on, so the kernel's two gray
-   sweeps (reach accumulation, then receive assignment) run at scale; a
-   message that arrived over a gray edge is visible in [returns]. *)
+   Every adversary here switches gray edges on: under bernoulli the
+   kernel's two gray sweeps (reach accumulation, then receive
+   assignment) run at scale, and under spiteful and all_gray, which
+   declare their reach, it ORs the N_G' rows instead.  A message that
+   arrived over a gray edge is visible in [returns]. *)
 let test_kernel_n512_gray () =
   let n = 512 in
   let dual = circulant ~n ~rel:32 ~gray:8 in
@@ -777,13 +825,14 @@ let test_kernel_n512_gray () =
     min d (n - d) > 32
   in
   List.iter
-    (fun (name, adversary, has_kernel) ->
+    (fun (name, adversary, declares) ->
       let r, p = agree_beacon ~adversary ~what:name dual in
       Alcotest.(check bool) (name ^ ": deliveries happened") true (r.E.stats.deliveries > 0);
       Alcotest.(check bool) (name ^ ": delivery kernel ran") true (p.deliver > 0);
+      Alcotest.(check int) (name ^ ": no adversary kernel") 0 p.adv;
       Alcotest.(check bool)
-        (name ^ ": adversary kernel ran iff it has one")
-        has_kernel (p.adv > 0);
+        (name ^ ": declared-reach rounds iff it declares")
+        declares (p.declared > 0);
       let gray_receives = ref 0 in
       Array.iteri
         (fun v heard ->
@@ -851,12 +900,7 @@ let prop_kernel_mis =
 
 (* --- adversary kernel API: choose_kernel = choose ----------------------- *)
 
-let kernel_policies =
-  [|
-    ("all_gray", Adversary.all_gray);
-    ("spiteful", Adversary.spiteful);
-    ("jamming", Adversary.jamming);
-  |]
+let kernel_policies = [| ("jamming", Adversary.jamming) |]
 
 let random_broadcasters rng n =
   let p = [| 0.05; 0.3; 0.8 |].(Rng.int rng 3) in
@@ -895,9 +939,88 @@ let prop_choose_equiv =
       done;
       true)
 
+(* What each policy must declare with [nb] broadcasters. *)
+let expected_reach name nb =
+  match name with
+  | "silent" -> Adversary.No_gray
+  | "all_gray" -> Adversary.All_incident
+  | "spiteful" -> if nb >= 2 then Adversary.All_incident else Adversary.No_gray
+  | _ -> Adversary.Chosen
+
+let pp_reach = function
+  | Adversary.No_gray -> "No_gray"
+  | Adversary.All_incident -> "All_incident"
+  | Adversary.Chosen -> "Chosen"
+
+(* Every built-in policy (and a custom one) against its declaration, on
+   random duals with 0, 1, 2 and many broadcasters: a policy declares
+   what it is documented to, and on a declared round [choose] fills
+   exactly the declared set — nothing under [No_gray], and under
+   [All_incident] the ids of the gray edges incident to a broadcaster,
+   read here from [Dual.gray_adj]. *)
+let prop_declared_reach =
+  let policies =
+    Array.append adversaries
+      [|
+        ("harassing 0.5", Adversary.harassing 0.5);
+        ("custom", Adversary.custom ~name:"custom" (fun ~round:_ ~broadcasters:_ _ _ _ -> ()));
+      |]
+  in
+  QCheck.Test.make ~name:"declared reach = choose" ~count:150 QCheck.(small_nat)
+    (fun case ->
+      let rng = Rng.create (0xDEC1 + case) in
+      let n = 2 + Rng.int rng 60 in
+      let dual =
+        random_dual ~n ~rel_w:(1 + Rng.int rng 4) ~gray_w:(Rng.int rng 6) (Rng.bits rng)
+      in
+      let ng = max 1 (Dual.gray_count dual) in
+      let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
+      let distinct k =
+        let picked = Array.make n false and l = ref [] in
+        while List.length !l < k do
+          let v = Rng.int rng n in
+          if not picked.(v) then begin
+            picked.(v) <- true;
+            l := v :: !l
+          end
+        done;
+        Array.of_list (List.sort compare !l)
+      in
+      List.iteri
+        (fun round broadcasters ->
+          let incident = Bitset.create ng in
+          Array.iter
+            (fun u ->
+              Array.iter (fun (_, id) -> Bitset.add incident id) (Dual.gray_adj dual u))
+            broadcasters;
+          let nb = Array.length broadcasters in
+          Array.iter
+            (fun (pname, adv) ->
+              let declared = Adversary.reach adv ~broadcasters in
+              if declared <> expected_reach pname nb then
+                QCheck.Test.fail_reportf "%s declares %s with %d broadcasters" pname
+                  (pp_reach declared) nb;
+              let chosen = Bitset.create ng in
+              Adversary.choose adv ~round ~broadcasters dual (Rng.derive adv_root round)
+                chosen;
+              let holds =
+                match declared with
+                | Adversary.No_gray -> Bitset.is_empty chosen
+                | Adversary.All_incident -> Bitset.equal chosen incident
+                | Adversary.Chosen -> true
+              in
+              if not holds then
+                QCheck.Test.fail_reportf "%s: choose <> declared %s at n=%d (#bcast=%d)" pname
+                  (pp_reach declared) n nb)
+            policies)
+        [ [||]; distinct 1; distinct 2; random_broadcasters rng n ];
+      true)
+
 let test_kernel_flags () =
-  Alcotest.(check bool) "all_gray has kernel" true (Adversary.has_kernel Adversary.all_gray);
-  Alcotest.(check bool) "spiteful has kernel" true (Adversary.has_kernel Adversary.spiteful);
+  Alcotest.(check bool) "all_gray declares, no kernel" false
+    (Adversary.has_kernel Adversary.all_gray);
+  Alcotest.(check bool) "spiteful declares, no kernel" false
+    (Adversary.has_kernel Adversary.spiteful);
   Alcotest.(check bool) "jamming has kernel" true (Adversary.has_kernel Adversary.jamming);
   Alcotest.(check bool) "bernoulli stays scalar" false
     (Adversary.has_kernel (Adversary.bernoulli 0.5));
@@ -913,9 +1036,8 @@ let test_kernel_flags () =
       Adversary.choose_kernel Adversary.silent ~round:1 ~broadcasters:[||] dual (Rng.create 0)
         (Adversary.make_scratch dual) (Bitset.create 1))
 
-(* Word-boundary pin: a circulant dual at n=600 whose per-node gray
-   ranges span several 63-bit words, all nodes broadcasting — the
-   fill_range fast path does the bulk of the work. *)
+(* Word-boundary pin: a circulant dual at n=600, whose victim scan runs
+   over ten 63-bit words, with all, four and one node broadcasting. *)
 let test_circulant_pin () =
   let n = 600 in
   let dual = circulant ~n ~rel:4 ~gray:20 in
@@ -935,21 +1057,41 @@ let test_circulant_pin () =
         [| Array.init n Fun.id; [| 0; 1; 299; 599 |]; [| 42 |] |])
     kernel_policies
 
-(* --- adversary kernel inside the engine --------------------------------- *)
+(* --- adversary fast paths inside the engine ------------------------------ *)
 
-(* Gray-heavy duals on which a kernel policy's mask path pays from round
-   1 on: all_gray and spiteful on n = 32..48 random duals, jamming on
+(* The policies with a fast adversary phase: all_gray and spiteful
+   declare their reach, jamming has a mask kernel. *)
+let fast_policies =
+  [|
+    ("all_gray", Adversary.all_gray);
+    ("spiteful", Adversary.spiteful);
+    ("jamming", Adversary.jamming);
+  |]
+
+(* Gray-heavy duals on which a policy's fast path runs from round 1 on:
+   all_gray and spiteful on n = 32..48 random duals, jamming on
    n = 256..300 gray circulants (its kernel needs n >= 4 words). *)
 let adv_scenario case =
   let s = scenario case in
   let rng = Rng.create (0xADBE + case) in
-  let adv_name, adv = kernel_policies.(Rng.int rng (Array.length kernel_policies)) in
+  let adv_name, adv = fast_policies.(Rng.int rng (Array.length fast_policies)) in
   let shape, dual =
     if adv_name = "jamming" then
       ("gray circulant", circulant ~n:(256 + Rng.int rng 45) ~rel:2 ~gray:4)
     else ("all-gray", random_dual ~n:(32 + Rng.int rng 17) ~rel_w:1 ~gray_w:8 (Rng.bits rng))
   in
   { s with dual; shape; adv_name; adv; wake = None }
+
+(* Fails unless the scenario's policy took its fast path: jamming's
+   kernel, or a declared reach with no kernel. *)
+let check_fast_adversary s (paths : paths) =
+  if s.adv_name = "jamming" then begin
+    if paths.adv = 0 then
+      QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s)
+  end
+  else if paths.declared = 0 || paths.adv > 0 then
+    QCheck.Test.fail_reportf "no declared-reach rounds (%s): %s" (pp_paths paths)
+      (pp_scenario s)
 
 let prop_adv_engine =
   QCheck.Test.make ~name:"adv_kernel `On/`Off/`Auto x shards 1/2/4 = reference" ~count:100
@@ -958,8 +1100,7 @@ let prop_adv_engine =
       let s = { (adv_scenario case) with shards = 1 } in
       let body = random_body ~steps:14 ~max_idle:4 in
       let r, paths = agree_on s body in
-      if paths.adv = 0 then
-        QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s);
+      check_fast_adversary s paths;
       List.iter
         (fun shards ->
           if E.run (config_of { s with shards }) body <> r then
@@ -978,8 +1119,7 @@ let prop_adv_traced =
       let plain, paths = counted (fun () -> E.run (config_of s) body) in
       let sink = Events.create ~capacity:64 () in
       let traced, traced_paths = counted (fun () -> E.run (config_of ~sink s) body) in
-      if paths.adv = 0 then
-        QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s);
+      check_fast_adversary s paths;
       if traced_paths <> no_paths then
         QCheck.Test.fail_reportf "a sink did not force scalar (%s): %s" (pp_paths traced_paths)
           (pp_scenario s);
@@ -1282,6 +1422,7 @@ let () =
               Alcotest.test_case "idle/listen park loop" `Quick test_alloc_parks;
               Alcotest.test_case "all broadcast under bernoulli" `Quick
                 test_alloc_all_broadcast;
+              Alcotest.test_case "scalar deliveries share a Recv" `Quick test_alloc_deliveries;
             ] );
           ( "stop",
             [
@@ -1303,6 +1444,7 @@ let () =
           ( "choose",
             [
               qtest prop_choose_equiv;
+              qtest prop_declared_reach;
               Alcotest.test_case "kernel availability flags" `Quick test_kernel_flags;
               Alcotest.test_case "circulant n=600 pin" `Quick test_circulant_pin;
             ] );

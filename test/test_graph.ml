@@ -275,6 +275,82 @@ let prop_gray_incidence_layout =
       done;
       !ok && Array.for_all (( = ) 2) seen)
 
+(* [reach_rows] row [v] is exactly N_G'(v). *)
+let prop_reach_rows =
+  QCheck.Test.make ~name:"reach rows = N_G' rows" ~count:100 arb_dual (fun dual ->
+      let rows = Dual.reach_rows dual and g' = Dual.g' dual in
+      Array.length rows = Dual.n dual
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun v row ->
+                Rn_util.Bitset.to_list row = Array.to_list (Graph.neighbors g' v))
+              rows))
+
+(* The key validation [make_packed] had before it advanced the lower
+   endpoint by comparison: two divisions and a [Graph.mem_edge] search
+   per key.  The error of the first failing key, or [None]. *)
+let packed_keys_oracle g gray_pk =
+  let n = Graph.n g in
+  try
+    Array.iteri
+      (fun i e ->
+        if n = 0 || e < 0 || e / n >= e mod n then failwith "Dual.make_packed: bad gray key";
+        if i > 0 && gray_pk.(i - 1) >= e then failwith "Dual.make_packed: keys not ascending";
+        if Graph.mem_edge g (e / n) (e mod n) then
+          failwith "Dual.make_packed: gray edge already reliable")
+      gray_pk;
+    None
+  with Failure m -> Some m
+
+(* Key arrays that are mostly canonical and ascending, with the faults
+   [make_packed] must report mixed in: negative keys, u >= v, keys past
+   n * n, repeats, descents and reliable pairs, at n = 0..12.  The
+   error (or acceptance) must match [packed_keys_oracle], and an
+   accepted dual must list the keys as its gray edges. *)
+let prop_packed_key_errors =
+  QCheck.Test.make ~name:"packed key errors = oracle" ~count:500 QCheck.small_nat (fun seed ->
+      let rng = Rng.create (0x9E7 + seed) in
+      let n = Rng.int rng 13 in
+      let rel = ref [] and gray = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          match Rng.int rng 4 with
+          | 0 -> rel := (u, v) :: !rel
+          | 1 | 2 -> gray := ((u * n) + v) :: !gray
+          | _ -> ()
+        done
+      done;
+      let g = Graph.of_edges n !rel in
+      let keys = Array.of_list (List.rev !gray) in
+      let faulty = Rng.int rng 3 > 0 && Array.length keys > 0 in
+      if faulty then begin
+        let i = Rng.int rng (Array.length keys) in
+        let reliable = match !rel with [] -> 0 | (u, v) :: _ -> (u * n) + v in
+        keys.(i) <-
+          (match Rng.int rng 6 with
+          | 0 -> -1 - Rng.int rng 5
+          | 1 -> (let u = Rng.int rng n in (u * n) + Rng.int rng (u + 1))
+          | 2 -> (n * n) + Rng.int rng (3 * n)
+          | 3 -> keys.(max 0 (i - 1))
+          | 4 -> keys.(Rng.int rng (Array.length keys))
+          | _ -> reliable)
+      end;
+      let got =
+        match Dual.make_packed ~g ~gray_pk:keys () with
+        | dual ->
+          if Dual.gray_edges dual <> Array.map (fun e -> (e / n, e mod n)) keys then
+            Some "accepted, wrong gray edges"
+          else None
+        | exception Invalid_argument m -> Some m
+      in
+      let want = packed_keys_oracle g keys in
+      if got <> want then
+        QCheck.Test.fail_reportf "n=%d keys=[%s]: got %s, want %s" n
+          (String.concat ";" (Array.to_list (Array.map string_of_int keys)))
+          (Option.value ~default:"accepted" got)
+          (Option.value ~default:"accepted" want);
+      true)
+
 let test_incidence_shift () =
   Alcotest.check Alcotest.int "n=2" 1 (Dual.incidence_shift ~n:2 ~ng:1);
   Alcotest.check Alcotest.int "n=64" 6 (Dual.incidence_shift ~n:64 ~ng:1);
@@ -531,6 +607,8 @@ let () =
           Alcotest.test_case "gray adjacency" `Quick test_dual_gray_adj;
           Alcotest.test_case "gray dedup" `Quick test_dual_gray_dedup;
           qtest prop_gray_incidence_layout;
+          qtest prop_reach_rows;
+          qtest prop_packed_key_errors;
           Alcotest.test_case "incidence shift" `Quick test_incidence_shift;
           Alcotest.test_case "incidence at n=2^20" `Quick test_incidence_n2p20;
           Alcotest.test_case "geometry validation" `Quick test_dual_geometry_validation;
