@@ -12,10 +12,6 @@ type outcome = {
           (each within 3 hops; empty for covered processes) *)
 }
 
-(** Bounded-broadcast slots needed per banned-list transfer under the
-    configured message bound. *)
-val max_chunks : Radio.ctx -> int
-
 (** The per-process algorithm body; [on_decide] is called once with the
     process's CCDS output. *)
 val body : ?on_decide:(int -> unit) -> Params.t -> Radio.ctx -> outcome

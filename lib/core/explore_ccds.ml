@@ -38,11 +38,16 @@ type outcome = {
 
 let path_len = function Direct -> 1 | Via _ -> 2 | Via2 _ -> 3
 
+(* Detector-set label of announcement/gossip messages. *)
 let announce_lds = function
   | Msg.Announce { lds; _ } | Msg.Gossip { lds; _ } -> lds
   | _ -> None
 
-(* Entries fitting in one gossip message under the bound b. *)
+(* Entries fitting in one gossip message under the bound b (raises if b
+   is too small for labelled gossip).  The label estimate assumes
+   detector sets of at most delta_bound + 2 ids; for τ > 2 under a
+   bounded b, provide b = Ω((Δ+τ)·log n) or the engine will reject an
+   oversized labelled message at send time (loud, not silent). *)
 let gossip_capacity ctx ~mutual =
   let n = R.n ctx in
   let id = Msg.id_bits ~n in

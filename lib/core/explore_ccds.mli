@@ -19,16 +19,6 @@ type outcome = {
 (** Hops on the evidence path (1, 2 or 3). *)
 val path_len : path -> int
 
-(** Detector-set label of announcement/gossip messages. *)
-val announce_lds : Msg.t -> int list option
-
-(** Gossip entries fitting one message under the bound (raises if [b] is
-    too small for labelled gossip).  The label estimate assumes detector
-    sets of at most [delta_bound + 2] ids; for τ > 2 under a bounded [b],
-    provide [b = Ω((Δ+τ)·log n)] or the engine will reject an oversized
-    labelled message at send time (loud, not silent). *)
-val gossip_capacity : Radio.ctx -> mutual:bool -> int
-
 (** The shared connection machinery (announce → gossip → path selection →
     relay join): connects every pair of dominators within 3 hops by making
     evidence-path relays call [on_join].  All processes must call it at

@@ -17,9 +17,6 @@ val phase_len : Params.t -> n:int -> int
 (** Number of competition phases per epoch: [⌈log₂ n⌉]. *)
 val competition_phases : n:int -> int
 
-(** Number of epochs: [c_epochs·⌈log₂ n⌉]. *)
-val epoch_count : Params.t -> n:int -> int
-
 (** Total fixed schedule length; every process syncs exactly this many
     rounds, which is what lets the CCDS algorithm compose phases. *)
 val schedule_rounds : Params.t -> n:int -> int

@@ -21,9 +21,6 @@ val bounded_broadcast :
   on_recv:(Msg.t -> unit) ->
   unit
 
-(** Length of one decay phase: [c_dd·⌈log₂ n⌉]. *)
-val dd_phase_rounds : Params.t -> n:int -> int
-
 (** Total length of one directed-decay run (for phase budgeting). *)
 val directed_decay_rounds : Params.t -> n:int -> int
 

@@ -26,21 +26,16 @@
    declaring policies' [choose] is derived from the declaration, and
    test_engine_paths.ml holds every policy's [choose] to it.
 
-   [jamming] additionally carries a word-parallel KERNEL — a second
-   implementation of exactly the same activation set: it finds its
-   victims (nodes about to hear exactly one reliable broadcaster) with
-   the delivery kernel's once/twice saturating accumulator over the
-   broadcasters' reliable neighbours, then reads them off word-parallel
-   as once ∧ ¬twice ∧ ¬bcast instead of scanning all n nodes; the
-   per-victim choice of one colliding gray edge is unchanged (same edge,
-   same order).  The kernel must produce bit-for-bit the activation set
-   of the scalar [choose] (certified by test_engine_paths.ml), which is
-   what lets the engine switch per round on a cost model.
-   [bernoulli]/[harassing] have NO kernel: their per-edge RNG draws are
-   the semantics — any evaluation that reorders or batches the draws
-   changes the stream — so they keep the scalar loop (made cheaper
-   below: broadcaster membership is a per-round bitset, not a binary
-   search per edge).
+   [jamming] finds its victims (nodes about to hear exactly one reliable
+   broadcaster) with the delivery kernel's once/twice saturating
+   accumulator over the broadcasters' reliable neighbours, and reads
+   them off word-parallel as once ∧ ¬twice ∧ ¬bcast, so a round costs
+   the broadcasters' reliable degrees plus n/63 words, not a scan of
+   all n nodes.  [bernoulli]/[harassing] walk the broadcasters' gray
+   rows edge by edge: their per-edge RNG draws are the semantics — any
+   evaluation that reorders or batches the draws changes the stream —
+   so broadcaster membership is made cheap instead (a per-round bitset,
+   not a binary search per edge).
 
    Per-broadcaster walks index the CSR rows directly ([Dual.gray_lo] …
    [Dual.gray_id_at], [Graph.row_lo] … [Graph.nbr_at]) instead of passing
@@ -52,29 +47,8 @@ module Rng = Rn_util.Rng
 module Graph = Rn_graph.Graph
 module Dual = Rn_graph.Dual
 
-(* Preallocated scratch for the kernel path, one per engine run (built
-   lazily on the first kernel round).  [sc_bcast] must be empty between
-   rounds (policies restore it by removing what they added). *)
-type scratch = {
-  sc_bcast : Bitset.t; (* capacity n *)
-  sc_once : Bitset.t; (* capacity n *)
-  sc_twice : Bitset.t; (* capacity n *)
-}
-
-let make_scratch dual =
-  let n = Dual.n dual in
-  { sc_bcast = Bitset.create n; sc_once = Bitset.create n; sc_twice = Bitset.create n }
-
 type choose_fn =
   round:int -> broadcasters:int array -> Dual.t -> Rng.t -> Bitset.t -> unit
-
-type kernel = {
-  k_choose :
-    round:int -> broadcasters:int array -> Dual.t -> Rng.t -> scratch -> Bitset.t -> unit;
-  k_wins : broadcasters:int array -> Dual.t -> bool;
-      (* the engine's per-round choice: is the mask path expected to beat the
-         scalar one on THIS round's broadcasters?  Must be O(#bcast). *)
-}
 
 type reach = No_gray | All_incident | Chosen
 
@@ -82,7 +56,6 @@ type t = {
   name : string;
   choose : choose_fn;
   reach : broadcasters:int array -> reach; (* O(1) *)
-  kernel : kernel option;
 }
 
 let name t = t.name
@@ -93,15 +66,15 @@ let choose t ~round ~broadcasters dual rng active =
 let reach t ~broadcasters = t.reach ~broadcasters
 let chosen ~broadcasters:_ = Chosen
 
-let has_kernel t = t.kernel <> None
+(* No policy has a kernel; kept for perfbench's replay. *)
+type scratch = unit
 
-let kernel_wins t ~broadcasters dual =
-  match t.kernel with None -> false | Some k -> k.k_wins ~broadcasters dual
+let make_scratch _ = ()
+let has_kernel _ = false
+let kernel_wins _ ~broadcasters:_ _ = false
 
-let choose_kernel t ~round ~broadcasters dual rng scratch active =
-  match t.kernel with
-  | Some k -> k.k_choose ~round ~broadcasters dual rng scratch active
-  | None -> invalid_arg "Adversary.choose_kernel: policy has no kernel"
+let choose_kernel _ ~round:_ ~broadcasters:_ _ _ () _ =
+  invalid_arg "Adversary.choose_kernel: policy has no kernel"
 
 (* Only gray edges incident to a broadcaster can influence delivery — the
    engine reads the activation bitset exclusively through the broadcasters'
@@ -132,7 +105,6 @@ let declared name reach =
         | All_incident -> add_incident ~broadcasters dual active
         | No_gray | Chosen -> ());
     reach;
-    kernel = None;
   }
 
 let silent = declared "silent" (fun ~broadcasters:_ -> No_gray)
@@ -148,13 +120,12 @@ let spiteful =
 
 (* Each gray edge independently active with probability p, fresh each
    round.  One draw per distinct incident edge: the lowest-id broadcasting
-   endpoint owns the draw.  NO kernel: the per-edge draw sequence is the
-   semantics.  The broadcaster membership test is a per-round bitset
-   (filled from the sorted broadcaster array, emptied again after the
-   walk) instead of a per-edge binary search — same draws, same stream,
-   cheaper by the O(log #bcast) factor on every gray edge.  The bitset
-   lives in domain-local storage so one policy value stays safe to share
-   across Pool domains running independent cells. *)
+   endpoint owns the draw.  The broadcaster membership test is a
+   per-round bitset (filled from the sorted broadcaster array, emptied
+   again after the walk) instead of a per-edge binary search — same
+   draws, same stream, cheaper by the O(log #bcast) factor on every gray
+   edge.  The bitset lives in domain-local storage so one policy value
+   stays safe to share across Pool domains running independent cells. *)
 let bernoulli p =
   if p < 0.0 || p > 1.0 then invalid_arg "Adversary.bernoulli";
   let dls = Domain.DLS.new_key (fun () -> ref (Bitset.create 0)) in
@@ -182,12 +153,11 @@ let bernoulli p =
           Bitset.remove bcast broadcasters.(j)
         done);
     reach = chosen;
-    kernel = None;
   }
 
 (* Activate gray edges incident to broadcasters with probability p: a
    cheaper adaptive policy that concentrates unreliability where it can
-   actually cause collisions.  NO kernel, like [bernoulli]. *)
+   actually cause collisions. *)
 let harassing p =
   if p < 0.0 || p > 1.0 then invalid_arg "Adversary.harassing";
   {
@@ -201,21 +171,27 @@ let harassing p =
           done
         done);
     reach = chosen;
-    kernel = None;
   }
 
-(* Picks the gray edge the scalar jamming loop would: the first
+(* Switches on the gray edge that collides victim [v]: the first
    broadcasting gray neighbour of [v] in descending edge-id order. *)
-let jam_victim ~bcast_mem dual active v =
+let jam_victim ~bcast dual active v =
   let hi = Dual.gray_hi dual v in
   let i = ref (Dual.gray_lo dual v) in
   while !i < hi do
-    if bcast_mem (Dual.gray_nbr_at dual !i) then begin
+    if Bitset.mem bcast (Dual.gray_nbr_at dual !i) then begin
       Bitset.add active (Dual.gray_id_at dual !i);
       i := hi
     end
     else incr i
   done
+
+(* Per-domain scratch for [jamming], all of capacity n: the broadcasters
+   (empty between rounds) and the once/twice accumulator. *)
+type jam_scratch = { bcast : Bitset.t; once : Bitset.t; twice : Bitset.t }
+
+let jam_scratch n =
+  { bcast = Bitset.create n; once = Bitset.create n; twice = Bitset.create n }
 
 (* The broadcast-hardness adversary of the dual graph line of work
    (references [10, 11] of the paper): wherever a node is about to hear a
@@ -223,103 +199,52 @@ let jam_victim ~bcast_mem dual active v =
    broadcaster to collide it.  It never helps — gray edges are only ever
    switched on to raise a receiver's broadcaster count past one.
 
-   The scalar path threads preallocated per-domain scratch (broadcast
-   flags + reliable-neighbour counts) through domain-local storage, so
-   steady-state rounds allocate nothing: flags are cleared by removing
-   the broadcasters again, counts by re-walking their neighbourhoods. *)
+   The scratch lives in domain-local storage, like [bernoulli]'s bitset,
+   so one policy value stays safe to share across Pool domains and
+   steady-state rounds allocate nothing. *)
 let jamming =
-  let dls = Domain.DLS.new_key (fun () -> ref None) in
+  let dls = Domain.DLS.new_key (fun () -> ref (jam_scratch 0)) in
   {
     name = "jamming";
     reach = chosen;
     choose =
       (fun ~round:_ ~broadcasters dual _ active ->
-        let g = Dual.g dual in
-        let n = Dual.n dual in
+        let g = Dual.g dual and n = Dual.n dual in
         let cell = Domain.DLS.get dls in
-        let bcast, counts =
-          match !cell with
-          | Some ((b, _) as s) when Bytes.length b = n -> s
-          | _ ->
-            let s = (Bytes.make n '\000', Array.make n 0) in
-            cell := Some s;
-            s
-        in
+        if Bitset.capacity (!cell).bcast <> n then cell := jam_scratch n;
+        let { bcast; once; twice } = !cell in
+        Bitset.clear once;
+        Bitset.clear twice;
         let nb = Array.length broadcasters in
         for j = 0 to nb - 1 do
-          Bytes.unsafe_set bcast broadcasters.(j) '\001'
+          Bitset.add bcast broadcasters.(j)
         done;
         for j = 0 to nb - 1 do
           let u = broadcasters.(j) in
           for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
-            let v = Graph.nbr_at g i in
-            counts.(v) <- counts.(v) + 1
+            Bitset.acc2_add ~once ~twice (Graph.nbr_at g i)
           done
         done;
-        let bcast_mem w = Bytes.unsafe_get bcast w = '\001' in
-        for v = 0 to n - 1 do
-          if Bytes.unsafe_get bcast v = '\000' && Array.unsafe_get counts v = 1 then
-            (* one gray broadcaster suffices to collide v *)
-            jam_victim ~bcast_mem dual active v
-        done;
-        for j = 0 to nb - 1 do
-          let u = broadcasters.(j) in
-          for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
-            counts.(Graph.nbr_at g i) <- 0
+        (* victims = once ∧ ¬twice ∧ ¬bcast, read off word-parallel; one
+           gray broadcaster suffices to collide each *)
+        let bpw = Bitset.bits_per_word in
+        for w = 0 to Bitset.word_count once - 1 do
+          let word =
+            ref
+              (Bitset.get_word once w
+              land lnot (Bitset.get_word twice w)
+              land lnot (Bitset.get_word bcast w))
+          in
+          let base = w * bpw in
+          while !word <> 0 do
+            let v = base + Bitset.lowest_bit !word in
+            word := !word land (!word - 1);
+            jam_victim ~bcast dual active v
           done
         done;
         for j = 0 to nb - 1 do
-          Bytes.unsafe_set bcast broadcasters.(j) '\000'
+          Bitset.remove bcast broadcasters.(j)
         done);
-    kernel =
-      Some
-        {
-          k_choose =
-            (fun ~round:_ ~broadcasters dual _ scratch active ->
-              let g = Dual.g dual in
-              let bcast = scratch.sc_bcast in
-              let once = scratch.sc_once and twice = scratch.sc_twice in
-              Bitset.clear once;
-              Bitset.clear twice;
-              let nb = Array.length broadcasters in
-              for j = 0 to nb - 1 do
-                Bitset.add bcast broadcasters.(j)
-              done;
-              for j = 0 to nb - 1 do
-                let u = broadcasters.(j) in
-                for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
-                  Bitset.acc2_add ~once ~twice (Graph.nbr_at g i)
-                done
-              done;
-              let bcast_mem u = Bitset.mem bcast u in
-              (* victims = once ∧ ¬twice ∧ ¬bcast, read off word-parallel
-                 in ascending order — the same order, and per victim the
-                 same gray edge, as the scalar n-scan *)
-              let bpw = Bitset.bits_per_word in
-              for w = 0 to Bitset.word_count once - 1 do
-                let word =
-                  ref
-                    (Bitset.get_word once w
-                    land lnot (Bitset.get_word twice w)
-                    land lnot (Bitset.get_word bcast w))
-                in
-                let base = w * bpw in
-                while !word <> 0 do
-                  let v = base + Bitset.lowest_bit !word in
-                  word := !word land (!word - 1);
-                  jam_victim ~bcast_mem dual active v
-                done
-              done;
-              for j = 0 to nb - 1 do
-                Bitset.remove bcast broadcasters.(j)
-              done);
-          k_wins =
-            (fun ~broadcasters:_ dual ->
-              (* scalar cost is O(n) regardless of activity; the kernel
-                 sweeps words instead, so it wins as soon as the scan is
-                 more than a few words long *)
-              Dual.n dual >= 4 * Bitset.bits_per_word);
-        };
   }
 
-let custom ~name choose = { name; choose; reach = chosen; kernel = None }
+let custom ~name choose = { name; choose; reach = chosen }

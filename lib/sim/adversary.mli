@@ -6,8 +6,7 @@ val name : t -> string
 
 (** Fill [active] (a cleared bitset over gray-edge ids) with this round's
     activated gray edges; the adversary sees the broadcasters first, as in
-    Section 2.  The scalar reference path — always available, and the one
-    {!val:choose_kernel} must match bit-for-bit. *)
+    Section 2. *)
 val choose :
   t ->
   round:int ->
@@ -32,30 +31,18 @@ type reach = No_gray | All_incident | Chosen
     engine may deliver along it without calling {!val:choose}. *)
 val reach : t -> broadcasters:int array -> reach
 
-(** {2 Word-parallel kernel path}
+(** {2 Kernel shim}
 
-    {!jamming} carries a second implementation of the same activation
-    set that finds its victims by mask algebra over the broadcasters'
-    reliable rows instead of scanning every node, mirroring the engine's
-    delivery kernel.  Randomised policies ({!bernoulli}, {!harassing})
-    have none: their per-edge draw sequence IS the semantics.  A kernel
-    is certified byte-identical to its scalar [choose]. *)
+    No policy has a kernel; kept for perfbench's replay.  {!has_kernel}
+    and {!kernel_wins} are [false] for every policy, and
+    {!choose_kernel} raises [Invalid_argument]. *)
 
-(** Preallocated per-run kernel scratch. *)
 type scratch
 
 val make_scratch : Rn_graph.Dual.t -> scratch
-
 val has_kernel : t -> bool
-
-(** The engine's per-round choice: is the kernel expected to win on this
-    round's broadcasters?  [false] when the policy has no kernel.
-    O(#broadcasters). *)
 val kernel_wins : t -> broadcasters:int array -> Rn_graph.Dual.t -> bool
 
-(** Kernel counterpart of {!val:choose}: same contract, same resulting
-    bytes in [active].  Raises [Invalid_argument] if the policy has no
-    kernel (check {!has_kernel}). *)
 val choose_kernel :
   t ->
   round:int ->

@@ -43,15 +43,14 @@
    of them, or a set only its [choose] computes.  A declared round skips
    the adversary phase, and delivery walks no gray row, or every gray
    row without a membership test (on the kernel, it ORs [Graph.adj_rows]
-   or [Dual.reach_rows]).  The engine also picks how to evaluate three
-   phases, by cost: the adversary's gray-edge choice on a [Chosen] round
-   (a policy's mask kernel when [Adversary.kernel_wins]), delivery (the
+   or [Dual.reach_rows]); a [Chosen] round calls [choose].  The engine
+   also picks how to evaluate two phases, by cost: delivery (the
    word-parallel once/twice kernel when the broadcasters' reach
-   outweighs its word sweeps), and the resume (sliced across Pool
+   outweighs its word sweeps) and the resume (sliced across Pool
    domains when [resume_shards > 1] and at least
    [resume_shard_threshold] fibers await their receive).  Every choice
    is pure evaluation strategy; an attached sink treats every round as
-   [Chosen] and forces all three phases onto the scalar path, which can
+   [Chosen] and forces both phases onto the scalar path, which can
    emit per-event records.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
@@ -87,7 +86,6 @@ let m_collisions = Metrics.counter "engine.collisions"
 let m_bits_sent = Metrics.counter "engine.bits_sent"
 let m_silent_rounds = Metrics.counter "engine.silent_rounds"
 let m_kernel_rounds = Metrics.counter "engine.kernel_rounds"
-let m_adv_kernel_rounds = Metrics.counter "engine.adv_kernel_rounds"
 
 (* Rounds whose reach the adversary declared ([Adversary.reach]), so the
    adversary phase was skipped. *)
@@ -491,7 +489,7 @@ module Make (M : MESSAGE) = struct
        Assignments are set by the main domain before the Pool dispatch and
        cleared after the merge, so the wake phase and the scalar path never
        see one.  A sink forces the scalar step (Decide events must come out
-       in step order), like the delivery and adversary kernels. *)
+       in step order), like the delivery kernel and declared reach. *)
     let resume_shards = if tracing then 1 else cfg.resume_shards in
     let resume_assign = Array.make (max 1 nn) (-1) in
     let resume_bufs : resume_buf array ref = ref [||] in
@@ -715,17 +713,6 @@ module Make (M : MESSAGE) = struct
               })
       end;
       !resume_bufs
-    in
-    (* Adversary kernel scratch, built on the first kernel round (never
-       for policies without a kernel). *)
-    let adv_scratch = ref None in
-    let get_adv_scratch () =
-      match !adv_scratch with
-      | Some s -> s
-      | None ->
-        let s = Adversary.make_scratch dual in
-        adv_scratch := Some s;
-        s
     in
     (* Once the dense kernel's (once, twice) pair sits in [k_once]/[k_twice],
        classify every node word-parallel — receives = once ∧ ¬twice ∧
@@ -961,19 +948,7 @@ module Make (M : MESSAGE) = struct
                p_start ();
                Bitset.clear gray_active;
                Rng.derive_into adv_rng ~parent:adv_root r;
-               (* A policy's word-parallel kernel is certified
-                  byte-identical to its scalar [choose], so switching
-                  per round on its cost model is a pure evaluation
-                  strategy.  Tracing forces scalar, like delivery. *)
-               if (not tracing) && Adversary.kernel_wins cfg.adversary ~broadcasters dual
-               then begin
-                 if met then Metrics.incr m_adv_kernel_rounds;
-                 Adversary.choose_kernel cfg.adversary ~round:r ~broadcasters dual adv_rng
-                   (get_adv_scratch ()) gray_active
-               end
-               else
-                 Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng
-                   gray_active;
+               Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng gray_active;
                if tracing then
                  emit
                    {

@@ -179,15 +179,15 @@ module Make (M : MESSAGE) : sig
       violates the declared stabilisation get the cached value.
 
       A round whose reach the adversary declares ({!Adversary.reach})
-      skips the adversary phase and delivers along the declared reach.
-      Each round also picks how to evaluate three phases, by cost alone:
-      the adversary's mask kernel when {!Adversary.kernel_wins}, the
-      word-parallel delivery kernel when the broadcasters' total reach
-      outweighs its word sweeps, and the sharded resume as described
-      under [resume_shards].  Every choice is pure evaluation strategy.
-      The counters [engine.declared_reach_rounds],
-      [engine.adv_kernel_rounds], [engine.kernel_rounds] and
-      [engine.resume_shard_rounds] record how often each fast path ran.
+      skips the adversary phase and delivers along the declared reach;
+      any other round calls {!Adversary.choose}.  Each round also picks
+      how to evaluate two phases, by cost alone: the word-parallel
+      delivery kernel when the broadcasters' total reach outweighs its
+      word sweeps, and the sharded resume as described under
+      [resume_shards].  Every choice is pure evaluation strategy.  The
+      counters [engine.declared_reach_rounds], [engine.kernel_rounds]
+      and [engine.resume_shard_rounds] record how often each fast path
+      ran.
 
       When [config.sink] is set, one {!Events.event} is emitted per wake,
       broadcast, delivery, collision, gray-edge resolution, first

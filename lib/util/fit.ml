@@ -45,5 +45,3 @@ let polylog_exponent xs ys =
   let ly = Array.map log ys in
   let l = linear lx ly in
   (l.slope, l.r2)
-
-let pp_line ppf l = Fmt.pf ppf "slope=%.3f intercept=%.1f r2=%.4f" l.slope l.intercept l.r2

@@ -11,5 +11,3 @@ val power_law : float array -> float array -> float * float
 
 (** Fit [y = a·(log₂ x)^p]; returns [(p, r2)].  Inputs must exceed 1. *)
 val polylog_exponent : float array -> float array -> float * float
-
-val pp_line : Format.formatter -> line -> unit

@@ -16,6 +16,8 @@
      a [gc] rewrite by a peer is detected by inode change and answered
      by reopening the journal at its new identity. *)
 
+(* Bumped whenever the journal format changes; stale-format journals
+   are discarded on open.  CI cache keys must include this. *)
 let format_version = 1
 let header_line = Printf.sprintf "(rn-store (format %d))" format_version
 
@@ -42,6 +44,8 @@ let hash64 s =
     s;
   !h
 
+(* As 16 hex digits: the content address of a key and the checksum
+   primitive of the journal. *)
 let hash_hex s = Printf.sprintf "%016Lx" (hash64 s)
 
 (* --- key canonicalisation --- *)

@@ -30,10 +30,6 @@
     by reopening the journal.  See DESIGN.md, "Multi-process locking
     rules". *)
 
-(** Bumped whenever the journal format changes; stale-format journals
-    are discarded on open.  CI cache keys must include this. *)
-val format_version : int
-
 (** The coordinates a cell result is keyed by.  [env] carries
     environment facts that silently change semantics (the engine's
     {!Rn_sim.Engine.semantics_digest}); [code_version] is the
@@ -50,10 +46,6 @@ type key = {
 (** Canonical string form of a key ([exp|scale|vN|env|coord], components
     sanitised so the result is a single sexp atom). *)
 val key_id : key -> string
-
-(** 64-bit FNV-1a, as 16 hex digits: the content address of a key and
-    the checksum primitive of the journal. *)
-val hash_hex : string -> string
 
 type status = Done | Failed
 

@@ -39,11 +39,6 @@ end
 (** Routing-quality metric for backbones: the detour cost of restricting
     intermediate hops to the member set. *)
 module Stretch : sig
-  (** Shortest [src]→[dst] path length with member-only interiors
-      ([Rn_graph.Algo.unreachable] if none). *)
-  val backbone_dist :
-    Rn_graph.Graph.t -> is_member:(int -> bool) -> int -> int -> int
-
   type report = {
     max_stretch : float;
     mean_stretch : float;
@@ -62,11 +57,8 @@ end
 
 (** Exact optima on small instances, for approximation-quality checks. *)
 module Exact : sig
-  (** Largest instance size accepted (exponential enumeration). *)
-  val max_n : int
-
   (** Size of a minimum connected dominating set of a connected graph.
-      Raises [Invalid_argument] for [n > max_n]. *)
+      Raises [Invalid_argument] for n > 22 (exponential enumeration). *)
   val min_cds : Rn_graph.Graph.t -> int
 end
 

@@ -3,9 +3,8 @@
    [run] evaluates the Section 2 round with a live-fiber worklist, wake
    buckets, parking, silent-round fast-forward, a cached detector, the
    adversary's declared reach ([Adversary.reach], which skips the
-   adversary phase) and three per-round cost choices: the adversary's
-   mask kernel ([Adversary.kernel_wins]), the word-parallel delivery
-   kernel, and the resume sliced across Pool domains
+   adversary phase) and two per-round cost choices: the word-parallel
+   delivery kernel, and the resume sliced across Pool domains
    ([resume_shards > 1] with at least 1024 fibers to step).  None of it
    may change a result.  One property says so — [run] =
    [run_reference] = [run] with a sink, which forces every round onto
@@ -109,7 +108,7 @@ let perfect dual = Detector.static (Detector.perfect (Dual.g dual))
 (* Rounds in which each fast path ran, read through [Metrics.scoped]:
    [declared] counts the rounds whose declared reach skipped the
    adversary phase. *)
-type paths = { declared : int; adv : int; deliver : int; resume : int }
+type paths = { declared : int; deliver : int; resume : int }
 
 let counted f =
   let r, snap = Metrics.scoped f in
@@ -117,15 +116,14 @@ let counted f =
   ( r,
     {
       declared = c "engine.declared_reach_rounds";
-      adv = c "engine.adv_kernel_rounds";
       deliver = c "engine.kernel_rounds";
       resume = c "engine.resume_shard_rounds";
     } )
 
-let no_paths = { declared = 0; adv = 0; deliver = 0; resume = 0 }
+let no_paths = { declared = 0; deliver = 0; resume = 0 }
 
 let pp_paths p =
-  Printf.sprintf "declared=%d adv=%d deliver=%d resume=%d" p.declared p.adv p.deliver p.resume
+  Printf.sprintf "declared=%d deliver=%d resume=%d" p.declared p.deliver p.resume
 
 (* [run] = [run_reference] = traced [run], where [run sink] runs the case
    with an optional sink.  The traced run must take no fast path.
@@ -792,8 +790,8 @@ let agree_beacon ?shards ?resume_shards ~adversary ~what dual =
 (* A circulant at n=512 has every node at degree 64 — kernel rounds
    throughout, with enough words per row to catch top-word masking and
    word-indexing slips.  Its sparse twin (degree 4, gray degree 2, a
-   spiteful adversary) takes neither kernel, only spiteful's declared
-   reach. *)
+   spiteful adversary) takes no delivery kernel, only spiteful's
+   declared reach. *)
 let test_kernel_n512 () =
   let dense = circulant ~n:512 ~rel:32 ~gray:0 in
   let r, p =
@@ -802,7 +800,6 @@ let test_kernel_n512 () =
   Alcotest.(check bool) "deliveries happened" true (r.E.stats.deliveries > 0);
   Alcotest.(check bool) "collisions happened" true (r.E.stats.collisions > 0);
   Alcotest.(check bool) "dense: delivery kernel ran" true (p.deliver > 0);
-  Alcotest.(check int) "bernoulli: no adversary kernel" 0 p.adv;
   Alcotest.(check int) "n=512: no sharded resume" 0 p.resume;
   let sparse = circulant ~n:512 ~rel:2 ~gray:1 in
   let r, p = agree_beacon ~adversary:Adversary.spiteful ~what:"sparse" sparse in
@@ -829,7 +826,6 @@ let test_kernel_n512_gray () =
       let r, p = agree_beacon ~adversary ~what:name dual in
       Alcotest.(check bool) (name ^ ": deliveries happened") true (r.E.stats.deliveries > 0);
       Alcotest.(check bool) (name ^ ": delivery kernel ran") true (p.deliver > 0);
-      Alcotest.(check int) (name ^ ": no adversary kernel") 0 p.adv;
       Alcotest.(check bool)
         (name ^ ": declared-reach rounds iff it declares")
         declares (p.declared > 0);
@@ -898,9 +894,28 @@ let prop_kernel_mis =
         QCheck.Test.fail_reportf "delivery kernel never ran: %s" (pp_scenario s);
       true)
 
-(* --- adversary kernel API: choose_kernel = choose ----------------------- *)
+(* --- jamming: choose = n-scan ------------------------------------------ *)
 
-let kernel_policies = [| ("jamming", Adversary.jamming) |]
+(* The oracle: jamming as a scan of all n nodes.  Byte flags mark the
+   broadcasters and an int array counts each node's reliable
+   broadcasting neighbours; every non-broadcaster with a count of
+   exactly 1 has the gray edge to the first broadcasting neighbour of
+   its gray row ([Dual.gray_adj] order) switched on. *)
+let jamming_scan ~broadcasters dual active =
+  let n = Dual.n dual and g = Dual.g dual in
+  let bcast = Bytes.make n '\000' and counts = Array.make n 0 in
+  Array.iter (fun u -> Bytes.set bcast u '\001') broadcasters;
+  Array.iter
+    (fun u -> Graph.iter_neighbors (fun v -> counts.(v) <- counts.(v) + 1) g u)
+    broadcasters;
+  for v = 0 to n - 1 do
+    if Bytes.get bcast v = '\000' && counts.(v) = 1 then
+      match
+        Array.find_opt (fun (w, _) -> Bytes.get bcast w = '\001') (Dual.gray_adj dual v)
+      with
+      | Some (_, id) -> Bitset.add active id
+      | None -> ()
+  done
 
 let random_broadcasters rng n =
   let p = [| 0.05; 0.3; 0.8 |].(Rng.int rng 3) in
@@ -910,10 +925,11 @@ let random_broadcasters rng n =
   done;
   Array.of_list !l
 
-(* Random duals x random broadcaster sets, many consecutive rounds
-   against one scratch (so stale scratch state shows up). *)
-let prop_choose_equiv =
-  QCheck.Test.make ~name:"choose_kernel = choose" ~count:120
+(* Random duals x random broadcaster sets, 12 consecutive rounds per
+   dual on one domain, so stale scratch within a dual and a capacity
+   change between duals both show. *)
+let prop_jamming_scan =
+  QCheck.Test.make ~name:"jamming choose = n-scan" ~count:120
     QCheck.(small_nat)
     (fun case ->
       let rng = Rng.create (0xADF0 + case) in
@@ -921,21 +937,16 @@ let prop_choose_equiv =
       let rel_w = 1 + Rng.int rng 4 and gray_w = 1 + Rng.int rng 5 in
       let dual = random_dual ~n ~rel_w ~gray_w (Rng.bits rng) in
       let ng = max 1 (Dual.gray_count dual) in
-      let scratch = Adversary.make_scratch dual in
       let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
       for round = 1 to 12 do
         let broadcasters = random_broadcasters rng n in
-        Array.iter
-          (fun (pname, adv) ->
-            let scalar = Bitset.create ng in
-            Adversary.choose adv ~round ~broadcasters dual (Rng.derive adv_root round) scalar;
-            let masked = Bitset.create ng in
-            Adversary.choose_kernel adv ~round ~broadcasters dual (Rng.derive adv_root round)
-              scratch masked;
-            if not (Bitset.equal scalar masked) then
-              QCheck.Test.fail_reportf "%s: kernel <> scalar at n=%d round=%d (#bcast=%d)"
-                pname n round (Array.length broadcasters))
-          kernel_policies
+        let chosen = Bitset.create ng and scanned = Bitset.create ng in
+        Adversary.choose Adversary.jamming ~round ~broadcasters dual
+          (Rng.derive adv_root round) chosen;
+        jamming_scan ~broadcasters dual scanned;
+        if not (Bitset.equal chosen scanned) then
+          QCheck.Test.fail_reportf "jamming: choose <> n-scan at n=%d round=%d (#bcast=%d)" n
+            round (Array.length broadcasters)
       done;
       true)
 
@@ -1016,51 +1027,43 @@ let prop_declared_reach =
         [ [||]; distinct 1; distinct 2; random_broadcasters rng n ];
       true)
 
+(* The kernel shim: no policy has a kernel. *)
 let test_kernel_flags () =
-  Alcotest.(check bool) "all_gray declares, no kernel" false
-    (Adversary.has_kernel Adversary.all_gray);
-  Alcotest.(check bool) "spiteful declares, no kernel" false
-    (Adversary.has_kernel Adversary.spiteful);
-  Alcotest.(check bool) "jamming has kernel" true (Adversary.has_kernel Adversary.jamming);
-  Alcotest.(check bool) "bernoulli stays scalar" false
-    (Adversary.has_kernel (Adversary.bernoulli 0.5));
-  Alcotest.(check bool) "harassing stays scalar" false
-    (Adversary.has_kernel (Adversary.harassing 0.5));
-  Alcotest.(check bool) "silent stays scalar" false (Adversary.has_kernel Adversary.silent);
+  Array.iter
+    (fun (name, adv) ->
+      Alcotest.(check bool) (name ^ ": no kernel") false (Adversary.has_kernel adv))
+    adversaries;
   let dual = random_dual ~n:40 ~rel_w:2 ~gray_w:4 7 in
-  Alcotest.(check bool) "kernel_wins false without kernel" false
-    (Adversary.kernel_wins (Adversary.bernoulli 0.5)
-       ~broadcasters:(Array.init 40 Fun.id) dual);
-  Alcotest.check_raises "choose_kernel raises without kernel"
+  Alcotest.(check bool) "kernel_wins false" false
+    (Adversary.kernel_wins Adversary.jamming ~broadcasters:(Array.init 40 Fun.id) dual);
+  Alcotest.check_raises "choose_kernel raises"
     (Invalid_argument "Adversary.choose_kernel: policy has no kernel") (fun () ->
-      Adversary.choose_kernel Adversary.silent ~round:1 ~broadcasters:[||] dual (Rng.create 0)
-        (Adversary.make_scratch dual) (Bitset.create 1))
+      Adversary.choose_kernel Adversary.jamming ~round:1 ~broadcasters:[||] dual
+        (Rng.create 0) (Adversary.make_scratch dual) (Bitset.create 1))
 
-(* Word-boundary pin: a circulant dual at n=600, whose victim scan runs
+(* Word-boundary pin: a circulant dual at n=600, whose victim read runs
    over ten 63-bit words, with all, four and one node broadcasting. *)
 let test_circulant_pin () =
   let n = 600 in
   let dual = circulant ~n ~rel:4 ~gray:20 in
   let ng = Dual.gray_count dual in
-  let scratch = Adversary.make_scratch dual in
   let rng = Rng.create 3 in
   Array.iter
-    (fun (pname, adv) ->
-      Array.iter
-        (fun broadcasters ->
-          let scalar = Bitset.create ng and masked = Bitset.create ng in
-          Adversary.choose adv ~round:1 ~broadcasters dual rng scalar;
-          Adversary.choose_kernel adv ~round:1 ~broadcasters dual rng scratch masked;
-          Alcotest.(check bool)
-            (Printf.sprintf "%s circulant n=600 #bcast=%d" pname (Array.length broadcasters))
-            true (Bitset.equal scalar masked))
-        [| Array.init n Fun.id; [| 0; 1; 299; 599 |]; [| 42 |] |])
-    kernel_policies
+    (fun broadcasters ->
+      let chosen = Bitset.create ng and scanned = Bitset.create ng in
+      Adversary.choose Adversary.jamming ~round:1 ~broadcasters dual rng chosen;
+      jamming_scan ~broadcasters dual scanned;
+      Alcotest.(check bool)
+        (Printf.sprintf "jamming circulant n=600 #bcast=%d" (Array.length broadcasters))
+        true (Bitset.equal chosen scanned))
+    [| Array.init n Fun.id; [| 0; 1; 299; 599 |]; [| 42 |] |]
 
 (* --- adversary fast paths inside the engine ------------------------------ *)
 
-(* The policies with a fast adversary phase: all_gray and spiteful
-   declare their reach, jamming has a mask kernel. *)
+(* all_gray and spiteful declare their reach; jamming's rounds are all
+   [Chosen], and its word-parallel [choose] runs in every one of them.
+   The two properties below keep the printed names they had when jamming
+   also had a mask kernel behind an [adv_kernel] option; both are gone. *)
 let fast_policies =
   [|
     ("all_gray", Adversary.all_gray);
@@ -1068,9 +1071,9 @@ let fast_policies =
     ("jamming", Adversary.jamming);
   |]
 
-(* Gray-heavy duals on which a policy's fast path runs from round 1 on:
-   all_gray and spiteful on n = 32..48 random duals, jamming on
-   n = 256..300 gray circulants (its kernel needs n >= 4 words). *)
+(* Gray-heavy duals on which a policy's adversary phase works from
+   round 1 on: all_gray and spiteful on n = 32..48 random duals, jamming
+   on n = 256..300 gray circulants (five words of victims). *)
 let adv_scenario case =
   let s = scenario case in
   let rng = Rng.create (0xADBE + case) in
@@ -1082,14 +1085,15 @@ let adv_scenario case =
   in
   { s with dual; shape; adv_name; adv; wake = None }
 
-(* Fails unless the scenario's policy took its fast path: jamming's
-   kernel, or a declared reach with no kernel. *)
+(* Fails unless the scenario's policy took its adversary path: every
+   jamming round [Chosen], some declared-reach rounds otherwise. *)
 let check_fast_adversary s (paths : paths) =
   if s.adv_name = "jamming" then begin
-    if paths.adv = 0 then
-      QCheck.Test.fail_reportf "adversary kernel never ran: %s" (pp_scenario s)
+    if paths.declared > 0 then
+      QCheck.Test.fail_reportf "jamming declared its reach (%s): %s" (pp_paths paths)
+        (pp_scenario s)
   end
-  else if paths.declared = 0 || paths.adv > 0 then
+  else if paths.declared = 0 then
     QCheck.Test.fail_reportf "no declared-reach rounds (%s): %s" (pp_paths paths)
       (pp_scenario s)
 
@@ -1443,7 +1447,7 @@ let () =
         [
           ( "choose",
             [
-              qtest prop_choose_equiv;
+              qtest prop_jamming_scan;
               qtest prop_declared_reach;
               Alcotest.test_case "kernel availability flags" `Quick test_kernel_flags;
               Alcotest.test_case "circulant n=600 pin" `Quick test_circulant_pin;
