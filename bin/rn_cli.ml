@@ -741,7 +741,7 @@ let scale_resume_shards_arg =
     value & opt int 1
     & info [ "resume-shards" ] ~docv:"N"
         ~doc:
-          "Shard each round's fiber resume loop across N domains (rounds with at \
+          "Step each round's fiber resume in N slices on N domains (rounds with at \
            least 1024 fibers to step). Results are byte-identical at any shard count.")
 
 let scale_adversary_arg =

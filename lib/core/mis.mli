@@ -21,9 +21,6 @@ val competition_phases : n:int -> int
     rounds, which is what lets the CCDS algorithm compose phases. *)
 val schedule_rounds : Params.t -> n:int -> int
 
-(** Detector-set label carried by competition messages (Section 6). *)
-val lds_of : Msg.t -> int list option
-
 (** Mutual-membership (H-edge) receive filter used by the iterated MIS. *)
 val h_filter : Radio.ctx -> Radio.receive -> Msg.t option
 

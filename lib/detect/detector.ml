@@ -21,11 +21,12 @@ module Dual = Rn_graph.Dual
    all, and algorithmic bodies only read the rows of nodes that actually
    consult them.  [sets] caches built rows; [build] produces one on
    first use.  Rows are forced from algorithm fibers; a fiber only ever
-   forces its own row (process u queries L_u), and under the engine's
-   sharded resume each fiber is stepped by exactly one domain per round,
-   so row slots are written by at most one domain at a time and the
-   cache still needs no lock.  (Whole-detector scans like [h_graph] and
-   [is_tau_complete] run outside simulations, on one domain.) *)
+   forces its own row (process u queries L_u), and when the engine's
+   resume runs in slices on several domains each fiber is stepped by
+   exactly one domain per round, so row slots are written by at most
+   one domain at a time and the cache still needs no lock.
+   (Whole-detector scans like [h_graph] and [is_tau_complete] run
+   outside simulations, on one domain.) *)
 type t = { n : int; sets : Bitset.t option array; build : int -> Bitset.t }
 
 let n t = t.n

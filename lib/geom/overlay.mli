@@ -5,9 +5,6 @@
     disks intersecting any disk of radius [r] (Fact 4.1: constant for
     constant [r]). *)
 
-(** Radius of each overlay disk (1/2, as in the paper). *)
-val radius : float
-
 (** Nearest-neighbour spacing of the lattice ([sqrt 3 /. 2]). *)
 val pitch : float
 

@@ -12,8 +12,8 @@
        total work (rounds x n), i.e. per-round seconds ~ n^~1.
 
    Run it via [rn_cli scale] (quick: n up to 8192; --full: up to a
-   million nodes).  [--resume-shards N] shards the fiber resume loop
-   across N Pool domains; [--check] prints only the deterministic
+   million nodes).  [--resume-shards N] steps each round's resume in N
+   slices on N Pool domains; [--check] prints only the deterministic
    columns (counts, no timings), which is what lets
    scripts/scale_smoke.sh compare each table against a pinned digest at
    every shard count. *)
@@ -151,7 +151,7 @@ let figure rows =
 
 (* [run ?out scale]: measure the grid, render the table, and (with
    [?out]) write the log-log figure next to the F* ones.  [?sizes]
-   overrides the grid; [?resume_shards] sizes the sharded resume;
+   overrides the grid; [?resume_shards] sets the resume's slice count;
    [?check] renders only the deterministic columns so tables can be
    byte-compared across shard counts. *)
 let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = false) scale =

@@ -38,26 +38,31 @@
      byte, and the one shared continuation function is the identity
      (DESIGN.md, "Allocation budget of a fiber round").
 
-   Each round the adversary first declares its reach from the
-   broadcasters ([Adversary.reach]): no gray edge of a broadcaster, all
-   of them, or a set only its [choose] computes.  A declared round skips
-   the adversary phase, and delivery walks no gray row, or every gray
-   row without a membership test (on the kernel, it ORs [Graph.adj_rows]
-   or [Dual.reach_rows]); a [Chosen] round calls [choose].  The engine
-   also picks how to evaluate two phases, by cost: delivery (the
-   word-parallel once/twice kernel when the broadcasters' reach
-   outweighs its word sweeps) and the resume (sliced across Pool
-   domains when [resume_shards > 1] and at least
-   [resume_shard_threshold] fibers await their receive).  Every choice
-   is pure evaluation strategy; an attached sink treats every round as
-   [Chosen] and forces both phases onto the scalar path, which can
-   emit per-event records.
+   [run]'s round loop is the fast-forward, then five phase functions —
+   [wake], [collect], [adversary], [deliver], [resume] — that share one
+   [round_state], then the observer.  Each round the adversary first
+   declares its reach from the broadcasters ([Adversary.reach]): no gray
+   edge of a broadcaster, all of them, or a set only its [choose]
+   computes.  A declared round skips the adversary phase, and delivery
+   walks no gray row, or every gray row without a membership test (on
+   the kernel, it ORs [Graph.adj_rows] or [Dual.reach_rows]); a [Chosen]
+   round calls [choose].  Delivery picks its evaluation by cost: the
+   word-parallel once/twice kernel when the broadcasters' reach (gray
+   degrees counted only on a round that reaches gray edges) outweighs
+   its word sweeps.  The resume has one path: it fixes the round's work
+   list and steps it in [resume_shards] slices on Pool domains when
+   [resume_shards > 1] and at least [resume_shard_threshold] fibers
+   await their receive, else in one slice on the calling domain.  Every
+   choice is pure evaluation strategy; an attached sink treats every
+   round as [Chosen], forces the scalar delivery, which can emit
+   per-receiver records, and keeps the resume in one slice.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
    semantics now) as a differential-testing oracle: for any config and
    body whose detector honours its declared [stabilizes_at], [run] and
-   [run_reference] must produce identical results.
+   [run_reference] must produce identical results.  The two share only
+   their setup, output recording, send check and result assembly.
 
    The functor is parameterised by the message type so each algorithm gets
    a typed payload; [size_bits] lets the engine enforce the model's bound b
@@ -91,8 +96,8 @@ let m_kernel_rounds = Metrics.counter "engine.kernel_rounds"
    adversary phase was skipped. *)
 let m_declared_reach_rounds = Metrics.counter "engine.declared_reach_rounds"
 
-(* Resume-shard counters are recorded on the *calling* domain after the
-   merge (the per-shard buffers carry the raw counts home): [Metrics.scoped]
+(* Rounds whose resume was cut in more than one slice, and the fibers
+   they stepped.  Recorded on the *calling* domain: [Metrics.scoped]
    snapshots see only the calling domain's records, so counting on the
    worker domains would leak the events out of per-cell snapshots even
    though the global atomics themselves merge commutatively. *)
@@ -107,7 +112,7 @@ let m_listen_wakes = Metrics.counter "engine.listen_wakes"
 (* Words allocated in the minor heap, and words promoted to the major
    heap, while a [run] executes.  They are read from [Gc.counters] at the
    start and the end of the run, so they count the calling domain only:
-   the sharded resume's Pool workers step fibers on their own domains,
+   the resume's Pool workers step fibers on their own domains,
    and what those steps allocate is not included.  ([Gc.quick_stat]
    would sum every domain, which blends concurrent cells under
    [--jobs N].) *)
@@ -158,24 +163,27 @@ let semantics_digest = Printf.sprintf "eng%d" semantics_version
    that [listen ctx max_int] cannot wrap to a negative key. *)
 let park_expiry base dur = if dur > max_int - base then max_int else base + dur - 1
 
-(* A round's resume phase shards only when at least this many fibers
-   await their receive: below it, the Pool dispatch and merge cost more
-   than stepping the fibers on one domain. *)
+(* A round's resume is cut into [resume_shards] slices only when at
+   least this many fibers await their receive: below it, the Pool
+   dispatch and merge cost more than stepping the fibers on one domain. *)
 let resume_shard_threshold = 1024
 
-(* Private per-shard collection buffers for the sharded resume phase: a
-   stepped fiber contributes at most one join *or* one parking, plus
-   at most one first decision and one finish, so slice-sized arrays never
-   overflow.  Buffers hold only ints — the merge is blits, pushes, and
-   counter adds on the main domain, in ascending shard order. *)
-type resume_buf = {
-  rb_join : int array; (* fibers that synced, in step order *)
-  mutable rb_join_n : int;
-  rb_park_r : int array; (* heap keys of fibers that parked *)
-  rb_park_v : int array;
-  mutable rb_park_n : int;
-  mutable rb_finished : int; (* fibers whose body returned *)
-  mutable rb_decided : int; (* first-time outputs *)
+(* Where the fibers one resume slice stepped stopped: the synced ones
+   from the front of [buf] in step order, the parked ones from its back.
+   A stepped fiber lands in at most one of the two, so a buffer as long
+   as the slice never overflows. *)
+type slice = { buf : int array; mutable joins : int; mutable parks : int }
+
+(* What one round of [run] decided, shared by its phase functions: the
+   round, its broadcasters (ascending), the reach the adversary
+   declared, whether delivery took the word-parallel kernel, and how
+   many slices the resume stepped.  One per run, rewritten each round. *)
+type round_state = {
+  mutable r : int;
+  mutable broadcasters : int array;
+  mutable reach : Adversary.reach;
+  mutable kernel : bool;
+  mutable slices : int;
 }
 
 module Make (M : MESSAGE) = struct
@@ -212,16 +220,10 @@ module Make (M : MESSAGE) = struct
     observer : (view -> unit) option;
     sink : Events.sink option; (* structured event trace destination *)
     resume_shards : int;
-        (* Pool domains for the sharded resume: with [resume_shards > 1],
-           no sink, and at least [resume_shard_threshold] fibers to step,
-           a round's work list — the synced fibers in worklist order,
-           the woken listeners, then the parks expiring this round in
-           heap-pop order — is partitioned into contiguous slices stepped
-           in parallel.  Each shard collects its joins / parkings /
-           finish and decide counts into a private buffer; the main
-           domain merges the buffers in ascending shard order.  Pure
-           evaluation strategy — results are byte-identical at any shard
-           count (test_engine_paths). *)
+        (* Slices of the resume's work list stepped on Pool domains when
+           at least [resume_shard_threshold] fibers await and no sink is
+           attached; see [run]'s [resume].  Pure evaluation strategy —
+           results are byte-identical at any count (test_engine_paths). *)
   }
 
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
@@ -423,26 +425,151 @@ module Make (M : MESSAGE) = struct
 
   let no_broadcasters : int array = [||]
 
+  (* What both round loops keep per run: the per-process arrays and
+     slots (fiber [v] stands at [state.(v)], one of the [st_*] bytes,
+     with continuation [conts.(v)]; [sends.(v)] is its [Send m] while it
+     broadcasts; [park.(v)] is its park slot, see [ctx]), the round
+     counter, and the counts that make up [stats]. *)
+  type 'a common = {
+    nn : int;
+    root_rng : Rng.t;
+    adv_root : Rng.t; (* the adversary's streams derive from it per round *)
+    wake : int array;
+    outputs : int option array;
+    decided : int option array;
+    returns : 'a option array;
+    state : Bytes.t;
+    conts : (receive, stopped) Effect.Deep.continuation array;
+    sends : receive Effect.t array;
+    park : int array;
+    park_start : int array; (* first round of a parked fiber's stretch *)
+    mutable round : int;
+    mutable sent : int;
+    mutable bits : int;
+    mutable delivered : int;
+    mutable collided : int;
+    mutable silent : int;
+    mutable timed_out : bool;
+  }
+
+  let common cfg =
+    let nn = Dual.n cfg.dual in
+    let root_rng = Rng.create cfg.seed in
+    let wake = match cfg.wake with Some w -> Array.copy w | None -> Array.make nn 1 in
+    Array.iteri
+      (fun v w -> if w < 1 then invalid_arg (Printf.sprintf "Engine.run: wake.(%d) < 1" v))
+      wake;
+    {
+      nn;
+      root_rng;
+      adv_root = Rng.derive root_rng 0x5EED;
+      wake;
+      outputs = Array.make nn None;
+      decided = Array.make nn None;
+      returns = Array.make nn None;
+      state = Bytes.make nn st_none;
+      conts = Array.make nn sentinel;
+      sends = Array.make nn Listen;
+      park = Array.make nn 0;
+      park_start = Array.make nn 0;
+      round = 0;
+      sent = 0;
+      bits = 0;
+      delivered = 0;
+      collided = 0;
+      silent = 0;
+      timed_out = false;
+    }
+
+  (* Record process [v]'s output [value] in the current round; true on
+     its first output. *)
+  let first_output c v value =
+    match c.outputs.(v) with
+    | Some old when old <> value ->
+      invalid_arg (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
+    | Some _ -> false
+    | None ->
+      c.outputs.(v) <- Some value;
+      c.decided.(v) <- Some c.round;
+      true
+
+  (* Start [body] as process [v]'s fiber; evaluates to where it
+     stopped. *)
+  let launch (cfg : config) c current_detector do_output body v =
+    let ctx =
+      {
+        me = v;
+        n = c.nn;
+        delta_bound = cfg.delta_bound;
+        b_bits = cfg.b_bits;
+        rng = Rng.derive c.root_rng (v + 1);
+        local_round = 0;
+        current_detector;
+        do_output;
+        park = c.park;
+      }
+    in
+    Effect.Deep.match_with
+      (fun () -> c.returns.(v) <- Some (body ctx))
+      ()
+      (handler c.state c.sends v)
+
+  (* Count broadcaster [v]'s send and enforce the bound b on its size,
+     which it returns so the broadcast event can carry it. *)
+  let check_send (cfg : config) c v =
+    c.sent <- c.sent + 1;
+    let m = payload c.sends.(v) in
+    let sz = M.size_bits ~n:c.nn m in
+    c.bits <- c.bits + sz;
+    (match cfg.b_bits with
+    | Some b when sz > b ->
+      invalid_arg
+        (Format.asprintf "Engine: process %d sent %d bits > b=%d in round %d: %a" v sz b
+           c.round M.pp m)
+    | _ -> ());
+    sz
+
+  let result c : _ result =
+    {
+      outputs = c.outputs;
+      returns = c.returns;
+      rounds = c.round;
+      decided_round = c.decided;
+      stats =
+        {
+          rounds = c.round;
+          sends = c.sent;
+          deliveries = c.delivered;
+          collisions = c.collided;
+          bits_sent = c.bits;
+          silent_rounds = c.silent;
+        };
+      timed_out = c.timed_out;
+    }
+
+  let view c broadcasters =
+    {
+      view_round = c.round;
+      view_broadcasters = broadcasters;
+      view_outputs = c.outputs;
+      view_decided = c.decided;
+    }
+
   (* Memoise a dynamic detector once it has stabilised (static detectors
      stabilise at round 0), so the common query path is one load instead of
      a closure call per query. *)
-  let detector_query dyn round_counter =
+  let detector_query dyn c =
     match Detector.stabilizes_at dyn with
-    | None -> fun () -> Detector.at dyn !round_counter
+    | None -> fun () -> Detector.at dyn c.round
     | Some s ->
       let cache = ref None in
       fun () ->
         (match !cache with
         | Some d -> d
         | None ->
-          let d = Detector.at dyn !round_counter in
-          if !round_counter >= s then cache := Some d;
+          let d = Detector.at dyn c.round in
+          if c.round >= s then cache := Some d;
           d)
-
-  let validate_wake wake =
-    Array.iteri
-      (fun v w -> if w < 1 then invalid_arg (Printf.sprintf "Engine.run: wake.(%d) < 1" v))
-      wake
 
   let run cfg body =
     let met = Metrics.enabled () in
@@ -452,83 +579,38 @@ module Make (M : MESSAGE) = struct
         (minor, promoted)
       else (0.0, 0.0)
     in
+    let c = common cfg in
+    let { nn; wake = wake_rounds; state; conts; sends; park; park_start; _ } = c in
     let dual = cfg.dual in
-    let nn = Dual.n dual in
-    let root_rng = Rng.create cfg.seed in
-    let adv_root = Rng.derive root_rng 0x5EED in
-    let adv_rng = Rng.create 0 (* re-derived from [adv_root] every round *) in
-    let wake = match cfg.wake with Some w -> Array.copy w | None -> Array.make nn 1 in
-    validate_wake wake;
-    let outputs = Array.make nn None in
-    let decided = Array.make nn None in
-    let returns = Array.make nn None in
-    (* Fiber [v] stands at [state.(v)] (one of the [st_*] bytes) with
-       continuation [conts.(v)]; [sends.(v)] is its [Send m] while it
-       broadcasts this round; [park.(v)] is its park slot (see [ctx]). *)
-    let state = Bytes.make nn st_none in
-    let conts = Array.make nn sentinel in
-    let sends : receive Effect.t array = Array.make nn Listen in
-    let park = Array.make nn 0 in
-    let round_counter = ref 0 in
-    let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
-    let bits_sent = ref 0 and silent_rounds = ref 0 in
-    let n_finished = ref 0 and n_decided = ref 0 and discontinued = ref 0 in
-    let current_detector = detector_query cfg.detector round_counter in
+    let g = Dual.g dual in
+    let adv_rng = Rng.create 0 (* re-derived from [c.adv_root] every round *) in
     (* Event tracing: sampled once per run.  [emit] only ever appends to
        the sink's ring buffer — it reads no RNG and mutates no engine
-       state, so a traced run is byte-identical to an untraced one. *)
+       state, so a traced run is byte-identical to an untraced one.  A
+       sink keeps the resume in one slice, so Decide events come out in
+       step order, as it keeps delivery scalar and the adversary on
+       [choose]. *)
     let tracing, emit =
       match cfg.sink with
       | Some s -> (true, fun e -> Events.emit s e)
       | None -> (false, fun (_ : Events.event) -> ())
     in
-    (* Resume-phase sharding.  [resume_assign.(v)] routes fiber [v]'s
-       first decision: -1 (the default, and always outside a sharded
-       resume) means [do_output] counts it directly; a shard index means
-       it counts in that shard's private buffer.
-       Assignments are set by the main domain before the Pool dispatch and
-       cleared after the merge, so the wake phase and the scalar path never
-       see one.  A sink forces the scalar step (Decide events must come out
-       in step order), like the delivery kernel and declared reach. *)
     let resume_shards = if tracing then 1 else cfg.resume_shards in
-    let resume_assign = Array.make (max 1 nn) (-1) in
-    let resume_bufs : resume_buf array ref = ref [||] in
+    (* Fibers whose body returned and processes that decided, counted on
+       whichever domain stepped them: once per process per run. *)
+    let n_finished = Atomic.make 0 and n_decided = Atomic.make 0 in
     let do_output v value =
-      match outputs.(v) with
-      | Some old when old <> value ->
-        invalid_arg (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
-      | Some _ -> ()
-      | None ->
-        outputs.(v) <- Some value;
-        decided.(v) <- Some !round_counter;
-        (let s = resume_assign.(v) in
-         if s < 0 then incr n_decided
-         else begin
-           let b = (!resume_bufs).(s) in
-           b.rb_decided <- b.rb_decided + 1
-         end);
-        if tracing then emit { Events.round = !round_counter; proc = v; kind = Decide { value } }
+      if first_output c v value then begin
+        Atomic.incr n_decided;
+        if tracing then emit { Events.round = c.round; proc = v; kind = Decide { value } }
+      end
     in
-    let mk_ctx v =
-      {
-        me = v;
-        n = nn;
-        delta_bound = cfg.delta_bound;
-        b_bits = cfg.b_bits;
-        rng = Rng.derive root_rng (v + 1);
-        local_round = 0;
-        current_detector;
-        do_output;
-        park;
-      }
-    in
+    let current_detector = detector_query cfg.detector c in
+    let discontinued = ref 0 in
     (* Live worklist: [active.(0 .. n_active-1)] are the fibers synced
-       for the current round.  [joining] collects the fibers that perform
-       [Listen] or [Send] during a start/resume phase. *)
+       for the current round. *)
     let active = Array.make (max 1 nn) 0 in
     let n_active = ref 0 in
-    let joining = Array.make (max 1 nn) 0 in
-    let n_joining = ref 0 in
     (* Parked fibers, min-heap keyed by the round at whose end their
        stretch expires.  At most one entry per fiber; [heap_pos.(v)] is
        fiber [v]'s slot, so a listener woken early leaves the heap at
@@ -585,12 +667,13 @@ module Make (M : MESSAGE) = struct
     in
     let heap_pop () = heap_remove_at 0 in
     let heap_remove v = ignore (heap_remove_at heap_pos.(v)) in
-    (* First round of each parked fiber's stretch, so a woken listener
-       learns how far into the stretch its message came. *)
-    let park_start = Array.make (max 1 nn) 0 in
     (* Listeners a delivery woke this round, in delivery-discovery order. *)
     let woken = Array.make (max 1 nn) 0 in
     let n_woken = ref 0 in
+    let push_woken v =
+      woken.(!n_woken) <- v;
+      incr n_woken
+    in
     let resumes = ref 0 and listen_wakes = ref 0 and kernel_rounds = ref 0 in
     let declared_rounds = ref 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
@@ -598,56 +681,53 @@ module Make (M : MESSAGE) = struct
     let wake_order = Array.init nn (fun i -> i) in
     Array.sort
       (fun a b ->
-        let c = compare wake.(a) wake.(b) in
-        if c <> 0 then c else compare a b)
+        let d = compare wake_rounds.(a) wake_rounds.(b) in
+        if d <> 0 then d else compare a b)
       wake_order;
     let wake_ptr = ref 0 in
-    let next_wake () = if !wake_ptr >= nn then max_int else wake.(wake_order.(!wake_ptr)) in
-    (* The round a fresh park starts counting from: the current round
-       during the wake phase, the next round during the resume phase. *)
-    let park_base = ref 0 in
-    (* Record where fiber [v] stopped: a synced fiber joins the next
-       worklist, a parked one enters the heap with the stretch starting
-       at [park_base].  [settle] updates the engine's own structures;
-       [settle_shard] runs on a Pool domain during a sharded resume and
-       appends to that shard's private buffer instead.  [park_base] is
-       only written by the main domain between phases, so the read is
-       stable. *)
-    let settle v (Stopped k) =
+    let next_wake () =
+      if !wake_ptr >= nn then max_int else wake_rounds.(wake_order.(!wake_ptr))
+    in
+    (* The resume's work list, and one buffer per slice.  Slice 0 also
+       takes the wake phase's fibers, so it holds all n; a round cut in k
+       slices steps at most n/k + 1 fibers in each other one. *)
+    let work = Array.make (max 1 nn) 0 in
+    let n_work = ref 0 in
+    let slices =
+      Array.init resume_shards (fun s ->
+          let cap = if s = 0 then nn else (nn / resume_shards) + 1 in
+          { buf = Array.make (max 1 cap) 0; joins = 0; parks = 0 })
+    in
+    (* Record where fiber [v] stopped in slice [b]: a finished fiber is
+       counted, a synced one joins from the front and a parked one from
+       the back.  Runs on whichever domain stepped [v]. *)
+    let settle b v (Stopped k) =
       conts.(v) <- k;
       let s = Bytes.unsafe_get state v in
-      if s = st_none then incr n_finished
+      if s = st_none then Atomic.incr n_finished
       else if s < st_idle then begin
-        joining.(!n_joining) <- v;
-        incr n_joining
+        b.buf.(b.joins) <- v;
+        b.joins <- b.joins + 1
       end
       else begin
-        park_start.(v) <- !park_base;
-        heap_push (park_expiry !park_base park.(v)) v
+        b.parks <- b.parks + 1;
+        b.buf.(Array.length b.buf - b.parks) <- v
       end
     in
-    let settle_shard b v (Stopped k) =
-      conts.(v) <- k;
-      let s = Bytes.unsafe_get state v in
-      if s = st_none then b.rb_finished <- b.rb_finished + 1
-      else if s < st_idle then begin
-        b.rb_join.(b.rb_join_n) <- v;
-        b.rb_join_n <- b.rb_join_n + 1
-      end
-      else begin
-        park_start.(v) <- !park_base;
-        b.rb_park_r.(b.rb_park_n) <- park_expiry !park_base park.(v);
-        b.rb_park_v.(b.rb_park_n) <- v;
-        b.rb_park_n <- b.rb_park_n + 1
-      end
-    in
-    let start v =
-      let ctx = mk_ctx v in
-      settle v
-        (Effect.Deep.match_with
-           (fun () -> returns.(v) <- Some (body ctx))
-           ()
-           (handler state sends v))
+    (* On the calling domain: slice [b]'s synced fibers join the
+       worklist, and its parks, whose stretches start at round [base],
+       enter the heap in the order they parked. *)
+    let merge base b =
+      Array.blit b.buf 0 active !n_active b.joins;
+      n_active := !n_active + b.joins;
+      let top = Array.length b.buf - 1 in
+      for i = 0 to b.parks - 1 do
+        let v = b.buf.(top - i) in
+        park_start.(v) <- base;
+        heap_push (park_expiry base park.(v)) v
+      done;
+      b.joins <- 0;
+      b.parks <- 0
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
@@ -679,8 +759,8 @@ module Make (M : MESSAGE) = struct
     let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
-    (* The sharded resume's Pool, created on its first sharded round and
-       shut down when the run ends. *)
+    (* The resume's Pool, created on its first round cut in more than one
+       slice and shut down when the run ends. *)
     let pool = ref None in
     let get_pool () =
       match !pool with
@@ -689,30 +769,6 @@ module Make (M : MESSAGE) = struct
         let p = Pool.create ~jobs:resume_shards in
         pool := Some p;
         p
-    in
-    (* Sharded-resume scratch, built on the first sharded round: the work
-       list (synced fibers, woken listeners, then due parks) and one
-       buffer per shard, slice-sized — a stepped fiber appends at most
-       one join or one parking. *)
-    let resume_work =
-      if resume_shards > 1 then Array.make (max 1 nn) 0 else no_broadcasters
-    in
-    let get_resume_bufs () =
-      if Array.length !resume_bufs = 0 then begin
-        let cap = (nn / resume_shards) + 1 in
-        resume_bufs :=
-          Array.init resume_shards (fun _ ->
-              {
-                rb_join = Array.make cap 0;
-                rb_join_n = 0;
-                rb_park_r = Array.make cap 0;
-                rb_park_v = Array.make cap 0;
-                rb_park_n = 0;
-                rb_finished = 0;
-                rb_decided = 0;
-              })
-      end;
-      !resume_bufs
     in
     (* Once the dense kernel's (once, twice) pair sits in [k_once]/[k_twice],
        classify every node word-parallel — receives = once ∧ ¬twice ∧
@@ -740,18 +796,13 @@ module Make (M : MESSAGE) = struct
         let sy = Bitset.get_word k_sync w in
         let listen = sy lor Bitset.get_word k_parked w in
         let recv = once land lnot twice in
-        deliveries := !deliveries + Bitset.popcount_word (recv land listen);
-        collisions := !collisions + Bitset.popcount_word (twice land listen);
-        let rs = recv land (sy lor Bitset.get_word k_listen w) in
-        if rs <> 0 then any_recv := true;
-        Bitset.set_word k_recv w rs
+        c.delivered <- c.delivered + Bitset.popcount_word (recv land listen);
+        c.collided <- c.collided + Bitset.popcount_word (twice land listen);
+        let hit = recv land (sy lor Bitset.get_word k_listen w) in
+        if hit <> 0 then any_recv := true;
+        Bitset.set_word k_recv w hit
       done;
       !any_recv
-    in
-    (* After a word-parallel assignment: the listeners in [k_recv] wake. *)
-    let push_woken v =
-      woken.(!n_woken) <- v;
-      incr n_woken
     in
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
@@ -761,7 +812,7 @@ module Make (M : MESSAGE) = struct
        the sender's own receive slot, which nothing else writes before
        the end of delivery overwrites it with [Own]: one [Recv m] per
        sender, shared by its receivers, as in the kernel. *)
-    let deliver v =
+    let hand_off v =
       let u = recv_from.(v) in
       let m =
         match receives.(u) with
@@ -773,7 +824,6 @@ module Make (M : MESSAGE) = struct
       in
       receives.(v) <- m
     in
-    let g = Dual.g dual in
     (* The dense kernel's gray reach: a broadcaster's packed CSR
        incidence row filtered by this round's [gray_active], O(gray
        incidence).  [scatter_gray] feeds the accumulator pair through
@@ -797,30 +847,16 @@ module Make (M : MESSAGE) = struct
           receives.(v) <- !sweep_recv
       done
     in
-    (* Returns the encoded size so the broadcast event can carry it. *)
-    let validate_send v =
-      incr sends_total;
-      let m = payload sends.(v) in
-      let sz = M.size_bits ~n:nn m in
-      bits_sent := !bits_sent + sz;
-      (match cfg.b_bits with
-      | Some b when sz > b ->
-        invalid_arg
-          (Format.asprintf "Engine: process %d sent %d bits > b=%d in round %d: %a" v sz b
-             !round_counter M.pp m)
-      | _ -> ());
-      sz
-    in
     (* Resume fiber [v] at the end of round [r]: a synced fiber with its
        receive, a parked one with the [Recv m] that woke it (its stretch
        index written to its park slot first) or with [Silence] when its
-       stretch expired.  Runs on a Pool domain under the sharded resume,
-       touching only [v]'s own slots.  Evaluates to where the fiber
-       stopped next, for [settle] or [settle_shard].  The slot keeps the
-       continuation until [settle] overwrites it with the next one:
-       overwriting it before [continue], while the major GC marks, would
-       make the write barrier mark it with its stack still attached and
-       scan that whole stack on the spot. *)
+       stretch expired.  Runs on a Pool domain when the resume is cut in
+       slices, touching only [v]'s own slots.  Evaluates to where the
+       fiber stopped next, for [settle].  The slot keeps the continuation
+       until [settle] overwrites it with the next one: overwriting it
+       before [continue], while the major GC marks, would make the write
+       barrier mark it with its stack still attached and scan that whole
+       stack on the spot. *)
     let step r v =
       let k = conts.(v) in
       let s = Bytes.unsafe_get state v in
@@ -841,392 +877,339 @@ module Make (M : MESSAGE) = struct
     in
     let stop_now () =
       match cfg.stop with
-      | All_done -> !n_finished = nn
-      | All_decided -> !n_decided = nn || !n_finished = nn
-      | At_round r -> !round_counter >= r
+      | All_done -> Atomic.get n_finished = nn
+      | All_decided -> Atomic.get n_decided = nn || Atomic.get n_finished = nn
+      | At_round r -> c.round >= r
     in
-    let timed_out = ref false in
     let prof = Timing.enabled () in
     let ff_skipped = ref 0 in
     let t_mark = ref 0.0 in
     let p_start () = if prof then t_mark := Timing.now () in
     let p_stop sec = if prof then Timing.record sec (Timing.now () -. !t_mark) in
+    let rs =
+      {
+        r = 0;
+        broadcasters = no_broadcasters;
+        reach = Adversary.No_gray;
+        kernel = false;
+        slices = 1;
+      }
+    in
+    (* Fast-forward: with no synced fiber and no observer, every round
+       before the next wake or park expiry is a no-op — nothing
+       broadcasts, so no parked listener can be woken, and the per-round
+       adversary derivation guarantees the skipped draws cannot influence
+       later rounds.  Jump there in one step. *)
+    let fast_forward () =
+      if !n_active = 0 && cfg.observer = None then begin
+        let cap =
+          match cfg.stop with
+          | At_round tgt -> min tgt cfg.max_rounds
+          | All_done | All_decided -> cfg.max_rounds
+        in
+        let target = min (min (next_wake ()) (heap_min ()) - 1) cap in
+        if target > c.round then begin
+          let skipped = target - c.round in
+          c.silent <- c.silent + skipped;
+          ff_skipped := !ff_skipped + skipped;
+          c.round <- target;
+          if tracing then
+            emit { Events.round = target; proc = -1; kind = Skip { rounds = skipped } }
+        end
+      end
+    in
+    (* 1. Open the next round (or time out), and start the processes
+       scheduled to wake in it: they run to their first sync or park and
+       thereby register this round's intent. *)
+    let wake rs =
+      if c.round >= cfg.max_rounds then begin
+        c.timed_out <- true;
+        raise Exit
+      end;
+      c.round <- c.round + 1;
+      rs.r <- c.round;
+      p_start ();
+      let b = slices.(0) in
+      while !wake_ptr < nn && wake_rounds.(wake_order.(!wake_ptr)) = rs.r do
+        let v = wake_order.(!wake_ptr) in
+        incr wake_ptr;
+        if tracing then emit { Events.round = rs.r; proc = v; kind = Wake };
+        settle b v (launch cfg c current_detector do_output body v)
+      done;
+      merge rs.r b;
+      p_stop Timing.Wake
+    in
+    (* 2. Collect the broadcasters (live fibers only) and enforce the
+       message-size bound. *)
+    let collect rs =
+      p_start ();
+      n_bcast := 0;
+      for i = 0 to !n_active - 1 do
+        let v = active.(i) in
+        if Bytes.unsafe_get state v = st_send then begin
+          bcast.(!n_bcast) <- v;
+          incr n_bcast
+        end
+      done;
+      rs.broadcasters <-
+        (if !n_bcast = 0 then no_broadcasters
+         else begin
+           let a = Array.sub bcast 0 !n_bcast in
+           (* ascending already whenever [active] is (every round of a
+              beacon): then the sort is one scan *)
+           Int_sort.sort a;
+           a
+         end);
+      for j = 0 to !n_bcast - 1 do
+        let v = rs.broadcasters.(j) in
+        let sz = check_send cfg c v in
+        if tracing then emit { Events.round = rs.r; proc = v; kind = Broadcast { bits = sz } }
+      done;
+      if met then Metrics.observe m_round_bcast !n_bcast;
+      if !n_bcast = 0 then c.silent <- c.silent + 1;
+      p_stop Timing.Collect
+    in
+    (* 3. The adversary declares the round's reach; on a [Chosen] round it
+       picks the gray edges that behave reliably, from a stream derived
+       fresh for this round.  Tracing keeps every round on [choose], so
+       its [Gray] events are those of the oracle. *)
+    let adversary rs =
+      if !n_bcast > 0 then begin
+        let broadcasters = rs.broadcasters in
+        rs.reach <-
+          (if tracing then Adversary.Chosen else Adversary.reach cfg.adversary ~broadcasters);
+        if rs.reach <> Adversary.Chosen then incr declared_rounds
+        else begin
+          p_start ();
+          Bitset.clear gray_active;
+          Rng.derive_into adv_rng ~parent:c.adv_root rs.r;
+          Adversary.choose cfg.adversary ~round:rs.r ~broadcasters dual adv_rng gray_active;
+          if tracing then begin
+            let active = Bitset.cardinal gray_active and total = Dual.gray_count dual in
+            emit { Events.round = rs.r; proc = -1; kind = Gray { active; total } }
+          end;
+          p_stop Timing.Adversary
+        end
+      end
+    in
+    (* The delivery kernel wins when the broadcasters' reach — their G
+       degrees, plus their gray degrees on a round that reaches gray
+       edges — outweighs its cost: two word sweeps per broadcaster and
+       rebuilding the listener masks from the worklist and the heap. *)
+    let kernel_wins reach =
+      let gray = reach <> Adversary.No_gray in
+      let sum = ref 0 in
+      for i = 0 to !n_bcast - 1 do
+        let u = bcast.(i) in
+        sum := !sum + Graph.degree g u + (if gray then Dual.gray_degree dual u else 0)
+      done;
+      !sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
+    in
+    (* Reach as word-parallel row ORs: N_G'(u) on an [All_incident]
+       round, else N_G(u) plus, on a [Chosen] round, the active gray
+       edges through the packed CSR incidence.  The second sweep hands
+       each receiver its sender's message; the sender is unique because
+       an exactly-one-sender node lies in exactly one broadcaster's
+       reach set.  It is skipped outright when nobody received (the
+       common case under heavy contention). *)
+    let deliver_kernel rs =
+      let rows =
+        if rs.reach = Adversary.All_incident then Dual.reach_rows dual else Graph.adj_rows g
+      in
+      let chosen = rs.reach = Adversary.Chosen in
+      Bitset.clear k_once;
+      Bitset.clear k_twice;
+      for j = 0 to !n_bcast - 1 do
+        let u = rs.broadcasters.(j) in
+        Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
+        if chosen then scatter_gray u
+      done;
+      if kernel_classify () then begin
+        for j = 0 to !n_bcast - 1 do
+          let u = rs.broadcasters.(j) in
+          (* one [Recv m] shared by all of [u]'s receivers *)
+          sweep_recv := Recv (payload sends.(u));
+          Bitset.iter_inter assign_recv rows.(u) k_recv;
+          if chosen then assign_gray u
+        done;
+        Bitset.iter_inter push_woken k_recv k_listen
+      end
+    in
+    (* Per-edge touches along G and the round's gray reach, then one pass
+       over the touched nodes.  Every synced or parked fiber listens:
+       [idle]rs discard the message, [listen]ers wake with it. *)
+    let deliver_scalar rs =
+      n_touched := 0;
+      for j = 0 to !n_bcast - 1 do
+        let u = rs.broadcasters.(j) in
+        for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
+          touch u (Graph.nbr_at g i)
+        done;
+        match rs.reach with
+        | Adversary.No_gray -> ()
+        | Adversary.All_incident ->
+          for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+            touch u (Dual.gray_nbr_at dual i)
+          done
+        | Adversary.Chosen ->
+          for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
+            if Bitset.mem gray_active (Dual.gray_id_at dual i) then
+              touch u (Dual.gray_nbr_at dual i)
+          done
+      done;
+      for i = 0 to !n_touched - 1 do
+        let v = touched.(i) in
+        let s = Bytes.unsafe_get state v in
+        (if s <> st_none && s <> st_send then
+           if recv_count.(v) = 1 then begin
+             if s = st_listen then hand_off v
+             else if s = st_wait then begin
+               hand_off v;
+               push_woken v
+             end;
+             c.delivered <- c.delivered + 1;
+             if tracing then
+               emit { Events.round = rs.r; proc = v; kind = Deliver { src = recv_from.(v) } }
+           end
+           else begin
+             c.collided <- c.collided + 1;
+             if tracing then begin
+               let senders = recv_count.(v) in
+               emit { Events.round = rs.r; proc = v; kind = Collide { senders } }
+             end
+           end);
+        recv_count.(v) <- 0;
+        recv_from.(v) <- -1
+      done
+    in
+    (* 4. Deliveries along E plus the round's gray reach, on the path the
+       cost model picks.  The kernel is only a faster evaluation of the
+       same collision rule — counts and receives are identical by
+       construction (certified by test_engine_paths) — but it cannot emit
+       per-receiver events, so a sink forces the scalar path. *)
+    let deliver rs =
+      if !n_bcast > 0 then begin
+        p_start ();
+        rs.kernel <- (not tracing) && kernel_wins rs.reach;
+        if rs.kernel then begin
+          incr kernel_rounds;
+          deliver_kernel rs
+        end
+        else deliver_scalar rs;
+        for j = 0 to !n_bcast - 1 do
+          receives.(rs.broadcasters.(j)) <- Own
+        done;
+        p_stop Timing.Deliver
+      end
+    in
+    (* Step slice [s] of the [rs.slices] cut of the work list into its
+       buffer; on a Pool domain when there is more than one slice. *)
+    let step_slice s =
+      let b = slices.(s) and m = !n_work and k = rs.slices in
+      for i = s * m / k to ((s + 1) * m / k) - 1 do
+        let v = work.(i) in
+        settle b v (step rs.r v)
+      done
+    in
+    (* 5. Resume every fiber whose receive is due.  The work list is fixed
+       first: the synced fibers in worklist order, the listeners a
+       delivery woke (taken out of the heap), then the parks expiring this
+       round in heap-pop order.  [idle] and [listen] park for at least one
+       round, so a park a step performs has a key >= r+1 and the due set
+       cannot grow while the list is stepped.  The list is cut into
+       [rs.slices] contiguous slices — [resume_shards] of them on Pool
+       domains when enough fibers await, else one on this domain — and
+       the slices' buffers are merged in slice order.  All receives were
+       computed before any resume, so next-round intents cannot bleed
+       into this round. *)
+    let resume rs =
+      p_start ();
+      Array.blit active 0 work 0 !n_active;
+      Array.blit woken 0 work !n_active !n_woken;
+      for i = 0 to !n_woken - 1 do
+        heap_remove woken.(i)
+      done;
+      n_work := !n_active + !n_woken;
+      while !heap_n > 0 && heap_r.(0) = rs.r do
+        work.(!n_work) <- heap_pop ();
+        incr n_work
+      done;
+      listen_wakes := !listen_wakes + !n_woken;
+      resumes := !resumes + !n_work;
+      n_woken := 0;
+      n_active := 0;
+      rs.slices <- (if !n_work >= resume_shard_threshold then resume_shards else 1);
+      if rs.slices = 1 then step_slice 0
+      else begin
+        if met then begin
+          Metrics.incr m_resume_shard_rounds;
+          Metrics.add m_resume_shard_steps !n_work
+        end;
+        Pool.run_n (get_pool ()) step_slice rs.slices
+      end;
+      for s = 0 to rs.slices - 1 do
+        merge (rs.r + 1) slices.(s)
+      done;
+      p_stop Timing.Resume
+    in
+    let observe rs =
+      match cfg.observer with Some f -> f (view c rs.broadcasters) | None -> ()
+    in
     Fun.protect
       ~finally:(fun () ->
         (match !pool with Some p -> Pool.shutdown p | None -> ());
         discontinued := discontinue_all state conts)
       (fun () ->
-    try
-       while not (stop_now ()) do
-         (* Fast-forward: with no synced fiber and no observer, every round
-            before the next wake or park expiry is a no-op — nothing
-            broadcasts, so no parked listener can be woken, and the
-            per-round adversary derivation guarantees the skipped draws
-            cannot influence later rounds.  Jump there in one step. *)
-         if !n_active = 0 && cfg.observer = None then begin
-           let next_event = min (next_wake ()) (heap_min ()) in
-           let cap =
-             match cfg.stop with
-             | At_round tgt -> min tgt cfg.max_rounds
-             | All_done | All_decided -> cfg.max_rounds
-           in
-           let target = min (next_event - 1) cap in
-           if target > !round_counter then begin
-             let skipped = target - !round_counter in
-             silent_rounds := !silent_rounds + skipped;
-             ff_skipped := !ff_skipped + skipped;
-             round_counter := target;
-             if tracing then
-               emit { Events.round = target; proc = -1; kind = Skip { rounds = skipped } }
-           end
-         end;
-         if not (stop_now ()) then begin
-           if !round_counter >= cfg.max_rounds then begin
-             timed_out := true;
-             raise Exit
-           end;
-           incr round_counter;
-           let r = !round_counter in
-           (* 1. Wake processes scheduled for this round; they run to their
-              first sync or park and thereby register this round's intent. *)
-           p_start ();
-           park_base := r;
-           n_joining := 0;
-           while !wake_ptr < nn && wake.(wake_order.(!wake_ptr)) = r do
-             let v = wake_order.(!wake_ptr) in
-             incr wake_ptr;
-             if tracing then emit { Events.round = r; proc = v; kind = Wake };
-             start v
-           done;
-           if !n_joining > 0 then begin
-             Array.blit joining 0 active !n_active !n_joining;
-             n_active := !n_active + !n_joining
-           end;
-           p_stop Timing.Wake;
-           (* 2. Collect broadcasters (live fibers only) and enforce the
-              message-size bound. *)
-           p_start ();
-           n_bcast := 0;
-           n_woken := 0;
-           for i = 0 to !n_active - 1 do
-             let v = active.(i) in
-             if Bytes.unsafe_get state v = st_send then begin
-               bcast.(!n_bcast) <- v;
-               incr n_bcast
-             end
-           done;
-           let broadcasters =
-             if !n_bcast = 0 then no_broadcasters
-             else begin
-               let a = Array.sub bcast 0 !n_bcast in
-               (* ascending already whenever [active] is (every round
-                  of a beacon): then the sort is one scan *)
-               Int_sort.sort a;
-               a
-             end
-           in
-           for j = 0 to !n_bcast - 1 do
-             let v = broadcasters.(j) in
-             let sz = validate_send v in
-             if tracing then emit { Events.round = r; proc = v; kind = Broadcast { bits = sz } }
-           done;
-           if met then Metrics.observe m_round_bcast !n_bcast;
-           p_stop Timing.Collect;
-           if !n_bcast = 0 then incr silent_rounds
-           else begin
-             (* 3. Adversary picks the gray edges that behave reliably,
-                from a stream derived fresh for this round.  A round whose
-                reach the policy declares skips the phase: delivery
-                follows the declaration.  Tracing keeps every round on
-                [choose], so its [Gray] events are those of the oracle. *)
-             let reach =
-               if tracing then Adversary.Chosen
-               else Adversary.reach cfg.adversary ~broadcasters
-             in
-             if reach <> Adversary.Chosen then incr declared_rounds
-             else begin
-               p_start ();
-               Bitset.clear gray_active;
-               Rng.derive_into adv_rng ~parent:adv_root r;
-               Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng gray_active;
-               if tracing then
-                 emit
-                   {
-                     Events.round = r;
-                     proc = -1;
-                     kind =
-                       Gray
-                         {
-                           active = Bitset.cardinal gray_active;
-                           total = Dual.gray_count dual;
-                         };
-                   };
-               p_stop Timing.Adversary
-             end;
-             (* 4. Deliveries along E plus the round's gray reach:
-                scalar per-edge touches on sparse rounds, the
-                word-parallel kernel on dense ones.  The kernel is only a
-                faster evaluation of the same collision rule — counts and
-                receives are identical by construction (certified by
-                test_engine_paths) — but it cannot emit per-receiver
-                events, so a sink forces the scalar path.  The gray reach
-                is none ([No_gray]), every gray edge of a broadcaster
-                ([All_incident]) or the edges in [gray_active]. *)
-             p_start ();
-             let use_kernel =
-               (not tracing)
-               &&
-               (* scalar cost ~ total broadcaster reach; kernel cost ~
-                  two word-sweeps per broadcaster plus rebuilding the
-                  listener masks from the worklist and the heap *)
-               let reach_sum = ref 0 in
-               for i = 0 to !n_bcast - 1 do
-                 let u = bcast.(i) in
-                 reach_sum := !reach_sum + Graph.degree g u + Dual.gray_degree dual u
-               done;
-               !reach_sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
-             in
-             if use_kernel then begin
-               incr kernel_rounds;
-               (* reach as word-parallel row ORs: N_G'(u) on an
-                  [All_incident] round, else N_G(u) plus the active gray
-                  edges through the packed CSR incidence *)
-               let rows =
-                 if reach = Adversary.All_incident then Dual.reach_rows dual
-                 else Graph.adj_rows g
-               in
-               let chosen = reach = Adversary.Chosen in
-               Bitset.clear k_once;
-               Bitset.clear k_twice;
-               for j = 0 to !n_bcast - 1 do
-                 let u = broadcasters.(j) in
-                 Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
-                 if chosen then scatter_gray u
-               done;
-               (* second sweep hands each receiving synced fiber its
-                  sender's message; the sender is unique because an
-                  exactly-one-sender node lies in exactly one
-                  broadcaster's reach set.  Skipped outright when nobody
-                  received (the common case under heavy contention). *)
-               if kernel_classify () then begin
-                 for j = 0 to !n_bcast - 1 do
-                   let u = broadcasters.(j) in
-                   (* one [Recv m] shared by all of [u]'s receivers *)
-                   sweep_recv := Recv (payload sends.(u));
-                   Bitset.iter_inter assign_recv rows.(u) k_recv;
-                   if chosen then assign_gray u
-                 done;
-                 Bitset.iter_inter push_woken k_recv k_listen
-               end
-             end
-             else begin
-               n_touched := 0;
-               for j = 0 to !n_bcast - 1 do
-                 let u = broadcasters.(j) in
-                 for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
-                   touch u (Graph.nbr_at g i)
-                 done;
-                 match reach with
-                 | Adversary.No_gray -> ()
-                 | Adversary.All_incident ->
-                   for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-                     touch u (Dual.gray_nbr_at dual i)
-                   done
-                 | Adversary.Chosen ->
-                   for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-                     if Bitset.mem gray_active (Dual.gray_id_at dual i) then
-                       touch u (Dual.gray_nbr_at dual i)
-                   done
-               done;
-               for i = 0 to !n_touched - 1 do
-                 let v = touched.(i) in
-                 let s = Bytes.unsafe_get state v in
-                 (if s <> st_none && s <> st_send then
-                    (* Every synced or parked fiber listens: [idle]rs
-                       discard the message, [listen]ers wake with it. *)
-                    if recv_count.(v) = 1 then begin
-                      if s = st_listen then deliver v
-                      else if s = st_wait then begin
-                        deliver v;
-                        push_woken v
-                      end;
-                      incr deliveries;
-                      if tracing then
-                        emit { Events.round = r; proc = v; kind = Deliver { src = recv_from.(v) } }
-                    end
-                    else begin
-                      incr collisions;
-                      if tracing then
-                        emit { Events.round = r; proc = v; kind = Collide { senders = recv_count.(v) } }
-                    end);
-                 recv_count.(v) <- 0;
-                 recv_from.(v) <- -1
-               done
-             end;
-             for j = 0 to !n_bcast - 1 do
-               receives.(broadcasters.(j)) <- Own
-             done;
-             p_stop Timing.Deliver
-           end;
-           (* 5. Resume every synced fiber with its receive, then the
-              listeners a delivery woke, then the parks that expire this
-              round.  All receives were computed before any resume, so
-              next-round intents cannot bleed into this round. *)
-           p_start ();
-           park_base := r + 1;
-           n_joining := 0;
-           listen_wakes := !listen_wakes + !n_woken;
-           (* Pool dispatch + merge are a fixed per-round cost; only
-              rounds with enough fibers to step amortise it. *)
-           if resume_shards > 1 && !n_active + !n_woken >= resume_shard_threshold then begin
-             (* Sharded resume: fix the work list up front — the synced
-                fibers in worklist order, the woken listeners (taken out
-                of the heap), then every park due this round in heap-pop
-                order.  [idle]/[listen] guarantee dur >= 1, so any park
-                performed by a stepped fiber has a key >= r+1: the due
-                set cannot grow while we step, which is what makes
-                popping it before the first step sound.  Contiguous
-                slices then step on Pool domains; per-process RNG streams
-                are independently derived and a step reads only its own
-                [receives] slot, so slices are independent.  Merging the
-                per-shard buffers in ascending shard order reproduces the
-                sequential pop-all-then-step outcome exactly; any
-                residual ordering freedom (heap layout among equal keys,
-                worklist order) is unobservable in results — certified
-                against the scalar path and [run_reference] by
-                test_engine_paths. *)
-             Array.blit active 0 resume_work 0 !n_active;
-             Array.blit woken 0 resume_work !n_active !n_woken;
-             for i = 0 to !n_woken - 1 do
-               heap_remove woken.(i)
-             done;
-             let mw = ref (!n_active + !n_woken) in
-             while !heap_n > 0 && heap_r.(0) = r do
-               resume_work.(!mw) <- heap_pop ();
-               incr mw
-             done;
-             let m = !mw in
-             resumes := !resumes + m;
-             if met then begin
-               Metrics.incr m_resume_shard_rounds;
-               Metrics.add m_resume_shard_steps m
-             end;
-             let bufs = get_resume_bufs () in
-             for s = 0 to resume_shards - 1 do
-               let b = bufs.(s) in
-               b.rb_join_n <- 0;
-               b.rb_park_n <- 0;
-               b.rb_finished <- 0;
-               b.rb_decided <- 0;
-               for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
-                 resume_assign.(resume_work.(i)) <- s
-               done
-             done;
-             Pool.run_n (get_pool ())
-               (fun s ->
-                 let b = bufs.(s) in
-                 for i = s * m / resume_shards to (((s + 1) * m) / resume_shards) - 1 do
-                   let v = resume_work.(i) in
-                   settle_shard b v (step r v)
-                 done)
-               resume_shards;
-             for s = 0 to resume_shards - 1 do
-               let b = bufs.(s) in
-               Array.blit b.rb_join 0 joining !n_joining b.rb_join_n;
-               n_joining := !n_joining + b.rb_join_n;
-               for i = 0 to b.rb_park_n - 1 do
-                 heap_push b.rb_park_r.(i) b.rb_park_v.(i)
-               done;
-               n_finished := !n_finished + b.rb_finished;
-               n_decided := !n_decided + b.rb_decided
-             done;
-             for i = 0 to m - 1 do
-               resume_assign.(resume_work.(i)) <- -1
-             done
-           end
-           else begin
-             resumes := !resumes + !n_active + !n_woken;
-             for i = 0 to !n_active - 1 do
-               let v = active.(i) in
-               settle v (step r v)
-             done;
-             for i = 0 to !n_woken - 1 do
-               let v = woken.(i) in
-               heap_remove v;
-               settle v (step r v)
-             done;
-             while !heap_n > 0 && heap_r.(0) = r do
-               incr resumes;
-               let v = heap_pop () in
-               settle v (step r v)
-             done
-           end;
-           Array.blit joining 0 active 0 !n_joining;
-           n_active := !n_joining;
-           p_stop Timing.Resume;
-           match cfg.observer with
-           | Some f ->
-             f
-               {
-                 view_round = r;
-                 view_broadcasters = broadcasters;
-                 view_outputs = outputs;
-                 view_decided = decided;
-               }
-           | None -> ()
-         end
-       done
-     with Exit -> ());
+        try
+          while not (stop_now ()) do
+            fast_forward ();
+            if not (stop_now ()) then begin
+              wake rs;
+              collect rs;
+              adversary rs;
+              deliver rs;
+              resume rs;
+              observe rs
+            end
+          done
+        with Exit -> ());
     if prof then begin
-      Timing.add_rounds (!round_counter - !ff_skipped);
+      Timing.add_rounds (c.round - !ff_skipped);
       Timing.add_silent_skipped !ff_skipped;
       Timing.add_resumes !resumes
     end;
     if met then begin
       Metrics.incr m_runs;
-      Metrics.add m_rounds !round_counter;
-      Metrics.add m_sends !sends_total;
-      Metrics.add m_deliveries !deliveries;
-      Metrics.add m_collisions !collisions;
-      Metrics.add m_bits_sent !bits_sent;
-      Metrics.add m_silent_rounds !silent_rounds;
+      Metrics.add m_rounds c.round;
+      Metrics.add m_sends c.sent;
+      Metrics.add m_deliveries c.delivered;
+      Metrics.add m_collisions c.collided;
+      Metrics.add m_bits_sent c.bits;
+      Metrics.add m_silent_rounds c.silent;
       Metrics.add m_resumes !resumes;
       Metrics.add m_listen_wakes !listen_wakes;
       Metrics.add m_kernel_rounds !kernel_rounds;
       Metrics.add m_declared_reach_rounds !declared_rounds;
-      if !timed_out then Metrics.incr m_timeouts;
-      Metrics.observe m_run_rounds !round_counter;
+      if c.timed_out then Metrics.incr m_timeouts;
+      Metrics.observe m_run_rounds c.round;
       let minor, promoted, _ = Gc.counters () in
       Metrics.add m_minor_words (int_of_float (minor -. minor0));
       Metrics.add m_promoted_words (int_of_float (promoted -. promoted0));
       Metrics.add m_discontinued !discontinued
     end;
-    {
-      outputs;
-      returns;
-      rounds = !round_counter;
-      decided_round = decided;
-      stats =
-        {
-          rounds = !round_counter;
-          sends = !sends_total;
-          deliveries = !deliveries;
-          collisions = !collisions;
-          bits_sent = !bits_sent;
-          silent_rounds = !silent_rounds;
-        };
-      timed_out = !timed_out;
-    }
+    result c
 
   (* Straightforward reference implementation: full 0..n-1 scans every
      round, no worklist, no fast-forward, adversary consulted every round
      (its per-round derived draws in broadcaster-free rounds are discarded,
      which is exactly the invariant that makes [run]'s skip sound).  Kept
      as the differential-testing oracle for [run]; see
-     test/test_engine_paths.ml.  It queries the detector every round, so
-     a detector whose [at] keeps changing after its declared
-     [stabilizes_at] makes the two disagree: [run] serves the first
-     value it queried at or after that round.
+     test/test_engine_paths.ml.  It shares [run]'s setup, output
+     recording, send check and result assembly, and keeps its own wake,
+     delivery, receive computation and stepping.  It queries the detector
+     every round, so a detector whose [at] keeps changing after its
+     declared [stabilizes_at] makes the two disagree: [run] serves the
+     first value it queried at or after that round.
 
      [cfg.sink] is ignored here on purpose: event emission is untestable
      by differencing (it is defined as having no observable effect on the
@@ -1234,48 +1217,13 @@ module Make (M : MESSAGE) = struct
      equivalence tests also certify that tracing never leaks into [run]'s
      semantics. *)
   let run_reference cfg body =
+    let c = common cfg in
+    let { nn; wake; state; conts; sends; park; park_start; outputs; _ } = c in
     let dual = cfg.dual in
-    let nn = Dual.n dual in
-    let root_rng = Rng.create cfg.seed in
-    let adv_root = Rng.derive root_rng 0x5EED in
-    let wake = match cfg.wake with Some w -> Array.copy w | None -> Array.make nn 1 in
-    validate_wake wake;
-    let outputs = Array.make nn None in
-    let decided = Array.make nn None in
-    let returns = Array.make nn None in
     let status = Array.make nn Asleep in
-    let state = Bytes.make nn st_none in
-    let conts = Array.make nn sentinel in
-    let sends : receive Effect.t array = Array.make nn Listen in
-    let park = Array.make nn 0 in
     let resume_round = Array.make nn 0 in
-    let park_start = Array.make nn 0 in
-    let round_counter = ref 0 in
-    let sends_total = ref 0 and deliveries = ref 0 and collisions = ref 0 in
-    let bits_sent = ref 0 and silent_rounds = ref 0 in
-    let do_output v value =
-      match outputs.(v) with
-      | Some old when old <> value ->
-        invalid_arg (Printf.sprintf "Engine: process %d re-output %d after %d" v value old)
-      | Some _ -> ()
-      | None ->
-        outputs.(v) <- Some value;
-        decided.(v) <- Some !round_counter
-    in
-    let current_detector () = Detector.at cfg.detector !round_counter in
-    let mk_ctx v =
-      {
-        me = v;
-        n = nn;
-        delta_bound = cfg.delta_bound;
-        b_bits = cfg.b_bits;
-        rng = Rng.derive root_rng (v + 1);
-        local_round = 0;
-        current_detector;
-        do_output;
-        park;
-      }
-    in
+    let do_output v value = ignore (first_output c v value) in
+    let current_detector () = Detector.at cfg.detector c.round in
     (* Record where fiber [v] stopped: a parked fiber's stretch starts
        at [park_base] and ends at [resume_round.(v)]. *)
     let park_base = ref 0 in
@@ -1294,12 +1242,7 @@ module Make (M : MESSAGE) = struct
     in
     let start v =
       status.(v) <- Running;
-      let ctx = mk_ctx v in
-      settle v
-        (Effect.Deep.match_with
-           (fun () -> returns.(v) <- Some (body ctx))
-           ()
-           (handler state sends v))
+      settle v (launch cfg c current_detector do_output body v)
     in
     let recv_count = Array.make nn 0 in
     let recv_msg : M.t option array = Array.make nn None in
@@ -1313,133 +1256,96 @@ module Make (M : MESSAGE) = struct
       match cfg.stop with
       | All_done -> finished ()
       | All_decided -> decided_all () || finished ()
-      | At_round r -> !round_counter >= r
+      | At_round r -> c.round >= r
     in
-    let timed_out = ref false in
     Fun.protect
       ~finally:(fun () -> ignore (discontinue_all state conts))
       (fun () ->
-    try
-       while not (stop_now ()) do
-         if !round_counter >= cfg.max_rounds then begin
-           timed_out := true;
-           raise Exit
-         end;
-         incr round_counter;
-         let r = !round_counter in
-         (* 1. Wake. *)
-         park_base := r;
-         for v = 0 to nn - 1 do
-           if status.(v) = Asleep && wake.(v) = r then start v
-         done;
-         (* 2. Collect broadcasters and enforce the message-size bound. *)
-         let bcast = ref [] in
-         for v = nn - 1 downto 0 do
-           if Bytes.get state v = st_send then bcast := v :: !bcast
-         done;
-         let broadcasters = Array.of_list !bcast in
-         Array.iter
-           (fun v ->
-             incr sends_total;
-             let m = payload sends.(v) in
-             let sz = M.size_bits ~n:nn m in
-             bits_sent := !bits_sent + sz;
-             match cfg.b_bits with
-             | Some b when sz > b ->
-               invalid_arg
-                 (Format.asprintf
-                    "Engine: process %d sent %d bits > b=%d in round %d: %a" v sz b r M.pp m)
-             | _ -> ())
-           broadcasters;
-         if Array.length broadcasters = 0 then incr silent_rounds;
-         (* 3. Adversary, from this round's derived stream. *)
-         Bitset.clear gray_active;
-         let adv_rng = Rng.derive adv_root r in
-         Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng gray_active;
-         (* 4. Deliveries along E plus activated gray edges. *)
-         let touch v m =
-           if recv_count.(v) = 0 then touched := v :: !touched;
-           recv_count.(v) <- recv_count.(v) + 1;
-           recv_msg.(v) <- Some m
-         in
-         Array.iter
-           (fun u ->
-             let m = payload sends.(u) in
-             Graph.iter_neighbors (fun v -> touch v m) g u;
-             Dual.iter_gray_adj
-               (fun v e -> if Bitset.mem gray_active e then touch v m)
-               dual u)
-           broadcasters;
-         (* 5. Receives for every live fiber — parked fibers count towards
-            deliveries/collisions; [idle]rs discard the payload, [listen]ers
-            keep it and wake. *)
-         for v = 0 to nn - 1 do
-           receives.(v) <- Silence;
-           let s = Bytes.get state v in
-           if s <> st_none then
-             if s = st_send then receives.(v) <- Own
-             else if recv_count.(v) = 1 then begin
-               (if s = st_listen || s = st_wait then
-                  match recv_msg.(v) with
-                  | Some m -> receives.(v) <- Recv m
-                  | None -> assert false);
-               incr deliveries
-             end
-             else if recv_count.(v) >= 2 then incr collisions
-         done;
-         List.iter
-           (fun v ->
-             recv_count.(v) <- 0;
-             recv_msg.(v) <- None)
-           !touched;
-         touched := [];
-         (* 6. Resume synced fibers (consuming their receives), then
-            parked fibers that heard a message or whose stretch ends now. *)
-         park_base := r + 1;
-         for v = 0 to nn - 1 do
-           let s = Bytes.get state v in
-           if s = st_listen || s = st_send then begin
-             let recv = receives.(v) in
-             receives.(v) <- Silence;
-             sends.(v) <- Listen;
-             resume v recv
-           end
-         done;
-         for v = 0 to nn - 1 do
-           let s = Bytes.get state v in
-           if s = st_idle || s = st_wait then
-             match receives.(v) with
-             | Recv _ as recv ->
-               park.(v) <- r - park_start.(v) + 1;
-               resume v recv
-             | Own | Silence -> if resume_round.(v) = r then resume v Silence
-         done;
-         match cfg.observer with
-         | Some f ->
-           f
-             {
-               view_round = r;
-               view_broadcasters = broadcasters;
-               view_outputs = outputs;
-               view_decided = decided;
-             }
-         | None -> ()
-       done
-     with Exit -> ());
-    {
-      outputs;
-      returns;
-      rounds = !round_counter;
-      decided_round = decided;
-      stats =
-        {
-          rounds = !round_counter;
-          sends = !sends_total;
-          deliveries = !deliveries;
-          collisions = !collisions;
-          bits_sent = !bits_sent;
-          silent_rounds = !silent_rounds;
-        };
-      timed_out = !timed_out;
-    }
+        try
+          while not (stop_now ()) do
+            if c.round >= cfg.max_rounds then begin
+              c.timed_out <- true;
+              raise Exit
+            end;
+            c.round <- c.round + 1;
+            let r = c.round in
+            (* 1. Wake. *)
+            park_base := r;
+            for v = 0 to nn - 1 do
+              if status.(v) = Asleep && wake.(v) = r then start v
+            done;
+            (* 2. Collect broadcasters and enforce the message-size bound. *)
+            let bcast = ref [] in
+            for v = nn - 1 downto 0 do
+              if Bytes.get state v = st_send then bcast := v :: !bcast
+            done;
+            let broadcasters = Array.of_list !bcast in
+            Array.iter (fun v -> ignore (check_send cfg c v)) broadcasters;
+            if Array.length broadcasters = 0 then c.silent <- c.silent + 1;
+            (* 3. Adversary, from this round's derived stream. *)
+            Bitset.clear gray_active;
+            let adv_rng = Rng.derive c.adv_root r in
+            Adversary.choose cfg.adversary ~round:r ~broadcasters dual adv_rng gray_active;
+            (* 4. Deliveries along E plus activated gray edges. *)
+            let touch v m =
+              if recv_count.(v) = 0 then touched := v :: !touched;
+              recv_count.(v) <- recv_count.(v) + 1;
+              recv_msg.(v) <- Some m
+            in
+            Array.iter
+              (fun u ->
+                let m = payload sends.(u) in
+                Graph.iter_neighbors (fun v -> touch v m) g u;
+                Dual.iter_gray_adj
+                  (fun v e -> if Bitset.mem gray_active e then touch v m)
+                  dual u)
+              broadcasters;
+            (* 5. Receives for every live fiber — parked fibers count towards
+               deliveries/collisions; [idle]rs discard the payload, [listen]ers
+               keep it and wake. *)
+            for v = 0 to nn - 1 do
+              receives.(v) <- Silence;
+              let s = Bytes.get state v in
+              if s <> st_none then
+                if s = st_send then receives.(v) <- Own
+                else if recv_count.(v) = 1 then begin
+                  (if s = st_listen || s = st_wait then
+                     match recv_msg.(v) with
+                     | Some m -> receives.(v) <- Recv m
+                     | None -> assert false);
+                  c.delivered <- c.delivered + 1
+                end
+                else if recv_count.(v) >= 2 then c.collided <- c.collided + 1
+            done;
+            List.iter
+              (fun v ->
+                recv_count.(v) <- 0;
+                recv_msg.(v) <- None)
+              !touched;
+            touched := [];
+            (* 6. Resume synced fibers (consuming their receives), then
+               parked fibers that heard a message or whose stretch ends now. *)
+            park_base := r + 1;
+            for v = 0 to nn - 1 do
+              let s = Bytes.get state v in
+              if s = st_listen || s = st_send then begin
+                let recv = receives.(v) in
+                receives.(v) <- Silence;
+                sends.(v) <- Listen;
+                resume v recv
+              end
+            done;
+            for v = 0 to nn - 1 do
+              let s = Bytes.get state v in
+              if s = st_idle || s = st_wait then
+                match receives.(v) with
+                | Recv _ as recv ->
+                  park.(v) <- r - park_start.(v) + 1;
+                  resume v recv
+                | Own | Silence -> if resume_round.(v) = r then resume v Silence
+            done;
+            match cfg.observer with Some f -> f (view c broadcasters) | None -> ()
+          done
+        with Exit -> ());
+    result c
 end

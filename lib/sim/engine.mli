@@ -31,10 +31,6 @@ type stats = {
           stretches of them when no fiber is live *)
 }
 
-(** Monotone version of the observable round semantics; bumped whenever
-    the delivery rule, adversary derivation, or RNG streams change. *)
-val semantics_version : int
-
 (** Cheap digest of the engine configuration space, folded into
     {!Rn_util.Store} cache keys so that stored cell results computed
     under different engine semantics never collide. *)
@@ -69,19 +65,20 @@ module Make (M : MESSAGE) : sig
         (** structured event trace destination; emission has no
             observable effect on the run ({!run_reference} ignores it) *)
     resume_shards : int;
-        (** {!Rn_util.Pool} domains for the resume phase (≥ 1).  With
-            [resume_shards > 1], no [sink], and at least 1024 fibers to
-            step in a round, that round's fiber work list — the synced
-            fibers in worklist order, the listeners a delivery woke,
-            then the parks expiring this round in heap-pop order — is
-            cut into contiguous slices stepped in parallel (OCaml 5
-            continuations are not domain-pinned).  Every shard collects
-            its broadcast intents, parkings, and finish/decide counts
-            into a private preallocated buffer; the main domain merges
-            the buffers in ascending shard order.  Steps are independent
-            because per-process RNG streams are derived independently
-            from the seed and a step reads only its own receive slot —
-            so results are byte-identical at any shard count. *)
+        (** {!Rn_util.Pool} domains for the resume phase (≥ 1).  Every
+            round's resume steps one work list — the synced fibers in
+            worklist order, the listeners a delivery woke, then the
+            parks expiring this round in heap-pop order — in contiguous
+            slices.  With [resume_shards > 1], no [sink], and at least
+            1024 fibers in the list, the round takes [resume_shards]
+            slices stepped in parallel (OCaml 5 continuations are not
+            domain-pinned); otherwise one slice on the calling domain.
+            Each slice records where its fibers stopped in a private
+            preallocated buffer, and the calling domain merges the
+            buffers in slice order.  Steps are independent because
+            per-process RNG streams are derived independently from the
+            seed and a step reads only its own receive slot — so results
+            are byte-identical at any shard count. *)
   }
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
@@ -178,16 +175,18 @@ module Make (M : MESSAGE) : sig
       stabilisation round are served from a cache — detectors whose [at]
       violates the declared stabilisation get the cached value.
 
-      A round whose reach the adversary declares ({!Adversary.reach})
-      skips the adversary phase and delivers along the declared reach;
-      any other round calls {!Adversary.choose}.  Each round also picks
-      how to evaluate two phases, by cost alone: the word-parallel
-      delivery kernel when the broadcasters' total reach outweighs its
-      word sweeps, and the sharded resume as described under
-      [resume_shards].  Every choice is pure evaluation strategy.  The
-      counters [engine.declared_reach_rounds], [engine.kernel_rounds]
-      and [engine.resume_shard_rounds] record how often each fast path
-      ran.
+      Each round runs five phases in turn: wake, collect, adversary,
+      deliver and resume.  A round whose reach the adversary declares
+      ({!Adversary.reach}) skips the adversary phase and delivers along
+      the declared reach; any other round calls {!Adversary.choose}.
+      Delivery picks its evaluation by cost alone: the word-parallel
+      kernel when the broadcasters' reach outweighs its word sweeps,
+      where a broadcaster's gray degree counts only on a round that
+      reaches gray edges.  The resume steps its work list in one slice
+      or in [resume_shards], as described there.  Every choice is pure
+      evaluation strategy.  The counters [engine.declared_reach_rounds],
+      [engine.kernel_rounds] and [engine.resume_shard_rounds] record
+      how often each fast path ran.
 
       When [config.sink] is set, one {!Events.event} is emitted per wake,
       broadcast, delivery, collision, gray-edge resolution, first
@@ -195,12 +194,12 @@ module Make (M : MESSAGE) : sig
       no engine state, so the result is byte-identical to an untraced
       run; every round then consults {!Adversary.choose}, so its gray
       events are those of the declared rounds' full evaluation, and
-      every phase takes its scalar path.  When
+      delivery takes its scalar path and the resume one slice.  When
       {!Rn_util.Metrics.enabled} (sampled once per run), engine-level
       [engine.*] counters and histograms are recorded.  Among them,
       [engine.minor_words] and [engine.promoted_words] are the words the
       run allocated in, and promoted from, the minor heap of the calling
-      domain only: what the sharded resume's workers allocate on their
+      domain only: what the resume's Pool workers allocate on their
       own domains is not counted.
 
       A run that stops while fibers are still suspended (at [At_round],

@@ -2,7 +2,8 @@
    journal layout; the key properties defended here:
 
    - appends are one [write] of a whole line, so the only damage a crash
-     (or a concurrent reader) can observe is a truncated/corrupt tail;
+     (or a concurrent reader) can observe is a truncated/corrupt tail,
+     and [put] cuts a partial last line off before it appends;
    - every record carries the FNV-1a hash of its key and a checksum over
      key+status+payload, so [scan_file] can prove which prefix is intact
      and [open_] can repair by truncating to it;
@@ -255,7 +256,7 @@ let open_ ?(fsync = true) dir =
          we truncate cannot be a record a live writer is appending. *)
       let scan = scan_file path in
       let header_ok = scan.good_bytes > 0 in
-      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
+      let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
       let start = if header_ok then scan.good_bytes else 0 in
       Unix.ftruncate fd start;
       if not header_ok then begin
@@ -281,7 +282,6 @@ let open_ ?(fsync = true) dir =
         closed = false;
       })
 
-let dir t = t.dir
 let recovered_bytes t = t.recovered
 
 (* A peer's [gc] replaces the journal by rename; our fd then points at
@@ -295,7 +295,7 @@ let reopen_if_rotated t =
   in
   if rotated then begin
     Unix.close t.fd;
-    t.fd <- Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
+    t.fd <- Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644;
     if (Unix.fstat t.fd).Unix.st_size = 0 then begin
       write_all t.fd (header_line ^ "\n");
       if t.fsync then Unix.fsync t.fd
@@ -370,6 +370,33 @@ let find_failed t k =
       | Some { status = Failed; payload; _ } -> Some payload
       | _ -> None)
 
+(* Cut the journal back to its last complete line.  Under the file lock
+   no writer is mid-line, so a partial last line is a write that failed
+   part-way (ENOSPC, EIO) or a writer that died mid-line; a record
+   appended after it would merge into it, and the next [open_] would
+   drop that record and every one after it.  Called with mutex + file
+   lock held; costs one byte read when the journal ends in a newline. *)
+let cut_partial_line t =
+  let size = (Unix.fstat t.fd).Unix.st_size in
+  let ends_mid_line =
+    size > 0
+    && begin
+      ignore (Unix.lseek t.fd (size - 1) Unix.SEEK_SET);
+      let last = Bytes.create 1 in
+      Unix.read t.fd last 0 1 = 1 && Bytes.get last 0 <> '\n'
+    end
+  in
+  if ends_mid_line then begin
+    let keep =
+      match String.rindex_opt (read_file (journal_path t.dir)) '\n' with
+      | Some i -> i + 1
+      | None -> 0
+    in
+    Unix.ftruncate t.fd keep;
+    if keep = 0 then write_all t.fd (header_line ^ "\n");
+    t.scanned <- min t.scanned keep
+  end
+
 let put t k status payload =
   let r = { key = k; status; payload } in
   let line = encode_record r in
@@ -377,6 +404,7 @@ let put t k status payload =
       if t.closed then invalid_arg "Store.put: store is closed";
       file_locked t (fun () ->
           ignore (reopen_if_rotated t);
+          cut_partial_line t;
           write_all t.fd line;
           if t.fsync then Unix.fsync t.fd);
       Hashtbl.replace t.index (key_id k) r)
@@ -411,7 +439,7 @@ let gc t ~keep =
           Unix.close fd;
           Unix.close t.fd;
           Sys.rename tmp path;
-          let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND ] 0o644 in
+          let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND ] 0o644 in
           t.fd <- fd;
           t.ino <- fd_ino fd;
           t.scanned <- (Unix.fstat fd).Unix.st_size;

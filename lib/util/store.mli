@@ -68,8 +68,6 @@ val journal_path : string -> string
     whether every {!put} is flushed to stable storage. *)
 val open_ : ?fsync:bool -> string -> t
 
-val dir : t -> string
-
 (** Bytes of corrupt/truncated tail dropped by {!open_} (0 for a clean
     journal). *)
 val recovered_bytes : t -> int
@@ -84,7 +82,9 @@ val find_failed : t -> key -> string option
 
 (** Append a record (replacing any previous record for the key in the
     index).  Domain-safe, and safe against concurrent appends from
-    other processes sharing the journal. *)
+    other processes sharing the journal.  A partial last line (a write
+    that failed part-way, or a writer that died mid-line) is cut off
+    first, so the new record starts a line of its own. *)
 val put : t -> key -> status -> string -> unit
 
 (** Replay records appended to the journal by other processes since

@@ -10,13 +10,6 @@ type section = Wake | Collect | Adversary | Deliver | Resume
 let n_sections = 5
 let index = function Wake -> 0 | Collect -> 1 | Adversary -> 2 | Deliver -> 3 | Resume -> 4
 
-let label = function
-  | Wake -> "wake"
-  | Collect -> "collect"
-  | Adversary -> "adversary"
-  | Deliver -> "deliver"
-  | Resume -> "resume"
-
 let section_labels = [ "wake"; "collect"; "adversary"; "deliver"; "resume" ]
 let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag

@@ -10,7 +10,6 @@
 
 type section = Wake | Collect | Adversary | Deliver | Resume
 
-val label : section -> string
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 

@@ -1,9 +1,6 @@
 (** Checkers for the problem definitions of Section 3 and structural
     quality metrics. *)
 
-(** Nodes with output 1, ascending. *)
-val ones : int option array -> int list
-
 module Mis_check : sig
   type report = {
     termination : bool;  (** every process output 0 or 1 *)

@@ -9,7 +9,7 @@
 # send/delivery/collision counts, no timings) at --resume-shards 1, 2
 # and 4.  Every table must hash to the policy's pin.  Every beacon
 # round has all n fibers to step, so at n >= 1024 shard counts 2 and 4
-# take the sharded resume; the engine picks each round's delivery and
+# cut the resume in that many slices; the engine picks each round's delivery and
 # adversary path by cost, and skips the adversary phase on a round whose
 # reach the policy declares (silent, all, and spiteful).  The pins cover
 # every built-in policy, so every declaration is checked against the
@@ -18,8 +18,9 @@
 # semantics.
 #
 # One more pin runs `scale --check --sizes 65536 --adversary
-# bernoulli:0.5 --resume-shards 1`: world construction at the size of
-# perfbench's sparse world, which the 512-2048 tables do not reach.
+# bernoulli:0.5` at --resume-shards 1 and 2: world construction at the
+# size of perfbench's sparse world, which the 512-2048 tables do not
+# reach, and the resume in one slice and in two at that size.
 #
 # Exits 1 on the first mismatch.  RN_CLI and SMOKE_STEP_TIMEOUT work
 # as in smoke_lib.sh.
@@ -49,6 +50,8 @@ jamming c885c9e823b118b24ea6814323adcb1e
 all 4aeee9c9b08314da562512972923fb5b
 PINS
 
-check 65536 bernoulli:0.5 1 15eb50d0722b9fa5f6a73cac20caaeb2
+for rs in 1 2; do
+  check 65536 bernoulli:0.5 "$rs" 15eb50d0722b9fa5f6a73cac20caaeb2
+done
 
-echo "scale_smoke: OK (6 policies x --resume-shards 1/2/4 and n=65536 match their pins)"
+echo "scale_smoke: OK (6 policies x --resume-shards 1/2/4 and n=65536 x 1/2 match their pins)"

@@ -3,12 +3,13 @@
    [run] evaluates the Section 2 round with a live-fiber worklist, wake
    buckets, parking, silent-round fast-forward, a cached detector, the
    adversary's declared reach ([Adversary.reach], which skips the
-   adversary phase) and two per-round cost choices: the word-parallel
-   delivery kernel, and the resume sliced across Pool domains
-   ([resume_shards > 1] with at least 1024 fibers to step).  None of it
-   may change a result.  One property says so — [run] =
-   [run_reference] = [run] with a sink, which forces every round onto
-   [choose] and every phase onto its scalar path — over one scenario
+   adversary phase) and two per-round choices: the word-parallel
+   delivery kernel, picked by cost, and the resume's work list cut in
+   [resume_shards] slices on Pool domains ([resume_shards > 1] with at
+   least 1024 fibers to step) instead of one.  None of it may change a
+   result.  One property says so — [run] = [run_reference] = [run] with
+   a sink, which forces every round onto [choose], delivery onto its
+   scalar path and the resume into one slice — over one scenario
    generator: sparse
    and dense duals, n on both sides of 1024, every adversary policy,
    random wake and stop, and any shard counts.  The fast-path cases read
@@ -165,7 +166,7 @@ type scenario = {
 (* Small scenarios (n <= 40) draw one of five random-dual shapes; large
    ones (four sizes from 1031 to 1423, none a multiple of 2) a sparse,
    dense or gray-heavy circulant, so that a round in which every fiber is
-   stepped has at least the 1024 the sharded resume needs. *)
+   stepped has at least the 1024 a multi-slice resume needs. *)
 let scenario ?(large = false) ?(max_wake = 8) ?(max_rounds = 5_000) case =
   let rng = Rng.create ((if large then 0x1A46E else 0xE9A7) + case) in
   let n =
@@ -241,7 +242,7 @@ let agree_radio s ~stop body =
    listen by silent syncs that stop at the first [Recv] — neither may
    change anything observable.  With [decide_first] every process
    outputs right after its first action, so [All_decided] can stop a run
-   whose decisions were counted in a sharded resume. *)
+   whose decisions were counted in a multi-slice resume. *)
 let random_body ?(unroll = false) ?(decide_first = false) ~steps ~max_idle ctx =
   let rng = E.rng ctx in
   let me = E.me ctx in
@@ -873,8 +874,11 @@ let prop_kernel_equiv =
 (* MIS discards messages from outside the detector set, so on a sparse G
    it keeps several members whatever the adversary does, and every
    announcement phase has rounds with two or more of them broadcasting.
-   Here G' is complete (each pair reliable or gray), so each broadcaster
-   reaches all n - 1 others and such a round is a kernel round. *)
+   Here G' is complete (each pair reliable or gray) and the adversary is
+   [all_gray], which reaches every gray edge, so each broadcaster reaches
+   all n - 1 others and such a round is a kernel round.  (Under a policy
+   that reaches no gray edge the round is priced by G's degrees alone and
+   stays scalar.) *)
 let prop_kernel_mis =
   QCheck.Test.make ~name:"kernel `On = `Off (MIS body)" ~count:15 QCheck.(small_nat)
     (fun case ->
@@ -885,6 +889,8 @@ let prop_kernel_mis =
           (dense_scenario case) with
           dual = random_dual ~n ~rel_w:2 ~gray_w:8 (Rng.bits rng);
           shape = "sparse G, complete G'";
+          adv_name = "all_gray";
+          adv = Adversary.all_gray;
         }
       in
       let params = Core.Params.default in
@@ -1216,8 +1222,9 @@ let test_resume_n2048 () =
   let _, p = run ~n:512 4 in
   Alcotest.(check int) "n=512: below the threshold" 0 p.resume
 
-(* An attached sink forces the scalar resume (events must come out in
-   step order) on rounds that would shard; forcing changes nothing. *)
+(* An attached sink keeps the resume in one slice (events must come out
+   in step order) on rounds that would take several; that changes
+   nothing.  The case keeps its name from the old scalar resume. *)
 let prop_resume_traced =
   QCheck.Test.make ~name:"traced (forced scalar) = untraced sharded" ~count:40
     QCheck.(small_nat)
@@ -1251,11 +1258,10 @@ let test_config_validation () =
    and 4 shards, and fiber n-1 raises first in time: fiber 0 waits for
    it on an Atomic handshake (spun on with a bound, so a one-core host
    cannot hang), then a little longer so fiber n-1's failure is recorded
-   first.  The scalar paths step fiber 0 first and never reach n-1, so
-   they get the flag pre-set.  Every path must raise fiber 0's failure,
-   as the scalar resume and [run_reference] do, and a second run on the
-   same config must then complete: the run shut its pool down and left
-   no fiber routed to a shard buffer. *)
+   first.  One slice and [run_reference] step fiber 0 first and never
+   reach n-1, so they get the flag pre-set.  Every path must raise fiber
+   0's failure, as one slice and [run_reference] do, and a second run on
+   the same config must then complete: the run shut its pool down. *)
 let test_resume_raise_lowest () =
   let n = 2048 in
   let dual = Dual.classic (Gen.ring n) in
@@ -1336,16 +1342,18 @@ let agree_algo s body =
    so those rounds step n >= 1024 fibers and shard.  Phases are one
    ⌈log₂ n⌉ long, and the run stops after the first epoch: every
    competition phase and one announcement phase. *)
+let mis_duals_geometric n =
+  shared "geometric" n (fun () ->
+      Gen.geometric ~rng:(Rng.create n)
+        (Gen.default_spec ~n ~side:(Gen.side_for_degree ~n ~target_degree:10) ()))
+
 let mis_duals rng =
   let n = [| 1031; 1097 |].(Rng.int rng 2) in
   match Rng.int rng 4 with
   | 0 -> shared "ring" n (fun () -> Dual.classic (Gen.ring n))
   | 1 -> large_circulant n sparse_circulant
   | 2 -> large_circulant n gray_circulant
-  | _ ->
-    shared "geometric" n (fun () ->
-        Gen.geometric ~rng:(Rng.create n)
-          (Gen.default_spec ~n ~side:(Gen.side_for_degree ~n ~target_degree:10) ()))
+  | _ -> mis_duals_geometric n
 
 let prop_mis_resume =
   let params = { Core.Params.fast with c_phase = 1 } in
@@ -1353,6 +1361,31 @@ let prop_mis_resume =
   QCheck.Test.make ~name:"MIS: resume shards k = scalar" ~count:30 QCheck.(small_nat)
     (fun case ->
       agree_algo (algo_scenario ~duals:mis_duals ~stop:epoch case) (Core.Mis.body params))
+
+(* A whole MIS schedule at the default constants — 44 epochs of 12
+   phases of 66 rounds, 34,848 rounds — on the geometric n = 1031 world
+   of [mis_duals] under Bernoulli 0.5 at resume shards 2: [run] against
+   a traced [run] and [run_reference].  The cases above cut the schedule
+   after one epoch because the oracle steps every listener in every
+   round; this one pays for that once.  Budget: about 6 s on a 2-core VM
+   (OCaml 5.1.1; medians of 3: [run] 1.4 s, traced [run] 2.1 s,
+   [run_reference] 2.4 s). *)
+let test_mis_whole_n1031 () =
+  let n = 1031 in
+  let _, dual = mis_duals_geometric n in
+  let params = Core.Params.default in
+  let stop = R.At_round (Core.Mis.schedule_rounds params ~n) in
+  let cfg ?sink () =
+    R.config ~adversary:(Adversary.bernoulli 0.5) ~seed:1031 ~stop ~resume_shards:2 ?sink
+      ~detector:(perfect dual) dual
+  in
+  let body ctx = Core.Mis.body params ctx in
+  let _, p =
+    agree ~what:"MIS n=1031, whole schedule"
+      ~run:(fun sink -> R.run (cfg ?sink ()) body)
+      ~reference:(fun () -> R.run_reference (cfg ()) body)
+  in
+  Alcotest.(check bool) "resume ran in slices" true (p.resume > 0)
 
 (* TDMA-CCDS: hub 0 speaks in the first slot of each frame, and all n - 1
    >= 1024 leaves wake from their parked listen, which shards that round.
@@ -1475,6 +1508,11 @@ let () =
               Alcotest.test_case "raise in two slices: lowest fiber wins" `Quick
                 test_resume_raise_lowest;
             ] );
-          ("real-schedules", [ qtest prop_mis_resume; qtest prop_tdma_resume ]);
+          ( "real-schedules",
+            [
+              qtest prop_mis_resume;
+              qtest prop_tdma_resume;
+              Alcotest.test_case "MIS: whole schedule at n=1031" `Slow test_mis_whole_n1031;
+            ] );
         ] );
     ]

@@ -132,6 +132,32 @@ let test_truncation_every_offset () =
     Store.close s
   done
 
+(* A write that failed part-way (ENOSPC, EIO) or a writer that died
+   mid-line leaves a partial line at the journal's end, under a handle
+   that stays open.  The next [put] must cut it off before appending:
+   otherwise its record merges into the partial line, and a reopen drops
+   that record and every one after it.  The cell whose write failed is
+   absent, so a later run recomputes it. *)
+let test_put_after_torn_tail () =
+  let dir = tmpdir () in
+  let s = Store.open_ ~fsync:false dir in
+  Store.put s (key "b0.before") Store.Done "kept";
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 (Store.journal_path dir)
+  in
+  output_string oc "(rec (torn";
+  close_out oc;
+  Store.put s (key "b0.first") Store.Done "one";
+  Store.put s (key "b0.second") Store.Done "two";
+  Store.close s;
+  let s = Store.open_ ~fsync:false dir in
+  List.iter
+    (fun (coord, payload) ->
+      Alcotest.(check (option string)) coord (Some payload) (Store.find s (key coord)))
+    [ ("b0.before", "kept"); ("b0.first", "one"); ("b0.second", "two") ];
+  Alcotest.(check int) "no tail to repair" 0 (Store.recovered_bytes s);
+  Store.close s
+
 (* --- cached-vs-fresh sweeps on a real experiment --- *)
 
 let run_e5 () =
@@ -300,6 +326,7 @@ let () =
           Alcotest.test_case "truncation at every byte offset" `Quick
             test_truncation_every_offset;
           Alcotest.test_case "kill mid-sweep and resume" `Slow test_kill_and_resume;
+          Alcotest.test_case "put after a torn tail" `Quick test_put_after_torn_tail;
         ] );
       ( "cached-sweeps",
         [
