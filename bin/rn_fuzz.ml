@@ -2,7 +2,11 @@
    random algorithm under a random adversary, verify the output against
    the Section 3 definitions, and report any violation with its full
    recipe (seed, size, degree, τ, adversary) so it can be replayed with
-   rn_cli.
+   rn_cli.  The verified adversary is one of four policies (silent,
+   Bernoulli 0.3/0.5, harassing 0.5) under which every algorithm must
+   pass.  Each trial also runs the same algorithm on the same instance
+   under a policy drawn from all seven, through [run] and
+   [run_reference], and fails unless the two results are identical.
 
      dune exec bin/rn_fuzz.exe            # run until interrupted
      dune exec bin/rn_fuzz.exe -- 200     # exactly 200 trials
@@ -22,9 +26,25 @@ type recipe = {
   adv_name : string;
   adversary : Rn_sim.Adversary.t;
   algo : string;
+  ref_name : string; (* the policy of the run = run_reference check *)
+  ref_adversary : Rn_sim.Adversary.t;
 }
 
-let random_recipe rng trial =
+(* Every built-in policy, for the run = run_reference check. *)
+let all_policies =
+  [|
+    ("silent", Rn_sim.Adversary.silent);
+    ("all", Rn_sim.Adversary.all_gray);
+    ("spiteful", Rn_sim.Adversary.spiteful);
+    ("jamming", Rn_sim.Adversary.jamming);
+    ("bernoulli:0.3", Rn_sim.Adversary.bernoulli 0.3);
+    ("bernoulli:0.5", Rn_sim.Adversary.bernoulli 0.5);
+    ("harassing:0.5", Rn_sim.Adversary.harassing 0.5);
+  |]
+
+(* [ref_rng] draws the check's policy, so [rng]'s recipes stay those of
+   the verification-only fuzzer. *)
+let random_recipe rng ref_rng trial =
   let seed = 100_000 + trial in
   let n = 24 + Rng.int rng 96 in
   let degree = 6 + Rng.int rng 10 in
@@ -40,7 +60,8 @@ let random_recipe rng trial =
   let algos = [| "mis"; "ccds-banned"; "ccds-explore"; "ccds-tdma" |] in
   let algo = Rng.choose rng algos in
   let tau = if algo = "ccds-explore" then Rng.int rng 3 else 0 in
-  { seed; n; degree; tau; adv_name; adversary; algo }
+  let ref_name, ref_adversary = Rng.choose ref_rng all_policies in
+  { seed; n; degree; tau; adv_name; adversary; algo; ref_name; ref_adversary }
 
 let run_recipe r =
   let dual = Rn_harness.Harness.geometric ~seed:r.seed ~n:r.n ~degree:r.degree () in
@@ -58,33 +79,37 @@ let run_recipe r =
     let c = Verify.Ccds_check.check ~h ~g':(Dual.g' dual) outputs in
     (Verify.Ccds_check.ok c, c.violations)
   in
+  (* Verify [body]'s outputs under the recipe's policy with [ok], and
+     check run = run_reference under the check's policy. *)
+  let trial ok body =
+    let cfg adversary = R.config ~adversary ~seed:r.seed ~detector dual in
+    let ok, violations = ok (R.run (cfg r.adversary) body).R.outputs in
+    let check = cfg r.ref_adversary in
+    if R.run check body = R.run_reference check body then (ok, violations)
+    else (false, violations @ [ Printf.sprintf "run <> run_reference under %s" r.ref_name ])
+  in
+  let params = Core.Params.default in
   match r.algo with
-  | "mis" ->
-    let res = Core.Mis.run ~seed:r.seed ~adversary:r.adversary ~detector dual in
-    ok_mis res.R.outputs
+  | "mis" -> trial ok_mis (fun ctx -> Core.Mis.body ~on_decide:(R.output ctx) params ctx)
   | "ccds-banned" ->
-    let res = Core.Ccds.run ~seed:r.seed ~adversary:r.adversary ~detector dual in
-    ok_ccds res.R.outputs
+    trial ok_ccds (fun ctx -> Core.Ccds.body ~on_decide:(R.output ctx) params ctx)
   | "ccds-explore" ->
-    let res =
-      Core.Explore_ccds.run ~seed:r.seed ~adversary:r.adversary ~tau:r.tau ~detector dual
-    in
-    ok_ccds res.R.outputs
+    trial ok_ccds (fun ctx ->
+        Core.Explore_ccds.body ~on_decide:(R.output ctx) params ~tau:r.tau ctx)
   | "ccds-tdma" ->
-    let res = Core.Tdma_ccds.run ~seed:r.seed ~adversary:r.adversary ~detector dual in
-    ok_ccds res.R.outputs
+    trial ok_ccds (fun ctx -> Core.Tdma_ccds.body ~on_decide:(R.output ctx) params ctx)
   | _ -> assert false
 
 let () =
   let max_trials =
     if Array.length Sys.argv > 1 then int_of_string_opt Sys.argv.(1) else None
   in
-  let rng = Rng.create 20260705 in
+  let rng = Rng.create 20260705 and ref_rng = Rng.create 20261019 in
   let trial = ref 0 and failures = ref 0 in
   let continue () = match max_trials with Some m -> !trial < m | None -> true in
   while continue () do
     incr trial;
-    let r = random_recipe rng !trial in
+    let r = random_recipe rng ref_rng !trial in
     let ok, violations = run_recipe r in
     if not ok then begin
       incr failures;

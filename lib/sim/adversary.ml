@@ -2,7 +2,13 @@
 
    Each round, after seeing who broadcasts, the adversary picks a reach set
    consisting of all reliable edges E plus an arbitrary subset of the gray
-   edges E' \ E (Section 2).  A policy fills a bitset over gray-edge ids.
+   edges E' \ E (Section 2).  Only the gray edges incident to a
+   broadcaster can change a receive, so a policy is one walk, [visit]: it
+   calls [f u v e] for each gray edge [e = {u, v}] it activates with [u]
+   broadcasting — an edge with one broadcasting end once, an edge joining
+   two broadcasters at most once from each end (it cannot change a
+   receive, both ends being senders).  [choose] is [visit] adding each [e]
+   to a bitset over gray-edge ids, for [run_reference], replays and tests.
 
    The [spiteful] policy is the Section 7 simulation adversary: whenever two
    or more processes broadcast it activates every gray edge incident to a
@@ -18,13 +24,15 @@
    - [All_incident] ([all_gray], and [spiteful] from two broadcasters on):
      every gray edge incident to a broadcaster is active;
    - [Chosen] ([bernoulli], [harassing], [jamming], [custom]): only
-     [choose] knows.
+     [visit] knows.
 
    On a declared round the reach set is a fixed function of the
    broadcasters, so an untraced engine run skips the adversary phase and
    delivers along E alone or along all of E' ([Dual.reach_rows]).  The
-   declaring policies' [choose] is derived from the declaration, and
-   test_engine_paths.ml holds every policy's [choose] to it.
+   declaring policies' [visit] is derived from the declaration, and
+   test_engine_paths.ml holds every policy's [choose] to it.  On a
+   [Chosen] round the engine delivers inside the walk: [f] touches the
+   receiver, so the active set is never materialised.
 
    [jamming] finds its victims (nodes about to hear exactly one reliable
    broadcaster) with the delivery kernel's once/twice saturating
@@ -40,28 +48,36 @@
    Per-broadcaster walks index the CSR rows directly ([Dual.gray_lo] …
    [Dual.gray_id_at], [Graph.row_lo] … [Graph.nbr_at]) instead of passing
    a callback: a callback that captures the round's bitset or RNG is a
-   closure allocated per broadcaster per round. *)
+   closure allocated per broadcaster per round.  The one callback, [f],
+   is the caller's, built once per run. *)
 
 module Bitset = Rn_util.Bitset
 module Rng = Rn_util.Rng
 module Graph = Rn_graph.Graph
 module Dual = Rn_graph.Dual
 
-type choose_fn =
-  round:int -> broadcasters:int array -> Dual.t -> Rng.t -> Bitset.t -> unit
+type visit_fn =
+  round:int ->
+  broadcasters:int array ->
+  Dual.t ->
+  Rng.t ->
+  (int -> int -> int -> unit) ->
+  unit
 
 type reach = No_gray | All_incident | Chosen
 
 type t = {
   name : string;
-  choose : choose_fn;
+  visit : visit_fn;
   reach : broadcasters:int array -> reach; (* O(1) *)
 }
 
 let name t = t.name
 
+let visit t ~round ~broadcasters dual rng f = t.visit ~round ~broadcasters dual rng f
+
 let choose t ~round ~broadcasters dual rng active =
-  t.choose ~round ~broadcasters dual rng active
+  t.visit ~round ~broadcasters dual rng (fun _ _ e -> Bitset.add active e)
 
 let reach t ~broadcasters = t.reach ~broadcasters
 let chosen ~broadcasters:_ = Chosen
@@ -76,33 +92,32 @@ let kernel_wins _ ~broadcasters:_ _ = false
 let choose_kernel _ ~round:_ ~broadcasters:_ _ _ () _ =
   invalid_arg "Adversary.choose_kernel: policy has no kernel"
 
-(* Only gray edges incident to a broadcaster can influence delivery — the
-   engine reads the activation bitset exclusively through the broadcasters'
-   gray adjacency — so policies below restrict themselves to those edges.
-   For deterministic policies this is observably identical; for [bernoulli]
-   it merely re-times which stream positions feed which edges (each
-   relevant edge still gets one independent draw per round, from the
-   round's derived stream). *)
+(* Only gray edges incident to a broadcaster can influence delivery, so
+   policies below restrict themselves to those edges.  For deterministic
+   policies this is observably identical; for [bernoulli] it merely
+   re-times which stream positions feed which edges (each relevant edge
+   still gets one independent draw per round, from the round's derived
+   stream). *)
 
 (* Every gray edge incident to a broadcaster, one incidence entry at a
    time. *)
-let add_incident ~broadcasters dual active =
+let visit_incident ~broadcasters dual f =
   for j = 0 to Array.length broadcasters - 1 do
     let u = broadcasters.(j) in
     for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-      Bitset.add active (Dual.gray_id_at dual i)
+      f u (Dual.gray_nbr_at dual i) (Dual.gray_id_at dual i)
     done
   done
 
-(* A policy whose every round is declared: [choose] fills exactly the
+(* A policy whose every round is declared: [visit] walks exactly the
    reach set its declaration names. *)
 let declared name reach =
   {
     name;
-    choose =
-      (fun ~round:_ ~broadcasters dual _ active ->
+    visit =
+      (fun ~round:_ ~broadcasters dual _ f ->
         match reach ~broadcasters with
-        | All_incident -> add_incident ~broadcasters dual active
+        | All_incident -> visit_incident ~broadcasters dual f
         | No_gray | Chosen -> ());
     reach;
   }
@@ -119,7 +134,8 @@ let spiteful =
       if Array.length broadcasters >= 2 then All_incident else No_gray)
 
 (* Each gray edge independently active with probability p, fresh each
-   round.  One draw per distinct incident edge: the lowest-id broadcasting
+   round.  One draw per distinct incident edge, broadcasters ascending
+   and each row in descending edge id: the lowest-id broadcasting
    endpoint owns the draw.  The broadcaster membership test is a
    per-round bitset (filled from the sorted broadcaster array, emptied
    again after the walk) instead of a per-edge binary search — same
@@ -131,8 +147,8 @@ let bernoulli p =
   let dls = Domain.DLS.new_key (fun () -> ref (Bitset.create 0)) in
   {
     name = Printf.sprintf "bernoulli(%.2f)" p;
-    choose =
-      (fun ~round:_ ~broadcasters dual rng active ->
+    visit =
+      (fun ~round:_ ~broadcasters dual rng f ->
         let n = Dual.n dual in
         let cell = Domain.DLS.get dls in
         if Bitset.capacity !cell <> n then cell := Bitset.create n;
@@ -146,7 +162,7 @@ let bernoulli p =
           for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
             let v = Dual.gray_nbr_at dual i in
             if not (v < u && Bitset.mem bcast v) then
-              if Rng.bool rng p then Bitset.add active (Dual.gray_id_at dual i)
+              if Rng.bool rng p then f u v (Dual.gray_id_at dual i)
           done
         done;
         for j = 0 to nb - 1 do
@@ -157,30 +173,32 @@ let bernoulli p =
 
 (* Activate gray edges incident to broadcasters with probability p: a
    cheaper adaptive policy that concentrates unreliability where it can
-   actually cause collisions. *)
+   actually cause collisions.  One draw per incidence, so an edge joining
+   two broadcasters gets two and may be visited from both ends. *)
 let harassing p =
   if p < 0.0 || p > 1.0 then invalid_arg "Adversary.harassing";
   {
     name = Printf.sprintf "harassing(%.2f)" p;
-    choose =
-      (fun ~round:_ ~broadcasters dual rng active ->
+    visit =
+      (fun ~round:_ ~broadcasters dual rng f ->
         for j = 0 to Array.length broadcasters - 1 do
           let u = broadcasters.(j) in
           for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-            if Rng.bool rng p then Bitset.add active (Dual.gray_id_at dual i)
+            if Rng.bool rng p then f u (Dual.gray_nbr_at dual i) (Dual.gray_id_at dual i)
           done
         done);
     reach = chosen;
   }
 
-(* Switches on the gray edge that collides victim [v]: the first
+(* Visits the gray edge that collides victim [v]: from the first
    broadcasting gray neighbour of [v] in descending edge-id order. *)
-let jam_victim ~bcast dual active v =
+let jam_victim ~bcast dual f v =
   let hi = Dual.gray_hi dual v in
   let i = ref (Dual.gray_lo dual v) in
   while !i < hi do
-    if Bitset.mem bcast (Dual.gray_nbr_at dual !i) then begin
-      Bitset.add active (Dual.gray_id_at dual !i);
+    let u = Dual.gray_nbr_at dual !i in
+    if Bitset.mem bcast u then begin
+      f u v (Dual.gray_id_at dual !i);
       i := hi
     end
     else incr i
@@ -207,8 +225,8 @@ let jamming =
   {
     name = "jamming";
     reach = chosen;
-    choose =
-      (fun ~round:_ ~broadcasters dual _ active ->
+    visit =
+      (fun ~round:_ ~broadcasters dual _ f ->
         let g = Dual.g dual and n = Dual.n dual in
         let cell = Domain.DLS.get dls in
         if Bitset.capacity (!cell).bcast <> n then cell := jam_scratch n;
@@ -239,7 +257,7 @@ let jamming =
           while !word <> 0 do
             let v = base + Bitset.lowest_bit !word in
             word := !word land (!word - 1);
-            jam_victim ~bcast dual active v
+            jam_victim ~bcast dual f v
           done
         done;
         for j = 0 to nb - 1 do
@@ -247,4 +265,16 @@ let jamming =
         done);
   }
 
-let custom ~name choose = { name; choose; reach = chosen }
+(* A policy given as a bitset [choose]: its set, filtered through the
+   broadcasters' gray rows, is what [visit] walks.  The bitset is fresh
+   per round, as [choose]'s contract promises a cleared one. *)
+let custom ~name choose =
+  {
+    name;
+    reach = chosen;
+    visit =
+      (fun ~round ~broadcasters dual rng f ->
+        let active = Bitset.create (max 1 (Dual.gray_count dual)) in
+        choose ~round ~broadcasters dual rng active;
+        visit_incident ~broadcasters dual (fun u v e -> if Bitset.mem active e then f u v e));
+  }

@@ -4,9 +4,27 @@ type t
 
 val name : t -> string
 
-(** Fill [active] (a cleared bitset over gray-edge ids) with this round's
-    activated gray edges; the adversary sees the broadcasters first, as in
-    Section 2. *)
+(** [visit t ~round ~broadcasters dual rng f] picks this round's gray
+    reach, after seeing the broadcasters as in Section 2, and calls
+    [f u v e] for each gray edge [e = {u, v}] it activates with [u]
+    broadcasting: an edge with one broadcasting end once, an edge
+    joining two broadcasters at least once and at most once from each
+    end.  It draws from [rng] in a fixed order, so a second call on a
+    stream re-derived to the same state visits the same edges in the
+    same order.  [broadcasters] is ascending.  This is the engine's one
+    adversary call. *)
+val visit :
+  t ->
+  round:int ->
+  broadcasters:int array ->
+  Rn_graph.Dual.t ->
+  Rn_util.Rng.t ->
+  (int -> int -> int -> unit) ->
+  unit
+
+(** [choose] adds to [active] (a bitset over gray-edge ids) every edge
+    {!val:visit} visits, drawing the same stream: the round's activated
+    gray edges incident to a broadcaster. *)
 val choose :
   t ->
   round:int ->
@@ -26,9 +44,8 @@ type reach = No_gray | All_incident | Chosen
 (** This round's declaration, in O(1): [No_gray] for {!silent} and for
     {!spiteful} below two broadcasters, [All_incident] for {!all_gray}
     and for {!spiteful} from two on, [Chosen] for every other policy.
-    On a declared round {!val:choose} fills exactly the declared set
-    (as far as the gray edges incident to a broadcaster go), so the
-    engine may deliver along it without calling {!val:choose}. *)
+    On a declared round {!val:visit} walks exactly the declared set,
+    so the engine may deliver along it without calling {!val:visit}. *)
 val reach : t -> broadcasters:int array -> reach
 
 (** {2 Kernel shim}
@@ -74,6 +91,9 @@ val spiteful : t
     and never activates a gray edge that could help. *)
 val jamming : t
 
+(** A policy from a bitset [choose], handed a cleared bitset over
+    gray-edge ids each round; its {!val:visit} walks the chosen edges
+    incident to a broadcaster, and its {!val:choose} adds only those. *)
 val custom :
   name:string ->
   (round:int ->

@@ -42,27 +42,34 @@
    [wake], [collect], [adversary], [deliver], [resume] — that share one
    [round_state], then the observer.  Each round the adversary first
    declares its reach from the broadcasters ([Adversary.reach]): no gray
-   edge of a broadcaster, all of them, or a set only its [choose]
-   computes.  A declared round skips the adversary phase, and delivery
-   walks no gray row, or every gray row without a membership test (on
-   the kernel, it ORs [Graph.adj_rows] or [Dual.reach_rows]); a [Chosen]
-   round calls [choose].  Delivery picks its evaluation by cost: the
-   word-parallel once/twice kernel when the broadcasters' reach (gray
-   degrees counted only on a round that reaches gray edges) outweighs
-   its word sweeps.  The resume has one path: it fixes the round's work
-   list and steps it in [resume_shards] slices on Pool domains when
-   [resume_shards > 1] and at least [resume_shard_threshold] fibers
-   await their receive, else in one slice on the calling domain.  Every
-   choice is pure evaluation strategy; an attached sink treats every
-   round as [Chosen], forces the scalar delivery, which can emit
-   per-receiver records, and keeps the resume in one slice.
+   edge of a broadcaster, all of them, or a set only its [visit] walks.
+   A declared round skips the adversary phase, and delivery walks no
+   gray row, or every gray row without a membership test (on the
+   kernel, it ORs [Graph.adj_rows] or [Dual.reach_rows]).  A [Chosen]
+   round only derives its stream in the adversary phase, and delivery
+   runs inside [Adversary.visit]: each visited edge touches its
+   receiver, so no set of active gray edges is ever built.  Delivery
+   picks its evaluation by cost: the word-parallel once/twice kernel
+   when the broadcasters' reach (gray degrees counted only on a round
+   that reaches gray edges) outweighs its word sweeps; on a [Chosen]
+   round the kernel's second sweep re-derives the stream and visits
+   the same edges again.  The resume has one path: it fixes the
+   round's work list and steps it in [resume_shards] slices on Pool
+   domains when [resume_shards > 1] and at least
+   [resume_shard_threshold] fibers await their receive, else in one
+   slice on the calling domain.  Every choice is pure evaluation
+   strategy; an attached sink treats every round as [Chosen], forces
+   the scalar delivery, which can emit per-receiver records, and keeps
+   the resume in one slice.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
-   semantics now) as a differential-testing oracle: for any config and
-   body whose detector honours its declared [stabilizes_at], [run] and
-   [run_reference] must produce identical results.  The two share only
-   their setup, output recording, send check and result assembly.
+   semantics now) as a differential-testing oracle: it fills a bitset
+   with [Adversary.choose] and tests membership while it delivers.  For
+   any config and body whose detector honours its declared
+   [stabilizes_at], [run] and [run_reference] must produce identical
+   results.  The two share only their setup, output recording, send
+   check and result assembly.
 
    The functor is parameterised by the message type so each algorithm gets
    a typed payload; [size_bits] lets the engine enforce the model's bound b
@@ -588,8 +595,8 @@ module Make (M : MESSAGE) = struct
        the sink's ring buffer — it reads no RNG and mutates no engine
        state, so a traced run is byte-identical to an untraced one.  A
        sink keeps the resume in one slice, so Decide events come out in
-       step order, as it keeps delivery scalar and the adversary on
-       [choose]. *)
+       step order, as it keeps delivery scalar and every round on
+       [Adversary.visit]. *)
     let tracing, emit =
       match cfg.sink with
       | Some s -> (true, fun e -> Events.emit s e)
@@ -731,12 +738,14 @@ module Make (M : MESSAGE) = struct
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
-       its message. *)
+       its message.  [touch u v _] counts [u]'s message at [v]; it takes
+       (and ignores) an edge id so that it is itself the visitor a
+       [Chosen] round hands [Adversary.visit]. *)
     let recv_count = Array.make nn 0 in
     let recv_from = Array.make nn (-1) in
     let touched = Array.make (max 1 nn) 0 in
     let n_touched = ref 0 in
-    let touch u v =
+    let touch u v (_ : int) =
       if recv_count.(v) = 0 then begin
         touched.(!n_touched) <- v;
         incr n_touched;
@@ -746,7 +755,6 @@ module Make (M : MESSAGE) = struct
     in
     let bcast = Array.make (max 1 nn) 0 in
     let n_bcast = ref 0 in
-    let gray_active = Bitset.create (max 1 (Dual.gray_count dual)) in
     (* Word-parallel delivery kernel scratch.  On a dense round the
        once/twice saturating accumulators classify every node at once —
        receives = once ∧ ¬twice ∧ listeners, collisions = twice ∧
@@ -807,46 +815,46 @@ module Make (M : MESSAGE) = struct
     (* Receive buffer; all-[Silence] between rounds (entries are reset as
        they are consumed by the resume phase). *)
     let receives = Array.make nn Silence in
-    (* Scalar hand-off of the unique sender's message to receiver [v].
-       The sender's [Recv m] is built at its first delivery and kept in
-       the sender's own receive slot, which nothing else writes before
-       the end of delivery overwrites it with [Own]: one [Recv m] per
-       sender, shared by its receivers, as in the kernel. *)
-    let hand_off v =
-      let u = recv_from.(v) in
-      let m =
-        match receives.(u) with
-        | Recv _ as m -> m
-        | Own | Silence ->
-          let m = Recv (payload sends.(u)) in
-          receives.(u) <- m;
-          m
-      in
-      receives.(v) <- m
+    (* Broadcaster [u]'s [Recv m], built at its first delivery and kept
+       in [u]'s own receive slot, which nothing else writes before the
+       end of delivery overwrites it with [Own]: one [Recv m] per
+       sender, shared by its receivers, on either delivery path. *)
+    let sender_recv u =
+      match receives.(u) with
+      | Recv _ as m -> m
+      | Own | Silence ->
+        let m = Recv (payload sends.(u)) in
+        receives.(u) <- m;
+        m
     in
-    (* The dense kernel's gray reach: a broadcaster's packed CSR
-       incidence row filtered by this round's [gray_active], O(gray
-       incidence).  [scatter_gray] feeds the accumulator pair through
-       [iter_gray_adj] and a visitor built once per run (on the dense
-       rows this path serves, its unchecked inner loop beats indexing
-       the row through the accessors). *)
-    let scatter_gray_edge v e =
-      if Bitset.mem gray_active e then Bitset.acc2_add ~once:k_once ~twice:k_twice v
+    (* Scalar hand-off of the unique sender's message to receiver [v]. *)
+    let hand_off v = receives.(v) <- sender_recv recv_from.(v) in
+    (* Visitors handed to [Adversary.visit] on a [Chosen] round, built
+       once per run.  The scalar path touches each visited receiver; a
+       traced run also counts the distinct active edges for its [Gray]
+       event: an edge with one broadcasting end is visited once, and
+       one joining two broadcasters (both [st_send]) is deduplicated. *)
+    let n_gray = ref 0 in
+    let gray_seen = Hashtbl.create 16 in
+    let touch_gray =
+      if not tracing then touch
+      else fun u v e ->
+        if Bytes.unsafe_get state v <> st_send then incr n_gray
+        else if not (Hashtbl.mem gray_seen e) then begin
+          Hashtbl.add gray_seen e ();
+          incr n_gray
+        end;
+        touch u v e
     in
-    let scatter_gray u = Dual.iter_gray_adj scatter_gray_edge dual u in
-    (* The kernel's second sweep hands [!sweep_recv], the current
-       broadcaster's [Recv m], to the receivers in [k_recv] it reaches:
-       on its adjacency row through [assign_recv], a visitor built once
-       per run, and on its active gray edges through [assign_gray]. *)
+    (* The kernel's first sweep feeds the accumulator pair from the
+       visit; its second sweep hands [!sweep_recv], the current
+       broadcaster's [Recv m], to the receivers in [k_recv] on its
+       adjacency row through [assign_recv], and revisits the round's
+       active gray edges through [assign_gray]. *)
+    let acc_gray _ v _ = Bitset.acc2_add ~once:k_once ~twice:k_twice v in
     let sweep_recv = ref Silence in
     let assign_recv v = receives.(v) <- !sweep_recv in
-    let assign_gray u =
-      for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-        let v = Dual.gray_nbr_at dual i in
-        if Bitset.mem gray_active (Dual.gray_id_at dual i) && Bitset.mem k_recv v then
-          receives.(v) <- !sweep_recv
-      done
-    in
+    let assign_gray u v _ = if Bitset.mem k_recv v then receives.(v) <- sender_recv u in
     (* Resume fiber [v] at the end of round [r]: a synced fiber with its
        receive, a parked one with the [Recv m] that woke it (its stretch
        index written to its park slot first) or with [Silence] when its
@@ -969,28 +977,27 @@ module Make (M : MESSAGE) = struct
       if !n_bcast = 0 then c.silent <- c.silent + 1;
       p_stop Timing.Collect
     in
-    (* 3. The adversary declares the round's reach; on a [Chosen] round it
-       picks the gray edges that behave reliably, from a stream derived
-       fresh for this round.  Tracing keeps every round on [choose], so
-       its [Gray] events are those of the oracle. *)
+    (* 3. The adversary declares the round's reach.  A [Chosen] round
+       only derives its stream here, fresh for this round: delivery
+       draws the gray edges that behave reliably inside
+       [Adversary.visit], so its draws are timed under [Deliver].
+       Tracing keeps every round on [visit], so its [Gray] events are
+       those of the oracle's [choose]. *)
     let adversary rs =
       if !n_bcast > 0 then begin
-        let broadcasters = rs.broadcasters in
         rs.reach <-
-          (if tracing then Adversary.Chosen else Adversary.reach cfg.adversary ~broadcasters);
+          (if tracing then Adversary.Chosen
+           else Adversary.reach cfg.adversary ~broadcasters:rs.broadcasters);
         if rs.reach <> Adversary.Chosen then incr declared_rounds
         else begin
           p_start ();
-          Bitset.clear gray_active;
           Rng.derive_into adv_rng ~parent:c.adv_root rs.r;
-          Adversary.choose cfg.adversary ~round:rs.r ~broadcasters dual adv_rng gray_active;
-          if tracing then begin
-            let active = Bitset.cardinal gray_active and total = Dual.gray_count dual in
-            emit { Events.round = rs.r; proc = -1; kind = Gray { active; total } }
-          end;
           p_stop Timing.Adversary
         end
       end
+    in
+    let visit rs f =
+      Adversary.visit cfg.adversary ~round:rs.r ~broadcasters:rs.broadcasters dual adv_rng f
     in
     (* The delivery kernel wins when the broadcasters' reach — their G
        degrees, plus their gray degrees on a round that reaches gray
@@ -1006,12 +1013,13 @@ module Make (M : MESSAGE) = struct
       !sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
     in
     (* Reach as word-parallel row ORs: N_G'(u) on an [All_incident]
-       round, else N_G(u) plus, on a [Chosen] round, the active gray
-       edges through the packed CSR incidence.  The second sweep hands
-       each receiver its sender's message; the sender is unique because
-       an exactly-one-sender node lies in exactly one broadcaster's
-       reach set.  It is skipped outright when nobody received (the
-       common case under heavy contention). *)
+       round, else N_G(u) plus, on a [Chosen] round, the edges the
+       adversary's visit reaches.  The second sweep hands each receiver
+       its sender's message; the sender is unique because an
+       exactly-one-sender node lies in exactly one broadcaster's reach
+       set.  It is skipped outright when nobody received (the common
+       case under heavy contention); otherwise a [Chosen] round
+       re-derives the same stream and revisits the same edges. *)
     let deliver_kernel rs =
       let rows =
         if rs.reach = Adversary.All_incident then Dual.reach_rows dual else Graph.adj_rows g
@@ -1020,43 +1028,48 @@ module Make (M : MESSAGE) = struct
       Bitset.clear k_once;
       Bitset.clear k_twice;
       for j = 0 to !n_bcast - 1 do
-        let u = rs.broadcasters.(j) in
-        Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(u);
-        if chosen then scatter_gray u
+        Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(rs.broadcasters.(j))
       done;
+      if chosen then visit rs acc_gray;
       if kernel_classify () then begin
         for j = 0 to !n_bcast - 1 do
           let u = rs.broadcasters.(j) in
           (* one [Recv m] shared by all of [u]'s receivers *)
-          sweep_recv := Recv (payload sends.(u));
-          Bitset.iter_inter assign_recv rows.(u) k_recv;
-          if chosen then assign_gray u
+          sweep_recv := sender_recv u;
+          Bitset.iter_inter assign_recv rows.(u) k_recv
         done;
+        if chosen then begin
+          Rng.derive_into adv_rng ~parent:c.adv_root rs.r;
+          visit rs assign_gray
+        end;
         Bitset.iter_inter push_woken k_recv k_listen
       end
     in
-    (* Per-edge touches along G and the round's gray reach, then one pass
-       over the touched nodes.  Every synced or parked fiber listens:
+    (* Per-edge touches along G, then along the round's gray reach (on a
+       [Chosen] round, inside the adversary's visit), then one pass over
+       the touched nodes.  Every synced or parked fiber listens:
        [idle]rs discard the message, [listen]ers wake with it. *)
     let deliver_scalar rs =
       n_touched := 0;
       for j = 0 to !n_bcast - 1 do
         let u = rs.broadcasters.(j) in
         for i = Graph.row_lo g u to Graph.row_hi g u - 1 do
-          touch u (Graph.nbr_at g i)
+          touch u (Graph.nbr_at g i) 0
         done;
-        match rs.reach with
-        | Adversary.No_gray -> ()
-        | Adversary.All_incident ->
+        if rs.reach = Adversary.All_incident then
           for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-            touch u (Dual.gray_nbr_at dual i)
-          done
-        | Adversary.Chosen ->
-          for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-            if Bitset.mem gray_active (Dual.gray_id_at dual i) then
-              touch u (Dual.gray_nbr_at dual i)
+            touch u (Dual.gray_nbr_at dual i) 0
           done
       done;
+      if rs.reach = Adversary.Chosen then begin
+        visit rs touch_gray;
+        if tracing then begin
+          let active = !n_gray and total = Dual.gray_count dual in
+          emit { Events.round = rs.r; proc = -1; kind = Gray { active; total } };
+          n_gray := 0;
+          Hashtbl.clear gray_seen
+        end
+      end;
       for i = 0 to !n_touched - 1 do
         let v = touched.(i) in
         let s = Bytes.unsafe_get state v in

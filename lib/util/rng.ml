@@ -63,12 +63,18 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   bits t mod bound
 
-(* 53 uniform bits mapped to [0, 1). *)
-let[@inline always] unit_float t =
-  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
+(* 53 uniform bits, as an exact float in [0, 2^53). *)
+let[@inline always] bits53 t = Int64.to_float (Int64.shift_right_logical (next t) 11)
 
-let float t = unit_float t
-let bool t p = unit_float t < p
+(* Mapped to [0, 1). *)
+let float t = bits53 t /. 0x1p53
+
+(* [bits53 t < p *. 2^53] is [float t < p] for every [p]: scaling both
+   sides by 2^53 is exact (no overflow below [p] = 2^971, whose product
+   rounds to [infinity], still above every draw; a subnormal [p] scales
+   up exactly), and [nan] compares false either way.  It saves the
+   division. *)
+let bool t p = bits53 t < p *. 0x1p53
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

@@ -8,6 +8,10 @@
     NTP slews and wall-clock jumps — the same clock family bench uses),
     which is plenty to tell which phase of the round loop dominates. *)
 
+(** The round loop's phases.  [Adversary] times only the derivation of
+    a [Chosen] round's stream: the adversary's draws run inside
+    delivery's walk and are timed under [Deliver], so [Adversary]
+    reads about 0. *)
 type section = Wake | Collect | Adversary | Deliver | Resume
 
 val enabled : unit -> bool

@@ -770,10 +770,10 @@ let test_alloc_deliveries () =
 (* Each node broadcasts w.p. 0.03 for 30 rounds, logging every sender it
    hears: ~2 expected senders per 64-neighbourhood, so deliveries and
    collisions both occur in quantity. *)
-let beacon rounds ctx =
+let beacon ?(p = 0.03) rounds ctx =
   let heard = ref [] in
   for _ = 1 to rounds do
-    match E.sync_p ctx 0.03 (E.me ctx) with
+    match E.sync_p ctx p (E.me ctx) with
     | E.Recv src -> heard := src :: !heard
     | E.Own | E.Silence -> ()
   done;
@@ -956,6 +956,243 @@ let prop_jamming_scan =
       done;
       true)
 
+(* --- visit: every policy's walk against choose and the scans ------------ *)
+
+(* The oracles: [bernoulli] and [harassing] as the bitset [choose] they
+   had before they visited, broadcasters ascending and each gray row in
+   [Dual.gray_adj] order: one draw per incidence ([harassing]), or per
+   incidence whose edge a lower broadcaster does not own ([bernoulli]). *)
+let bernoulli_scan p ~broadcasters dual rng active =
+  let bcast = Array.make (Dual.n dual) false in
+  Array.iter (fun u -> bcast.(u) <- true) broadcasters;
+  Array.iter
+    (fun u ->
+      Array.iter
+        (fun (v, id) ->
+          if (not (v < u && bcast.(v))) && Rng.bool rng p then Bitset.add active id)
+        (Dual.gray_adj dual u))
+    broadcasters
+
+let harassing_scan p ~broadcasters dual rng active =
+  Array.iter
+    (fun u ->
+      Array.iter
+        (fun (_, id) -> if Rng.bool rng p then Bitset.add active id)
+        (Dual.gray_adj dual u))
+    broadcasters
+
+(* A custom policy whose set reaches past the broadcasters' rows: every
+   third gray edge id, shifted by the round. *)
+let custom_thirds =
+  Adversary.custom ~name:"custom thirds" (fun ~round ~broadcasters:_ dual _ active ->
+      for e = 0 to Dual.gray_count dual - 1 do
+        if (e + round) mod 3 = 0 then Bitset.add active e
+      done)
+
+(* Every policy with the scan it must equal, if it has one. *)
+let visit_policies =
+  Array.append
+    (Array.map
+       (fun (name, adv) ->
+         let scan =
+           match name with
+           | "bernoulli 0.5" -> Some (bernoulli_scan 0.5)
+           | "bernoulli 0.9" -> Some (bernoulli_scan 0.9)
+           | "harassing 0.7" -> Some (harassing_scan 0.7)
+           | "jamming" ->
+             Some (fun ~broadcasters dual _ active -> jamming_scan ~broadcasters dual active)
+           | _ -> None
+         in
+         (name, adv, scan))
+       adversaries)
+    [|
+      ("harassing 0.5", Adversary.harassing 0.5, Some (harassing_scan 0.5));
+      ("custom thirds", custom_thirds, None);
+    |]
+
+(* [k] distinct nodes of [0, n), ascending. *)
+let distinct_nodes rng n k =
+  let picked = Array.make n false and l = ref [] in
+  while List.length !l < k do
+    let v = Rng.int rng n in
+    if not picked.(v) then begin
+      picked.(v) <- true;
+      l := v :: !l
+    end
+  done;
+  Array.of_list (List.sort compare !l)
+
+(* On random duals with 0, 1, 2 and many broadcasters, for every policy:
+   each visited [(u, v, e)] has [u] broadcasting and [e] joining [u] and
+   [v], at most once per [(u, e)]; a second visit on the re-derived
+   stream repeats the first; [choose] adds exactly the visited edges and
+   leaves the stream where [visit] did; and [choose] equals the policy's
+   scan, stream included.  The custom policy's [choose] is its own set
+   cut to the broadcasters' gray rows. *)
+let prop_visit =
+  QCheck.Test.make ~name:"visit = choose = scan" ~count:150 QCheck.(small_nat)
+    (fun case ->
+      let rng = Rng.create (0x7151 + case) in
+      let n = 2 + Rng.int rng 60 in
+      let dual =
+        random_dual ~n ~rel_w:(1 + Rng.int rng 4) ~gray_w:(Rng.int rng 6) (Rng.bits rng)
+      in
+      let ng = max 1 (Dual.gray_count dual) in
+      let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
+      let fail pname round nb what =
+        QCheck.Test.fail_reportf "%s: %s at n=%d round=%d (#bcast=%d)" pname what n round nb
+      in
+      List.iteri
+        (fun round broadcasters ->
+          let nb = Array.length broadcasters in
+          let bcast = Array.make n false in
+          Array.iter (fun u -> bcast.(u) <- true) broadcasters;
+          let incident = Bitset.create ng in
+          Array.iter
+            (fun u ->
+              Array.iter (fun (_, id) -> Bitset.add incident id) (Dual.gray_adj dual u))
+            broadcasters;
+          Array.iter
+            (fun (pname, adv, scan) ->
+              let fail = fail pname round nb in
+              let visits () =
+                let stream = Rng.derive adv_root round in
+                let l = ref [] in
+                Adversary.visit adv ~round ~broadcasters dual stream (fun u v e ->
+                    l := (u, v, e) :: !l);
+                (List.rev !l, Rng.bits stream)
+              in
+              let visited, after = visits () in
+              if visits () <> (visited, after) then fail "a second visit differs";
+              let seen = Hashtbl.create 16 in
+              List.iter
+                (fun (u, v, e) ->
+                  if not bcast.(u) then fail (Printf.sprintf "visited from listener %d" u);
+                  if (Dual.gray_u dual e, Dual.gray_v dual e) <> (min u v, max u v) then
+                    fail (Printf.sprintf "edge %d does not join %d and %d" e u v);
+                  if Hashtbl.mem seen (u, e) then
+                    fail (Printf.sprintf "edge %d visited twice from %d" e u);
+                  Hashtbl.add seen (u, e) ())
+                visited;
+              let visited_set = Bitset.create ng in
+              List.iter (fun (_, _, e) -> Bitset.add visited_set e) visited;
+              let choose_stream = Rng.derive adv_root round in
+              let chosen = Bitset.create ng in
+              Adversary.choose adv ~round ~broadcasters dual choose_stream chosen;
+              if not (Bitset.equal chosen visited_set) then fail "choose <> visited set";
+              if Rng.bits choose_stream <> after then fail "choose and visit end apart";
+              (match scan with
+              | Some scan ->
+                let scan_stream = Rng.derive adv_root round in
+                let scanned = Bitset.create ng in
+                scan ~broadcasters dual scan_stream scanned;
+                if not (Bitset.equal chosen scanned) then fail "choose <> scan";
+                if Rng.bits scan_stream <> after then fail "scan and visit end apart"
+              | None -> ());
+              if pname = "custom thirds" then begin
+                let own = Bitset.create ng in
+                for e = 0 to Dual.gray_count dual - 1 do
+                  if (e + round) mod 3 = 0 && Bitset.mem incident e then Bitset.add own e
+                done;
+                if not (Bitset.equal chosen own) then fail "custom <> its set on the rows"
+              end)
+            visit_policies)
+        [ [||]; distinct_nodes rng n 1; distinct_nodes rng n 2; random_broadcasters rng n ];
+      true)
+
+(* [Chosen] rounds on the delivery kernel with receivers: a 0.03 beacon
+   on a circulant reliable to ±1..32 and gray to ±33..56, n = 512.
+   Nearly every round with broadcasters is priced above the kernel's
+   sweeps, and some nodes hear exactly one sender in each, so the second sweep
+   runs: it re-derives the round's stream and revisits the adversary's
+   gray edges to hand out receives ([bernoulli] and [harassing] deliver
+   over them; [jamming] only ever collides). *)
+let test_kernel_chosen_receivers () =
+  let n = 512 in
+  let dual = circulant ~n ~rel:32 ~gray:24 in
+  let over_gray v src =
+    let d = abs (v - src) in
+    min d (n - d) > 32
+  in
+  List.iter
+    (fun (name, adversary, helps) ->
+      let r, p =
+        agree_e ~what:name
+          (fun sink ->
+            E.config ~adversary ~seed:13 ~stop:(At_round 30) ?sink ~detector:(perfect dual)
+              dual)
+          (beacon ~p:0.03 30)
+      in
+      let busy = r.E.rounds - r.E.stats.silent_rounds in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: most busy rounds on the kernel (%d of %d)" name p.deliver busy)
+        true
+        (2 * p.deliver > busy);
+      Alcotest.(check bool) (name ^ ": deliveries happened") true (r.E.stats.deliveries > 0);
+      Alcotest.(check int) (name ^ ": no declared round") 0 p.declared;
+      let gray_receives = ref 0 in
+      Array.iteri
+        (fun v heard ->
+          List.iter
+            (fun src -> if over_gray v src then incr gray_receives)
+            (Option.value ~default:[] heard))
+        r.E.returns;
+      Alcotest.(check bool) (name ^ ": received over gray edges") helps (!gray_receives > 0))
+    [
+      ("bernoulli 0.5", Adversary.bernoulli 0.5, true);
+      ("harassing 0.5", Adversary.harassing 0.5, true);
+      ("jamming", Adversary.jamming, false);
+    ]
+
+(* A traced run's [Gray] event counts the distinct gray edges [choose]
+   adds for the round's broadcasters, read back from its [Broadcast]
+   events.  On a gray band of width 6 a 0.3 beacon has many gray edges
+   joining two broadcasters, which [harassing] can visit from both
+   ends. *)
+let test_traced_gray_counts () =
+  let dual = circulant ~n:128 ~rel:2 ~gray:6 in
+  let seed = 17 in
+  let adv_root = Rng.derive (Rng.create seed) 0x5EED in
+  List.iter
+    (fun (name, adversary) ->
+      let sink = Events.create () in
+      let cfg =
+        E.config ~adversary ~seed ~stop:(At_round 20) ~sink ~detector:(perfect dual) dual
+      in
+      ignore (E.run cfg (beacon ~p:0.3 20));
+      let events = Events.events sink in
+      let grays = ref 0 in
+      List.iter
+        (fun (ev : Events.event) ->
+          match ev.kind with
+          | Gray { active; total } ->
+            incr grays;
+            let broadcasters =
+              List.filter_map
+                (fun (b : Events.event) ->
+                  match b.kind with
+                  | Broadcast _ when b.round = ev.round -> Some b.proc
+                  | _ -> None)
+                events
+              |> List.sort compare |> Array.of_list
+            in
+            let chosen = Bitset.create (Dual.gray_count dual) in
+            Adversary.choose adversary ~round:ev.round ~broadcasters dual
+              (Rng.derive adv_root ev.round) chosen;
+            Alcotest.(check int)
+              (Printf.sprintf "%s round %d: active" name ev.round)
+              (Bitset.cardinal chosen) active;
+            Alcotest.(check int) (name ^ ": total") (Dual.gray_count dual) total
+          | _ -> ())
+        events;
+      Alcotest.(check int) (name ^ ": one Gray event per round") 20 !grays)
+    [
+      ("bernoulli 0.5", Adversary.bernoulli 0.5);
+      ("harassing 0.5", Adversary.harassing 0.5);
+      ("jamming", Adversary.jamming);
+      ("custom thirds", custom_thirds);
+    ]
+
 (* What each policy must declare with [nb] broadcasters. *)
 let expected_reach name nb =
   match name with
@@ -992,17 +1229,7 @@ let prop_declared_reach =
       in
       let ng = max 1 (Dual.gray_count dual) in
       let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
-      let distinct k =
-        let picked = Array.make n false and l = ref [] in
-        while List.length !l < k do
-          let v = Rng.int rng n in
-          if not picked.(v) then begin
-            picked.(v) <- true;
-            l := v :: !l
-          end
-        done;
-        Array.of_list (List.sort compare !l)
-      in
+      let distinct = distinct_nodes rng n in
       List.iteri
         (fun round broadcasters ->
           let incident = Bitset.create ng in
@@ -1474,6 +1701,8 @@ let () =
               qtest prop_kernel_mis;
               Alcotest.test_case "circulant n=512 pin" `Quick test_kernel_n512;
               Alcotest.test_case "circulant n=512 gray-band pin" `Quick test_kernel_n512_gray;
+              Alcotest.test_case "chosen rounds: kernel with receivers" `Quick
+                test_kernel_chosen_receivers;
             ] );
         ] );
       ( "engine-paths-adversary",
@@ -1481,6 +1710,8 @@ let () =
           ( "choose",
             [
               qtest prop_jamming_scan;
+              qtest prop_visit;
+              Alcotest.test_case "traced Gray counts = choose" `Quick test_traced_gray_counts;
               qtest prop_declared_reach;
               Alcotest.test_case "kernel availability flags" `Quick test_kernel_flags;
               Alcotest.test_case "circulant n=600 pin" `Quick test_circulant_pin;

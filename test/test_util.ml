@@ -182,6 +182,43 @@ let prop_rng_ref_interleaved =
           | Bool p -> Rng.bool t p = Rng_ref.bool r p)
         draws)
 
+(* [Rng.bool] compares the 53-bit draw with [p *. 2^53]; [Rng_ref.bool]
+   divides the draw by 2^53 first.  10^6 draws at each edge case of [p]
+   (zeros, subnormals, 1 and its neighbours, values above 1 up to the
+   overflow of the product, infinities, nan) give the same booleans and
+   leave the same state. *)
+let test_rng_bool_scaled () =
+  List.iter
+    (fun p ->
+      let t = Rng.create 11 and r = Rng_ref.create 11 in
+      let same = ref 0 in
+      for _ = 1 to 1_000_000 do
+        if Rng.bool t p = Rng_ref.bool r p then incr same
+      done;
+      check Alcotest.int (Printf.sprintf "p=%h: same booleans" p) 1_000_000 !same;
+      check Alcotest.bool (Printf.sprintf "p=%h: same final state" p) true (same_bits t r))
+    [
+      0.0;
+      -0.0;
+      Float.succ 0.0;
+      Float.pred Float.min_float;
+      Float.min_float;
+      0x1p-53;
+      Float.succ 0x1p-53;
+      0.25;
+      0.5;
+      Float.pred 1.0;
+      1.0;
+      Float.succ 1.0;
+      2.0;
+      0x1p971;
+      Float.max_float;
+      infinity;
+      -1.0;
+      neg_infinity;
+      nan;
+    ]
+
 let prop_rng_ref_permutation =
   QCheck.Test.make ~name:"permutation and shuffle_in_place = reference" ~count:300
     QCheck.(triple int (int_range 0 300) (list small_int))
@@ -779,6 +816,7 @@ let () =
           qtest prop_rng_shuffle_multiset;
           qtest prop_rng_ref_derive;
           qtest prop_rng_ref_interleaved;
+          Alcotest.test_case "bool = scaled comparison" `Quick test_rng_bool_scaled;
           qtest prop_rng_ref_permutation;
           qtest prop_rng_skip;
           Alcotest.test_case "skip negative" `Quick test_rng_skip_negative;
