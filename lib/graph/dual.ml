@@ -249,32 +249,38 @@ let make_packed ?pos ?(d = 2.0) ~g ~gray_pk () =
 
 let make ?pos ?(d = 2.0) ~g ~gray () =
   let n = Graph.n g in
-  (* Canonicalise/dedup as packed ints, like [Graph.of_edges]: ascending
-     packed order is exactly the lexicographic order the dense gray-edge
-     ids must follow (adversary policies draw per edge id), and
-     [Int_sort.packed] reaches it in O(len + n) plus per-node sorts —
-     the lower-bound networks carry Θ(β²) gray keys. *)
-  let gray_pk =
-    let a =
-      Array.of_list
-        (List.map
-           (fun (u, v) ->
-             if u = v || u < 0 || v < 0 || u >= n || v >= n then
-               invalid_arg "Dual.make: bad gray edge";
-             if u < v then (u * n) + v else (v * n) + u)
-           gray)
-    in
-    Rn_util.Int_sort.packed ~n a;
-    let k = ref 0 in
-    Array.iteri
-      (fun i e ->
-        if (i = 0 || a.(i - 1) <> e) && not (Graph.mem_edge g (e / n) (e mod n)) then begin
-          a.(!k) <- e;
-          incr k
-        end)
-      a;
-    Array.sub a 0 !k
+  (* Canonicalise as packed ints and let the graph builder sort and
+     dedup them row by row.  Reading its rows back, u ascending and only
+     the partners v > u, gives the keys in ascending packed order, which
+     the dense gray-edge ids must follow (adversary policies draw per
+     edge id); a merge walk along G's row u skips the reliable ones. *)
+  let h =
+    Graph.of_packed_unsorted n
+      (Array.of_list
+         (List.map
+            (fun (u, v) ->
+              if u = v || u < 0 || v < 0 || u >= n || v >= n then
+                invalid_arg "Dual.make: bad gray edge";
+              if u < v then (u * n) + v else (v * n) + u)
+            gray))
   in
+  let gray_pk = Array.make (Graph.edge_count h) 0 and k = ref 0 in
+  for u = 0 to n - 1 do
+    let j = ref (Graph.row_lo g u) and jhi = Graph.row_hi g u in
+    for i = Graph.row_lo h u to Graph.row_hi h u - 1 do
+      let v = Graph.nbr_at h i in
+      if v > u then begin
+        while !j < jhi && Graph.nbr_at g !j < v do
+          incr j
+        done;
+        if not (!j < jhi && Graph.nbr_at g !j = v) then begin
+          gray_pk.(!k) <- (u * n) + v;
+          incr k
+        end
+      end
+    done
+  done;
+  let gray_pk = if !k = Array.length gray_pk then gray_pk else Array.sub gray_pk 0 !k in
   make_packed ?pos ~d ~g ~gray_pk ()
 
 (* Gray incidence as bitsets over gray edge ids, freshly built: bit

@@ -8,12 +8,12 @@
    chasing a million tiny arrays — and iteration over a row is a plain
    int-array scan either way.
 
-   Builders hand in packed [u * n + v] edge keys in any order.  They are
-   sorted by [Rn_util.Int_sort.packed] in O(len + n): a counting pass
-   and an in-place cycle permutation bucket the keys by [u], and each
-   bucket (one node's ~degree keys) is sorted by an int introsort.  No
-   scratch the size of the key array is allocated, so the sort adds
-   only O(n) counters to peak memory.
+   Every constructor hands packed [u * n + v] edge keys, in any order,
+   to one builder ([build] below): it counts and scatters both
+   directions of each key straight into the CSR rows, then sorts only
+   the rows that are not already ascending and drops duplicates.  The
+   keys are never sorted as a whole and never written, and nothing the
+   size of the key array is allocated besides [nbr] itself.
 
    [rows] is a lazily-built bitset view of the same adjacency (one
    Bitset per node), used by the engine's word-parallel delivery kernel
@@ -36,13 +36,6 @@ type t = {
 
 let n t = t.n
 let edge_count t = t.m
-
-let make ~n ~off ~nbr ~m =
-  let maxdeg = ref 0 in
-  for v = 0 to n - 1 do
-    maxdeg := max !maxdeg (off.(v + 1) - off.(v))
-  done;
-  { n; off; nbr; m; maxdeg = !maxdeg; rows = Atomic.make None }
 
 (* The build lock is module-wide: row builds are rare (once per graph
    that ever sees a dense round) and the double-check under the lock
@@ -71,75 +64,92 @@ let adj_rows t =
 let check_node t v =
   if v < 0 || v >= t.n then invalid_arg "Graph: node out of range"
 
-(* Build from strictly-ascending packed keys (u * n + v, u < v), the
-   first [m] entries of [packed].  Filling adjacency in sorted-edge
-   order yields already-sorted rows: for node w, all (y, w) edges
-   precede all (w, x) ones, and within each group the partner ascends
-   (y < w < x), so no per-node sort is needed. *)
-let build_packed n packed m =
-  let off = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    off.(u + 1) <- off.(u + 1) + 1;
-    off.(v + 1) <- off.(v + 1) + 1
-  done;
-  for v = 0 to n - 1 do
-    off.(v + 1) <- off.(v + 1) + off.(v)
-  done;
-  let nbr = Array.make (2 * m) 0 in
-  let fill = Array.copy off in
-  for i = 0 to m - 1 do
-    let u = packed.(i) / n and v = packed.(i) mod n in
-    nbr.(fill.(u)) <- v;
-    fill.(u) <- fill.(u) + 1;
-    nbr.(fill.(v)) <- u;
-    fill.(v) <- fill.(v) + 1
-  done;
-  make ~n ~off ~nbr ~m
-
 let check_packable n = if n > 0x3FFF_FFFF then invalid_arg "Graph: n too large to pack edges"
 
-(* A canonical key [u * n + v] has [0 <= u < v < n]; with [n = 0] no key
-   is canonical (and none may be divided by n). *)
-let canonical n e = n > 0 && e >= 0 && e / n < e mod n
+(* The one CSR builder: every graph in the repository is made here, from
+   packed [u * n + v] keys ([0 <= u < v < n]) in any order, duplicates
+   allowed.  [who] names the caller in error messages; with [ascending]
+   the keys must also be strictly ascending.  [keys] is only read.
 
-let of_packed n packed =
-  if n < 0 then invalid_arg "Graph.of_packed: negative n";
+   Pass 1 validates each key with one division and counts both
+   endpoints into [off.(u)]; a prefix sum turns the counts into row
+   ends.  Pass 2 walks the keys backwards and fills each row from its
+   end, so a row receives its entries in key order: for ascending keys
+   every row (its smaller partners, then its larger ones) arrives
+   sorted.  Then, row by row, a row that is not ascending is sorted,
+   duplicates are dropped and the rows are compacted in place; [nbr] is
+   trimmed only if a duplicate was dropped.  Apart from [nbr] and the
+   O(n) offsets nothing is allocated. *)
+let build ~who ~ascending n keys =
+  if n < 0 then invalid_arg (who ^ ": negative n");
   check_packable n;
-  let m = Array.length packed in
-  for i = 0 to m - 1 do
-    let e = packed.(i) in
-    if not (canonical n e) then invalid_arg "Graph.of_packed: bad key";
-    if i > 0 && packed.(i - 1) >= e then invalid_arg "Graph.of_packed: keys not ascending"
-  done;
-  build_packed n packed m
-
-(* Sort-dedup-build from an unvalidated packed key array; mutates
-   [packed] in place (the builders that use this hold a scratch buffer
-   anyway).  This is the memory-lean construction path: no tuple list,
-   no intermediate copies beyond the caller's buffer. *)
-let of_packed_unsorted n packed =
-  if n < 0 then invalid_arg "Graph.of_packed_unsorted: negative n";
-  check_packable n;
-  let len = Array.length packed in
+  let len = Array.length keys in
+  let off = Array.make (n + 1) 0 in
   for i = 0 to len - 1 do
-    if not (canonical n packed.(i)) then invalid_arg "Graph.of_packed_unsorted: bad key"
+    let e = keys.(i) in
+    if n = 0 || e < 0 then invalid_arg (who ^ ": bad key");
+    let u = e / n in
+    let v = e - (u * n) in
+    if u >= v then invalid_arg (who ^ ": bad key");
+    if ascending && i > 0 && keys.(i - 1) >= e then invalid_arg (who ^ ": keys not ascending");
+    off.(u) <- off.(u) + 1;
+    off.(v) <- off.(v) + 1
   done;
-  Rn_util.Int_sort.packed ~n packed;
-  let m = ref 0 in
-  for i = 0 to len - 1 do
-    let e = packed.(i) in
-    if i = 0 || packed.(i - 1) <> e then begin
-      packed.(!m) <- e;
-      incr m
+  for v = 1 to n - 1 do
+    off.(v) <- off.(v) + off.(v - 1)
+  done;
+  off.(n) <- 2 * len;
+  let nbr = Array.make (2 * len) 0 in
+  for i = len - 1 downto 0 do
+    let e = keys.(i) in
+    let u = e / n in
+    let v = e - (u * n) in
+    let iu = off.(u) - 1 and iv = off.(v) - 1 in
+    off.(u) <- iu;
+    nbr.(iu) <- v;
+    off.(v) <- iv;
+    nbr.(iv) <- u
+  done;
+  (* Row v is nbr.(lo .. hi - 1) and moves down to start at [k]. *)
+  let k = ref 0 and lo = ref 0 and maxdeg = ref 0 in
+  for v = 0 to n - 1 do
+    let lo_v = !lo and hi = off.(v + 1) in
+    off.(v) <- !k;
+    lo := hi;
+    let i = ref (lo_v + 1) in
+    while !i < hi && nbr.(!i - 1) < nbr.(!i) do
+      incr i
+    done;
+    if !i >= hi then begin
+      if !k < lo_v then Array.blit nbr lo_v nbr !k (hi - lo_v);
+      k := !k + hi - lo_v
     end
+    else begin
+      while !i < hi && nbr.(!i - 1) <= nbr.(!i) do
+        incr i
+      done;
+      if !i < hi then Rn_util.Int_sort.sort_range nbr lo_v hi;
+      let prev = ref (-1) in
+      for j = lo_v to hi - 1 do
+        let x = nbr.(j) in
+        if x <> !prev then begin
+          nbr.(!k) <- x;
+          incr k;
+          prev := x
+        end
+      done
+    end;
+    maxdeg := max !maxdeg (!k - off.(v))
   done;
-  build_packed n packed !m
+  off.(n) <- !k;
+  let nbr = if !k = 2 * len then nbr else Array.sub nbr 0 !k in
+  { n; off; nbr; m = !k / 2; maxdeg = !maxdeg; rows = Atomic.make None }
 
-(* Edges are canonicalised as packed ints and go through
-   [of_packed_unsorted]: sorting an unboxed int array is far faster than
-   [List.sort_uniq] on tuples, and input that is already sorted (e.g.
-   re-building from [edges t]) costs one scan, not a sort. *)
+let of_packed n keys = build ~who:"Graph.of_packed" ~ascending:true n keys
+let of_packed_unsorted n keys = build ~who:"Graph.of_packed_unsorted" ~ascending:false n keys
+
+(* Edges are canonicalised as packed ints and go through the builder,
+   which sorts only the rows that are not already ascending. *)
 let of_edges n edges =
   if n < 0 then invalid_arg "Graph.of_edges: negative n";
   check_packable n;
@@ -221,49 +231,25 @@ let fold_nodes f t init =
   done;
   !acc
 
-(* [union a b] has an edge wherever either graph does.  Both CSR rows
-   are already sorted and duplicate-free, so a per-node merge avoids the
-   edge-list rebuild and re-sort of [of_edges]. *)
+(* Write [t]'s edges as ascending packed keys into [dst], [t.m] slots
+   from [at]. *)
+let blit_keys t dst at =
+  let k = ref at in
+  iter_edges
+    (fun u v ->
+      dst.(!k) <- (u * t.n) + v;
+      incr k)
+    t
+
+(* [union a b] has an edge wherever either graph does: both key sets go
+   to the builder, whose row pass sorts each merged row and drops the
+   edges the two share. *)
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: size mismatch";
-  let cap = Array.length a.nbr + Array.length b.nbr in
-  let nbr = Array.make (max cap 1) 0 in
-  let off = Array.make (a.n + 1) 0 in
-  let k = ref 0 in
-  for v = 0 to a.n - 1 do
-    let i = ref a.off.(v) and j = ref b.off.(v) in
-    let ihi = a.off.(v + 1) and jhi = b.off.(v + 1) in
-    while !i < ihi && !j < jhi do
-      let xv = a.nbr.(!i) and yv = b.nbr.(!j) in
-      if xv < yv then begin
-        nbr.(!k) <- xv;
-        incr i
-      end
-      else if yv < xv then begin
-        nbr.(!k) <- yv;
-        incr j
-      end
-      else begin
-        nbr.(!k) <- xv;
-        incr i;
-        incr j
-      end;
-      incr k
-    done;
-    while !i < ihi do
-      nbr.(!k) <- a.nbr.(!i);
-      incr i;
-      incr k
-    done;
-    while !j < jhi do
-      nbr.(!k) <- b.nbr.(!j);
-      incr j;
-      incr k
-    done;
-    off.(v + 1) <- !k
-  done;
-  let nbr = if !k = cap then nbr else Array.sub nbr 0 (max !k 1) in
-  make ~n:a.n ~off ~nbr ~m:(!k / 2)
+  let keys = Array.make (a.m + b.m) 0 in
+  blit_keys a keys 0;
+  blit_keys b keys a.m;
+  of_packed_unsorted a.n keys
 
 (* [is_subgraph a b]: every edge of [a] is an edge of [b]. *)
 let is_subgraph a b =
@@ -276,20 +262,17 @@ let is_subgraph a b =
 
 (* [induced t keep] restricts to nodes where [keep] holds (same node ids). *)
 let induced t keep =
-  let buf = ref [] in
   let cnt = ref 0 in
+  iter_edges (fun u v -> if keep u && keep v then incr cnt) t;
+  let keys = Array.make !cnt 0 and k = ref 0 in
   iter_edges
     (fun u v ->
       if keep u && keep v then begin
-        buf := ((u * t.n) + v) :: !buf;
-        incr cnt
+        keys.(!k) <- (u * t.n) + v;
+        incr k
       end)
     t;
-  let packed = Array.make !cnt 0 in
-  (* [iter_edges] visits in ascending packed order and the list was
-     built by consing, so unreverse while filling. *)
-  List.iteri (fun i e -> packed.(!cnt - 1 - i) <- e) !buf;
-  build_packed t.n packed !cnt
+  of_packed t.n keys
 
 let pp ppf t =
   Fmt.pf ppf "graph(n=%d, m=%d)" t.n t.m

@@ -7,14 +7,15 @@ type t
 val of_edges : int -> (int * int) list -> t
 
 (** [of_packed n keys] builds a graph from edges encoded as strictly
-    ascending [u * n + v] keys with [u < v] — the fast path for builders
-    (e.g. {!Dual.make}) that already hold canonicalised sorted edges.
-    Raises [Invalid_argument] on malformed or out-of-order keys. *)
+    ascending [u * n + v] keys with [u < v], for builders that already
+    hold canonicalised sorted edges.  Raises [Invalid_argument] on
+    malformed or out-of-order keys. *)
 val of_packed : int -> int array -> t
 
-(** Like {!of_packed} but sorts and deduplicates the keys first,
-    mutating the input array in place — the memory-lean path for
-    generators that accumulate packed edges into a scratch buffer. *)
+(** Like {!of_packed} but the keys may come in any order and repeat;
+    duplicates are collapsed.  The input array is left unchanged, and
+    nothing proportional to its length is allocated beyond the graph's
+    own adjacency.  Raises [Invalid_argument] on a malformed key. *)
 val of_packed_unsorted : int -> int array -> t
 
 val n : t -> int

@@ -69,7 +69,21 @@ type row = {
   sends : int;
   deliveries : int;
   collisions : int;
+  world_mb : float; (* [Obj.reachable_words] of the dual, as MB *)
+  promoted_words : float; (* [Gc.quick_stat] delta over the run, every domain *)
+  hwm_mb : float; (* VmHWM after the point, nan where /proc is missing *)
 }
+
+(* Peak resident set size (VmHWM) of this process in MB, or [nan]. *)
+let vm_hwm_mb () =
+  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+  | exception Sys_error _ -> Float.nan
+  | status ->
+    String.split_on_char '\n' status
+    |> List.find_map (fun l ->
+           try Some (Scanf.sscanf l "VmHWM: %d kB" (fun kb -> float_of_int kb /. 1024.0))
+           with _ -> None)
+    |> Option.value ~default:Float.nan
 
 (* One grid point: generate the world, then run the beacon workload —
    every process syncs with probability [beacon_p] each round for
@@ -80,6 +94,7 @@ let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n
   let t0 = Timing.now () in
   let dual = geometric ~seed:(0x5CA1E + n) ~n ~degree:(degree_for n) () in
   let gen_s = Timing.now () -. t0 in
+  let world_words = Obj.reachable_words (Obj.repr dual) in
   let det = perfect_detector dual in
   (* Per-round wall time via the observer callback (called once per
      executed round): inter-callback deltas, bucketed like any other
@@ -110,12 +125,14 @@ let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n
      this run's records separate from whatever the process accumulated. *)
   let was = Metrics.enabled () in
   Metrics.set_enabled true;
+  let gc0 = Gc.quick_stat () in
   let (res, wall_s), snap =
     Metrics.scoped (fun () ->
         let t1 = Timing.now () in
         let r = run () in
         (r, Timing.now () -. t1))
   in
+  let gc1 = Gc.quick_stat () in
   Metrics.set_enabled was;
   let bcast_hist =
     match List.assoc_opt "engine.round_broadcasters" snap.Metrics.hists with
@@ -136,6 +153,9 @@ let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n
     sends = res.E.stats.Rn_sim.Engine.sends;
     deliveries = res.E.stats.Rn_sim.Engine.deliveries;
     collisions = res.E.stats.Rn_sim.Engine.collisions;
+    world_mb = float_of_int (world_words * (Sys.word_size / 8)) /. 1e6;
+    promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
+    hwm_mb = vm_hwm_mb ();
   }
 
 let figure rows =
@@ -200,7 +220,7 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
     Table.create
       [
         "n"; "m"; "gray"; "gen(s)"; "sim(s)"; "rounds/s"; "bcast p50"; "round p50us";
-        "round p95us"; "deliveries";
+        "round p95us"; "deliveries"; "world MB"; "promoted Mw"; "VmHWM MB";
       ]
   in
   List.iter
@@ -217,12 +237,20 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
           Table.cell_int r.p50_round_us;
           Table.cell_int r.p95_round_us;
           Table.cell_int r.deliveries;
+          Table.cell_float ~digits:1 r.world_mb;
+          Table.cell_float ~digits:2 (r.promoted_words /. 1e6);
+          Table.cell_float ~digits:0 r.hwm_mb;
         ])
     rows;
   let ns = List.map (fun r -> float_of_int r.n) rows in
   (* An exponent needs at least two sizes to fit. *)
+  let memory =
+    "memory: world MB is the dual's reachable heap words; promoted Mw the words promoted \
+     during the run (all domains); VmHWM MB the process's peak RSS after the point, so it \
+     never falls along the grid"
+  in
   let notes =
-    if List.length rows < 2 then [ workload ]
+    if List.length rows < 2 then [ workload; memory ]
     else
       [
         note_power ~what:"world-gen seconds" ns
@@ -230,6 +258,7 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
         note_power ~what:"per-round seconds" ns
           (List.map (fun r -> Float.max (r.wall_s /. float_of_int beacon_rounds) 1e-6) rows);
         workload;
+        memory;
         "expect both exponents near 1 (log-degree growth adds ~0.1-0.3): gen is \
          O(n.deg) expected (hash grid), the kernel makes a dense round \
          O(reach/word + senders)";

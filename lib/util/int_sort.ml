@@ -1,24 +1,17 @@
-(* In-place int sorting for packed edge keys and broadcaster ids.
+(* In-place int sorting for adjacency rows and broadcaster ids.
 
-   World construction sorts millions of packed [u * n + v] keys, where
-   a closure call per comparison ([Array.sort]) dominates the build.
-   Here every comparison is an inline int compare, and packed keys are
-   first distributed into their [u] buckets by a counting pass and an
-   American-flag cycle permutation, so the comparison sorts only ever
-   see one bucket (a node's neighbours, ~degree keys).  Everything is
-   in place: the only allocation is the n + 1 bucket starts and n fill
-   pointers of [packed], never scratch the size of the key array, which
-   would show in peak RSS at scale.
+   World construction sorts the rows of graphs with millions of edges
+   ([Graph]'s builder sorts each row that is not already ascending) and
+   the geometric generator sorts each node's batch of partners, where a
+   closure call per comparison ([Array.sort]) would dominate the build.
+   Here every comparison is an inline int compare and nothing is
+   allocated.
 
    The index arithmetic below stays inside [0, length) by construction
-   (the partition and the bucket pass say why), hence the unsafe
-   accesses. *)
+   (the partition says why), hence the unsafe accesses. *)
 
 (* Runs at most this long are insertion-sorted. *)
 let small = 24
-
-(* Packed arrays shorter than this skip the bucket pass. *)
-let counting_min = 256
 
 let insertion (a : int array) lo hi =
   for i = lo + 1 to hi - 1 do
@@ -112,52 +105,3 @@ let ascending (a : int array) =
   !i >= len
 
 let sort a = if not (ascending a) then sort_slice a 0 (Array.length a)
-
-let packed ~n (a : int array) =
-  let len = Array.length a in
-  (* Largest legal key: n² - 1, or max_int when n² does not fit. *)
-  let last = if n <= 0 then -1 else if n > max_int / n then max_int else (n * n) - 1 in
-  let sorted = ref true in
-  for i = 0 to len - 1 do
-    let k = Array.unsafe_get a i in
-    if k < 0 || k > last then invalid_arg "Int_sort.packed: key out of range";
-    if i > 0 && Array.unsafe_get a (i - 1) > k then sorted := false
-  done;
-  if !sorted then ()
-  else if len < counting_min || n > len then sort_slice a 0 len
-  else begin
-    (* Every key is in [0, n²), so each bucket index [k / n] is in [0, n). *)
-    let start = Array.make (n + 1) 0 in
-    for i = 0 to len - 1 do
-      let b = (Array.unsafe_get a i / n) + 1 in
-      Array.unsafe_set start b (Array.unsafe_get start b + 1)
-    done;
-    for b = 1 to n do
-      start.(b) <- start.(b) + start.(b - 1)
-    done;
-    (* [next.(b)] is the first slot of bucket b not yet holding one of
-       its keys.  A key in hand always has a free slot left in its
-       bucket (the bucket is sized to its key count), and the cycle
-       closes when it picks up a key of bucket [u] itself. *)
-    let next = Array.sub start 0 n in
-    for u = 0 to n - 1 do
-      let stop = Array.unsafe_get start (u + 1) in
-      while Array.unsafe_get next u < stop do
-        let x = ref (Array.unsafe_get a (Array.unsafe_get next u)) in
-        let d = ref (!x / n) in
-        while !d <> u do
-          let j = Array.unsafe_get next !d in
-          Array.unsafe_set next !d (j + 1);
-          let y = Array.unsafe_get a j in
-          Array.unsafe_set a j !x;
-          x := y;
-          d := y / n
-        done;
-        let j = Array.unsafe_get next u in
-        Array.unsafe_set a j !x;
-        Array.unsafe_set next u (j + 1)
-      done;
-      (* Bucket u is complete and no later cycle touches it. *)
-      sort_slice a (Array.unsafe_get start u) stop
-    done
-  end

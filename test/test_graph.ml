@@ -83,6 +83,176 @@ let test_graph_induced () =
   let sub = Graph.induced g (fun v -> v < 3) in
   Alcotest.check Alcotest.int "induced K3" 3 (Graph.edge_count sub)
 
+(* ---------------- Builder ---------------- *)
+
+(* Every graph comes from one builder; these hold it to oracles that
+   share none of its code. *)
+
+type bshape = Random | Ascending | Descending | Duplicates | One_row | All_equal | Band
+
+let bshapes = [ Random; Ascending; Descending; Duplicates; One_row; All_equal; Band ]
+
+let bshape_name = function
+  | Random -> "random"
+  | Ascending -> "ascending"
+  | Descending -> "descending"
+  | Duplicates -> "duplicates"
+  | One_row -> "one row"
+  | All_equal -> "all equal"
+  | Band -> "circulant band"
+
+(* About [len] canonical keys [u * n + v], [u < v], of the given shape,
+   drawn from [seed]; none exist below n = 2.  [Band] wraps around:
+   node u links to u + 1 .. u + w mod n, so the rows near n - 1 take
+   keys from both ends of the key range. *)
+let builder_keys ~n ~shape ~len seed =
+  if n < 2 then [||]
+  else begin
+    let rng = Rng.create seed in
+    let canon u v = (min u v * n) + max u v in
+    let key () =
+      let u = Rng.int rng n and v = Rng.int rng (n - 1) in
+      canon u (if v >= u then v + 1 else v)
+    in
+    match shape with
+    | Random -> Array.init len (fun _ -> key ())
+    | Ascending | Descending ->
+      let a = Array.init len (fun _ -> key ()) in
+      Array.sort (if shape = Ascending then compare else fun x y -> compare y x) a;
+      a
+    | Duplicates ->
+      let pool = Array.init (1 + (len / 8)) (fun _ -> key ()) in
+      Array.init len (fun _ -> pool.(Rng.int rng (Array.length pool)))
+    | One_row ->
+      let u = Rng.int rng (n - 1) in
+      Array.init len (fun _ -> (u * n) + u + 1 + Rng.int rng (n - 1 - u))
+    | All_equal -> Array.make len (key ())
+    | Band ->
+      let w = 1 + Rng.int rng (min 8 (n - 1)) in
+      Array.init (n * w) (fun i -> canon (i / w) (((i / w) + 1 + (i mod w)) mod n))
+  end
+
+(* The sorted, duplicate-free rows and the edge count of [keys], by
+   [List.sort_uniq] on pairs. *)
+let oracle_rows n keys =
+  let pairs = List.sort_uniq compare (List.map (fun e -> (e / n, e mod n)) (Array.to_list keys)) in
+  let rows = Array.make n [] in
+  List.iter
+    (fun (u, v) ->
+      rows.(u) <- v :: rows.(u);
+      rows.(v) <- u :: rows.(v))
+    pairs;
+  (Array.map (fun l -> Array.of_list (List.sort compare l)) rows, List.length pairs)
+
+(* [g] has exactly these rows: node by node, then the counts. *)
+let matches_rows g (rows, m) =
+  let ok = ref (Graph.n g = Array.length rows && Graph.edge_count g = m) in
+  Array.iteri (fun v r -> if !ok && Graph.neighbors g v <> r then ok := false) rows;
+  !ok && Graph.max_degree g = Array.fold_left (fun acc r -> max acc (Array.length r)) 0 rows
+
+let same_graph a b =
+  Graph.n a = Graph.n b
+  && Graph.edge_count a = Graph.edge_count b
+  && Graph.max_degree a = Graph.max_degree b
+  && List.for_all (fun v -> Graph.neighbors a v = Graph.neighbors b v) (List.init (Graph.n a) Fun.id)
+
+let prop_builder_oracle =
+  let gen =
+    let open QCheck.Gen in
+    oneofl [ 1; 2; 3; 64; 4096 ] >>= fun n ->
+    oneofl bshapes >>= fun shape ->
+    oneof [ int_bound 40; int_bound 3000 ] >>= fun len ->
+    int_bound 1_000_000 >|= fun seed -> (n, shape, len, seed)
+  in
+  let print (n, shape, len, seed) =
+    Printf.sprintf "n=%d %s len=%d seed=%d" n (bshape_name shape) len seed
+  in
+  QCheck.Test.make ~name:"of_packed_unsorted = sort_uniq oracle" ~count:400
+    (QCheck.make ~print gen) (fun (n, shape, len, seed) ->
+      let keys = builder_keys ~n ~shape ~len seed in
+      let before = Array.copy keys in
+      let g = Graph.of_packed_unsorted n keys in
+      matches_rows g (oracle_rows n keys) && keys = before)
+
+(* On strictly ascending keys the two entry points build the same
+   graph. *)
+let prop_builder_of_packed =
+  QCheck.Test.make ~name:"of_packed = of_packed_unsorted on ascending keys" ~count:200
+    QCheck.(pair (oneofl [ 2; 3; 64; 4096 ]) (int_bound 1_000_000))
+    (fun (n, seed) ->
+      let keys =
+        Array.of_list (List.sort_uniq compare (Array.to_list (builder_keys ~n ~shape:Random ~len:500 seed)))
+      in
+      same_graph (Graph.of_packed n keys) (Graph.of_packed_unsorted n keys))
+
+(* A +-192 band at n = 1024: its wrapped rows arrive out of order and
+   take the per-row sort. *)
+let test_builder_band () =
+  let n = 1024 and w = 192 in
+  let keys =
+    Array.init (n * w) (fun i ->
+        let u = i / w and v = ((i / w) + 1 + (i mod w)) mod n in
+        (min u v * n) + max u v)
+  in
+  let sorted = List.sort_uniq compare (Array.to_list keys) in
+  let g = Graph.of_packed_unsorted n keys in
+  Alcotest.(check int) "edges" (n * w) (Graph.edge_count g);
+  Alcotest.(check int) "max degree" (2 * w) (Graph.max_degree g);
+  Alcotest.(check bool) "= of_packed on the sorted keys" true
+    (same_graph g (Graph.of_packed n (Array.of_list sorted)))
+
+(* [of_packed]'s checks, key by key as before the builder: a key that is
+   not canonical is reported before a descent at the same index. *)
+let of_packed_oracle n keys =
+  let canonical e = n > 0 && e >= 0 && e / n < e mod n in
+  let err = ref None in
+  Array.iteri
+    (fun i e ->
+      if !err = None then
+        if not (canonical e) then err := Some "Graph.of_packed: bad key"
+        else if i > 0 && keys.(i - 1) >= e then err := Some "Graph.of_packed: keys not ascending")
+    keys;
+  !err
+
+let prop_of_packed_errors =
+  QCheck.Test.make ~name:"of_packed errors = oracle" ~count:300 QCheck.small_nat (fun seed ->
+      let rng = Rng.create (0xB17D + seed) in
+      let n = Rng.int rng 10 in
+      let keys =
+        Array.of_list (List.sort_uniq compare (Array.to_list (builder_keys ~n ~shape:Random ~len:12 seed)))
+      in
+      if Array.length keys > 0 && Rng.int rng 3 > 0 then begin
+        let i = Rng.int rng (Array.length keys) in
+        keys.(i) <-
+          (match Rng.int rng 4 with
+          | 0 -> -1 - Rng.int rng 5
+          | 1 -> (n * n) + Rng.int rng 3
+          | 2 -> if i > 0 then keys.(i - 1) else keys.(i) + n
+          | _ -> keys.(i) - 1 - Rng.int rng 3)
+      end;
+      let got =
+        match Graph.of_packed n keys with
+        | _ -> None
+        | exception Invalid_argument m -> Some m
+      in
+      got = of_packed_oracle n keys)
+
+(* Error cases of the builder that sat with the packed-key sort before. *)
+let test_builder_errors () =
+  let bad = Invalid_argument "Graph.of_packed_unsorted: bad key" in
+  Alcotest.check_raises "n = 0" bad (fun () -> ignore (Graph.of_packed_unsorted 0 [| 0 |]));
+  Alcotest.check_raises "key = n^2" bad (fun () -> ignore (Graph.of_packed_unsorted 4 [| 16 |]));
+  Alcotest.check_raises "negative key" bad (fun () -> ignore (Graph.of_packed_unsorted 4 [| -1 |]));
+  (* a rejected array is left as it was, long or short *)
+  List.iter
+    (fun len ->
+      let a = Array.init len (fun i -> 1 + ((len - i) mod 3)) in
+      a.(len - 1) <- 16;
+      let before = Array.copy a in
+      Alcotest.check_raises "bad last key" bad (fun () -> ignore (Graph.of_packed_unsorted 4 a));
+      Alcotest.(check (array int)) "unchanged" before a)
+    [ 3; 1000 ]
+
 (* ---------------- Algo ---------------- *)
 
 let test_bfs_path () =
@@ -381,6 +551,45 @@ let test_dual_gray_dedup () =
   let dual = Dual.make ~g ~gray:[ (0, 1); (0, 2); (2, 0) ] () in
   Alcotest.check Alcotest.int "gray deduped" 1 (Dual.gray_count dual)
 
+(* [Dual.make]'s canonicalisation before it went through the graph
+   builder: sort the canonical pairs, drop repeats and G's edges (one
+   [mem_edge] per pair) and hand the rest, in that order, to
+   [make_packed]. *)
+let dual_make_scan ~g ~gray =
+  let n = Graph.n g in
+  let canon (u, v) = if u < v then (u, v) else (v, u) in
+  let kept =
+    List.filter
+      (fun (u, v) -> not (Graph.mem_edge g u v))
+      (List.sort_uniq compare (List.map canon gray))
+  in
+  Dual.make_packed ~g ~gray_pk:(Array.of_list (List.map (fun (u, v) -> (u * n) + v) kept)) ()
+
+(* Random tuple lists in both orientations, with repeats and a share of
+   G's own edges, so the merge walk along G's rows has pairs to skip. *)
+let prop_dual_make_scan =
+  QCheck.Test.make ~name:"make = make_scan (gray ids and incidence)" ~count:200
+    QCheck.small_nat (fun seed ->
+      let rng = Rng.create (0xD0A1 + seed) in
+      let n = [| 2; 3; 17; 64; 65; 300 |].(Rng.int rng 6) in
+      let pair () =
+        let u = Rng.int rng n and v = Rng.int rng (n - 1) in
+        (u, if v >= u then v + 1 else v)
+      in
+      let rel = Array.init (Rng.int rng (2 * n)) (fun _ -> pair ()) in
+      let g = Graph.of_edges n (Array.to_list rel) in
+      let gray =
+        List.init (Rng.int rng (3 * n)) (fun _ ->
+            if Array.length rel = 0 || Rng.int rng 4 > 0 then pair ()
+            else begin
+              let u, v = rel.(Rng.int rng (Array.length rel)) in
+              if Rng.bool rng 0.5 then (v, u) else (u, v)
+            end)
+      in
+      let a = Dual.make ~g ~gray () and b = dual_make_scan ~g ~gray in
+      Dual.gray_edges a = Dual.gray_edges b
+      && List.for_all (fun v -> Dual.gray_adj a v = Dual.gray_adj b v) (List.init n Fun.id))
+
 let test_dual_geometry_validation () =
   let pos = [| Rn_geom.Point.make 0.0 0.0; Rn_geom.Point.make 0.5 0.0 |] in
   (* unit-distance pair must be a reliable edge *)
@@ -580,6 +789,14 @@ let () =
           qtest prop_mem_edge_consistent;
           qtest prop_degree_sum;
         ] );
+      ( "builder",
+        [
+          qtest prop_builder_oracle;
+          qtest prop_builder_of_packed;
+          Alcotest.test_case "band at n = 1024" `Quick test_builder_band;
+          qtest prop_of_packed_errors;
+          Alcotest.test_case "errors, input unchanged" `Quick test_builder_errors;
+        ] );
       ( "algo",
         [
           Alcotest.test_case "bfs on path" `Quick test_bfs_path;
@@ -606,6 +823,7 @@ let () =
           Alcotest.test_case "classic" `Quick test_dual_classic;
           Alcotest.test_case "gray adjacency" `Quick test_dual_gray_adj;
           Alcotest.test_case "gray dedup" `Quick test_dual_gray_dedup;
+          qtest prop_dual_make_scan;
           qtest prop_gray_incidence_layout;
           qtest prop_reach_rows;
           qtest prop_packed_key_errors;

@@ -112,7 +112,21 @@ let test_scale_single_size () =
     String.starts_with ~prefix:"world-gen seconds" n
     || String.starts_with ~prefix:"per-round seconds" n
   in
-  Alcotest.(check bool) "no exponent notes" false (List.exists fitted r.Harness.notes)
+  Alcotest.(check bool) "no exponent notes" false (List.exists fitted r.Harness.notes);
+  (* the memory columns show in the timed table only: check mode's
+     table is pinned byte for byte by scale_smoke.sh *)
+  let contains s sub =
+    let k = String.length sub in
+    let rec go i = i + k <= String.length s && (String.sub s i k = sub || go (i + 1)) in
+    go 0
+  in
+  let check_mode = Rn_harness.Exp_scale.run ~sizes:[ 256 ] ~check:true Harness.Quick in
+  List.iter
+    (fun col ->
+      Alcotest.(check bool) (col ^ " column") true (contains r.Harness.body col);
+      Alcotest.(check bool) (col ^ " not in check mode") false
+        (contains check_mode.Harness.body col))
+    [ "world MB"; "promoted Mw"; "VmHWM MB" ]
 
 let () =
   Alcotest.run "harness"

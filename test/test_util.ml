@@ -649,8 +649,8 @@ let prop_uf_components =
 (* ---------------- Int_sort ---------------- *)
 
 (* The oracle is [Array.stable_sort compare], which shares no code with
-   [Int_sort]; the world-generation oracles in test_graph go through
-   [Int_sort] on both sides. *)
+   [Int_sort].  The shaped inputs are packed [u * n + v] keys, the
+   values the graph builder's rows and the generators' batches hold. *)
 
 type shape = Random | Duplicates | One_bucket | All_equal | Ascending | Descending | Organ_pipe
 
@@ -692,19 +692,17 @@ let packed_keys ~n ~shape ~len seed =
   | Random | Duplicates | One_bucket | All_equal -> ());
   a
 
-(* Both entry points agree with the oracle on [a]. *)
-let int_sort_agrees ~n a =
+(* [sort] agrees with the oracle on [a]. *)
+let int_sort_agrees a =
   let expect = Array.copy a in
   Array.stable_sort compare expect;
-  let p = Array.copy a and s = Array.copy a in
-  Int_sort.packed ~n p;
+  let s = Array.copy a in
   Int_sort.sort s;
-  p = expect && s = expect
+  s = expect
 
-(* Lengths on both sides of the short-array cutoff (a few hundred keys);
-   with n <= 64 most long arrays take the bucket pass, with larger n most
-   have fewer keys than buckets and go straight to the introsort. *)
-let prop_int_sort_packed =
+(* Lengths on both sides of the insertion-sort cutoff and far past it;
+   small n makes long runs of equal keys. *)
+let prop_int_sort_shapes =
   let gen =
     let open QCheck.Gen in
     oneofl [ 1; 2; 3; 64; 4096; 65536 ] >>= fun n ->
@@ -715,25 +713,21 @@ let prop_int_sort_packed =
   let print (n, shape, len, seed) =
     Printf.sprintf "n=%d %s len=%d seed=%d" n (shape_name shape) len seed
   in
-  QCheck.Test.make ~name:"packed and sort = stable_sort compare" ~count:500
+  QCheck.Test.make ~name:"sort = stable_sort compare (shaped keys)" ~count:500
     (QCheck.make ~print gen) (fun (n, shape, len, seed) ->
-      int_sort_agrees ~n (packed_keys ~n ~shape ~len seed))
+      int_sort_agrees (packed_keys ~n ~shape ~len seed))
 
-(* Sizes fixed to reach the bucket pass at large n (more keys than
-   buckets), and the sparse large-n case that must skip it. *)
+(* Long arrays of every shape, deep enough for the quicksort's depth
+   limit to matter. *)
 let test_int_sort_sizes () =
   List.iter
     (fun (n, len) ->
       List.iteri
         (fun i shape ->
-          if not (int_sort_agrees ~n (packed_keys ~n ~shape ~len (n + i))) then
+          if not (int_sort_agrees (packed_keys ~n ~shape ~len (n + i))) then
             Alcotest.failf "n=%d len=%d %s" n len (shape_name shape))
         shapes)
-    [ (4096, 20_000); (65536, 70_000); (1 lsl 20, 100) ];
-  (* n² overflows an int: every non-negative key is in range *)
-  let a = [| max_int; 0; max_int - 1 |] in
-  Int_sort.packed ~n:(1 lsl 31) a;
-  Alcotest.(check (array int)) "n = 2^31" [| 0; max_int - 1; max_int |] a
+    [ (4096, 20_000); (65536, 70_000); (1 lsl 20, 100) ]
 
 let prop_int_sort_any_ints =
   QCheck.Test.make ~name:"sort = stable_sort compare (any ints)" ~count:300
@@ -761,26 +755,12 @@ let prop_int_sort_range =
       && Array.sub s hi (len - hi) = Array.sub a hi (len - hi))
 
 let test_int_sort_errors () =
-  let bad = Invalid_argument "Int_sort.packed: key out of range" in
-  Alcotest.check_raises "n = 0" bad (fun () -> Int_sort.packed ~n:0 [| 0 |]);
-  Alcotest.check_raises "key = n^2" bad (fun () -> Int_sort.packed ~n:4 [| 16 |]);
-  Alcotest.check_raises "negative key" bad (fun () -> Int_sort.packed ~n:4 [| -1 |]);
-  Int_sort.packed ~n:0 [||];
   let range = Invalid_argument "Int_sort.sort_range" in
   List.iter
     (fun (lo, hi) ->
       Alcotest.check_raises "bad slice" range (fun () ->
           Int_sort.sort_range [| 3; 2; 1 |] lo hi))
-    [ (-1, 2); (0, 4); (2, 1) ];
-  (* a rejected array is left as it was, long or short *)
-  List.iter
-    (fun len ->
-      let a = Array.init len (fun i -> (len - i) mod 16) in
-      a.(len - 1) <- 16;
-      let before = Array.copy a in
-      Alcotest.check_raises "bad last key" bad (fun () -> Int_sort.packed ~n:4 a);
-      Alcotest.(check (array int)) "unchanged" before a)
-    [ 3; 1000 ]
+    [ (-1, 2); (0, 4); (2, 1) ]
 
 (* ---------------- Table ---------------- *)
 
@@ -860,8 +840,8 @@ let () =
         ] );
       ( "int-sort",
         [
-          qtest prop_int_sort_packed;
-          Alcotest.test_case "large n, counting and sparse" `Quick test_int_sort_sizes;
+          qtest prop_int_sort_shapes;
+          Alcotest.test_case "long arrays, every shape" `Quick test_int_sort_sizes;
           qtest prop_int_sort_any_ints;
           qtest prop_int_sort_range;
           Alcotest.test_case "errors" `Quick test_int_sort_errors;
