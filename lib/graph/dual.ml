@@ -110,7 +110,10 @@ let g' t =
 (* N_G'(v) as a bitset row per node, for the delivery kernel's rounds in
    which every gray edge of a broadcaster is active.  Built from G's CSR
    rows and the gray incidence directly, so neither [g'] nor
-   [Graph.adj_rows] is forced; O(n^2 / word) bits, built on first use. *)
+   [Graph.adj_rows] is forced; O(n^2 / word) bits, built on first use,
+   each row with [Graph.add_row] and one [Bitset.add_run] over the
+   gray incidence (in descending edge id, not neighbour, order; the
+   mask keeps the neighbour field). *)
 let reach_rows t =
   match Atomic.get t.reach with
   | Some r -> r
@@ -123,12 +126,8 @@ let reach_rows t =
           let r =
             Array.init nn (fun v ->
                 let b = Bitset.create nn in
-                for i = Graph.row_lo t.g v to Graph.row_hi t.g v - 1 do
-                  Bitset.add b (Graph.nbr_at t.g i)
-                done;
-                for i = gray_lo t v to gray_hi t v - 1 do
-                  Bitset.add b (gray_nbr_at t i)
-                done;
+                Graph.add_row t.g v b;
+                Bitset.add_run b ~mask:((1 lsl t.gsh) - 1) t.gid (gray_lo t v) (gray_hi t v);
                 b)
           in
           Atomic.set t.reach (Some r);

@@ -42,6 +42,9 @@ let edge_count t = t.m
    keeps concurrent first uses from building twice. *)
 let rows_lock = Mutex.create ()
 
+(* N(v) into [b], one word write per word of the row. *)
+let add_row t v b = Bitset.add_run b t.nbr t.off.(v) t.off.(v + 1)
+
 let adj_rows t =
   match Atomic.get t.rows with
   | Some r -> r
@@ -53,9 +56,7 @@ let adj_rows t =
           let r =
             Array.init t.n (fun v ->
                 let b = Bitset.create t.n in
-                for i = t.off.(v) to t.off.(v + 1) - 1 do
-                  Bitset.add b t.nbr.(i)
-                done;
+                add_row t v b;
                 b)
           in
           Atomic.set t.rows (Some r);

@@ -43,6 +43,10 @@ val max_degree : t -> int
 
 val mem_edge : t -> int -> int -> bool
 
+(** [add_row t v b] adds [v]'s neighbours to [b] (capacity [n t]),
+    one word write per word the row touches. *)
+val add_row : t -> int -> Rn_util.Bitset.t -> unit
+
 (** Bitset view of every node's adjacency, for word-parallel kernels:
     row [v] holds [v]'s neighbours.  The row cache is built lazily on
     first use (so sparse workloads never pay its memory) and published

@@ -40,10 +40,14 @@
    them off word-parallel as once ∧ ¬twice ∧ ¬bcast, so a round costs
    the broadcasters' reliable degrees plus n/63 words, not a scan of
    all n nodes.  [bernoulli]/[harassing] walk the broadcasters' gray
-   rows edge by edge: their per-edge RNG draws are the semantics — any
-   evaluation that reorders or batches the draws changes the stream —
-   so broadcaster membership is made cheap instead (a per-round bitset,
-   not a binary search per edge).
+   rows edge by edge, one draw per edge in a fixed order.  Draws are
+   positional: draw k of a round is [mix (s0 + k * gamma)], so a run of
+   draws whose outcome cannot matter is skipped exactly with one
+   [Rng.skip], and every later draw and the final stream state are
+   those of the full walk.  [visit]'s [live] predicate names the
+   receivers whose outcome can still matter; an edge to any other
+   receiver costs a count, not a draw.  Broadcaster membership is a
+   per-round mask, not a binary search per edge.
 
    Per-broadcaster walks index the CSR rows directly ([Dual.gray_lo] …
    [Dual.gray_id_at], [Graph.row_lo] … [Graph.nbr_at]) instead of passing
@@ -57,6 +61,7 @@ module Graph = Rn_graph.Graph
 module Dual = Rn_graph.Dual
 
 type visit_fn =
+  live:(int -> bool) ->
   round:int ->
   broadcasters:int array ->
   Dual.t ->
@@ -74,10 +79,13 @@ type t = {
 
 let name t = t.name
 
-let visit t ~round ~broadcasters dual rng f = t.visit ~round ~broadcasters dual rng f
+let always _ = true
+
+let visit t ?(live = always) ~round ~broadcasters dual rng f =
+  t.visit ~live ~round ~broadcasters dual rng f
 
 let choose t ~round ~broadcasters dual rng active =
-  t.visit ~round ~broadcasters dual rng (fun _ _ e -> Bitset.add active e)
+  t.visit ~live:always ~round ~broadcasters dual rng (fun _ _ e -> Bitset.add active e)
 
 let reach t ~broadcasters = t.reach ~broadcasters
 let chosen ~broadcasters:_ = Chosen
@@ -115,7 +123,7 @@ let declared name reach =
   {
     name;
     visit =
-      (fun ~round:_ ~broadcasters dual _ f ->
+      (fun ~live:_ ~round:_ ~broadcasters dual _ f ->
         match reach ~broadcasters with
         | All_incident -> visit_incident ~broadcasters dual f
         | No_gray | Chosen -> ());
@@ -136,37 +144,50 @@ let spiteful =
 (* Each gray edge independently active with probability p, fresh each
    round.  One draw per distinct incident edge, broadcasters ascending
    and each row in descending edge id: the lowest-id broadcasting
-   endpoint owns the draw.  The broadcaster membership test is a
-   per-round bitset (filled from the sorted broadcaster array, emptied
-   again after the walk) instead of a per-edge binary search — same
-   draws, same stream, cheaper by the O(log #bcast) factor on every gray
-   edge.  The bitset lives in domain-local storage so one policy value
-   stays safe to share across Pool domains running independent cells. *)
+   endpoint owns the draw.  The broadcaster membership test reads a
+   per-round byte mask (set from the broadcaster array, cleared again
+   after the walk) instead of a per-edge binary search, and is computed
+   without a branch: [v < u] is a coin flip per edge that a branch
+   would mispredict half the time.  The mask lives in domain-local
+   storage so one policy value stays safe to share across Pool domains
+   running independent cells.  An owned edge to a receiver that is not
+   [live] adds to [skipped] instead of drawing, applied with one
+   [Rng.skip] before the next real draw and once at the end; an edge a
+   lower broadcaster owns draws nothing either way. *)
 let bernoulli p =
   if p < 0.0 || p > 1.0 then invalid_arg "Adversary.bernoulli";
-  let dls = Domain.DLS.new_key (fun () -> ref (Bitset.create 0)) in
+  let dls = Domain.DLS.new_key (fun () -> ref (Bytes.create 0)) in
   {
     name = Printf.sprintf "bernoulli(%.2f)" p;
     visit =
-      (fun ~round:_ ~broadcasters dual rng f ->
+      (fun ~live ~round:_ ~broadcasters dual rng f ->
         let n = Dual.n dual in
         let cell = Domain.DLS.get dls in
-        if Bitset.capacity !cell <> n then cell := Bitset.create n;
+        if Bytes.length !cell <> n then cell := Bytes.make n '\000';
         let bcast = !cell in
         let nb = Array.length broadcasters in
         for j = 0 to nb - 1 do
-          Bitset.add bcast broadcasters.(j)
+          Bytes.set bcast broadcasters.(j) '\001'
         done;
+        let skipped = ref 0 in
         for j = 0 to nb - 1 do
           let u = broadcasters.(j) in
           for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
             let v = Dual.gray_nbr_at dual i in
-            if not (v < u && Bitset.mem bcast v) then
-              if Rng.bool rng p then f u v (Dual.gray_id_at dual i)
+            let not_owned = Bool.to_int (v < u) land Char.code (Bytes.unsafe_get bcast v) in
+            if live v then begin
+              if not_owned = 0 then begin
+                Rng.skip rng !skipped;
+                skipped := 0;
+                if Rng.bool rng p then f u v (Dual.gray_id_at dual i)
+              end
+            end
+            else skipped := !skipped + 1 - not_owned
           done
         done;
+        Rng.skip rng !skipped;
         for j = 0 to nb - 1 do
-          Bitset.remove bcast broadcasters.(j)
+          Bytes.set bcast broadcasters.(j) '\000'
         done);
     reach = chosen;
   }
@@ -174,19 +195,29 @@ let bernoulli p =
 (* Activate gray edges incident to broadcasters with probability p: a
    cheaper adaptive policy that concentrates unreliability where it can
    actually cause collisions.  One draw per incidence, so an edge joining
-   two broadcasters gets two and may be visited from both ends. *)
+   two broadcasters gets two and may be visited from both ends.  An
+   incidence to a receiver that is not [live] is skipped as in
+   [bernoulli]. *)
 let harassing p =
   if p < 0.0 || p > 1.0 then invalid_arg "Adversary.harassing";
   {
     name = Printf.sprintf "harassing(%.2f)" p;
     visit =
-      (fun ~round:_ ~broadcasters dual rng f ->
+      (fun ~live ~round:_ ~broadcasters dual rng f ->
+        let skipped = ref 0 in
         for j = 0 to Array.length broadcasters - 1 do
           let u = broadcasters.(j) in
           for i = Dual.gray_lo dual u to Dual.gray_hi dual u - 1 do
-            if Rng.bool rng p then f u (Dual.gray_nbr_at dual i) (Dual.gray_id_at dual i)
+            let v = Dual.gray_nbr_at dual i in
+            if live v then begin
+              Rng.skip rng !skipped;
+              skipped := 0;
+              if Rng.bool rng p then f u v (Dual.gray_id_at dual i)
+            end
+            else incr skipped
           done
-        done);
+        done;
+        Rng.skip rng !skipped);
     reach = chosen;
   }
 
@@ -217,7 +248,7 @@ let jam_scratch n =
    broadcaster to collide it.  It never helps — gray edges are only ever
    switched on to raise a receiver's broadcaster count past one.
 
-   The scratch lives in domain-local storage, like [bernoulli]'s bitset,
+   The scratch lives in domain-local storage, like [bernoulli]'s mask,
    so one policy value stays safe to share across Pool domains and
    steady-state rounds allocate nothing. *)
 let jamming =
@@ -226,7 +257,7 @@ let jamming =
     name = "jamming";
     reach = chosen;
     visit =
-      (fun ~round:_ ~broadcasters dual _ f ->
+      (fun ~live:_ ~round:_ ~broadcasters dual _ f ->
         let g = Dual.g dual and n = Dual.n dual in
         let cell = Domain.DLS.get dls in
         if Bitset.capacity (!cell).bcast <> n then cell := jam_scratch n;
@@ -273,7 +304,7 @@ let custom ~name choose =
     name;
     reach = chosen;
     visit =
-      (fun ~round ~broadcasters dual rng f ->
+      (fun ~live:_ ~round ~broadcasters dual rng f ->
         let active = Bitset.create (max 1 (Dual.gray_count dual)) in
         choose ~round ~broadcasters dual rng active;
         visit_incident ~broadcasters dual (fun u v e -> if Bitset.mem active e then f u v e));

@@ -12,9 +12,20 @@ val name : t -> string
     end.  It draws from [rng] in a fixed order, so a second call on a
     stream re-derived to the same state visits the same edges in the
     same order.  [broadcasters] is ascending.  This is the engine's one
-    adversary call. *)
+    adversary call.
+
+    [live] (default: every node) names the receivers whose outcome a
+    visit can still change.  [visit] calls [f] for every activated edge
+    whose receiver [v] satisfies [live v] when the walk reaches it, and
+    may skip evaluating an edge whose receiver does not.  It asks
+    [live v] as it reaches each edge, at most once per edge and
+    receiver, so [live] may read state that [f] updates.  Whatever it
+    skips, it leaves [rng] where the full walk leaves it.  {!bernoulli}
+    and {!harassing} skip those edges' draws with [Rng.skip]; the other
+    policies ignore [live]. *)
 val visit :
   t ->
+  ?live:(int -> bool) ->
   round:int ->
   broadcasters:int array ->
   Rn_graph.Dual.t ->

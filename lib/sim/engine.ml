@@ -48,24 +48,30 @@
    kernel, it ORs [Graph.adj_rows] or [Dual.reach_rows]).  A [Chosen]
    round only derives its stream in the adversary phase, and delivery
    runs inside [Adversary.visit]: each visited edge touches its
-   receiver, so no set of active gray edges is ever built.  Delivery
-   picks its evaluation by cost: the word-parallel once/twice kernel
-   when the broadcasters' reach (gray degrees counted only on a round
-   that reaches gray edges) outweighs its word sweeps; on a [Chosen]
-   round the kernel's second sweep re-derives the stream and visits
-   the same edges again.  The resume has one path: it fixes the
+   receiver, so no set of active gray edges is ever built.  The visit
+   is handed a [live] predicate, the receivers a visited edge can still
+   change ([live_scalar], [live_acc], [live_assign]), and
+   [bernoulli]/[harassing] skip the draws of every other edge with
+   [Rng.skip], which leaves the stream where the full walk would.
+   Delivery picks its evaluation by cost: the word-parallel once/twice
+   kernel when the broadcasters' reach (gray degrees counted only on a
+   round that reaches gray edges) outweighs its word sweeps; on a
+   [Chosen] round the kernel's second sweep re-derives the stream and
+   visits the same edges again.  The resume has one path: it fixes the
    round's work list and steps it in [resume_shards] slices on Pool
    domains when [resume_shards > 1] and at least
    [resume_shard_threshold] fibers await their receive, else in one
    slice on the calling domain.  Every choice is pure evaluation
    strategy; an attached sink treats every round as [Chosen], forces
-   the scalar delivery, which can emit per-receiver records, and keeps
-   the resume in one slice.
+   the scalar delivery, which can emit per-receiver records, passes no
+   [live] predicate, so its [Gray] event counts every active edge, and
+   keeps the resume in one slice.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
    semantics now) as a differential-testing oracle: it fills a bitset
-   with [Adversary.choose] and tests membership while it delivers.  For
+   with [Adversary.choose], which takes the full walk, and tests
+   membership while it delivers.  For
    any config and body whose detector honours its declared
    [stabilizes_at], [run] and [run_reference] must produce identical
    results.  The two share only their setup, output recording, send
@@ -855,6 +861,26 @@ module Make (M : MESSAGE) = struct
     let sweep_recv = ref Silence in
     let assign_recv v = receives.(v) <- !sweep_recv in
     let assign_gray u v _ = if Bitset.mem k_recv v then receives.(v) <- sender_recv u in
+    (* The [live] predicates handed to [Adversary.visit] with those
+       visitors, built once per run: the receivers a visited edge can
+       still change.  The scalar path runs after every G touch, so a
+       node already touched twice is collided and a broadcaster or a
+       finished fiber receives nothing; a traced run passes none, so
+       its [Gray] event counts every active edge.  The kernel's first
+       sweep skips nodes already in [k_twice], its second every node
+       outside [k_recv]. *)
+    let live_scalar =
+      if tracing then None
+      else
+        Some
+          (fun v ->
+            recv_count.(v) < 2
+            &&
+            let s = Bytes.unsafe_get state v in
+            s <> st_none && s <> st_send)
+    in
+    let live_acc = Some (fun v -> not (Bitset.mem k_twice v)) in
+    let live_assign = Some (fun v -> Bitset.mem k_recv v) in
     (* Resume fiber [v] at the end of round [r]: a synced fiber with its
        receive, a parked one with the [Recv m] that woke it (its stretch
        index written to its park slot first) or with [Silence] when its
@@ -996,8 +1022,9 @@ module Make (M : MESSAGE) = struct
         end
       end
     in
-    let visit rs f =
-      Adversary.visit cfg.adversary ~round:rs.r ~broadcasters:rs.broadcasters dual adv_rng f
+    let visit rs live f =
+      Adversary.visit cfg.adversary ?live ~round:rs.r ~broadcasters:rs.broadcasters dual adv_rng
+        f
     in
     (* The delivery kernel wins when the broadcasters' reach — their G
        degrees, plus their gray degrees on a round that reaches gray
@@ -1030,7 +1057,7 @@ module Make (M : MESSAGE) = struct
       for j = 0 to !n_bcast - 1 do
         Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(rs.broadcasters.(j))
       done;
-      if chosen then visit rs acc_gray;
+      if chosen then visit rs live_acc acc_gray;
       if kernel_classify () then begin
         for j = 0 to !n_bcast - 1 do
           let u = rs.broadcasters.(j) in
@@ -1040,7 +1067,7 @@ module Make (M : MESSAGE) = struct
         done;
         if chosen then begin
           Rng.derive_into adv_rng ~parent:c.adv_root rs.r;
-          visit rs assign_gray
+          visit rs live_assign assign_gray
         end;
         Bitset.iter_inter push_woken k_recv k_listen
       end
@@ -1062,7 +1089,7 @@ module Make (M : MESSAGE) = struct
           done
       done;
       if rs.reach = Adversary.Chosen then begin
-        visit rs touch_gray;
+        visit rs live_scalar touch_gray;
         if tracing then begin
           let active = !n_gray and total = Dual.gray_count dual in
           emit { Events.round = rs.r; proc = -1; kind = Gray { active; total } };

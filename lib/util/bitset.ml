@@ -37,6 +37,38 @@ let add t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.{w} <- t.words.{w} lor (1 lsl b)
 
+(* An out-of-range id met inside [add_run]'s loop, re-raised as [add]
+   raises once the loop is left: a call inside the loop, even on a cold
+   path, would make the compiler spill the loop's registers around it. *)
+exception Bad_id of int
+
+(* [add_run t ~mask a lo hi] is [add t (a.(i) land mask)] for [i] in
+   [lo, hi), in that order, one word at a time: the bits bound for the
+   current word gather in [acc] and reach memory only when an id lands
+   in another word.  Ascending ids flush once per word; any order is
+   still exact, because a flush ORs into the word rather than storing
+   it.  An out-of-range id flushes first and then raises as [add]
+   does, so the set is left as [add] would leave it. *)
+let add_run t ?(mask = -1) (a : int array) lo hi =
+  if lo < 0 || hi > Array.length a then invalid_arg "Bitset.add_run";
+  let words = t.words and cap = t.capacity in
+  let cur = ref 0 and acc = ref 0 in
+  match
+    for i = lo to hi - 1 do
+      let x = Array.unsafe_get a i land mask in
+      let w = x / bits_per_word in
+      if w <> !cur || x < 0 || x >= cap then begin
+        Bigarray.Array1.unsafe_set words !cur (Bigarray.Array1.unsafe_get words !cur lor !acc);
+        if x < 0 || x >= cap then raise_notrace (Bad_id x);
+        cur := w;
+        acc := 0
+      end;
+      acc := !acc lor (1 lsl (x - (w * bits_per_word)))
+    done
+  with
+  | () -> Bigarray.Array1.unsafe_set words !cur (Bigarray.Array1.unsafe_get words !cur lor !acc)
+  | exception Bad_id x -> check t x
+
 let remove t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in

@@ -10,6 +10,16 @@ type t
 val create : int -> t
 val capacity : t -> int
 val add : t -> int -> unit
+
+(** [add_run t ~mask a lo hi] adds [a.(i) land mask] ([mask] defaults
+    to every bit) for every [i] in [lo, hi), in any order and with
+    repeats, gathering the bits bound for one word before writing it:
+    the same set as one {!add} per id, at one write per word on
+    ascending ids.  An out-of-range id raises as {!add} does, leaving
+    the ids before it added; a slice outside [a] raises
+    [Invalid_argument]. *)
+val add_run : t -> ?mask:int -> int array -> int -> int -> unit
+
 val remove : t -> int -> unit
 val mem : t -> int -> bool
 val clear : t -> unit

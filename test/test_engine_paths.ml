@@ -1100,6 +1100,150 @@ let prop_visit =
         [ [||]; distinct_nodes rng n 1; distinct_nodes rng n 2; random_broadcasters rng n ];
       true)
 
+(* --- visit ~live: skipped draws ------------------------------------------ *)
+
+(* The receiver predicates [visit ~live] is held to, on [n] nodes with
+   these broadcasters: every node, none, a random half, and the scalar
+   engine's own — fewer than two broadcasting G neighbours and not
+   broadcasting — both as counted once after the G touches and as
+   updated by each visit it lets through.  A predicate is a [reset]
+   before each walk plus [live] and the [f] bookkeeping [kept]. *)
+type live_pred = {
+  pname : string;
+  reset : unit -> unit;
+  live : int -> bool;
+  kept : int -> unit;
+}
+
+let live_preds rng dual broadcasters =
+  let n = Dual.n dual in
+  let g = Dual.g dual in
+  let bcast = Array.make n false in
+  Array.iter (fun u -> bcast.(u) <- true) broadcasters;
+  let after_g = Array.make n 0 in
+  Array.iter
+    (fun u -> Array.iter (fun v -> after_g.(v) <- after_g.(v) + 1) (Graph.neighbors g u))
+    broadcasters;
+  let half = Array.init n (fun _ -> Rng.bool rng 0.5) in
+  let count = Array.make n 0 in
+  let static pname live = { pname; reset = ignore; live; kept = ignore } in
+  [
+    static "all" (fun _ -> true);
+    static "none" (fun _ -> false);
+    static "random half" (fun v -> half.(v));
+    static "count < 2 after G" (fun v -> after_g.(v) < 2 && not bcast.(v));
+    {
+      pname = "count < 2, updated";
+      reset = (fun () -> Array.blit after_g 0 count 0 n);
+      live = (fun v -> count.(v) < 2 && not bcast.(v));
+      kept = (fun v -> count.(v) <- count.(v) + 1);
+    };
+  ]
+
+(* [visit ?live] on the round's stream: the visits in order and the
+   stream's next draw after the walk. *)
+let live_visits adv ?live ?(kept = ignore) ~round ~broadcasters dual adv_root =
+  let stream = Rng.derive adv_root round in
+  let l = ref [] in
+  Adversary.visit adv ?live ~round ~broadcasters dual stream (fun u v e ->
+      kept v;
+      l := (u, v, e) :: !l);
+  (List.rev !l, Rng.bits stream)
+
+(* The [live] contract, for every policy on random duals with 0, 1, 2
+   and many broadcasters: every full visit whose receiver is live when
+   the walk reaches it is still made, and the stream ends where the
+   full walk leaves it.  [bernoulli] and [harassing] skip the rest, so
+   their visits are exactly the full visits restricted to live
+   receivers, in order. *)
+let prop_visit_live =
+  QCheck.Test.make ~name:"visit ~live = full visit cut to live receivers" ~count:150
+    QCheck.(small_nat)
+    (fun case ->
+      let rng = Rng.create (0x11FE + case) in
+      let n = 2 + Rng.int rng 60 in
+      let dual =
+        random_dual ~n ~rel_w:(1 + Rng.int rng 4) ~gray_w:(Rng.int rng 6) (Rng.bits rng)
+      in
+      let adv_root = Rng.derive (Rng.create (Rng.bits rng)) 0x5EED in
+      List.iteri
+        (fun round broadcasters ->
+          let nb = Array.length broadcasters in
+          List.iter
+            (fun pred ->
+              Array.iter
+                (fun (aname, adv, _) ->
+                  let fail what =
+                    QCheck.Test.fail_reportf "%s, live = %s: %s at n=%d round=%d (#bcast=%d)"
+                      aname pred.pname what n round nb
+                  in
+                  let full, after = live_visits adv ~round ~broadcasters dual adv_root in
+                  pred.reset ();
+                  let expected =
+                    List.filter
+                      (fun (_, v, _) ->
+                        let live = pred.live v in
+                        if live then pred.kept v;
+                        live)
+                      full
+                  in
+                  pred.reset ();
+                  let got, got_after =
+                    live_visits adv ~live:pred.live ~kept:pred.kept ~round ~broadcasters dual
+                      adv_root
+                  in
+                  if got_after <> after then fail "the stream ends apart from the full walk";
+                  let skips =
+                    String.starts_with ~prefix:"bernoulli" aname
+                    || String.starts_with ~prefix:"harassing" aname
+                  in
+                  if skips then begin
+                    if got <> expected then fail "visits <> full visits cut to live receivers"
+                  end
+                  else if not (List.for_all (fun x -> List.mem x got) expected) then
+                    fail "a visit to a live receiver was dropped")
+                visit_policies)
+            (live_preds rng dual broadcasters))
+        [ [||]; distinct_nodes rng n 1; distinct_nodes rng n 2; random_broadcasters rng n ];
+      true)
+
+(* [Chosen] rounds on the scalar path where most listeners collide on G
+   before the adversary moves: a 0.25 beacon on a circulant reliable to
+   ±1..8 and gray to ±9..16, n = 1500, priced below the kernel.  Most
+   gray draws go to a broadcaster or a node already touched twice, and
+   are skipped; the rest still deliver and collide. *)
+let test_scalar_chosen_collisions () =
+  let n = 1500 in
+  let dual = circulant ~n ~rel:8 ~gray:8 in
+  let over_gray v src =
+    let d = abs (v - src) in
+    min d (n - d) > 8
+  in
+  List.iter
+    (fun (name, adversary) ->
+      let r, p =
+        agree_e ~what:name
+          (fun sink ->
+            E.config ~adversary ~seed:29 ~stop:(At_round 30) ?sink ~detector:(perfect dual)
+              dual)
+          (beacon ~p:0.25 30)
+      in
+      Alcotest.(check string) (name ^ ": scalar rounds only") (pp_paths no_paths) (pp_paths p);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: collisions (%d) outnumber deliveries (%d)" name
+           r.E.stats.collisions r.E.stats.deliveries)
+        true
+        (r.E.stats.collisions > r.E.stats.deliveries);
+      let gray_receives = ref 0 in
+      Array.iteri
+        (fun v heard ->
+          List.iter
+            (fun src -> if over_gray v src then incr gray_receives)
+            (Option.value ~default:[] heard))
+        r.E.returns;
+      Alcotest.(check bool) (name ^ ": received over gray edges") true (!gray_receives > 0))
+    [ ("bernoulli 0.5", Adversary.bernoulli 0.5); ("harassing 0.5", Adversary.harassing 0.5) ]
+
 (* [Chosen] rounds on the delivery kernel with receivers: a 0.03 beacon
    on a circulant reliable to ±1..32 and gray to ±33..56, n = 512.
    Nearly every round with broadcasters is priced above the kernel's
@@ -1703,6 +1847,8 @@ let () =
               Alcotest.test_case "circulant n=512 gray-band pin" `Quick test_kernel_n512_gray;
               Alcotest.test_case "chosen rounds: kernel with receivers" `Quick
                 test_kernel_chosen_receivers;
+              Alcotest.test_case "chosen rounds: scalar under collisions" `Quick
+                test_scalar_chosen_collisions;
             ] );
         ] );
       ( "engine-paths-adversary",
@@ -1711,6 +1857,7 @@ let () =
             [
               qtest prop_jamming_scan;
               qtest prop_visit;
+              qtest prop_visit_live;
               Alcotest.test_case "traced Gray counts = choose" `Quick test_traced_gray_counts;
               qtest prop_declared_reach;
               Alcotest.test_case "kernel availability flags" `Quick test_kernel_flags;

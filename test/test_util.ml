@@ -430,6 +430,78 @@ let test_bitset_copy_independent () =
   Alcotest.(check bool) "original unchanged" false (Bitset.mem s 5);
   Alcotest.(check bool) "copy has both" true (Bitset.mem c 3 && Bitset.mem c 5)
 
+(* [add_run] over [ids.(lo) .. ids.(hi - 1)] against one [add] per id,
+   both on a copy of [base], so a flush that stored its word instead of
+   ORing it would drop [base]'s bits.  With [mask] each entry carries
+   junk above the id, as a packed gray incidence entry does. *)
+let add_run_matches_adds ?mask ~base ids lo hi =
+  let by_run = Bitset.copy base and by_add = Bitset.copy base in
+  let entries =
+    match mask with
+    | None -> ids
+    | Some m -> Array.mapi (fun i id -> ((i + 1) * (m + 1)) lor id) ids
+  in
+  Bitset.add_run by_run ?mask entries lo hi;
+  for i = lo to hi - 1 do
+    Bitset.add by_add ids.(i)
+  done;
+  Bitset.equal by_run by_add
+
+(* Ids ascending, descending, shuffled and repeated, around the word
+   boundaries 62/63 and 125/126 and at [capacity - 1], with some bits
+   already set; then an out-of-range id, which raises as [add] does
+   and leaves the ids before it added. *)
+let test_bitset_add_run () =
+  let cap = 190 in
+  let base = Bitset.of_list cap [ 1; 62; 100; 126 ] in
+  let edges = [| 0; 1; 61; 62; 63; 64; 124; 125; 126; 127; 188; cap - 1 |] in
+  let rev a = Array.of_list (List.rev (Array.to_list a)) in
+  let shuffled = Array.copy edges in
+  Rng.shuffle_in_place (Rng.create 7) shuffled;
+  let repeated = Array.concat [ edges; rev edges; [| 63; 63; 62; 126; 125; 126 |] ] in
+  List.iter
+    (fun (what, ids) ->
+      let n = Array.length ids in
+      Alcotest.(check bool) (what ^ ": whole run") true (add_run_matches_adds ~base ids 0 n);
+      Alcotest.(check bool)
+        (what ^ ": inner slice") true
+        (add_run_matches_adds ~base ids 1 (n - 1));
+      Alcotest.(check bool)
+        (what ^ ": empty slice") true
+        (add_run_matches_adds ~base ids 3 3);
+      Alcotest.(check bool)
+        (what ^ ": masked entries") true
+        (add_run_matches_adds ~mask:0xFF ~base ids 0 n))
+    [
+      ("ascending", edges);
+      ("descending", rev edges);
+      ("shuffled", shuffled);
+      ("repeated", repeated);
+      ("one word", [| 5; 3; 62; 0; 5 |]);
+    ];
+  List.iter
+    (fun bad ->
+      let ids = [| 3; 64; 126; bad; 7 |] in
+      let s = Bitset.copy base in
+      Alcotest.check_raises
+        (Printf.sprintf "id %d" bad)
+        (Invalid_argument "Bitset: index out of bounds")
+        (fun () -> Bitset.add_run s ids 0 5);
+      Alcotest.(check (list int))
+        (Printf.sprintf "id %d: ids before it added" bad)
+        (Bitset.to_list (Bitset.of_list cap (Bitset.to_list base @ [ 3; 64; 126 ])))
+        (Bitset.to_list s))
+    [ cap; cap + 62; -1; -64; max_int ];
+  Alcotest.check_raises "masked id out of range" (Invalid_argument "Bitset: index out of bounds")
+    (fun () -> Bitset.add_run (Bitset.create cap) ~mask:0xFF [| 0x3FF |] 0 1);
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice [%d, %d) of 3" lo hi)
+        (Invalid_argument "Bitset.add_run")
+        (fun () -> Bitset.add_run (Bitset.create cap) [| 1; 2; 3 |] lo hi))
+    [ (-1, 2); (0, 4) ]
+
 module IS = Set.Make (Int)
 
 let set_of_list l = List.fold_left (fun s i -> IS.add i s) IS.empty l
@@ -471,6 +543,13 @@ let prop_bitset_cardinal =
   QCheck.Test.make ~name:"cardinal matches Set.cardinal" ~count:300 small_members
     (fun a ->
       Bitset.cardinal (Bitset.of_list 100 a) = IS.cardinal (set_of_list a))
+
+let prop_bitset_add_run =
+  QCheck.Test.make ~name:"add_run matches add" ~count:300
+    QCheck.(pair small_members small_members)
+    (fun (base, ids) ->
+      let ids = Array.of_list ids in
+      add_run_matches_adds ~base:(Bitset.of_list 100 base) ids 0 (Array.length ids))
 
 (* ---------------- acc2 and the off-heap word layer ---------------- *)
 
@@ -837,6 +916,8 @@ let () =
           qtest prop_bitset_diff;
           qtest prop_bitset_subset;
           qtest prop_bitset_cardinal;
+          Alcotest.test_case "add_run = add, any order" `Quick test_bitset_add_run;
+          qtest prop_bitset_add_run;
         ] );
       ( "int-sort",
         [
