@@ -11,6 +11,7 @@ module R = Core.Radio
 module Dual = Rn_graph.Dual
 module Detector = Rn_detect.Detector
 module Verify = Rn_verify.Verify
+module Stats = Rn_util.Stats
 
 let adversary_conv =
   let parse s =
@@ -81,20 +82,33 @@ let print_ccds_report dual det outputs =
 
 (* --- mis command --- *)
 
+(* One line for [mis --trace]: the run's length and sends, a sparkline
+   of broadcasters per round over 60 windows, and when the processes
+   first decided. *)
+let print_activity (res : _ R.result) counts =
+  let decided =
+    Array.to_list res.R.decided_round |> List.filter_map Fun.id |> List.sort compare
+  in
+  Format.printf "trace: %d rounds, %d sends, activity [%s]" res.R.rounds
+    (Array.fold_left ( + ) 0 counts)
+    (Stats.sparkline ~buckets:60 (Stats.of_ints counts));
+  if decided <> [] then
+    Format.printf ", decisions %a" Stats.pp_summary
+      (Stats.summarize (Array.of_list (List.map float_of_int decided)));
+  Format.printf "@."
+
 let run_mis n degree seed tau adversary trace =
   let dual, det = build_instance ~seed ~n ~degree ~tau in
   Printf.printf "instance: %s, Delta=%d\n" (Format.asprintf "%a" Dual.pp dual)
     (Dual.max_degree_g dual);
   (* An observer disables silent-round fast-forward, so only a traced
-     run installs one. *)
-  let tracer = if trace then Some (Rn_sim.Trace.create ()) else None in
+     run installs one: it counts each round's broadcasters, newest
+     first. *)
+  let counts = ref [] in
   let observer =
-    Option.map
-      (fun tracer (v : R.view) ->
-        Rn_sim.Trace.observe tracer ~view_round:v.R.view_round
-          ~view_broadcasters:v.R.view_broadcasters ~view_decided:v.R.view_decided
-          ~view_outputs:v.R.view_outputs)
-      tracer
+    if trace then
+      Some (fun (v : R.view) -> counts := Array.length v.R.view_broadcasters :: !counts)
+    else None
   in
   let cfg = R.config ~adversary ~seed ?observer ~detector:(Detector.static det) dual in
   let res =
@@ -102,7 +116,7 @@ let run_mis n degree seed tau adversary trace =
         Core.Mis.body ~on_decide:(fun v -> R.output ctx v) Core.Params.default ctx)
   in
   summarize_engine "mis" (res.R.rounds, res.R.stats, res.R.timed_out);
-  Option.iter (Format.printf "%a@." Rn_sim.Trace.pp) tracer;
+  if trace then print_activity res (Array.of_list (List.rev !counts));
   print_mis_report dual det res.R.outputs
 
 let trace_arg =
@@ -189,9 +203,19 @@ let trace_format_arg =
 let trace_out_arg =
   Arg.(value & opt string "trace.json" & info [ "out" ] ~docv:"FILE" ~doc:"Trace output file.")
 
+(* The sink needs at least one slot and a sampling period of at least
+   one round; anything else is a usage error, reported before any work. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let capacity_arg =
   Arg.(
-    value & opt int 65536
+    value & opt positive_int 65536
     & info [ "capacity" ]
         ~doc:"Ring-buffer size: the newest N events are kept, older ones evicted.")
 
@@ -210,7 +234,7 @@ let procs_filter_arg =
 
 let sample_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "sample" ] ~docv:"K" ~doc:"Record only rounds where round mod K = 0.")
 
 let trace_algo_arg =
@@ -410,11 +434,9 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
       (String.concat ", " unknown) (String.concat ", " Rn_harness.All.ids);
     exit 2);
   Rn_harness.Harness.set_jobs jobs;
-  if profile then Rn_util.Timing.set_enabled true;
-  if metrics then begin
-    Rn_util.Metrics.set_enabled true;
-    Rn_harness.Harness.reset_experiment_metrics ()
-  end;
+  (* The profile is a view over the engine's metrics counters. *)
+  if profile || metrics then Rn_util.Metrics.set_enabled true;
+  if metrics then Rn_harness.Harness.reset_experiment_metrics ();
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
   let ids = if ids = [] then Rn_harness.All.ids else ids in
   let store =
@@ -799,8 +821,8 @@ let run_graph_stats file =
     (if n = 0 then 0.0 else 2.0 *. float_of_int m /. float_of_int n)
     (Dual.max_degree_g' dual)
     (if n = 0 then 0.0 else 2.0 *. float_of_int m' /. float_of_int n);
-  (* Power-of-two degree histogram over G, matching the metrics registry's
-     bucket geometry so the shapes are comparable across tools. *)
+  (* Degree histogram over G in the metrics registry's bucket geometry,
+     so the shapes are comparable across tools. *)
   let hist =
     Rn_util.Metrics.hist_of_values
       (List.init n (fun v -> Rn_graph.Graph.degree g v))

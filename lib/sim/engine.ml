@@ -92,10 +92,11 @@ module Dual = Rn_graph.Dual
 module Detector = Rn_detect.Detector
 
 (* Engine-level metrics, recorded at the end of each [run] when the
-   registry is enabled ([Metrics.enabled] is sampled once per run, like
-   [Timing.enabled], so a disabled registry costs one atomic read per
-   simulation).  Registration is idempotent, so these module-level
-   handles are shared by every [Make] instantiation. *)
+   registry is enabled ([Metrics.enabled] is sampled once per run, so a
+   disabled registry costs one atomic read per simulation).
+   Registration is idempotent, so these module-level handles are shared
+   by every [Make] instantiation.  The phase profile's counters, and
+   [engine.resumes] which its report reads, are declared in [Timing]. *)
 let m_runs = Metrics.counter "engine.runs"
 let m_rounds = Metrics.counter "engine.rounds"
 let m_sends = Metrics.counter "engine.sends"
@@ -118,9 +119,7 @@ let m_resume_shard_rounds = Metrics.counter "engine.resume_shard_rounds"
 let m_resume_shard_steps = Metrics.counter "engine.resume_shard_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
 
-(* Continuations resumed (synced fibers, woken listeners and expired
-   parks), and listeners woken early by a delivery. *)
-let m_resumes = Metrics.counter "engine.resumes"
+(* Listeners woken early by a delivery. *)
 let m_listen_wakes = Metrics.counter "engine.listen_wakes"
 (* Words allocated in the minor heap, and words promoted to the major
    heap, while a [run] executes.  They are read from [Gc.counters] at the
@@ -915,11 +914,20 @@ module Make (M : MESSAGE) = struct
       | All_decided -> Atomic.get n_decided = nn || Atomic.get n_finished = nn
       | At_round r -> c.round >= r
     in
-    let prof = Timing.enabled () in
+    (* The phase profile: nanoseconds and entries per phase, summed here
+       and added to the [Timing] counters at the end of the run. *)
     let ff_skipped = ref 0 in
-    let t_mark = ref 0.0 in
-    let p_start () = if prof then t_mark := Timing.now () in
-    let p_stop sec = if prof then Timing.record sec (Timing.now () -. !t_mark) in
+    let t_mark = ref 0 in
+    let phase_ns = Array.make Timing.n_sections 0 in
+    let phase_entries = Array.make Timing.n_sections 0 in
+    let p_start () = if met then t_mark := Timing.now_ns () in
+    let p_stop sec =
+      if met then begin
+        let i = Timing.index sec in
+        phase_ns.(i) <- phase_ns.(i) + (Timing.now_ns () - !t_mark);
+        phase_entries.(i) <- phase_entries.(i) + 1
+      end
+    in
     let rs =
       {
         r = 0;
@@ -1213,12 +1221,14 @@ module Make (M : MESSAGE) = struct
             end
           done
         with Exit -> ());
-    if prof then begin
-      Timing.add_rounds (c.round - !ff_skipped);
-      Timing.add_silent_skipped !ff_skipped;
-      Timing.add_resumes !resumes
-    end;
     if met then begin
+      List.iter
+        (fun sec ->
+          Metrics.add (Timing.phase_ns sec) phase_ns.(Timing.index sec);
+          Metrics.add (Timing.phase_entries sec) phase_entries.(Timing.index sec))
+        Timing.sections;
+      Metrics.add Timing.rounds_executed (c.round - !ff_skipped);
+      Metrics.add Timing.rounds_fast_forwarded !ff_skipped;
       Metrics.incr m_runs;
       Metrics.add m_rounds c.round;
       Metrics.add m_sends c.sent;
@@ -1226,7 +1236,7 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_collisions c.collided;
       Metrics.add m_bits_sent c.bits;
       Metrics.add m_silent_rounds c.silent;
-      Metrics.add m_resumes !resumes;
+      Metrics.add Timing.resumes !resumes;
       Metrics.add m_listen_wakes !listen_wakes;
       Metrics.add m_kernel_rounds !kernel_rounds;
       Metrics.add m_declared_reach_rounds !declared_rounds;

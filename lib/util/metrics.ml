@@ -4,10 +4,10 @@
    preallocated [Atomic] cells and the registry mutex is taken only when
    a metric is first registered (or a store array must grow, which keeps
    the same atomic cells, so concurrent recorders never lose updates).
-   Like [Timing], the registry itself is always live; instrumentation
-   sites are expected to sample [enabled] once per run (the engine
-   does), so a disabled registry costs one atomic read per simulation,
-   not per round.
+   The registry itself is always live; instrumentation sites are
+   expected to sample [enabled] once per run (the engine does), so a
+   disabled registry costs one atomic read per simulation, not per
+   round.
 
    A [scoped] region additionally accumulates every record made by the
    *calling domain* into a private collector.  This is how the harness
@@ -38,25 +38,43 @@ let set_enabled b = Atomic.set enabled_flag b
 
 (* --- histogram buckets ---
 
-   Power-of-two value buckets: bucket 0 holds v <= 0; bucket i >= 1
-   holds 2^(i-1) <= v <= 2^i - 1 (i.e. the values with i significant
-   bits).  62 value buckets cover every positive OCaml int. *)
+   Log-linear buckets, 8 per power of two: bucket 0 holds v <= 0, and
+   buckets 1..15 hold exactly the value of their index.  Above that a
+   value with its highest set bit at e (e >= 4) lands in one of the 8
+   equal sub-buckets of [2^e, 2^(e+1) - 1], each 2^(e-3) wide.  A
+   sub-bucket's width is at most 1/8 of its lower bound, so its upper
+   bound is within 12.5% of any value in it.  480 buckets cover every
+   positive OCaml int; the upper bounds include every 2^i - 1, the
+   bounds of the power-of-two buckets an older geometry used. *)
 
-let n_buckets = 63
+let n_buckets = 480
+
+(* Index of the highest set bit of [v > 0]. *)
+let msb v =
+  let e = ref 0 and x = ref v in
+  while !x > 1 do
+    incr e;
+    x := !x lsr 1
+  done;
+  !e
 
 let bucket_of v =
   if v <= 0 then 0
+  else if v < 8 then v
   else begin
-    let b = ref 0 and x = ref v in
-    while !x > 0 do
-      incr b;
-      x := !x lsr 1
-    done;
-    min (n_buckets - 1) !b
+    let e = msb v in
+    (8 * (e - 2)) + ((v lsr (e - 3)) land 7)
   end
 
-let bucket_upper i = if i = 0 then 0 else if i >= 62 then max_int else (1 lsl i) - 1
-let bucket_lower i = if i = 0 then min_int else 1 lsl (i - 1)
+let bucket_lower i =
+  if i = 0 then min_int
+  else if i < 8 then i
+  else begin
+    let e = (i / 8) + 2 in
+    (8 + (i land 7)) lsl (e - 3)
+  end
+
+let bucket_upper i = if i < 8 then i else bucket_lower i + (1 lsl ((i / 8) - 1)) - 1
 
 type hist_cells = {
   hcounts : int Atomic.t array;

@@ -3,8 +3,9 @@
     Recording is lock-free on the hot path (plain [Atomic] operations on
     preallocated cells); a registry mutex is taken only at registration.
     The registry is always live — instrumentation sites are expected to
-    sample {!enabled} once per run, like {!Timing}, so disabled
-    instrumentation costs one atomic read per simulation.
+    sample {!enabled} once per run, so disabled instrumentation costs
+    one atomic read per simulation.  {!Timing}'s round-loop profile is
+    a view over counters kept here.
 
     Snapshots are plain sorted data: they [Marshal] cleanly, and
     {!merge} is associative and commutative (counters
@@ -51,7 +52,8 @@ val set : gauge -> int -> unit
 (** [None] until the gauge is first {!set}. *)
 val gauge_value : gauge -> int option
 
-(** Record one value into a histogram's power-of-two value buckets. *)
+(** Record one value into a histogram's log-linear value buckets (see
+    {!bucket_of}). *)
 val observe : histogram -> int -> unit
 
 (** Histogram summary: [(bucket upper bound, count)] pairs (ascending,
@@ -80,8 +82,7 @@ val is_empty : snapshot -> bool
 val snapshot : unit -> snapshot
 
 (** Build a normalized counters-only snapshot (duplicates summed, zeros
-    dropped, names sorted); how {!Timing.metrics_snapshot} folds the
-    profiler sections into this format. *)
+    dropped, names sorted). *)
 val of_counters : (string * int) list -> snapshot
 
 (** Build a histogram summary from raw values (test/aggregation
@@ -110,15 +111,20 @@ val diff : snapshot -> snapshot -> snapshot
 val merge_hist : hist_snapshot -> hist_snapshot -> hist_snapshot
 
 (** [percentile h q] for [q] in [0,1]: the upper bound of the bucket
-    containing the [q]-quantile, clamped into [[vmin, vmax]] (so p100 is
-    exact, and the result is always within a 2x bucket of the true
-    quantile). *)
+    containing the [q]-quantile, clamped into [[vmin, vmax]].  So p100
+    is exact, and for non-negative values the result is at least the
+    true quantile and within 12.5% above it (exact below 16). *)
 val percentile : hist_snapshot -> float -> int
 
 val hist_mean : hist_snapshot -> float
 
 (** Bucket geometry, exposed for tests: [bucket_of v] is the bucket
-    index, [bucket_lower]/[bucket_upper] its value range. *)
+    index, [bucket_lower]/[bucket_upper] its value range.  Bucket 0
+    holds [v <= 0] and buckets 1..15 hold exactly their own index;
+    above that each power of two [[2^e, 2^(e+1) - 1]] is cut into 8
+    equal sub-buckets, each at most 1/8 as wide as its lower bound. *)
+val n_buckets : int
+
 val bucket_of : int -> int
 
 val bucket_lower : int -> int

@@ -68,3 +68,25 @@ let ci95 xs =
 let pp_summary ppf s =
   Fmt.pf ppf "n=%d mean=%.1f sd=%.1f med=%.1f p90=%.1f min=%.1f max=%.1f"
     s.count s.mean s.stddev s.median s.p90 s.min s.max
+
+(* One glyph per window: [xs] cut into [buckets] equal windows (they
+   repeat samples when there are fewer samples than windows), each
+   window's mean scaled to the largest, from " " (zero) to a full
+   block. *)
+let sparkline ~buckets xs =
+  let n = Array.length xs in
+  if n = 0 || buckets < 1 then ""
+  else begin
+    let means =
+      Array.init buckets (fun b ->
+          let lo = b * n / buckets in
+          let hi = max (((b + 1) * n / buckets) - 1) lo in
+          mean (Array.sub xs lo (hi - lo + 1)))
+    in
+    let top = Array.fold_left max 0.0 means in
+    let glyphs = [| " "; "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |] in
+    let pick v =
+      if top <= 0.0 then glyphs.(0) else glyphs.(min 8 (int_of_float (ceil (v /. top *. 8.0))))
+    in
+    String.concat "" (Array.to_list (Array.map pick means))
+  end

@@ -32,3 +32,9 @@ val of_ints : int array -> float array
 val ci95 : float array -> float
 
 val pp_summary : Format.formatter -> summary -> unit
+
+(** [sparkline ~buckets xs]: one unicode glyph per window of [xs] cut
+    into [buckets] equal windows, the window's mean scaled to the
+    largest window mean (a blank for zero, a full block for the
+    largest).  [""] when [xs] is empty or [buckets < 1]. *)
+val sparkline : buckets:int -> float array -> string

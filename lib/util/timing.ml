@@ -1,56 +1,49 @@
-(* Lightweight section profiling for the engine hot path.
+(* The engine round loop's profile, as a view over Metrics counters.
 
-   Counters are global and atomic so that experiment cells running on
-   [Pool] worker domains can record concurrently.  Profiling is off by
-   default; the engine reads [enabled] once per [run], so a disabled
-   profiler costs one atomic read per simulation, not per round. *)
+   [Engine.run] sums each phase's nanoseconds and entries, and its
+   executed and fast-forwarded rounds, in run-local ints, and adds them
+   to the counters declared here at the end of the run when
+   [Metrics.enabled] is on.  So the profile has no registry, flag or
+   atomics of its own: a cell's [Metrics.scoped] snapshot carries that
+   cell's phase split, and [snapshot] reads the global registry. *)
 
 type section = Wake | Collect | Adversary | Deliver | Resume
 
-let n_sections = 5
+let sections = [ Wake; Collect; Adversary; Deliver; Resume ]
+let n_sections = List.length sections
 let index = function Wake -> 0 | Collect -> 1 | Adversary -> 2 | Deliver -> 3 | Resume -> 4
 
-let section_labels = [ "wake"; "collect"; "adversary"; "deliver"; "resume" ]
-let enabled_flag = Atomic.make false
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
+let label = function
+  | Wake -> "wake"
+  | Collect -> "collect"
+  | Adversary -> "adversary"
+  | Deliver -> "deliver"
+  | Resume -> "resume"
 
-(* Boxed-float atomics; fine, these are touched only when profiling. *)
-let seconds = Array.init n_sections (fun _ -> Atomic.make 0.0)
-let entries = Array.init n_sections (fun _ -> Atomic.make 0)
-let rounds_total = Atomic.make 0
-let silent_skipped = Atomic.make 0
-let resumes_total = Atomic.make 0
+let counters suffix =
+  Array.of_list (List.map (fun s -> Metrics.counter ("engine." ^ label s ^ suffix)) sections)
 
-let add_float a x =
-  let rec go () =
-    let old = Atomic.get a in
-    if not (Atomic.compare_and_set a old (old +. x)) then go ()
-  in
-  go ()
+let ns_counters = counters "_ns"
+let entry_counters = counters "_entries"
+
+let phase_ns s = ns_counters.(index s)
+let phase_entries s = entry_counters.(index s)
+let rounds_executed = Metrics.counter "engine.rounds_executed"
+let rounds_fast_forwarded = Metrics.counter "engine.rounds_fast_forwarded"
+let resumes = Metrics.counter "engine.resumes"
+let enabled = Metrics.enabled
+let set_enabled = Metrics.set_enabled
 
 (* Monotonic clock (CLOCK_MONOTONIC via the C stub): immune to the NTP
-   slews and wall-clock jumps that gettimeofday is subject to, and the
-   same clock family bench has used since PR 2. *)
-external monotonic_ns : unit -> int64 = "rn_monotonic_ns"
+   slews and wall-clock jumps that gettimeofday is subject to. *)
+external now_ns : unit -> int = "rn_monotonic_ns" [@@noalloc]
 
-let now () = Int64.to_float (monotonic_ns ()) /. 1e9
-
-let record sec dt =
-  let i = index sec in
-  add_float seconds.(i) dt;
-  Atomic.incr entries.(i)
-
-let add_rounds n = ignore (Atomic.fetch_and_add rounds_total n)
-let add_silent_skipped n = ignore (Atomic.fetch_and_add silent_skipped n)
-let add_resumes n = ignore (Atomic.fetch_and_add resumes_total n)
+let now () = float_of_int (now_ns ()) /. 1e9
 
 let reset () =
-  Array.iter (fun a -> Atomic.set a 0.0) seconds;
-  Array.iter (fun a -> Atomic.set a 0) entries;
-  Atomic.set rounds_total 0;
-  Atomic.set silent_skipped 0;
-  Atomic.set resumes_total 0
+  Array.iter Metrics.reset_counter ns_counters;
+  Array.iter Metrics.reset_counter entry_counters;
+  List.iter Metrics.reset_counter [ rounds_executed; rounds_fast_forwarded; resumes ]
 
 type snapshot = {
   sections : (string * int * float) list;
@@ -62,27 +55,16 @@ type snapshot = {
 let snapshot () =
   {
     sections =
-      List.mapi (fun i l -> (l, Atomic.get entries.(i), Atomic.get seconds.(i))) section_labels;
-    rounds = Atomic.get rounds_total;
-    silent = Atomic.get silent_skipped;
-    resumes = Atomic.get resumes_total;
+      List.map
+        (fun s ->
+          ( label s,
+            Metrics.value (phase_entries s),
+            float_of_int (Metrics.value (phase_ns s)) /. 1e9 ))
+        sections;
+    rounds = Metrics.value rounds_executed;
+    silent = Metrics.value rounds_fast_forwarded;
+    resumes = Metrics.value resumes;
   }
-
-(* Fold the section profile into the metrics snapshot format, so one
-   aggregation path (merge/sexp/tables) serves both layers.  Seconds
-   become integer nanoseconds: metrics values are exact ints. *)
-let metrics_snapshot () =
-  let s = snapshot () in
-  let ns t = int_of_float (t *. 1e9) in
-  Metrics.of_counters
-    (List.concat_map
-       (fun (l, n, t) -> [ ("timing." ^ l ^ ".entries", n); ("timing." ^ l ^ ".ns", ns t) ])
-       s.sections
-    @ [
-        ("timing.rounds", s.rounds);
-        ("timing.silent_skipped", s.silent);
-        ("timing.resumes", s.resumes);
-      ])
 
 let pp_report ppf s =
   let open Format in

@@ -1,12 +1,17 @@
-(** Section counters for the engine round loop ([--profile]).
+(** The engine round loop's profile ([--profile]), as a read-only view
+    over {!Metrics} counters.
 
-    Global, atomic, and therefore safe to record from [Pool] worker
-    domains.  Disabled by default: the engine samples [enabled] once per
-    [run], so the instrumentation is free unless switched on.
+    [Engine.run] sums each phase's nanoseconds and entries, and its
+    executed and fast-forwarded rounds, in run-local ints.  At the end
+    of a run it adds them to the counters declared here, when
+    {!Metrics.enabled} is on.  The profile therefore has no registry or
+    flag of its own: a cell's {!Metrics.scoped} snapshot (and so its
+    store payload) carries that cell's phase split, and {!snapshot}
+    reads the global registry.
 
     The clock is [CLOCK_MONOTONIC] (nanosecond resolution, immune to
-    NTP slews and wall-clock jumps — the same clock family bench uses),
-    which is plenty to tell which phase of the round loop dominates. *)
+    NTP slews and wall-clock jumps), which is plenty to tell which
+    phase of the round loop dominates. *)
 
 (** The round loop's phases.  [Adversary] times only the derivation of
     a [Chosen] round's stream: the adversary's draws run inside
@@ -14,42 +19,59 @@
     reads about 0. *)
 type section = Wake | Collect | Adversary | Deliver | Resume
 
+(** The phases in round order. *)
+val sections : section list
+
+val n_sections : int
+
+(** [index s] is [s]'s position in {!sections}. *)
+val index : section -> int
+
+(** {2 The counters} *)
+
+(** [engine.<phase>_ns], e.g. [engine.wake_ns]: wall-clock nanoseconds
+    spent in the phase. *)
+val phase_ns : section -> Metrics.counter
+
+(** [engine.<phase>_entries]: times the phase ran. *)
+val phase_entries : section -> Metrics.counter
+
+(** [engine.rounds_executed]: rounds the loop executed. *)
+val rounds_executed : Metrics.counter
+
+(** [engine.rounds_fast_forwarded]: silent rounds skipped in one step. *)
+val rounds_fast_forwarded : Metrics.counter
+
+(** [engine.resumes]: fiber continuations resumed (synced fibers, woken
+    listeners and expired parks). *)
+val resumes : Metrics.counter
+
+(** {2 The view} *)
+
+(** {!Metrics.enabled}. *)
 val enabled : unit -> bool
+
+(** {!Metrics.set_enabled}. *)
 val set_enabled : bool -> unit
 
-(** Clear all counters. *)
+(** Zero the counters above in the global registry. *)
 val reset : unit -> unit
 
-(** Current time in seconds on the monotonic clock (arbitrary epoch:
-    only differences are meaningful). *)
+(** Current time in nanoseconds on the monotonic clock (arbitrary
+    epoch: only differences are meaningful).  Allocates nothing. *)
+val now_ns : unit -> int
+
+(** {!now_ns} in seconds. *)
 val now : unit -> float
-
-(** [record sec dt] adds [dt] seconds and one entry to [sec]. *)
-val record : section -> float -> unit
-
-(** Total rounds actually executed (not fast-forwarded). *)
-val add_rounds : int -> unit
-
-(** Rounds skipped or short-circuited as silent. *)
-val add_silent_skipped : int -> unit
-
-(** Fiber continuations resumed (synced fibers, woken listeners and
-    expired parks). *)
-val add_resumes : int -> unit
 
 type snapshot = {
   sections : (string * int * float) list;  (** label, entries, seconds *)
-  rounds : int;
-  silent : int;
-  resumes : int;
+  rounds : int;  (** [engine.rounds_executed] *)
+  silent : int;  (** [engine.rounds_fast_forwarded] *)
+  resumes : int;  (** [engine.resumes] *)
 }
 
+(** The counters above, read from the global registry. *)
 val snapshot : unit -> snapshot
-
-(** The section profile folded into the {!Metrics} snapshot format
-    ([timing.<section>.entries], [timing.<section>.ns],
-    [timing.rounds], [timing.silent_skipped], [timing.resumes]), so profiler output can
-    be merged and exported through the one metrics pipeline. *)
-val metrics_snapshot : unit -> Metrics.snapshot
 
 val print_report : unit -> unit

@@ -106,13 +106,21 @@ let perfect dual = Detector.static (Detector.perfect (Dual.g dual))
 
 (* --- the one property -------------------------------------------------- *)
 
-(* Rounds in which each fast path ran, read through [Metrics.scoped]:
+(* [f ()] with the engine's metrics on, and what it recorded.  The
+   flag is the one [Timing.set_enabled] toggles, so it is set here
+   rather than once for the whole suite. *)
+let recorded f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) (fun () -> Metrics.scoped f)
+
+(* Rounds in which each fast path ran, read through [recorded]:
    [declared] counts the rounds whose declared reach skipped the
    adversary phase. *)
 type paths = { declared : int; deliver : int; resume : int }
 
 let counted f =
-  let r, snap = Metrics.scoped f in
+  let r, snap = recorded f in
   let c name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
   ( r,
     {
@@ -596,7 +604,7 @@ let test_unwind_suspended () =
   let check what ~cut cfg =
     let plain = E.run cfg body in
     let unwound = ref 0 in
-    let r, snap = Metrics.scoped (fun () -> E.run cfg (guarded unwound)) in
+    let r, snap = recorded (fun () -> E.run cfg (guarded unwound)) in
     Alcotest.(check bool) (what ^ ": result unchanged") true (r = plain);
     Alcotest.(check int) (what ^ ": run unwound") cut !unwound;
     Alcotest.(check (option int))
@@ -1792,7 +1800,6 @@ let prop_tdma_resume =
    the old grouping keeps every case's printed name.  A failing report
    raises [Alcotest.Test_error], which fails the process. *)
 let () =
-  Metrics.set_enabled true;
   List.iter
     (fun (name, groups) -> Alcotest.run ~and_exit:false name groups)
     [

@@ -72,12 +72,16 @@ let test_scoped_isolation () =
 
 let dedup_by_name l = List.sort_uniq (fun (a, _) (b, _) -> compare a b) l
 
+(* Histogram values: small ones land in the exact buckets, large ones in
+   the sub-buckets of high powers of two. *)
+let value_gen = QCheck.Gen.(oneof [ small_nat; int_range 0 1_000_000_000 ])
+
 let snap_gen =
   QCheck.Gen.(
     let name = oneofl [ "m.a"; "m.b"; "m.c"; "m.d"; "m.e" ] in
     let counters = list_size (int_range 0 5) (pair name (int_range 1 100)) in
     let gauges = list_size (int_range 0 3) (pair name (int_range 0 50)) in
-    let hists = list_size (int_range 0 3) (pair name (list_size (int_range 1 8) small_nat)) in
+    let hists = list_size (int_range 0 3) (pair name (list_size (int_range 1 8) value_gen)) in
     map3
       (fun cs gs hs ->
         {
@@ -100,7 +104,7 @@ let qcheck_merge_associative =
 
 let qcheck_hist_concat =
   QCheck.Test.make ~name:"hist_of_values (a @ b) = merge_hist" ~count:300
-    QCheck.(pair (list small_nat) (list small_nat))
+    (QCheck.make QCheck.Gen.(pair (list value_gen) (list value_gen)))
     (fun (a, b) ->
       Metrics.hist_of_values (a @ b)
       = Metrics.merge_hist (Metrics.hist_of_values a) (Metrics.hist_of_values b))
@@ -122,7 +126,39 @@ let test_bucket_geometry () =
         (Printf.sprintf "%d within its bucket" v)
         true
         (v >= Metrics.bucket_lower b && v <= Metrics.bucket_upper b))
-    [ 0; 1; 2; 3; 4; 7; 8; 255; 256; 1023; 1024; max_int ]
+    [ min_int; -1; 0; 1; 2; 3; 4; 7; 8; 15; 16; 17; 255; 256; 1023; 1024; max_int ];
+  Alcotest.(check int) "480 buckets" 480 Metrics.n_buckets;
+  Alcotest.(check int) "max_int in the last bucket" (Metrics.n_buckets - 1)
+    (Metrics.bucket_of max_int);
+  Alcotest.(check int) "the last bucket ends at max_int" max_int
+    (Metrics.bucket_upper (Metrics.n_buckets - 1));
+  for v = 0 to 15 do
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "%d has a bucket of its own" v)
+      (v, v)
+      (Metrics.bucket_upper (Metrics.bucket_of v), Metrics.bucket_of v)
+  done;
+  for i = 1 to Metrics.n_buckets - 1 do
+    let lo = Metrics.bucket_lower i and hi = Metrics.bucket_upper i in
+    if i < Metrics.n_buckets - 1 then
+      Alcotest.(check int) (Printf.sprintf "bucket %d is followed without a gap" i) (hi + 1)
+        (Metrics.bucket_lower (i + 1));
+    Alcotest.(check bool)
+      (Printf.sprintf "bucket %d at most 1/8 as wide as its lower bound" i)
+      true
+      (hi - lo + 1 <= max 1 (lo / 8));
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "bucket %d holds its bounds" i)
+      (i, i)
+      (Metrics.bucket_of lo, Metrics.bucket_of hi)
+  done;
+  (* the power-of-two bounds of the old geometry are still bucket upper
+     bounds, so payloads cached under it merge bucket for bucket *)
+  for e = 1 to 62 do
+    let ub = if e = 62 then max_int else (1 lsl e) - 1 in
+    Alcotest.(check int) (Printf.sprintf "2^%d - 1 is an upper bound" e) ub
+      (Metrics.bucket_upper (Metrics.bucket_of ub))
+  done
 
 let test_percentiles () =
   let h = Metrics.hist_of_values (List.init 1000 (fun i -> i + 1)) in
@@ -130,12 +166,29 @@ let test_percentiles () =
   Alcotest.(check int) "sum" 500500 h.Metrics.sum;
   Alcotest.(check int) "min" 1 h.Metrics.vmin;
   Alcotest.(check int) "max" 1000 h.Metrics.vmax;
-  let p50 = Metrics.percentile h 0.5 in
-  Alcotest.(check bool) "p50 within a 2x bucket of 500" true (p50 >= 256 && p50 <= 511);
-  let p95 = Metrics.percentile h 0.95 in
-  Alcotest.(check bool) "p95 within a 2x bucket of 950" true (p95 >= 512 && p95 <= 1023);
+  (* 500 lies in [480, 511], 950 in [896, 959] *)
+  Alcotest.(check int) "p50: upper bound of 500's sub-bucket" 511 (Metrics.percentile h 0.5);
+  Alcotest.(check int) "p95: upper bound of 950's sub-bucket" 959 (Metrics.percentile h 0.95);
   Alcotest.(check int) "p100 exact" 1000 (Metrics.percentile h 1.0);
   Alcotest.(check (float 1e-9)) "mean exact" 500.5 (Metrics.hist_mean h)
+
+(* Against the exact quantile of the raw values: the rank-ceil(q n)
+   value of the sorted sample.  The percentile is never below it and at
+   most an eighth above it. *)
+let qcheck_percentile_error =
+  QCheck.Test.make ~name:"percentile within 12.5% of the exact quantile" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list int) float)
+       QCheck.Gen.(pair (list_size (int_range 1 200) value_gen) (float_range 0.0 1.0)))
+    (fun (vs, q) ->
+      let sorted = Array.of_list (List.sort compare vs) in
+      let n = Array.length sorted in
+      let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
+      let exact = sorted.(rank - 1) in
+      let p = Metrics.percentile (Metrics.hist_of_values vs) q in
+      if p < exact || p - exact > exact / 8 then
+        QCheck.Test.fail_reportf "q=%g: percentile %d, exact %d" q p exact;
+      true)
 
 (* --- exposition: JSON --- *)
 
@@ -320,29 +373,99 @@ let test_experiment_metrics_cold_warm () =
           (List.assoc_opt "engine.runs" snap.Metrics.counters)
       | _ -> Alcotest.fail "expected exactly one experiment aggregate")
 
-(* --- timing profiler folds into the metrics format --- *)
+(* --- the phase profile: Metrics counters, per cell --- *)
 
-let test_timing_metrics_snapshot () =
+let phase_labels = [ "wake"; "collect"; "adversary"; "deliver"; "resume" ]
+
+(* The counters that count (entries and rounds): deterministic, unlike
+   the [_ns] wall-clock beside them. *)
+let phase_counts (snap : Metrics.snapshot) =
+  List.map
+    (fun name -> (name, Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters)))
+    (List.map (fun l -> "engine." ^ l ^ "_entries") phase_labels
+    @ [ "engine.rounds_executed"; "engine.rounds_fast_forwarded" ])
+
+(* Every phase that ran took time. *)
+let check_phase_ns what (snap : Metrics.snapshot) =
+  List.iter
+    (fun l ->
+      let c suffix =
+        Option.value ~default:0 (List.assoc_opt ("engine." ^ l ^ suffix) snap.Metrics.counters)
+      in
+      if c "_entries" > 0 then
+        Alcotest.(check bool) (Printf.sprintf "%s: %s ns > 0" what l) true (c "_ns" > 0))
+    phase_labels
+
+(* Three MIS cells under a Bernoulli adversary (so the adversary phase
+   runs too): each cell's store payload carries its own phase split, the
+   counts of the jobs:2 aggregate equal those of the same cells at
+   jobs:1, and a warm replay reports the cold snapshot. *)
+let test_per_cell_phase_split () =
+  let dir = tmpdir () in
+  let s = Store.open_ ~fsync:false dir in
+  Metrics.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ();
+      Harness.clear_store ();
+      Harness.reset_store_counters ();
+      Harness.reset_experiment_metrics ();
+      Store.close s)
+    (fun () ->
+      let cell seed =
+        let dual = Harness.geometric ~seed ~n:24 ~degree:8 () in
+        let detector = Detector.static (Detector.perfect (Dual.g dual)) in
+        let adversary = Rn_sim.Adversary.bernoulli 0.5 in
+        (Core.Mis.run ~seed ~adversary ~detector dual).R.rounds
+      in
+      let sweep ~jobs =
+        Harness.reset_experiment_metrics ();
+        Harness.begin_experiment ~id:"TSTPHASE" ~scale:Harness.Quick ~version:1;
+        ignore (Harness.run_cells ~jobs cell [ 1; 2; 3 ]);
+        match Harness.experiment_metrics () with
+        | [ (_, snap) ] -> snap
+        | _ -> Alcotest.fail "expected exactly one experiment aggregate"
+      in
+      let sequential = sweep ~jobs:1 in
+      Harness.set_store s;
+      let cold = sweep ~jobs:2 in
+      let warm = sweep ~jobs:2 in
+      Alcotest.(check (list (pair string int)))
+        "jobs:2 counts = jobs:1 counts" (phase_counts sequential) (phase_counts cold);
+      Alcotest.(check bool)
+        "every phase ran" true
+        (List.for_all (fun (_, n) -> n > 0) (phase_counts cold));
+      check_phase_ns "jobs:1" sequential;
+      check_phase_ns "jobs:2" cold;
+      Alcotest.(check bool) "cold = warm" true (cold = warm))
+
+(* [Timing] is a view over the counters a run adds to [Metrics]. *)
+let test_timing_view () =
+  let dual = Harness.geometric ~seed:5 ~n:32 ~degree:8 () in
+  let detector = Detector.static (Detector.perfect (Dual.g dual)) in
+  let adversary = Rn_sim.Adversary.bernoulli 0.5 in
+  Metrics.reset ();
+  Metrics.set_enabled true;
+  let r, snap = Metrics.scoped (fun () -> Core.Mis.run ~seed:5 ~adversary ~detector dual) in
+  Metrics.set_enabled false;
+  let t = Timing.snapshot () in
+  let c name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
+  Alcotest.(check (list (triple string int (float 0.0))))
+    "sections"
+    (List.map
+       (fun l ->
+         (l, c ("engine." ^ l ^ "_entries"), float_of_int (c ("engine." ^ l ^ "_ns")) /. 1e9))
+       phase_labels)
+    t.Timing.sections;
+  Alcotest.(check int) "rounds executed" (c "engine.rounds_executed") t.Timing.rounds;
+  Alcotest.(check int) "fast-forwarded" (c "engine.rounds_fast_forwarded") t.Timing.silent;
+  Alcotest.(check int) "resumes" (c "engine.resumes") t.Timing.resumes;
+  Alcotest.(check int) "every round executed or skipped" r.R.rounds
+    (t.Timing.rounds + t.Timing.silent);
   Timing.reset ();
-  Timing.record Timing.Wake 0.001;
-  Timing.record Timing.Deliver 0.002;
-  Timing.add_rounds 5;
-  Timing.add_silent_skipped 2;
-  let s = Timing.metrics_snapshot () in
-  let c name = List.assoc_opt name s.Metrics.counters in
-  Alcotest.(check (option int)) "wake entries" (Some 1) (c "timing.wake.entries");
-  Alcotest.(check (option int)) "deliver entries" (Some 1) (c "timing.deliver.entries");
-  Alcotest.(check (option int)) "rounds" (Some 5) (c "timing.rounds");
-  Alcotest.(check (option int)) "silent" (Some 2) (c "timing.silent_skipped");
-  (match c "timing.wake.ns" with
-  | Some ns -> Alcotest.(check bool) "wake ns positive" true (ns > 0)
-  | None -> Alcotest.fail "timing.wake.ns missing");
-  (* merges with an engine-style snapshot through the one pipeline *)
-  let merged = Metrics.merge s (Metrics.of_counters [ ("engine.runs", 2) ]) in
-  Alcotest.(check (option int))
-    "merges with registry snapshots" (Some 2)
-    (List.assoc_opt "engine.runs" merged.Metrics.counters);
-  Timing.reset ()
+  Alcotest.(check int) "reset zeroes the view" 0 (Timing.snapshot ()).Timing.rounds;
+  Metrics.reset ()
 
 let () =
   Alcotest.run "metrics"
@@ -362,6 +485,7 @@ let () =
           Alcotest.test_case "diff" `Quick test_diff;
           Alcotest.test_case "bucket geometry" `Quick test_bucket_geometry;
           Alcotest.test_case "percentiles" `Quick test_percentiles;
+          qtest qcheck_percentile_error;
           Alcotest.test_case "exposition exact" `Quick test_exposition_exact;
           qtest qcheck_exposition_merge_order;
         ] );
@@ -380,6 +504,7 @@ let () =
         [
           Alcotest.test_case "cold = warm experiment metrics" `Quick
             test_experiment_metrics_cold_warm;
-          Alcotest.test_case "timing folds into metrics" `Quick test_timing_metrics_snapshot;
+          Alcotest.test_case "per-cell phase split" `Quick test_per_cell_phase_split;
+          Alcotest.test_case "timing folds into metrics" `Quick test_timing_view;
         ] );
     ]

@@ -174,6 +174,45 @@ let test_density_corollary () =
         (Verify.Density.respects_corollary ~pos ~members:!members r))
     [ 1.0; 2.0; 3.0 ]
 
+(* What [rn_cli mis --trace] reads from one run: an observer that counts
+   each round's broadcasters sees every round once (an observer turns
+   off fast-forward), the counts add up to the run's sends, and
+   [decided_round] holds each process's first decision, whatever it
+   outputs later. *)
+let test_trace_with_engine () =
+  let dual = Dual.classic (Gen.ring 16) in
+  let det = Detector.perfect (Dual.g dual) in
+  let counts = ref [] in
+  let observer (v : R.view) = counts := Array.length v.R.view_broadcasters :: !counts in
+  let cfg = R.config ~seed:1 ~observer ~detector:(Detector.static det) dual in
+  let res =
+    R.run cfg (fun ctx ->
+        Core.Mis.body ~on_decide:(fun o -> R.output ctx o) Core.Params.default ctx)
+  in
+  Alcotest.(check int) "rounds observed" res.R.rounds (List.length !counts);
+  Alcotest.(check int)
+    "broadcasters add up to sends" res.R.stats.Rn_sim.Engine.sends
+    (List.fold_left ( + ) 0 !counts);
+  Array.iteri
+    (fun v d ->
+      match (d, res.R.outputs.(v)) with
+      | Some r, Some _ ->
+        Alcotest.(check bool) (Printf.sprintf "%d decided in the run" v) true
+          (r >= 1 && r <= res.R.rounds)
+      | _ -> Alcotest.failf "process %d has no first decision" v)
+    res.R.decided_round;
+  (* a repeated output keeps the round of the first *)
+  let cfg = R.config ~seed:1 ~observer ~detector:(Detector.static det) dual in
+  let res =
+    R.run cfg (fun ctx ->
+        ignore (R.sync ctx None);
+        R.output ctx 1;
+        R.idle ctx 2;
+        R.output ctx 1)
+  in
+  Alcotest.(check (array (option int)))
+    "first decisions only" (Array.make 16 (Some 1)) res.R.decided_round
+
 let () =
   Alcotest.run "mis"
     [
@@ -187,6 +226,7 @@ let () =
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "geometric seeds" `Slow test_geometric_seeds;
         ] );
+      ("trace", [ Alcotest.test_case "with engine" `Quick test_trace_with_engine ]);
       ( "behaviour",
         [
           Alcotest.test_case "adversaries" `Slow test_adversaries;

@@ -360,6 +360,32 @@ let test_stats_ci95 () =
   Alcotest.check (Alcotest.float 1e-6) "known width" (1.96 *. Stats.stddev xs /. 2.0)
     (Stats.ci95 xs)
 
+(* The activity line of [rn_cli mis --trace]: broadcasters per round
+   rendered by [Stats.sparkline]. *)
+let full_block = "\xe2\x96\x88" (* █ *)
+
+let test_sparkline () =
+  let s = Stats.sparkline ~buckets:5 (Stats.of_ints (Array.init 10 (fun r -> r + 1))) in
+  Alcotest.(check bool) "non-empty" true (String.length s > 0);
+  (* monotone activity gives a full final window *)
+  Alcotest.(check bool) "ends full" true
+    (String.length s >= 3 && String.sub s (String.length s - 3) 3 = full_block)
+
+let test_activity_profile () =
+  (* four busy rounds then four quiet ones, over two windows *)
+  let counts = Array.init 8 (fun r -> if r < 4 then 4 else 0) in
+  Alcotest.(check string)
+    "busy half full, quiet half blank" (full_block ^ " ")
+    (Stats.sparkline ~buckets:2 (Stats.of_ints counts));
+  (* fewer samples than windows: windows repeat samples *)
+  Alcotest.(check string)
+    "one sample per two windows" (" " ^ " " ^ full_block ^ full_block)
+    (Stats.sparkline ~buckets:4 [| 0.0; 2.0 |])
+
+let test_sparkline_empty () =
+  Alcotest.(check string) "no rounds" "" (Stats.sparkline ~buckets:10 [||]);
+  Alcotest.(check string) "no windows" "" (Stats.sparkline ~buckets:0 [| 1.0 |])
+
 let prop_stats_mean_bounds =
   QCheck.Test.make ~name:"mean within [min,max]" ~count:300
     QCheck.(list_of_size (Gen.int_range 1 50) (float_range (-100.0) 100.0))
@@ -898,6 +924,12 @@ let () =
           Alcotest.test_case "ci95" `Quick test_stats_ci95;
           qtest prop_stats_summary_order;
           qtest prop_stats_mean_bounds;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "sparkline" `Quick test_sparkline;
+          Alcotest.test_case "activity profile" `Quick test_activity_profile;
+          Alcotest.test_case "empty" `Quick test_sparkline_empty;
         ] );
       ( "fit",
         [
