@@ -179,20 +179,58 @@ let test_density_corollary () =
    off fast-forward), the counts add up to the run's sends, and
    [decided_round] holds each process's first decision, whatever it
    outputs later. *)
-let test_trace_with_engine () =
-  let dual = Dual.classic (Gen.ring 16) in
+let traced_run dual body =
   let det = Detector.perfect (Dual.g dual) in
   let counts = ref [] in
   let observer (v : R.view) = counts := Array.length v.R.view_broadcasters :: !counts in
   let cfg = R.config ~seed:1 ~observer ~detector:(Detector.static det) dual in
-  let res =
-    R.run cfg (fun ctx ->
+  let res = R.run cfg body in
+  (res, Array.of_list (List.rev !counts))
+
+(* A scripted run: both processes send in round 1, nobody in round 2,
+   process 1 alone in round 3. *)
+let test_trace_counts () =
+  let dual = Dual.classic (Gen.path 2) in
+  let res, counts =
+    traced_run dual (fun ctx ->
+        let me = R.me ctx in
+        let msg = Some (Core.Msg.Contender { src = me; lds = None }) in
+        ignore (R.sync ctx msg);
+        ignore (R.sync ctx None);
+        ignore (R.sync ctx (if me = 1 then msg else None)))
+  in
+  Alcotest.(check (array int)) "counts" [| 2; 0; 1 |] counts;
+  Alcotest.(check int) "sends" 3 res.R.stats.Rn_sim.Engine.sends
+
+(* Process 0 decides in round 1, process 1 in round 2; both repeat their
+   output in round 3, which keeps the first round. *)
+let test_trace_first_decisions_only () =
+  let dual = Dual.classic (Gen.path 2) in
+  let res, _ =
+    traced_run dual (fun ctx ->
+        let me = R.me ctx in
+        ignore (R.sync ctx None);
+        if me = 0 then R.output ctx 1;
+        ignore (R.sync ctx None);
+        if me = 1 then R.output ctx 0;
+        ignore (R.sync ctx None);
+        R.output ctx (if me = 0 then 1 else 0))
+  in
+  Alcotest.(check (array (option int)))
+    "decisions" [| Some 1; Some 0 |] res.R.outputs;
+  Alcotest.(check (array (option int)))
+    "first decisions only" [| Some 1; Some 2 |] res.R.decided_round
+
+let test_trace_with_engine () =
+  let dual = Dual.classic (Gen.ring 16) in
+  let res, counts =
+    traced_run dual (fun ctx ->
         Core.Mis.body ~on_decide:(fun o -> R.output ctx o) Core.Params.default ctx)
   in
-  Alcotest.(check int) "rounds observed" res.R.rounds (List.length !counts);
+  Alcotest.(check int) "rounds observed" res.R.rounds (Array.length counts);
   Alcotest.(check int)
     "broadcasters add up to sends" res.R.stats.Rn_sim.Engine.sends
-    (List.fold_left ( + ) 0 !counts);
+    (Array.fold_left ( + ) 0 counts);
   Array.iteri
     (fun v d ->
       match (d, res.R.outputs.(v)) with
@@ -202,9 +240,8 @@ let test_trace_with_engine () =
       | _ -> Alcotest.failf "process %d has no first decision" v)
     res.R.decided_round;
   (* a repeated output keeps the round of the first *)
-  let cfg = R.config ~seed:1 ~observer ~detector:(Detector.static det) dual in
-  let res =
-    R.run cfg (fun ctx ->
+  let res, _ =
+    traced_run dual (fun ctx ->
         ignore (R.sync ctx None);
         R.output ctx 1;
         R.idle ctx 2;
@@ -226,7 +263,12 @@ let () =
           Alcotest.test_case "grid" `Quick test_grid;
           Alcotest.test_case "geometric seeds" `Slow test_geometric_seeds;
         ] );
-      ("trace", [ Alcotest.test_case "with engine" `Quick test_trace_with_engine ]);
+      ( "trace",
+        [
+          Alcotest.test_case "counts" `Quick test_trace_counts;
+          Alcotest.test_case "first decisions only" `Quick test_trace_first_decisions_only;
+          Alcotest.test_case "with engine" `Quick test_trace_with_engine;
+        ] );
       ( "behaviour",
         [
           Alcotest.test_case "adversaries" `Slow test_adversaries;
