@@ -436,7 +436,7 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
   Rn_harness.Harness.set_jobs jobs;
   (* The profile is a view over the engine's metrics counters. *)
   if profile || metrics then Rn_util.Metrics.set_enabled true;
-  if metrics then Rn_harness.Harness.reset_experiment_metrics ();
+  if profile || metrics then Rn_harness.Harness.reset_experiment_metrics ();
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
   let ids = if ids = [] then Rn_harness.All.ids else ids in
   let store =
@@ -501,7 +501,18 @@ let run_experiments ids full jobs profile metrics store_dir no_cache retry cell_
         Format.printf "=== metrics: %s ===@\n%a@\n" id Rn_util.Metrics.pp_snapshot snap)
       (Rn_harness.Harness.experiment_metrics ())
   end;
-  if profile then Rn_util.Timing.print_report ();
+  (* Built from the per-experiment snapshots, not the global registry:
+     a replayed cell runs nothing, and its snapshot carries the profile
+     of the run that computed it. *)
+  if profile then begin
+    let merged =
+      List.fold_left
+        (fun acc (_, snap) -> Rn_util.Metrics.merge acc snap)
+        Rn_util.Metrics.empty
+        (Rn_harness.Harness.experiment_metrics ())
+    in
+    Format.printf "%a@." Rn_util.Timing.pp_report (Rn_util.Timing.of_metrics merged)
+  end;
   if !any_failed then exit 1
 
 let ids_arg =

@@ -70,6 +70,7 @@ type row = {
   deliveries : int;
   collisions : int;
   world_mb : float; (* [Obj.reachable_words] of the dual, as MB *)
+  minor_gcs : int; (* [Gc.quick_stat] minor collections over the run *)
   promoted_words : float; (* [Gc.quick_stat] delta over the run, every domain *)
   hwm_mb : float; (* VmHWM after the point, nan where /proc is missing *)
 }
@@ -154,6 +155,7 @@ let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n
     deliveries = res.E.stats.Rn_sim.Engine.deliveries;
     collisions = res.E.stats.Rn_sim.Engine.collisions;
     world_mb = float_of_int (world_words * (Sys.word_size / 8)) /. 1e6;
+    minor_gcs = gc1.Gc.minor_collections - gc0.Gc.minor_collections;
     promoted_words = gc1.Gc.promoted_words -. gc0.Gc.promoted_words;
     hwm_mb = vm_hwm_mb ();
   }
@@ -220,7 +222,7 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
     Table.create
       [
         "n"; "m"; "gray"; "gen(s)"; "sim(s)"; "rounds/s"; "bcast p50"; "round p50us";
-        "round p95us"; "deliveries"; "world MB"; "promoted Mw"; "VmHWM MB";
+        "round p95us"; "deliveries"; "world MB"; "minor GCs"; "promoted Mw"; "VmHWM MB";
       ]
   in
   List.iter
@@ -238,6 +240,7 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
           Table.cell_int r.p95_round_us;
           Table.cell_int r.deliveries;
           Table.cell_float ~digits:1 r.world_mb;
+          Table.cell_int r.minor_gcs;
           Table.cell_float ~digits:2 (r.promoted_words /. 1e6);
           Table.cell_float ~digits:0 r.hwm_mb;
         ])
@@ -245,9 +248,9 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
   let ns = List.map (fun r -> float_of_int r.n) rows in
   (* An exponent needs at least two sizes to fit. *)
   let memory =
-    "memory: world MB is the dual's reachable heap words; promoted Mw the words promoted \
-     during the run (all domains); VmHWM MB the process's peak RSS after the point, so it \
-     never falls along the grid"
+    "memory: world MB is the dual's reachable heap words; minor GCs the minor collections \
+     and promoted Mw the words promoted during the run (all domains); VmHWM MB the \
+     process's peak RSS after the point, so it never falls along the grid"
   in
   let notes =
     if List.length rows < 2 then [ workload; memory ]

@@ -54,14 +54,15 @@
    [bernoulli]/[harassing] skip the draws of every other edge with
    [Rng.skip], which leaves the stream where the full walk would.
    Delivery picks its evaluation by cost: the word-parallel once/twice
-   kernel when the broadcasters' reach (gray degrees counted only on a
-   round that reaches gray edges) outweighs its word sweeps; on a
-   [Chosen] round the kernel's second sweep re-derives the stream and
-   visits the same edges again.  The resume has one path: it fixes the
-   round's work list and steps it in [resume_shards] slices on Pool
-   domains when [resume_shards > 1] and at least
-   [resume_shard_threshold] fibers await their receive, else in one
-   slice on the calling domain.  Every choice is pure evaluation
+   kernel when the edge touches it saves outweigh its word sweeps.  It
+   saves the broadcasters' G degrees, and their gray degrees only on an
+   [All_incident] round: on a [Chosen] round it visits the adversary's
+   edges as the scalar path does, and its second sweep re-derives the
+   stream and visits them again, which counts against it.  The resume
+   has one path: it fixes the round's work list and steps it in
+   [resume_shards] slices on Pool domains when [resume_shards > 1] and
+   at least [resume_shard_threshold] fibers await their receive, else
+   in one slice on the calling domain.  Every choice is pure evaluation
    strategy; an attached sink treats every round as [Chosen], forces
    the scalar delivery, which can emit per-receiver records, passes no
    [live] predicate, so its [Gray] event counts every active edge, and
@@ -179,6 +180,34 @@ let park_expiry base dur = if dur > max_int - base then max_int else base + dur 
    least this many fibers await their receive: below it, the Pool
    dispatch and merge cost more than stepping the fibers on one domain. *)
 let resume_shard_threshold = 1024
+
+(* Minor-heap words a run asks for per fiber on the calling domain.  A
+   fiber-round allocates about 4.4 words (DESIGN.md "Allocation budget
+   of a fiber round") that die within a round or two: its continuation,
+   a broadcaster's [Send m], a sender's [Recv m].  At 65,536 fibers a
+   round allocates about 288k words, more than the default minor heap
+   of 256k words, so every round collects and promotes the round's
+   live continuations.  [run] raises the calling domain's minor heap
+   to [minor_heap_words_per_fiber * n] words when that exceeds its
+   current size, which at the default fires above 8,192 fibers, and
+   puts the saved size back when the run ends.  A 32-round sparse
+   beacon at n = 65,536 (Bernoulli 0.5, [sync_p 0.25], 2-core x86-64
+   VM, OCaml 5.1.1) at 0, 16, 32 and 64 words per fiber ran 93, 14, 7
+   and 5 minor collections (two of them the resizes) and promoted
+   8.8M, 4.6M, 3.7M and 3.4M words; peak RSS over three runs was 161,
+   133, 134 and 150 MB: at 64 words the heap's own 32 MB gives the
+   saving back. *)
+let minor_heap_words_per_fiber = 32
+
+(* Raise the calling domain's minor heap to [words] if it is smaller,
+   and say whether it did. *)
+let grow_minor_heap words =
+  let gc = Gc.get () in
+  words > gc.Gc.minor_heap_size
+  && begin
+       Gc.set { gc with Gc.minor_heap_size = words };
+       true
+     end
 
 (* Where the fibers one resume slice stepped stopped: the synced ones
    from the front of [buf] in step order, the parked ones from its back.
@@ -1034,16 +1063,24 @@ module Make (M : MESSAGE) = struct
       Adversary.visit cfg.adversary ?live ~round:rs.r ~broadcasters:rs.broadcasters dual adv_rng
         f
     in
-    (* The delivery kernel wins when the broadcasters' reach — their G
-       degrees, plus their gray degrees on a round that reaches gray
-       edges — outweighs its cost: two word sweeps per broadcaster and
-       rebuilding the listener masks from the worklist and the heap. *)
+    (* The delivery kernel wins when the edge touches it saves outweigh
+       its cost: two word sweeps per broadcaster and rebuilding the
+       listener masks from the worklist and the heap.  It saves the
+       broadcasters' G degrees, plus their gray degrees on an
+       [All_incident] round.  On a [Chosen] round it walks the same gray
+       edges the scalar path walks, and walks them a second time when
+       anyone receives, so that second walk counts against it. *)
     let kernel_wins reach =
-      let gray = reach <> Adversary.No_gray in
       let sum = ref 0 in
       for i = 0 to !n_bcast - 1 do
         let u = bcast.(i) in
-        sum := !sum + Graph.degree g u + (if gray then Dual.gray_degree dual u else 0)
+        sum :=
+          !sum + Graph.degree g u
+          +
+          match reach with
+          | Adversary.All_incident -> Dual.gray_degree dual u
+          | Adversary.Chosen -> -Dual.gray_degree dual u
+          | Adversary.No_gray -> 0
       done;
       !sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
     in
@@ -1151,9 +1188,13 @@ module Make (M : MESSAGE) = struct
       end
     in
     (* Step slice [s] of the [rs.slices] cut of the work list into its
-       buffer; on a Pool domain when there is more than one slice. *)
+       buffer; on a Pool domain when there is more than one slice.  The
+       run's Pool domains exit with it, so each sizes its minor heap to
+       its share of the fibers at its first step and never restores it. *)
+    let slice_heap = minor_heap_words_per_fiber * (nn / max 1 resume_shards) in
     let step_slice s =
       let b = slices.(s) and m = !n_work and k = rs.slices in
+      if k > 1 then ignore (grow_minor_heap slice_heap);
       for i = s * m / k to ((s + 1) * m / k) - 1 do
         let v = work.(i) in
         settle b v (step rs.r v)
@@ -1203,10 +1244,15 @@ module Make (M : MESSAGE) = struct
     let observe rs =
       match cfg.observer with Some f -> f (view c rs.broadcasters) | None -> ()
     in
+    (* The minor heap is per domain (OCaml 5): this sizes the calling
+       domain's, for this run only. *)
+    let heap0 = (Gc.get ()).Gc.minor_heap_size in
+    let grown = grow_minor_heap (minor_heap_words_per_fiber * nn) in
     Fun.protect
       ~finally:(fun () ->
         (match !pool with Some p -> Pool.shutdown p | None -> ());
-        discontinued := discontinue_all state conts)
+        discontinued := discontinue_all state conts;
+        if grown then Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap0 })
       (fun () ->
         try
           while not (stop_now ()) do

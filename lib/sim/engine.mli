@@ -202,6 +202,14 @@ module Make (M : MESSAGE) : sig
       domain only: what the resume's Pool workers allocate on their
       own domains is not counted.
 
+      A run of n fibers raises the calling domain's minor heap to 32n
+      words when that exceeds its size, so that a round's short-lived
+      continuations and messages die young, and puts the size back when
+      the run ends, also when it raises.  OCaml 5's minor heap is per
+      domain, so other domains keep theirs; the resume's Pool domains,
+      which exit with the run, grow theirs to 32 words per fiber over
+      [resume_shards].  {!run_reference} leaves the heap alone.
+
       A run that stops while fibers are still suspended (at [At_round],
       at [All_decided] before every body returned, on a timeout, or
       because a fiber raised) unwinds each of them with an exception

@@ -5,7 +5,8 @@
    to the counters declared here at the end of the run when
    [Metrics.enabled] is on.  So the profile has no registry, flag or
    atomics of its own: a cell's [Metrics.scoped] snapshot carries that
-   cell's phase split, and [snapshot] reads the global registry. *)
+   cell's phase split, [snapshot] reads the global registry and
+   [of_metrics] a snapshot. *)
 
 type section = Wake | Collect | Adversary | Deliver | Resume
 
@@ -52,19 +53,22 @@ type snapshot = {
   resumes : int;
 }
 
-let snapshot () =
+(* The view through [value], which reads a counter's total. *)
+let view value =
   {
     sections =
       List.map
-        (fun s ->
-          ( label s,
-            Metrics.value (phase_entries s),
-            float_of_int (Metrics.value (phase_ns s)) /. 1e9 ))
+        (fun s -> (label s, value (phase_entries s), float_of_int (value (phase_ns s)) /. 1e9))
         sections;
-    rounds = Metrics.value rounds_executed;
-    silent = Metrics.value rounds_fast_forwarded;
-    resumes = Metrics.value resumes;
+    rounds = value rounds_executed;
+    silent = value rounds_fast_forwarded;
+    resumes = value resumes;
   }
+
+let snapshot () = view Metrics.value
+
+let of_metrics (m : Metrics.snapshot) =
+  view (fun c -> Option.value ~default:0 (List.assoc_opt (Metrics.name c) m.Metrics.counters))
 
 let pp_report ppf s =
   let open Format in
@@ -81,5 +85,3 @@ let pp_report ppf s =
   if s.rounds + s.silent > 0 then
     fprintf ppf "  avg cost per executed round: %.0f ns@\n"
       (if s.rounds > 0 then total /. float_of_int s.rounds *. 1e9 else 0.0)
-
-let print_report () = Format.printf "%a@." pp_report (snapshot ())

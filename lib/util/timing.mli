@@ -6,8 +6,8 @@
     of a run it adds them to the counters declared here, when
     {!Metrics.enabled} is on.  The profile therefore has no registry or
     flag of its own: a cell's {!Metrics.scoped} snapshot (and so its
-    store payload) carries that cell's phase split, and {!snapshot}
-    reads the global registry.
+    store payload) carries that cell's phase split, {!snapshot} reads
+    the global registry and {!of_metrics} a snapshot.
 
     The clock is [CLOCK_MONOTONIC] (nanosecond resolution, immune to
     NTP slews and wall-clock jumps), which is plenty to tell which
@@ -74,4 +74,10 @@ type snapshot = {
 (** The counters above, read from the global registry. *)
 val snapshot : unit -> snapshot
 
-val print_report : unit -> unit
+(** The counters above, read from a metrics snapshot (absent counters
+    read 0): for instance the merge of per-cell snapshots, which a
+    cell replayed from the result store carries as it was computed. *)
+val of_metrics : Metrics.snapshot -> snapshot
+
+(** The [--profile] report. *)
+val pp_report : Format.formatter -> snapshot -> unit

@@ -857,14 +857,16 @@ let test_kernel_n512_gray () =
    the scalar path a sink forces. *)
 
 (* Dense duals (n >= 16) with a synchronous wake: round 1 alone has
-   enough broadcasters for the delivery kernel. *)
+   enough broadcasters for the delivery kernel.  The gray share of the
+   "dense" shape is small, because on a [Chosen] round the kernel is
+   priced on G's degrees less the gray degrees it walks twice. *)
 let dense_scenario case =
   let s = scenario case in
   let rng = Rng.create (0xDE75 + case) in
   let n = 16 + Rng.int rng 25 in
   let shape, dual =
     match Rng.int rng 3 with
-    | 0 -> ("dense", random_dual ~n ~rel_w:6 ~gray_w:3 (Rng.bits rng))
+    | 0 -> ("dense", random_dual ~n ~rel_w:7 ~gray_w:2 (Rng.bits rng))
     | 1 -> ("classic", random_dual ~n ~rel_w:7 ~gray_w:0 (Rng.bits rng))
     | _ -> ("clique", Dual.classic (Gen.clique n))
   in
@@ -907,6 +909,117 @@ let prop_kernel_mis =
       if paths.deliver = 0 then
         QCheck.Test.fail_reportf "delivery kernel never ran: %s" (pp_scenario s);
       true)
+
+(* --- the run's minor heap ------------------------------------------- *)
+
+(* [run] raises the calling domain's minor heap to 32 words per fiber
+   when that exceeds its size, for the run only; a resume cut in k
+   slices grows its Pool domains' heaps to 32 words per fiber over k.
+   Heap sizes are read with [Gc.get], which reports the calling
+   domain's. *)
+let minor_heap () = (Gc.get ()).Gc.minor_heap_size
+
+let with_minor_heap words f =
+  let was = minor_heap () in
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = words };
+  Fun.protect ~finally:(fun () -> Gc.set { (Gc.get ()) with Gc.minor_heap_size = was }) f
+
+(* The heap sizes [run]'s observer saw, one per executed round. *)
+let heap_seen ~adversary dual body =
+  let seen = ref [] in
+  let observer (_ : E.view) = seen := minor_heap () :: !seen in
+  let cfg =
+    E.config ~adversary ~seed:11 ~stop:(At_round 30) ~observer ~detector:(perfect dual) dual
+  in
+  let r = E.run cfg body in
+  (r, List.sort_uniq compare !seen)
+
+(* Below 4,096 words the rule fires at n = 256: the run sees 8,192, the
+   results equal [run_reference]'s, and the size is back afterwards,
+   also when a fiber raises. *)
+let test_heap_sized_for_run () =
+  with_minor_heap 4096 (fun () ->
+      let n = 256 in
+      let dual = circulant ~n ~rel:4 ~gray:2 in
+      List.iter
+        (fun (name, adversary) ->
+          let r, seen = heap_seen ~adversary dual (beacon ~p:0.25 30) in
+          Alcotest.(check (list int)) (name ^ ": heap during the run") [ 32 * n ] seen;
+          Alcotest.(check int) (name ^ ": heap after the run") 4096 (minor_heap ());
+          let cfg = beacon_config ~adversary dual in
+          Alcotest.(check bool)
+            (name ^ ": run = run_reference") true
+            (r = E.run_reference cfg (beacon ~p:0.25 30));
+          Alcotest.(check int) (name ^ ": heap after run_reference") 4096 (minor_heap ()))
+        [ ("bernoulli 0.5", Adversary.bernoulli 0.5); ("spiteful", Adversary.spiteful) ];
+      let boom ctx =
+        for _ = 1 to 3 do
+          ignore (E.sync_p ctx 0.25 (E.me ctx))
+        done;
+        if E.me ctx = 7 then raise (Boom 7);
+        beacon ~p:0.25 27 ctx
+      in
+      Alcotest.check_raises "a fiber raises" (Boom 7) (fun () ->
+          ignore (E.run (beacon_config ~adversary:(Adversary.bernoulli 0.5) dual) boom));
+      Alcotest.(check int) "heap after the raise" 4096 (minor_heap ()))
+
+(* Where 32 words per fiber do not exceed the heap, the run keeps it. *)
+let test_heap_kept () =
+  let check what n =
+    let before = minor_heap () in
+    let _, seen =
+      heap_seen ~adversary:(Adversary.bernoulli 0.5) (circulant ~n ~rel:4 ~gray:2)
+        (beacon ~p:0.25 30)
+    in
+    Alcotest.(check (list int)) (what ^ ": heap during the run") [ before ] seen;
+    Alcotest.(check int) (what ^ ": heap after the run") before (minor_heap ())
+  in
+  with_minor_heap 4096 (fun () -> check "n = 64 below 4,096 words" 64);
+  check "n = 256 at the default heap" 256
+
+(* At n = 33,024 a resume cut in 2 or 4 slices grows its Pool domains'
+   heaps (a new domain starts at 262,144 words on OCaml 5.1; 32 words
+   per fiber over 4 slices is 264,192, a whole number of pages, as is
+   every size here).  Every body reads the heap of the domain that
+   stepped it, which holds at least 32 words per fiber of its share;
+   results are identical at 1, 2 and 4 slices and equal
+   [run_reference]'s. *)
+let test_heap_resume_slices () =
+  let n = 33_024 in
+  let dual = circulant ~n ~rel:2 ~gray:1 in
+  let seen = Array.make n 0 in
+  let body ctx =
+    let me = E.me ctx in
+    for _ = 1 to 6 do
+      ignore (E.sync_p ctx 0.25 me);
+      seen.(me) <- max seen.(me) (minor_heap ())
+    done
+  in
+  let cfg resume_shards =
+    E.config ~adversary:(Adversary.bernoulli 0.5) ~seed:17 ~stop:(At_round 6) ~resume_shards
+      ~detector:(perfect dual) dual
+  in
+  let before = minor_heap () in
+  let runs =
+    List.map
+      (fun k ->
+        Array.fill seen 0 n 0;
+        let r = E.run (cfg k) body in
+        let lo = Array.fold_left min max_int seen in
+        Alcotest.(check bool)
+          (Printf.sprintf "%d slices: every body ran with at least %d words (least %d)" k
+             (32 * n / k) lo)
+          true
+          (lo >= 32 * n / k);
+        Alcotest.(check int) (Printf.sprintf "%d slices: heap after" k) before (minor_heap ());
+        r)
+      [ 1; 2; 4 ]
+  in
+  let reference = E.run_reference (cfg 1) body in
+  List.iteri
+    (fun i r ->
+      Alcotest.(check bool) (Printf.sprintf "run %d = run_reference" i) true (r = reference))
+    runs
 
 (* --- jamming: choose = n-scan ------------------------------------------ *)
 
@@ -1253,18 +1366,19 @@ let test_scalar_chosen_collisions () =
     [ ("bernoulli 0.5", Adversary.bernoulli 0.5); ("harassing 0.5", Adversary.harassing 0.5) ]
 
 (* [Chosen] rounds on the delivery kernel with receivers: a 0.03 beacon
-   on a circulant reliable to ±1..32 and gray to ±33..56, n = 512.
+   on a circulant reliable to ±1..64 and gray to ±65..88, n = 512.
    Nearly every round with broadcasters is priced above the kernel's
-   sweeps, and some nodes hear exactly one sender in each, so the second sweep
+   sweeps (G's degree outweighs the gray walks the kernel makes twice),
+   and some nodes hear exactly one sender in each, so the second sweep
    runs: it re-derives the round's stream and revisits the adversary's
    gray edges to hand out receives ([bernoulli] and [harassing] deliver
    over them; [jamming] only ever collides). *)
 let test_kernel_chosen_receivers () =
   let n = 512 in
-  let dual = circulant ~n ~rel:32 ~gray:24 in
+  let dual = circulant ~n ~rel:64 ~gray:24 in
   let over_gray v src =
     let d = abs (v - src) in
-    min d (n - d) > 32
+    min d (n - d) > 64
   in
   List.iter
     (fun (name, adversary, helps) ->
@@ -1842,6 +1956,13 @@ let () =
           ( "stop",
             [
               Alcotest.test_case "suspended fibers unwind" `Quick test_unwind_suspended;
+            ] );
+          ( "minor-heap",
+            [
+              Alcotest.test_case "sized for the run, restored after" `Quick
+                test_heap_sized_for_run;
+              Alcotest.test_case "kept where the rule does not fire" `Quick test_heap_kept;
+              Alcotest.test_case "resume slices at 1/2/4 agree" `Quick test_heap_resume_slices;
             ] );
         ] );
       ( "engine-paths-delivery",

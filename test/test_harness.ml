@@ -126,7 +126,7 @@ let test_scale_single_size () =
       Alcotest.(check bool) (col ^ " column") true (contains r.Harness.body col);
       Alcotest.(check bool) (col ^ " not in check mode") false
         (contains check_mode.Harness.body col))
-    [ "world MB"; "promoted Mw"; "VmHWM MB" ]
+    [ "world MB"; "minor GCs"; "promoted Mw"; "VmHWM MB" ]
 
 let () =
   Alcotest.run "harness"
