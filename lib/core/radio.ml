@@ -32,20 +32,6 @@ let in_detector ctx v = R.detector_mem ctx v
 (* Detector set as a sorted list (allocates; use sparingly). *)
 let detector_list ctx = Bitset.to_list (R.detector ctx)
 
-(* Listen for [k] rounds, handing every message heard to [on_recv] in
-   round order: the same rounds as [k] silent syncs whose [Recv m]
-   receives go to [on_recv m], but the engine resumes the fiber only when
-   a message arrives, so silent rounds cost nothing. *)
-let listen_for ctx k ~on_recv =
-  let rec go k =
-    match R.listen ctx k with
-    | Some (i, m) ->
-      on_recv m;
-      go (k - i)
-    | None -> ()
-  in
-  go k
-
 (* Receive filter used throughout the paper's algorithms: a message is kept
    only if its source is in the local link detector set. *)
 let recv_from_detector ctx = function

@@ -17,10 +17,12 @@
      only live ids;
    - wake rounds are pre-sorted into a round-ordered queue, so the wake
      phase is O(#wakers this round);
-   - fibers that listen for k rounds ([idle], [listen]) perform one park
-     effect and wait in a min-heap keyed by expiry round instead of being resumed
-     k times; a [listen]er is taken out of the heap early by the delivery
-     that wakes it, so silent rounds resume nobody;
+   - fibers that listen for k rounds ([idle], [listen], [listen_for])
+     perform one park effect and wait in a min-heap keyed by expiry round
+     instead of being resumed k times; a delivery to a [listen_for]
+     listener is handed to its callback without resuming it, and only a
+     callback that asks to wake (every [listen]er's does) takes the fiber
+     out of the heap early, so silent rounds resume nobody;
    - the adversary RNG is re-derived per round from a root stream
      ([Rng.derive_into adv_root round]), so rounds with no broadcasters can
      skip the adversary/delivery phases — and stretches of rounds in which
@@ -120,11 +122,14 @@ let m_resume_shard_rounds = Metrics.counter "engine.resume_shard_rounds"
 let m_resume_shard_steps = Metrics.counter "engine.resume_shard_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
 
-(* Listeners woken early by a delivery. *)
+(* Listeners woken early by a delivery.  The receives a listener's
+   callback took without waking it are [Timing.listen_heard]. *)
 let m_listen_wakes = Metrics.counter "engine.listen_wakes"
 (* Words allocated in the minor heap, and words promoted to the major
-   heap, while a [run] executes.  They are read from [Gc.counters] at the
-   start and the end of the run, so they count the calling domain only:
+   heap, while a [run] executes.  They are read from [Gc.counters] after
+   the run has sized its minor heap and before it puts the old size
+   back, since a resize counts the words of the heap it empties as
+   allocated.  They count the calling domain only:
    the resume's Pool workers step fibers on their own domains,
    and what those steps allocate is not included.  ([Gc.quick_stat]
    would sum every domain, which blends concurrent cells under
@@ -232,9 +237,10 @@ module Make (M : MESSAGE) = struct
 
   (* One round: [Listen] silently, or [Send m].  [Idle] and [Wait] park
      the fiber for the duration it wrote in its park slot: [Idle]
-     discards every receive, [Wait] ends at the first delivery.  Every
-     effect answers a [receive], and the ones a listener performs are
-     constants, so performing them allocates nothing. *)
+     discards every receive, [Wait] hands each to the callback in the
+     fiber's hear slot and ends at the first one the callback wakes it
+     for.  Every effect answers a [receive], and the ones a listener
+     performs are constants, so performing them allocates nothing. *)
   type _ Effect.t +=
     | Listen : receive Effect.t
     | Send : M.t -> receive Effect.t
@@ -312,6 +318,13 @@ module Make (M : MESSAGE) = struct
            writes a park's duration before performing [Idle] or [Wait],
            the engine writes a woken [Wait]'s stretch index before
            resuming it *)
+    hear : (int -> M.t -> bool) array;
+        (* the run's per-fiber hear slots: the callback a [Wait] park
+           hands each receive to, with its stretch index; [true] wakes
+           the fiber *)
+    mutable raised : (exn * Printexc.raw_backtrace) option;
+        (* what a [listen_for] callback raised, until the woken fiber
+           re-raises it *)
   }
 
   let me ctx = ctx.me
@@ -339,6 +352,9 @@ module Make (M : MESSAGE) = struct
       ctx.local_round <- ctx.local_round + k
     end
 
+  (* [listen]'s callback: every receive wakes the fiber. *)
+  let wake_on_recv (_ : int) (_ : M.t) = true
+
   (* Listen for up to [k] rounds, stopping at the first message: identical
      to silent syncs until the first [Recv m] (in the stretch's i-th round,
      giving [Some (i, m)]), but resumed once instead of once per round.
@@ -348,6 +364,7 @@ module Make (M : MESSAGE) = struct
     if k <= 0 then None
     else begin
       ctx.park.(ctx.me) <- k;
+      ctx.hear.(ctx.me) <- wake_on_recv;
       match Effect.perform Wait with
       | Recv m ->
         let i = ctx.park.(ctx.me) in
@@ -356,6 +373,40 @@ module Make (M : MESSAGE) = struct
       | Own | Silence ->
         ctx.local_round <- ctx.local_round + k;
         None
+    end
+
+  (* Listen for [k] rounds, handing every message heard to [on_recv] in
+     round order: identical to [k] silent syncs whose [Recv m] go to
+     [on_recv m].  One [Wait] park whose callback runs [on_recv] on the
+     engine's side of the round, with [local_round] set to the receive
+     round, and returns [false], so the fiber resumes only when the
+     stretch ends.  An exception from [on_recv] wakes the fiber in that
+     round instead, and is re-raised here.  [on_recv] runs outside the
+     fiber, so an engine effect it performs finds no handler: that is
+     reported as [Invalid_argument], which ends the run. *)
+  let listen_for ctx k ~on_recv =
+    if k > 0 then begin
+      let base = ctx.local_round in
+      ctx.park.(ctx.me) <- k;
+      ctx.hear.(ctx.me) <-
+        (fun i m ->
+          ctx.local_round <- base + i;
+          match on_recv m with
+          | () -> false
+          | exception Effect.Unhandled _ ->
+            invalid_arg "Engine.listen_for: on_recv performed an engine effect"
+          | exception e ->
+            ctx.raised <- Some (e, Printexc.get_raw_backtrace ());
+            true);
+      match Effect.perform Wait with
+      | Recv _ -> (
+        ctx.local_round <- base + ctx.park.(ctx.me);
+        match ctx.raised with
+        | Some (e, bt) ->
+          ctx.raised <- None;
+          Printexc.raise_with_backtrace e bt
+        | None -> assert false)
+      | Own | Silence -> ctx.local_round <- base + k
     end
 
   (* Broadcast with probability [p], otherwise listen. *)
@@ -469,7 +520,8 @@ module Make (M : MESSAGE) = struct
   (* What both round loops keep per run: the per-process arrays and
      slots (fiber [v] stands at [state.(v)], one of the [st_*] bytes,
      with continuation [conts.(v)]; [sends.(v)] is its [Send m] while it
-     broadcasts; [park.(v)] is its park slot, see [ctx]), the round
+     broadcasts; [park.(v)] and [hear.(v)] are its park and hear slots,
+     see [ctx]), the round
      counter, and the counts that make up [stats]. *)
   type 'a common = {
     nn : int;
@@ -484,6 +536,7 @@ module Make (M : MESSAGE) = struct
     sends : receive Effect.t array;
     park : int array;
     park_start : int array; (* first round of a parked fiber's stretch *)
+    hear : (int -> M.t -> bool) array;
     mutable round : int;
     mutable sent : int;
     mutable bits : int;
@@ -513,6 +566,7 @@ module Make (M : MESSAGE) = struct
       sends = Array.make nn Listen;
       park = Array.make nn 0;
       park_start = Array.make nn 0;
+      hear = Array.make nn wake_on_recv;
       round = 0;
       sent = 0;
       bits = 0;
@@ -548,6 +602,8 @@ module Make (M : MESSAGE) = struct
         current_detector;
         do_output;
         park = c.park;
+        hear = c.hear;
+        raised = None;
       }
     in
     Effect.Deep.match_with
@@ -614,14 +670,8 @@ module Make (M : MESSAGE) = struct
 
   let run cfg body =
     let met = Metrics.enabled () in
-    let minor0, promoted0 =
-      if met then
-        let minor, promoted, _ = Gc.counters () in
-        (minor, promoted)
-      else (0.0, 0.0)
-    in
     let c = common cfg in
-    let { nn; wake = wake_rounds; state; conts; sends; park; park_start; _ } = c in
+    let { nn; wake = wake_rounds; state; conts; sends; park; park_start; hear; _ } = c in
     let dual = cfg.dual in
     let g = Dual.g dual in
     let adv_rng = Rng.create 0 (* re-derived from [c.adv_root] every round *) in
@@ -715,7 +765,8 @@ module Make (M : MESSAGE) = struct
       woken.(!n_woken) <- v;
       incr n_woken
     in
-    let resumes = ref 0 and listen_wakes = ref 0 and kernel_rounds = ref 0 in
+    let resumes = ref 0 and listen_wakes = ref 0 and listen_heard = ref 0 in
+    let kernel_rounds = ref 0 in
     let declared_rounds = ref 0 in
     (* Wake queue: node ids sorted by (wake round, id); [wake_ptr] advances
        monotonically, so the wake phase costs O(#wakers this round). *)
@@ -1200,24 +1251,41 @@ module Make (M : MESSAGE) = struct
         settle b v (step rs.r v)
       done
     in
-    (* 5. Resume every fiber whose receive is due.  The work list is fixed
-       first: the synced fibers in worklist order, the listeners a
-       delivery woke (taken out of the heap), then the parks expiring this
-       round in heap-pop order.  [idle] and [listen] park for at least one
-       round, so a park a step performs has a key >= r+1 and the due set
-       cannot grow while the list is stepped.  The list is cut into
-       [rs.slices] contiguous slices — [resume_shards] of them on Pool
-       domains when enough fibers await, else one on this domain — and
-       the slices' buffers are merged in slice order.  All receives were
-       computed before any resume, so next-round intents cannot bleed
-       into this round. *)
+    (* Hand each listener a delivery reached its receive, on this domain
+       and in delivery order: its callback takes the stretch index and
+       the message.  A listener whose callback wakes it leaves the heap
+       and stays in [woken]; one whose callback declines keeps its heap
+       entry and gets [Silence] back in its receive slot. *)
+    let hear_woken r =
+      let kept = ref 0 in
+      for j = 0 to !n_woken - 1 do
+        let v = woken.(j) in
+        match receives.(v) with
+        | Recv m when not (hear.(v) (r - park_start.(v) + 1) m) -> receives.(v) <- Silence
+        | Recv _ | Own | Silence ->
+          heap_remove v;
+          woken.(!kept) <- v;
+          incr kept
+      done;
+      listen_heard := !listen_heard + !n_woken - !kept;
+      n_woken := !kept
+    in
+    (* 5. Resume every fiber whose receive is due.  The woken listeners'
+       callbacks run first.  Then the work list is fixed: the synced
+       fibers in worklist order, the listeners their callbacks woke, then
+       the parks expiring this round in heap-pop order.  [idle] and
+       [listen] park for at least one round, so a park a step performs
+       has a key >= r+1 and the due set cannot grow while the list is
+       stepped.  The list is cut into [rs.slices] contiguous slices —
+       [resume_shards] of them on Pool domains when enough fibers await,
+       else one on this domain — and the slices' buffers are merged in
+       slice order.  All receives were computed before any resume, so
+       next-round intents cannot bleed into this round. *)
     let resume rs =
       p_start ();
+      hear_woken rs.r;
       Array.blit active 0 work 0 !n_active;
       Array.blit woken 0 work !n_active !n_woken;
-      for i = 0 to !n_woken - 1 do
-        heap_remove woken.(i)
-      done;
       n_work := !n_active + !n_woken;
       while !heap_n > 0 && heap_r.(0) = rs.r do
         work.(!n_work) <- heap_pop ();
@@ -1245,13 +1313,21 @@ module Make (M : MESSAGE) = struct
       match cfg.observer with Some f -> f (view c rs.broadcasters) | None -> ()
     in
     (* The minor heap is per domain (OCaml 5): this sizes the calling
-       domain's, for this run only. *)
+       domain's, for this run only.  The allocation counters are read
+       inside the resize, which they would count as allocation. *)
     let heap0 = (Gc.get ()).Gc.minor_heap_size in
     let grown = grow_minor_heap (minor_heap_words_per_fiber * nn) in
+    let gc_words () =
+      let minor, promoted, _ = Gc.counters () in
+      (minor, promoted)
+    in
+    let words0 = if met then gc_words () else (0.0, 0.0) in
+    let words1 = ref words0 in
     Fun.protect
       ~finally:(fun () ->
         (match !pool with Some p -> Pool.shutdown p | None -> ());
         discontinued := discontinue_all state conts;
+        if met then words1 := gc_words ();
         if grown then Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap0 })
       (fun () ->
         try
@@ -1284,13 +1360,14 @@ module Make (M : MESSAGE) = struct
       Metrics.add m_silent_rounds c.silent;
       Metrics.add Timing.resumes !resumes;
       Metrics.add m_listen_wakes !listen_wakes;
+      Metrics.add Timing.listen_heard !listen_heard;
       Metrics.add m_kernel_rounds !kernel_rounds;
       Metrics.add m_declared_reach_rounds !declared_rounds;
       if c.timed_out then Metrics.incr m_timeouts;
       Metrics.observe m_run_rounds c.round;
-      let minor, promoted, _ = Gc.counters () in
-      Metrics.add m_minor_words (int_of_float (minor -. minor0));
-      Metrics.add m_promoted_words (int_of_float (promoted -. promoted0));
+      let (minor0, promoted0), (minor1, promoted1) = (words0, !words1) in
+      Metrics.add m_minor_words (int_of_float (minor1 -. minor0));
+      Metrics.add m_promoted_words (int_of_float (promoted1 -. promoted0));
       Metrics.add m_discontinued !discontinued
     end;
     result c
@@ -1314,7 +1391,7 @@ module Make (M : MESSAGE) = struct
      semantics. *)
   let run_reference cfg body =
     let c = common cfg in
-    let { nn; wake; state; conts; sends; park; park_start; outputs; _ } = c in
+    let { nn; wake; state; conts; sends; park; park_start; hear; outputs; _ } = c in
     let dual = cfg.dual in
     let status = Array.make nn Asleep in
     let resume_round = Array.make nn 0 in
@@ -1420,7 +1497,8 @@ module Make (M : MESSAGE) = struct
               !touched;
             touched := [];
             (* 6. Resume synced fibers (consuming their receives), then
-               parked fibers that heard a message or whose stretch ends now. *)
+               parked fibers whose callback a message woke or whose
+               stretch ends now. *)
             park_base := r + 1;
             for v = 0 to nn - 1 do
               let s = Bytes.get state v in
@@ -1435,10 +1513,10 @@ module Make (M : MESSAGE) = struct
               let s = Bytes.get state v in
               if s = st_idle || s = st_wait then
                 match receives.(v) with
-                | Recv _ as recv ->
+                | Recv m as recv when hear.(v) (r - park_start.(v) + 1) m ->
                   park.(v) <- r - park_start.(v) + 1;
                   resume v recv
-                | Own | Silence -> if resume_round.(v) = r then resume v Silence
+                | Recv _ | Own | Silence -> if resume_round.(v) = r then resume v Silence
             done;
             match cfg.observer with Some f -> f (view c broadcasters) | None -> ()
           done

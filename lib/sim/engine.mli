@@ -66,9 +66,11 @@ module Make (M : MESSAGE) : sig
             observable effect on the run ({!run_reference} ignores it) *)
     resume_shards : int;
         (** {!Rn_util.Pool} domains for the resume phase (≥ 1).  Every
-            round's resume steps one work list — the synced fibers in
-            worklist order, the listeners a delivery woke, then the
-            parks expiring this round in heap-pop order — in contiguous
+            round's resume first runs the callbacks of the listeners a
+            delivery reached ({!listen_for}) on the calling domain, then
+            steps one work list — the synced fibers in worklist order,
+            the listeners a callback woke, then the parks expiring this
+            round in heap-pop order — in contiguous
             slices.  With [resume_shards > 1], no [sink], and at least
             1024 fibers in the list, the round takes [resume_shards]
             slices stepped in parallel (OCaml 5 continuations are not
@@ -151,6 +153,28 @@ module Make (M : MESSAGE) : sig
       [k <= 0] returns [None] at once. *)
   val listen : ctx -> int -> (int * M.t) option
 
+  (** [listen_for ctx k ~on_recv]: listen for [k] rounds, handing every
+      message heard to [on_recv] in round order.  Semantically identical
+      to [k] silent syncs whose [Recv m] go to [on_recv m]; [round]
+      advances by [k], and [k <= 0] returns at once.  It is one park, as
+      {!listen} is: the engine calls [on_recv] itself, in the resume
+      phase of the round the message arrived in, and resumes the fiber
+      only when the stretch ends.  {!listen} is the same park with a
+      callback that wakes the fiber at the first message.
+
+      Inside [on_recv], [round ctx] reads the receive round (the rounds
+      completed when that round ends, as after the equivalent sync), and
+      [output] records that round as the decided round.  An exception
+      [on_recv] raises wakes the fiber in that round and is re-raised
+      from [listen_for], with [round] at the receive round.
+
+      [on_recv] runs outside the fiber, on the domain that runs the
+      round loop, so it must not perform an engine effect ({!sync},
+      {!sync_p}, {!idle}, {!listen} or [listen_for]): the perform finds
+      no handler, and the run raises [Invalid_argument].  It may use
+      [ctx]'s other accessors and the process's own state. *)
+  val listen_for : ctx -> int -> on_recv:(M.t -> unit) -> unit
+
   (** Broadcast with probability [p], else listen. *)
   val sync_p : ctx -> float -> M.t -> receive
 
@@ -167,8 +191,10 @@ module Make (M : MESSAGE) : sig
       [max_rounds], setting [timed_out]).
 
       The round loop costs O(activity) per round: live fibers sit in a
-      worklist, wake rounds are pre-bucketed, [idle] and [listen] fibers
-      park in a heap (a delivery takes a listener out early), and
+      worklist, wake rounds are pre-bucketed, [idle], [listen] and
+      [listen_for] fibers park in a heap (a delivery hands a listener's
+      callback the message, and takes the listener out early only when
+      the callback wakes it), and
       stretches of silent rounds are skipped outright.  The adversary's
       RNG is derived per round from the seed, which is what makes the skip
       sound.  If the detector declares [stabilizes_at], queries after the

@@ -32,6 +32,7 @@ let phase_entries s = entry_counters.(index s)
 let rounds_executed = Metrics.counter "engine.rounds_executed"
 let rounds_fast_forwarded = Metrics.counter "engine.rounds_fast_forwarded"
 let resumes = Metrics.counter "engine.resumes"
+let listen_heard = Metrics.counter "engine.listen_heard"
 let enabled = Metrics.enabled
 let set_enabled = Metrics.set_enabled
 
@@ -44,13 +45,15 @@ let now () = float_of_int (now_ns ()) /. 1e9
 let reset () =
   Array.iter Metrics.reset_counter ns_counters;
   Array.iter Metrics.reset_counter entry_counters;
-  List.iter Metrics.reset_counter [ rounds_executed; rounds_fast_forwarded; resumes ]
+  List.iter Metrics.reset_counter
+    [ rounds_executed; rounds_fast_forwarded; resumes; listen_heard ]
 
 type snapshot = {
   sections : (string * int * float) list;
   rounds : int;
   silent : int;
   resumes : int;
+  heard : int;
 }
 
 (* The view through [value], which reads a counter's total. *)
@@ -63,6 +66,7 @@ let view value =
     rounds = value rounds_executed;
     silent = value rounds_fast_forwarded;
     resumes = value resumes;
+    heard = value listen_heard;
   }
 
 let snapshot () = view Metrics.value
@@ -80,8 +84,9 @@ let pp_report ppf s =
       fprintf ppf "  %-10s %10.3f ms  %5.1f%%  (%d entries)@\n" l (t *. 1e3) share n)
     s.sections;
   fprintf ppf "  rounds executed: %d, silent rounds fast-forwarded: %d, " s.rounds s.silent;
-  fprintf ppf "resumes per executed round: %.1f@\n"
-    (if s.rounds > 0 then float_of_int s.resumes /. float_of_int s.rounds else 0.0);
+  let per_round k = if s.rounds > 0 then float_of_int k /. float_of_int s.rounds else 0.0 in
+  fprintf ppf "resumes per executed round: %.1f, heard without a wake: %.1f@\n"
+    (per_round s.resumes) (per_round s.heard);
   if s.rounds + s.silent > 0 then
     fprintf ppf "  avg cost per executed round: %.0f ns@\n"
       (if s.rounds > 0 then total /. float_of_int s.rounds *. 1e9 else 0.0)

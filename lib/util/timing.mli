@@ -46,6 +46,11 @@ val rounds_fast_forwarded : Metrics.counter
     listeners and expired parks). *)
 val resumes : Metrics.counter
 
+(** [engine.listen_heard]: receives a parked listener's callback took
+    without waking its fiber (see [Engine.Make.listen_for]); the
+    callbacks run, and are timed, in the resume phase. *)
+val listen_heard : Metrics.counter
+
 (** {2 The view} *)
 
 (** {!Metrics.enabled}. *)
@@ -69,6 +74,7 @@ type snapshot = {
   rounds : int;  (** [engine.rounds_executed] *)
   silent : int;  (** [engine.rounds_fast_forwarded] *)
   resumes : int;  (** [engine.resumes] *)
+  heard : int;  (** [engine.listen_heard] *)
 }
 
 (** The counters above, read from the global registry. *)

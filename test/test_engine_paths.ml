@@ -538,6 +538,234 @@ let test_listen_last_round () =
           (fast.E.returns.(0) = Some (Some (3, 1), 5)))
     adversaries
 
+(* --- the listener contract ----------------------------------------------- *)
+
+(* [listen_for]'s callback runs in the resume phase, outside the fiber.
+   Every case runs on two worlds of 1100 nodes — a circulant at ±2
+   reliable and ±3..4 gray under Bernoulli 0.5, where delivery stays
+   scalar, and one at ±48 reliable, where it takes the kernel — at
+   [resume_shards] 1 and 2, and holds [run] = [run_reference] = traced
+   [run].  In each, the nodes [v mod 4 = 0] speak: from round 1 on they
+   broadcast the round number with probability [p] each round.  The
+   others listen after a first silent sync, so every fiber is stepped
+   in round 1 and at 2 slices that round's resume is cut. *)
+type listener_world = {
+  world : string;
+  wdual : Dual.t Lazy.t;
+  wadv : Adversary.t;
+  p : float;
+  kernel : bool;
+}
+
+let listener_worlds =
+  [
+    {
+      world = "scalar";
+      wdual = lazy (circulant ~n:1100 ~rel:2 ~gray:2);
+      wadv = Adversary.bernoulli 0.5;
+      p = 0.3;
+      kernel = false;
+    };
+    {
+      world = "kernel";
+      wdual = lazy (circulant ~n:1100 ~rel:48 ~gray:0);
+      wadv = Adversary.silent;
+      p = 0.1;
+      kernel = true;
+    };
+  ]
+
+let listener_config w ~resume_shards ?sink () =
+  let dual = Lazy.force w.wdual in
+  E.config ~adversary:w.wadv ~seed:23 ~resume_shards ?sink ~detector:(perfect dual) dual
+
+(* A speaker's 40 rounds, each message its round number, returning
+   [quiet]; a listener's silent sync, then [listen ctx]. *)
+let speak_or_listen w ~quiet listen ctx =
+  if E.me ctx land 3 = 0 then begin
+    for _ = 1 to 40 do
+      ignore (E.sync_p ctx w.p (E.round ctx + 1))
+    done;
+    quiet
+  end
+  else begin
+    ignore (E.sync ctx None);
+    listen ctx
+  end
+
+(* [check w what r] the result [r] of [body w] in every world [w] at 1
+   and 2 slices, after [run] = [run_reference] = traced [run] and the
+   paths taken. *)
+let on_listener_worlds ~what body check =
+  List.iter
+    (fun w ->
+      List.iter
+        (fun resume_shards ->
+          let what = Printf.sprintf "%s (%s, %d slices)" what w.world resume_shards in
+          let r, paths =
+            agree_e ~what (fun sink -> listener_config w ~resume_shards ?sink ()) (body w)
+          in
+          Alcotest.(check bool)
+            (what ^ ": kernel ran iff expected")
+            w.kernel (paths.deliver > 0);
+          Alcotest.(check bool)
+            (what ^ ": resume cut iff 2 slices")
+            (resume_shards = 2) (paths.resume > 0);
+          check w what r)
+        [ 1; 2 ])
+    listener_worlds
+
+(* The listeners' results [Some x], and a check that there is one. *)
+let listeners what ~did (r : _ E.result) =
+  let xs =
+    List.filter_map (function Some (Some x) -> Some x | _ -> None) (Array.to_list r.returns)
+  in
+  Alcotest.(check bool) (what ^ ": someone " ^ did) true (xs <> []);
+  xs
+
+(* [listen_for] written out as [k] silent syncs. *)
+let listen_for_unrolled ctx k ~on_recv =
+  for _ = 1 to k do
+    match E.sync ctx None with E.Recv m -> on_recv m | E.Own | E.Silence -> ()
+  done
+
+(* Five windows of 1..12 rounds drawn from the listener's RNG, logging
+   (round, message) for each message heard and a draw from the RNG at
+   every third; the listener decides 1 at its second message. *)
+let window_body listen_for w =
+  speak_or_listen w ~quiet:None (fun ctx ->
+      let rng = E.rng ctx in
+      let log = ref [] and heard = ref 0 in
+      let on_recv m =
+        incr heard;
+        log := (E.round ctx, m) :: !log;
+        if !heard mod 3 = 0 then log := (-1, Rng.int rng 100) :: !log;
+        if !heard = 2 then E.output ctx 1
+      in
+      for _ = 1 to 5 do
+        listen_for ctx (1 + Rng.int rng 12) ~on_recv
+      done;
+      if !log = [] then None else Some (List.rev !log, E.round ctx))
+
+let test_listen_for_unrolled () =
+  on_listener_worlds ~what:"listen_for" (window_body E.listen_for) (fun w what r ->
+      ignore (listeners what ~did:"heard" r);
+      let unrolled =
+        E.run (listener_config w ~resume_shards:1 ()) (window_body listen_for_unrolled w)
+      in
+      Alcotest.(check bool) (what ^ ": = unrolled syncs") true (r = unrolled));
+  (* no callback raises, so every receive was heard without a wake *)
+  let w = List.hd listener_worlds in
+  let _, snap =
+    recorded (fun () ->
+        E.run (listener_config w ~resume_shards:1 ()) (window_body E.listen_for w))
+  in
+  let c name = Option.value ~default:0 (List.assoc_opt name snap.Metrics.counters) in
+  Alcotest.(check bool) "engine.listen_heard > 0" true (c "engine.listen_heard" > 0);
+  Alcotest.(check int) "engine.listen_wakes" 0 (c "engine.listen_wakes")
+
+(* [round] read in [on_recv] is the round the message was sent in. *)
+let test_listen_for_round () =
+  let body w =
+    speak_or_listen w ~quiet:None (fun ctx ->
+        let seen = ref [] in
+        E.listen_for ctx 30 ~on_recv:(fun m -> seen := (E.round ctx, m) :: !seen);
+        if !seen = [] then None else Some !seen)
+  in
+  on_listener_worlds ~what:"round in on_recv" body (fun _ what r ->
+      List.iter
+        (List.iter (fun (round, m) -> Alcotest.(check int) (what ^ ": receive round") m round))
+        (listeners what ~did:"heard" r))
+
+(* [output] in [on_recv] at the first message decides in the round it
+   was sent in. *)
+let test_listen_for_output () =
+  let body w =
+    speak_or_listen w ~quiet:None (fun ctx ->
+        let first = ref None in
+        E.listen_for ctx 30 ~on_recv:(fun m ->
+            if !first = None then first := Some m;
+            E.output ctx 1);
+        !first)
+  in
+  on_listener_worlds ~what:"output in on_recv" body (fun _ what r ->
+      ignore (listeners what ~did:"decided" r);
+      Array.iteri
+        (fun v -> function
+          | Some (Some m) ->
+            Alcotest.(check (option int)) (what ^ ": decided round") (Some m)
+              r.E.decided_round.(v)
+          | Some None | None -> ())
+        r.E.returns)
+
+(* An [on_recv] that raises at the first message wakes the fiber in the
+   round it was sent in; the body catches the exception and syncs once
+   more. *)
+let test_listen_for_raise () =
+  let body w =
+    speak_or_listen w ~quiet:None (fun ctx ->
+        match E.listen_for ctx 30 ~on_recv:(fun m -> raise (Boom m)) with
+        | () -> None
+        | exception Boom m ->
+          let caught = E.round ctx in
+          ignore (E.sync ctx None);
+          Some (m, caught, E.round ctx))
+  in
+  on_listener_worlds ~what:"raise in on_recv" body (fun _ what r ->
+      List.iter
+        (fun (m, caught, after) ->
+          Alcotest.(check (pair int int))
+            (what ^ ": woke in the receive round")
+            (m, m + 1) (caught, after))
+        (listeners what ~did:"raised" r))
+
+(* [listen] is the park whose callback always wakes: at the first
+   message, with its stretch index. *)
+let test_listen_first () =
+  let body w =
+    speak_or_listen w ~quiet:None (fun ctx ->
+        let base = E.round ctx in
+        match E.listen ctx 30 with
+        | Some (i, m) -> Some (base + i, m, E.round ctx)
+        | None -> None)
+  in
+  on_listener_worlds ~what:"listen" body (fun _ what r ->
+      List.iter
+        (fun (at, m, round) ->
+          Alcotest.(check (pair int int))
+            (what ^ ": woke in the send round")
+            (m, m) (at, round))
+        (listeners what ~did:"woke" r))
+
+(* An [on_recv] that performs an engine effect runs outside its fiber:
+   the run raises [Invalid_argument], in [run] at either slice count
+   and in [run_reference]. *)
+let test_listen_for_effect () =
+  let misuse = Invalid_argument "Engine.listen_for: on_recv performed an engine effect" in
+  List.iter
+    (fun (effect, perform) ->
+      let body w =
+        speak_or_listen w ~quiet:() (fun ctx ->
+            E.listen_for ctx 30 ~on_recv:(fun _ -> perform ctx))
+      in
+      List.iter
+        (fun w ->
+          let raises what run =
+            Alcotest.check_raises
+              (Printf.sprintf "%s in on_recv (%s, %s)" effect w.world what)
+              misuse
+              (fun () -> ignore (run (body w)))
+          in
+          raises "1 slice" (E.run (listener_config w ~resume_shards:1 ()));
+          raises "2 slices" (E.run (listener_config w ~resume_shards:2 ()));
+          raises "run_reference" (E.run_reference (listener_config w ~resume_shards:1 ())))
+        listener_worlds)
+    [
+      ("sync", fun ctx -> ignore (E.sync ctx None));
+      ("listen", fun ctx -> ignore (E.listen ctx 2));
+      ("idle", fun ctx -> E.idle ctx 2);
+    ]
+
 let test_observer_disables_jump () =
   (* With an observer every round must be materialised and observed. *)
   let seen = ref [] in
@@ -1020,6 +1248,27 @@ let test_heap_resume_slices () =
     (fun i r ->
       Alcotest.(check bool) (Printf.sprintf "run %d = run_reference" i) true (r = reference))
     runs
+
+(* [engine.minor_words] counts what the run allocates, not the resize:
+   a one-round beacon at n = 9,000 from the default 262,144-word heap,
+   where the rule raises it to 288,000 words, reads within 10% of the
+   same run from a heap already that large, where it does not fire. *)
+let test_heap_minor_words () =
+  let n = 9_000 in
+  let dual = Dual.classic (Gen.ring n) in
+  let cfg = E.config ~seed:3 ~stop:(At_round 1) ~detector:(perfect dual) dual in
+  let body ctx = ignore (E.sync_p ctx 0.25 (E.me ctx)) in
+  let minor_words heap =
+    with_minor_heap heap (fun () ->
+        let _, snap = recorded (fun () -> E.run cfg body) in
+        Option.value ~default:0 (List.assoc_opt "engine.minor_words" snap.Metrics.counters))
+  in
+  ignore (minor_words (32 * n));
+  let fired = minor_words 262_144 and kept = minor_words (32 * n) in
+  Printf.printf "engine.minor_words: %d with the resize, %d without\n%!" fired kept;
+  if abs (fired - kept) * 10 > kept then
+    Alcotest.failf "engine.minor_words %d with the resize, %d without: more than 10%% apart"
+      fired kept
 
 (* --- jamming: choose = n-scan ------------------------------------------ *)
 
@@ -1940,6 +2189,19 @@ let () =
                 test_listen_last_round;
               Alcotest.test_case "observer disables jump" `Quick test_observer_disables_jump;
             ] );
+          ( "listener",
+            [
+              Alcotest.test_case "listen_for = unrolled silent syncs" `Quick
+                test_listen_for_unrolled;
+              Alcotest.test_case "on_recv reads the receive round" `Quick test_listen_for_round;
+              Alcotest.test_case "on_recv output decides in the receive round" `Quick
+                test_listen_for_output;
+              Alcotest.test_case "on_recv raises: woken in that round" `Quick
+                test_listen_for_raise;
+              Alcotest.test_case "listen wakes on the first message" `Quick test_listen_first;
+              Alcotest.test_case "on_recv performing an effect raises" `Quick
+                test_listen_for_effect;
+            ] );
           ( "detector",
             [
               Alcotest.test_case "run caches a broken stabilizes_at" `Quick
@@ -1963,6 +2225,8 @@ let () =
                 test_heap_sized_for_run;
               Alcotest.test_case "kept where the rule does not fire" `Quick test_heap_kept;
               Alcotest.test_case "resume slices at 1/2/4 agree" `Quick test_heap_resume_slices;
+              Alcotest.test_case "minor words leave the resize out" `Quick
+                test_heap_minor_words;
             ] );
         ] );
       ( "engine-paths-delivery",
