@@ -730,12 +730,8 @@ let figures_cmd =
 
 (* --- scale command --- *)
 
-let run_scale full out sizes resume_shards adversary check =
+let run_scale full out sizes adversary check =
   let scale = if full then Rn_harness.Harness.Full else Rn_harness.Harness.Quick in
-  if resume_shards < 1 then begin
-    Printf.eprintf "rn_cli scale: --resume-shards must be >= 1\n";
-    exit 2
-  end;
   let sizes =
     match sizes with
     | None -> None
@@ -754,7 +750,7 @@ let run_scale full out sizes resume_shards adversary check =
         exit 2)
   in
   Rn_harness.Harness.print
-    (Rn_harness.Exp_scale.run ?out ?sizes ~resume_shards ~adversary ~check scale)
+    (Rn_harness.Exp_scale.run ?out ?sizes ~adversary ~check scale)
 
 let scale_out_arg =
   Arg.(
@@ -768,14 +764,6 @@ let scale_sizes_arg =
     & opt (some string) None
     & info [ "sizes" ] ~docv:"CSV"
         ~doc:"Override the size grid with a comma-separated list of n values.")
-
-let scale_resume_shards_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "resume-shards" ] ~docv:"N"
-        ~doc:
-          "Step each round's fiber resume in N slices on N domains (rounds with at \
-           least 1024 fibers to step). Results are byte-identical at any shard count.")
 
 let scale_adversary_arg =
   Arg.(
@@ -792,7 +780,7 @@ let scale_check_arg =
     & info [ "check" ]
         ~doc:
           "Print only the deterministic columns (counts, no timings), suitable for \
-           byte-comparison across --resume-shards settings.")
+           byte-comparison against a pinned digest.")
 
 let scale_cmd =
   Cmd.v
@@ -803,8 +791,8 @@ let scale_cmd =
           goes to n=1048576. Timings are machine-dependent, so this never touches the \
           result store.")
     Term.(
-      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg
-      $ scale_resume_shards_arg $ scale_adversary_arg $ scale_check_arg)
+      const run_scale $ full_arg $ scale_out_arg $ scale_sizes_arg $ scale_adversary_arg
+      $ scale_check_arg)
 
 (* --- graph command --- *)
 

@@ -12,11 +12,9 @@
        total work (rounds x n), i.e. per-round seconds ~ n^~1.
 
    Run it via [rn_cli scale] (quick: n up to 8192; --full: up to a
-   million nodes).  [--resume-shards N] steps each round's resume in N
-   slices on N Pool domains; [--check] prints only the deterministic
-   columns (counts, no timings), which is what lets
-   scripts/scale_smoke.sh compare each table against a pinned digest at
-   every shard count. *)
+   million nodes).  [--check] prints only the deterministic columns
+   (counts, no timings), which is what lets scripts/scale_smoke.sh
+   compare each table against a pinned digest. *)
 
 module Rng = Rn_util.Rng
 module Table = Rn_util.Table
@@ -91,7 +89,7 @@ let vm_hwm_mb () =
    [beacon_rounds] rounds, which keeps expected per-neighbourhood
    traffic constant as n grows (throughput is then work-bound, not
    contention-bound). *)
-let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
+let measure ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n =
   let t0 = Timing.now () in
   let dual = geometric ~seed:(0x5CA1E + n) ~n ~degree:(degree_for n) () in
   let gen_s = Timing.now () -. t0 in
@@ -114,7 +112,7 @@ let measure ?(resume_shards = 1) ?(adversary = Rn_sim.Adversary.bernoulli 0.5) n
     let cfg =
       E.config ~seed:(n lxor 0x5EED)
         ~stop:(Rn_sim.Engine.At_round beacon_rounds)
-        ~adversary ~observer ~resume_shards ~detector:det dual
+        ~adversary ~observer ~detector:det dual
     in
     E.run cfg (fun ctx ->
         let me = E.me ctx in
@@ -173,15 +171,14 @@ let figure rows =
 
 (* [run ?out scale]: measure the grid, render the table, and (with
    [?out]) write the log-log figure next to the F* ones.  [?sizes]
-   overrides the grid; [?resume_shards] sets the resume's slice count;
-   [?check] renders only the deterministic columns so tables can be
-   byte-compared across shard counts. *)
-let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = false) scale =
+   overrides the grid; [?check] renders only the deterministic columns
+   so tables can be byte-compared against pinned digests. *)
+let run ?out ?sizes:sizes_override ?adversary ?(check = false) scale =
   let grid = match sizes_override with Some l -> l | None -> sizes scale in
   let rows =
     List.map
       (fun n ->
-        let r = measure ~resume_shards ?adversary n in
+        let r = measure ?adversary n in
         (* between points: retire the previous world before building the
            next, so peak RSS holds one world, not two *)
         Gc.full_major ();
@@ -193,10 +190,9 @@ let run ?out ?sizes:sizes_override ?(resume_shards = 1) ?adversary ?(check = fal
       beacon_p
   in
   if check then begin
-    (* Deterministic columns only: counts are byte-identical across
-       shard counts (that is the sharding contract), timings are not.
-       Notes likewise carry no timing or shard detail — two check tables
-       from different shard counts must compare equal byte-for-byte. *)
+    (* Deterministic columns only: counts are byte-identical from run
+       to run, timings are not.  Notes likewise carry no timing — two
+       check tables must compare equal byte-for-byte. *)
     let t = Table.create [ "n"; "m"; "gray"; "sends"; "deliveries"; "collisions" ] in
     List.iter
       (fun r ->

@@ -46,29 +46,22 @@
    declares its reach from the broadcasters ([Adversary.reach]): no gray
    edge of a broadcaster, all of them, or a set only its [visit] walks.
    A declared round skips the adversary phase, and delivery walks no
-   gray row, or every gray row without a membership test (on the
-   kernel, it ORs [Graph.adj_rows] or [Dual.reach_rows]).  A [Chosen]
+   gray row, or every gray row without a membership test.  A [Chosen]
    round only derives its stream in the adversary phase, and delivery
    runs inside [Adversary.visit]: each visited edge touches its
    receiver, so no set of active gray edges is ever built.  The visit
    is handed a [live] predicate, the receivers a visited edge can still
-   change ([live_scalar], [live_acc], [live_assign]), and
-   [bernoulli]/[harassing] skip the draws of every other edge with
-   [Rng.skip], which leaves the stream where the full walk would.
-   Delivery picks its evaluation by cost: the word-parallel once/twice
-   kernel when the edge touches it saves outweigh its word sweeps.  It
-   saves the broadcasters' G degrees, and their gray degrees only on an
-   [All_incident] round: on a [Chosen] round it visits the adversary's
-   edges as the scalar path does, and its second sweep re-derives the
-   stream and visits them again, which counts against it.  The resume
-   has one path: it fixes the round's work list and steps it in
-   [resume_shards] slices on Pool domains when [resume_shards > 1] and
-   at least [resume_shard_threshold] fibers await their receive, else
-   in one slice on the calling domain.  Every choice is pure evaluation
-   strategy; an attached sink treats every round as [Chosen], forces
-   the scalar delivery, which can emit per-receiver records, passes no
-   [live] predicate, so its [Gray] event counts every active edge, and
-   keeps the resume in one slice.
+   change, and [bernoulli]/[harassing] skip the draws of every other
+   edge with [Rng.skip], which leaves the stream where the full walk
+   would.  On a declared round, delivery picks its evaluation by cost:
+   the word-parallel once/twice kernel, which ORs [Graph.adj_rows] or
+   [Dual.reach_rows], when the edge touches it saves outweigh its word
+   sweeps.  A [Chosen] round is always delivered by the scalar path.
+   The resume steps the round's work list on the calling domain.
+   Every choice is pure evaluation strategy; an attached sink treats
+   every round as [Chosen], so delivery stays scalar and can emit
+   per-receiver records, and passes no [live] predicate, so its [Gray]
+   event counts every active edge.
 
    [run_reference] keeps the original straightforward O(n)-scans-per-round
    loop (modulo the per-round adversary derivation, which is part of the
@@ -85,7 +78,6 @@
    on message size in bits. *)
 
 module Bitset = Rn_util.Bitset
-module Pool = Rn_util.Pool
 module Rng = Rn_util.Rng
 module Timing = Rn_util.Timing
 module Int_sort = Rn_util.Int_sort
@@ -112,14 +104,6 @@ let m_kernel_rounds = Metrics.counter "engine.kernel_rounds"
 (* Rounds whose reach the adversary declared ([Adversary.reach]), so the
    adversary phase was skipped. *)
 let m_declared_reach_rounds = Metrics.counter "engine.declared_reach_rounds"
-
-(* Rounds whose resume was cut in more than one slice, and the fibers
-   they stepped.  Recorded on the *calling* domain: [Metrics.scoped]
-   snapshots see only the calling domain's records, so counting on the
-   worker domains would leak the events out of per-cell snapshots even
-   though the global atomics themselves merge commutatively. *)
-let m_resume_shard_rounds = Metrics.counter "engine.resume_shard_rounds"
-let m_resume_shard_steps = Metrics.counter "engine.resume_shard_steps"
 let m_timeouts = Metrics.counter "engine.timeouts"
 
 (* Listeners woken early by a delivery.  The receives a listener's
@@ -129,11 +113,9 @@ let m_listen_wakes = Metrics.counter "engine.listen_wakes"
    heap, while a [run] executes.  They are read from [Gc.counters] after
    the run has sized its minor heap and before it puts the old size
    back, since a resize counts the words of the heap it empties as
-   allocated.  They count the calling domain only:
-   the resume's Pool workers step fibers on their own domains,
-   and what those steps allocate is not included.  ([Gc.quick_stat]
-   would sum every domain, which blends concurrent cells under
-   [--jobs N].) *)
+   allocated.  They count the calling domain only, which steps every
+   fiber ([Gc.quick_stat] would sum every domain, which blends
+   concurrent cells under [--jobs N]). *)
 let m_minor_words = Metrics.counter "engine.minor_words"
 let m_promoted_words = Metrics.counter "engine.promoted_words"
 
@@ -181,11 +163,6 @@ let semantics_digest = Printf.sprintf "eng%d" semantics_version
    that [listen ctx max_int] cannot wrap to a negative key. *)
 let park_expiry base dur = if dur > max_int - base then max_int else base + dur - 1
 
-(* A round's resume is cut into [resume_shards] slices only when at
-   least this many fibers await their receive: below it, the Pool
-   dispatch and merge cost more than stepping the fibers on one domain. *)
-let resume_shard_threshold = 1024
-
 (* Minor-heap words a run asks for per fiber on the calling domain.  A
    fiber-round allocates about 4.4 words (DESIGN.md "Allocation budget
    of a fiber round") that die within a round or two: its continuation,
@@ -214,22 +191,15 @@ let grow_minor_heap words =
        true
      end
 
-(* Where the fibers one resume slice stepped stopped: the synced ones
-   from the front of [buf] in step order, the parked ones from its back.
-   A stepped fiber lands in at most one of the two, so a buffer as long
-   as the slice never overflows. *)
-type slice = { buf : int array; mutable joins : int; mutable parks : int }
-
 (* What one round of [run] decided, shared by its phase functions: the
    round, its broadcasters (ascending), the reach the adversary
-   declared, whether delivery took the word-parallel kernel, and how
-   many slices the resume stepped.  One per run, rewritten each round. *)
+   declared, and whether delivery took the word-parallel kernel.  One
+   per run, rewritten each round. *)
 type round_state = {
   mutable r : int;
   mutable broadcasters : int array;
   mutable reach : Adversary.reach;
   mutable kernel : bool;
-  mutable slices : int;
 }
 
 module Make (M : MESSAGE) = struct
@@ -266,20 +236,17 @@ module Make (M : MESSAGE) = struct
     max_rounds : int;
     observer : (view -> unit) option;
     sink : Events.sink option; (* structured event trace destination *)
-    resume_shards : int;
-        (* Slices of the resume's work list stepped on Pool domains when
-           at least [resume_shard_threshold] fibers await and no sink is
-           attached; see [run]'s [resume].  Pure evaluation strategy —
-           results are byte-identical at any count (test_engine_paths). *)
   }
 
   let config ?(adversary = Adversary.silent) ?(seed = 0) ?b_bits ?(delta_bound = 0)
       ?wake ?(stop = All_done) ?(max_rounds = 2_000_000) ?observer ?sink
       ?(shards = 1) ?(resume_shards = 1) ~detector dual =
-    (* [shards] selects nothing: delivery and the adversary run on the
-       calling domain, because sharding them lost on every measured
-       workload.  It is still accepted (and checked) for callers that
-       pass it. *)
+    (* [shards] and [resume_shards] select nothing: delivery, the
+       adversary and the resume run on the calling domain.  Sharding
+       delivery and the adversary lost on every measured workload, and
+       a resume stepped on other domains left each fiber's stack in
+       their caches (DESIGN.md "Resume").  Both are still accepted (and
+       checked) for callers that pass them. *)
     if shards < 1 then invalid_arg "Engine.config: shards < 1";
     if resume_shards < 1 then invalid_arg "Engine.config: resume_shards < 1";
     (* No explicit sink: fall back to the process-wide ambient sink (the
@@ -301,7 +268,6 @@ module Make (M : MESSAGE) = struct
       max_rounds;
       observer;
       sink;
-      resume_shards;
     }
 
   type ctx = {
@@ -678,21 +644,19 @@ module Make (M : MESSAGE) = struct
     (* Event tracing: sampled once per run.  [emit] only ever appends to
        the sink's ring buffer — it reads no RNG and mutates no engine
        state, so a traced run is byte-identical to an untraced one.  A
-       sink keeps the resume in one slice, so Decide events come out in
-       step order, as it keeps delivery scalar and every round on
-       [Adversary.visit]. *)
+       sink keeps every round on [Adversary.visit], and so delivery
+       scalar. *)
     let tracing, emit =
       match cfg.sink with
       | Some s -> (true, fun e -> Events.emit s e)
       | None -> (false, fun (_ : Events.event) -> ())
     in
-    let resume_shards = if tracing then 1 else cfg.resume_shards in
-    (* Fibers whose body returned and processes that decided, counted on
-       whichever domain stepped them: once per process per run. *)
-    let n_finished = Atomic.make 0 and n_decided = Atomic.make 0 in
+    (* Fibers whose body returned and processes that decided: once per
+       process per run. *)
+    let n_finished = ref 0 and n_decided = ref 0 in
     let do_output v value =
       if first_output c v value then begin
-        Atomic.incr n_decided;
+        incr n_decided;
         if tracing then emit { Events.round = c.round; proc = v; kind = Decide { value } }
       end
     in
@@ -780,46 +744,24 @@ module Make (M : MESSAGE) = struct
     let next_wake () =
       if !wake_ptr >= nn then max_int else wake_rounds.(wake_order.(!wake_ptr))
     in
-    (* The resume's work list, and one buffer per slice.  Slice 0 also
-       takes the wake phase's fibers, so it holds all n; a round cut in k
-       slices steps at most n/k + 1 fibers in each other one. *)
+    (* The resume's work list. *)
     let work = Array.make (max 1 nn) 0 in
     let n_work = ref 0 in
-    let slices =
-      Array.init resume_shards (fun s ->
-          let cap = if s = 0 then nn else (nn / resume_shards) + 1 in
-          { buf = Array.make (max 1 cap) 0; joins = 0; parks = 0 })
-    in
-    (* Record where fiber [v] stopped in slice [b]: a finished fiber is
-       counted, a synced one joins from the front and a parked one from
-       the back.  Runs on whichever domain stepped [v]. *)
-    let settle b v (Stopped k) =
+    (* Record where fiber [v] stopped, in step order: a finished fiber is
+       counted, a synced one joins the worklist, and a parked one, whose
+       stretch starts at round [base], enters the heap. *)
+    let settle base v (Stopped k) =
       conts.(v) <- k;
       let s = Bytes.unsafe_get state v in
-      if s = st_none then Atomic.incr n_finished
+      if s = st_none then incr n_finished
       else if s < st_idle then begin
-        b.buf.(b.joins) <- v;
-        b.joins <- b.joins + 1
+        active.(!n_active) <- v;
+        incr n_active
       end
       else begin
-        b.parks <- b.parks + 1;
-        b.buf.(Array.length b.buf - b.parks) <- v
-      end
-    in
-    (* On the calling domain: slice [b]'s synced fibers join the
-       worklist, and its parks, whose stretches start at round [base],
-       enter the heap in the order they parked. *)
-    let merge base b =
-      Array.blit b.buf 0 active !n_active b.joins;
-      n_active := !n_active + b.joins;
-      let top = Array.length b.buf - 1 in
-      for i = 0 to b.parks - 1 do
-        let v = b.buf.(top - i) in
         park_start.(v) <- base;
         heap_push (park_expiry base park.(v)) v
-      done;
-      b.joins <- 0;
-      b.parks <- 0
+      end
     in
     (* Delivery scratch, reset via the touched list each round.  A unique
        broadcaster is remembered by id ([recv_from]) rather than by boxing
@@ -852,17 +794,6 @@ module Make (M : MESSAGE) = struct
     let k_listen = Bitset.create nn in
     let k_recv = Bitset.create nn in
     let k_words = Bitset.word_count k_once in
-    (* The resume's Pool, created on its first round cut in more than one
-       slice and shut down when the run ends. *)
-    let pool = ref None in
-    let get_pool () =
-      match !pool with
-      | Some p -> p
-      | None ->
-        let p = Pool.create ~jobs:resume_shards in
-        pool := Some p;
-        p
-    in
     (* Once the dense kernel's (once, twice) pair sits in [k_once]/[k_twice],
        classify every node word-parallel — receives = once ∧ ¬twice ∧
        listeners, collisions = twice ∧ listeners, where every synced or
@@ -931,23 +862,17 @@ module Make (M : MESSAGE) = struct
         end;
         touch u v e
     in
-    (* The kernel's first sweep feeds the accumulator pair from the
-       visit; its second sweep hands [!sweep_recv], the current
-       broadcaster's [Recv m], to the receivers in [k_recv] on its
-       adjacency row through [assign_recv], and revisits the round's
-       active gray edges through [assign_gray]. *)
-    let acc_gray _ v _ = Bitset.acc2_add ~once:k_once ~twice:k_twice v in
+    (* The kernel's second sweep hands [!sweep_recv], the current
+       broadcaster's [Recv m], to the receivers in [k_recv] on its reach
+       row through [assign_recv]. *)
     let sweep_recv = ref Silence in
     let assign_recv v = receives.(v) <- !sweep_recv in
-    let assign_gray u v _ = if Bitset.mem k_recv v then receives.(v) <- sender_recv u in
-    (* The [live] predicates handed to [Adversary.visit] with those
-       visitors, built once per run: the receivers a visited edge can
-       still change.  The scalar path runs after every G touch, so a
-       node already touched twice is collided and a broadcaster or a
-       finished fiber receives nothing; a traced run passes none, so
-       its [Gray] event counts every active edge.  The kernel's first
-       sweep skips nodes already in [k_twice], its second every node
-       outside [k_recv]. *)
+    (* The [live] predicate handed to [Adversary.visit] with [touch_gray],
+       built once per run: the receivers a visited edge can still change.
+       The visit runs after every G touch, so a node already touched
+       twice is collided and a broadcaster or a finished fiber receives
+       nothing; a traced run passes none, so its [Gray] event counts
+       every active edge. *)
     let live_scalar =
       if tracing then None
       else
@@ -958,14 +883,11 @@ module Make (M : MESSAGE) = struct
             let s = Bytes.unsafe_get state v in
             s <> st_none && s <> st_send)
     in
-    let live_acc = Some (fun v -> not (Bitset.mem k_twice v)) in
-    let live_assign = Some (fun v -> Bitset.mem k_recv v) in
     (* Resume fiber [v] at the end of round [r]: a synced fiber with its
        receive, a parked one with the [Recv m] that woke it (its stretch
        index written to its park slot first) or with [Silence] when its
-       stretch expired.  Runs on a Pool domain when the resume is cut in
-       slices, touching only [v]'s own slots.  Evaluates to where the
-       fiber stopped next, for [settle].  The slot keeps the continuation
+       stretch expired.  Evaluates to where the fiber stopped next, for
+       [settle].  The slot keeps the continuation
        until [settle] overwrites it with the next one: overwriting it
        before [continue], while the major GC marks, would make the write
        barrier mark it with its stack still attached and scan that whole
@@ -990,8 +912,8 @@ module Make (M : MESSAGE) = struct
     in
     let stop_now () =
       match cfg.stop with
-      | All_done -> Atomic.get n_finished = nn
-      | All_decided -> Atomic.get n_decided = nn || Atomic.get n_finished = nn
+      | All_done -> !n_finished = nn
+      | All_decided -> !n_decided = nn || !n_finished = nn
       | At_round r -> c.round >= r
     in
     (* The phase profile: nanoseconds and entries per phase, summed here
@@ -1014,7 +936,6 @@ module Make (M : MESSAGE) = struct
         broadcasters = no_broadcasters;
         reach = Adversary.No_gray;
         kernel = false;
-        slices = 1;
       }
     in
     (* Fast-forward: with no synced fiber and no observer, every round
@@ -1051,14 +972,12 @@ module Make (M : MESSAGE) = struct
       c.round <- c.round + 1;
       rs.r <- c.round;
       p_start ();
-      let b = slices.(0) in
       while !wake_ptr < nn && wake_rounds.(wake_order.(!wake_ptr)) = rs.r do
         let v = wake_order.(!wake_ptr) in
         incr wake_ptr;
         if tracing then emit { Events.round = rs.r; proc = v; kind = Wake };
-        settle b v (launch cfg c current_detector do_output body v)
+        settle rs.r v (launch cfg c current_detector do_output body v)
       done;
-      merge rs.r b;
       p_stop Timing.Wake
     in
     (* 2. Collect the broadcasters (live fibers only) and enforce the
@@ -1110,50 +1029,36 @@ module Make (M : MESSAGE) = struct
         end
       end
     in
-    let visit rs live f =
-      Adversary.visit cfg.adversary ?live ~round:rs.r ~broadcasters:rs.broadcasters dual adv_rng
-        f
-    in
-    (* The delivery kernel wins when the edge touches it saves outweigh
-       its cost: two word sweeps per broadcaster and rebuilding the
-       listener masks from the worklist and the heap.  It saves the
-       broadcasters' G degrees, plus their gray degrees on an
-       [All_incident] round.  On a [Chosen] round it walks the same gray
-       edges the scalar path walks, and walks them a second time when
-       anyone receives, so that second walk counts against it. *)
+    (* The delivery kernel wins on a declared round when the edge touches
+       it saves outweigh its cost: two word sweeps per broadcaster and
+       rebuilding the listener masks from the worklist and the heap.  It
+       saves the broadcasters' G degrees, plus their gray degrees on an
+       [All_incident] round. *)
     let kernel_wins reach =
       let sum = ref 0 in
       for i = 0 to !n_bcast - 1 do
         let u = bcast.(i) in
         sum :=
           !sum + Graph.degree g u
-          +
-          match reach with
-          | Adversary.All_incident -> Dual.gray_degree dual u
-          | Adversary.Chosen -> -Dual.gray_degree dual u
-          | Adversary.No_gray -> 0
+          + if reach = Adversary.All_incident then Dual.gray_degree dual u else 0
       done;
       !sum > (((2 * !n_bcast) + 8) * k_words) + !n_active + !heap_n
     in
     (* Reach as word-parallel row ORs: N_G'(u) on an [All_incident]
-       round, else N_G(u) plus, on a [Chosen] round, the edges the
-       adversary's visit reaches.  The second sweep hands each receiver
-       its sender's message; the sender is unique because an
+       round, else N_G(u).  The second sweep hands each receiver its
+       sender's message; the sender is unique because an
        exactly-one-sender node lies in exactly one broadcaster's reach
        set.  It is skipped outright when nobody received (the common
-       case under heavy contention); otherwise a [Chosen] round
-       re-derives the same stream and revisits the same edges. *)
+       case under heavy contention). *)
     let deliver_kernel rs =
       let rows =
         if rs.reach = Adversary.All_incident then Dual.reach_rows dual else Graph.adj_rows g
       in
-      let chosen = rs.reach = Adversary.Chosen in
       Bitset.clear k_once;
       Bitset.clear k_twice;
       for j = 0 to !n_bcast - 1 do
         Bitset.acc2_or_into ~once:k_once ~twice:k_twice rows.(rs.broadcasters.(j))
       done;
-      if chosen then visit rs live_acc acc_gray;
       if kernel_classify () then begin
         for j = 0 to !n_bcast - 1 do
           let u = rs.broadcasters.(j) in
@@ -1161,10 +1066,6 @@ module Make (M : MESSAGE) = struct
           sweep_recv := sender_recv u;
           Bitset.iter_inter assign_recv rows.(u) k_recv
         done;
-        if chosen then begin
-          Rng.derive_into adv_rng ~parent:c.adv_root rs.r;
-          visit rs live_assign assign_gray
-        end;
         Bitset.iter_inter push_woken k_recv k_listen
       end
     in
@@ -1185,7 +1086,8 @@ module Make (M : MESSAGE) = struct
           done
       done;
       if rs.reach = Adversary.Chosen then begin
-        visit rs live_scalar touch_gray;
+        Adversary.visit cfg.adversary ?live:live_scalar ~round:rs.r
+          ~broadcasters:rs.broadcasters dual adv_rng touch_gray;
         if tracing then begin
           let active = !n_gray and total = Dual.gray_count dual in
           emit { Events.round = rs.r; proc = -1; kind = Gray { active; total } };
@@ -1219,14 +1121,16 @@ module Make (M : MESSAGE) = struct
       done
     in
     (* 4. Deliveries along E plus the round's gray reach, on the path the
-       cost model picks.  The kernel is only a faster evaluation of the
-       same collision rule — counts and receives are identical by
-       construction (certified by test_engine_paths) — but it cannot emit
-       per-receiver events, so a sink forces the scalar path. *)
+       cost model picks on a declared round, and on the scalar path on a
+       [Chosen] one.  The kernel is only a faster evaluation of the same
+       collision rule — counts and receives are identical by construction
+       (certified by test_engine_paths) — but it cannot emit per-receiver
+       events; a sink makes every round [Chosen], so it keeps delivery
+       scalar. *)
     let deliver rs =
       if !n_bcast > 0 then begin
         p_start ();
-        rs.kernel <- (not tracing) && kernel_wins rs.reach;
+        rs.kernel <- rs.reach <> Adversary.Chosen && kernel_wins rs.reach;
         if rs.kernel then begin
           incr kernel_rounds;
           deliver_kernel rs
@@ -1238,24 +1142,11 @@ module Make (M : MESSAGE) = struct
         p_stop Timing.Deliver
       end
     in
-    (* Step slice [s] of the [rs.slices] cut of the work list into its
-       buffer; on a Pool domain when there is more than one slice.  The
-       run's Pool domains exit with it, so each sizes its minor heap to
-       its share of the fibers at its first step and never restores it. *)
-    let slice_heap = minor_heap_words_per_fiber * (nn / max 1 resume_shards) in
-    let step_slice s =
-      let b = slices.(s) and m = !n_work and k = rs.slices in
-      if k > 1 then ignore (grow_minor_heap slice_heap);
-      for i = s * m / k to ((s + 1) * m / k) - 1 do
-        let v = work.(i) in
-        settle b v (step rs.r v)
-      done
-    in
-    (* Hand each listener a delivery reached its receive, on this domain
-       and in delivery order: its callback takes the stretch index and
-       the message.  A listener whose callback wakes it leaves the heap
-       and stays in [woken]; one whose callback declines keeps its heap
-       entry and gets [Silence] back in its receive slot. *)
+    (* Hand each listener a delivery reached its receive, in delivery
+       order: its callback takes the stretch index and the message.  A
+       listener whose callback wakes it leaves the heap and stays in
+       [woken]; one whose callback declines keeps its heap entry and gets
+       [Silence] back in its receive slot. *)
     let hear_woken r =
       let kept = ref 0 in
       for j = 0 to !n_woken - 1 do
@@ -1276,10 +1167,8 @@ module Make (M : MESSAGE) = struct
        the parks expiring this round in heap-pop order.  [idle] and
        [listen] park for at least one round, so a park a step performs
        has a key >= r+1 and the due set cannot grow while the list is
-       stepped.  The list is cut into [rs.slices] contiguous slices —
-       [resume_shards] of them on Pool domains when enough fibers await,
-       else one on this domain — and the slices' buffers are merged in
-       slice order.  All receives were computed before any resume, so
+       stepped; [settle] rebuilds the worklist and pushes the new parks
+       in step order.  All receives were computed before any resume, so
        next-round intents cannot bleed into this round. *)
     let resume rs =
       p_start ();
@@ -1295,17 +1184,9 @@ module Make (M : MESSAGE) = struct
       resumes := !resumes + !n_work;
       n_woken := 0;
       n_active := 0;
-      rs.slices <- (if !n_work >= resume_shard_threshold then resume_shards else 1);
-      if rs.slices = 1 then step_slice 0
-      else begin
-        if met then begin
-          Metrics.incr m_resume_shard_rounds;
-          Metrics.add m_resume_shard_steps !n_work
-        end;
-        Pool.run_n (get_pool ()) step_slice rs.slices
-      end;
-      for s = 0 to rs.slices - 1 do
-        merge (rs.r + 1) slices.(s)
+      for i = 0 to !n_work - 1 do
+        let v = work.(i) in
+        settle (rs.r + 1) v (step rs.r v)
       done;
       p_stop Timing.Resume
     in
@@ -1325,7 +1206,6 @@ module Make (M : MESSAGE) = struct
     let words1 = ref words0 in
     Fun.protect
       ~finally:(fun () ->
-        (match !pool with Some p -> Pool.shutdown p | None -> ());
         discontinued := discontinue_all state conts;
         if met then words1 := gc_words ();
         if grown then Gc.set { (Gc.get ()) with Gc.minor_heap_size = heap0 })

@@ -64,33 +64,16 @@ module Make (M : MESSAGE) : sig
     sink : Events.sink option;
         (** structured event trace destination; emission has no
             observable effect on the run ({!run_reference} ignores it) *)
-    resume_shards : int;
-        (** {!Rn_util.Pool} domains for the resume phase (≥ 1).  Every
-            round's resume first runs the callbacks of the listeners a
-            delivery reached ({!listen_for}) on the calling domain, then
-            steps one work list — the synced fibers in worklist order,
-            the listeners a callback woke, then the parks expiring this
-            round in heap-pop order — in contiguous
-            slices.  With [resume_shards > 1], no [sink], and at least
-            1024 fibers in the list, the round takes [resume_shards]
-            slices stepped in parallel (OCaml 5 continuations are not
-            domain-pinned); otherwise one slice on the calling domain.
-            Each slice records where its fibers stopped in a private
-            preallocated buffer, and the calling domain merges the
-            buffers in slice order.  Steps are independent because
-            per-process RNG streams are derived independently from the
-            seed and a step reads only its own receive slot — so results
-            are byte-identical at any shard count. *)
   }
 
   (** Build a config with sensible defaults: silent adversary, seed 0,
       [delta_bound] defaulting to the true max degree of [G], synchronous
-      wake-up, stop at [All_done], 2M-round safety cap, no tracing, one
-      resume domain ([resume_shards] < 1 raises [Invalid_argument]).
+      wake-up, stop at [All_done], 2M-round safety cap, no tracing.
 
-      [?shards] (≥ 1, else [Invalid_argument]) is accepted for source
-      compatibility and selects nothing: delivery and the adversary's
-      gray-edge choice always run on the calling domain. *)
+      [?shards] and [?resume_shards] (each ≥ 1, else [Invalid_argument])
+      are accepted for source compatibility and select nothing: delivery,
+      the adversary's gray-edge choice and the resume always run on the
+      calling domain. *)
   val config :
     ?adversary:Adversary.t ->
     ?seed:int ->
@@ -204,37 +187,38 @@ module Make (M : MESSAGE) : sig
       Each round runs five phases in turn: wake, collect, adversary,
       deliver and resume.  A round whose reach the adversary declares
       ({!Adversary.reach}) skips the adversary phase and delivers along
-      the declared reach; any other round calls {!Adversary.choose}.
-      Delivery picks its evaluation by cost alone: the word-parallel
-      kernel when the broadcasters' reach outweighs its word sweeps,
-      where a broadcaster's gray degree counts only on a round that
-      reaches gray edges.  The resume steps its work list in one slice
-      or in [resume_shards], as described there.  Every choice is pure
-      evaluation strategy.  The counters [engine.declared_reach_rounds],
-      [engine.kernel_rounds] and [engine.resume_shard_rounds] record
-      how often each fast path ran.
+      the declared reach, on the word-parallel kernel when the
+      broadcasters' reach outweighs its word sweeps (a broadcaster's
+      gray degree counts only on a round that reaches every gray edge),
+      else edge by edge.  Any other round delivers edge by edge inside
+      {!Adversary.visit}, which walks the gray edges the adversary
+      activates.  The resume first runs the callbacks of the listeners
+      a delivery reached ({!listen_for}), then steps one work list — the
+      synced fibers in worklist order, the listeners a callback woke,
+      then the parks expiring this round in heap-pop order.  Every phase
+      runs on the calling domain, and every choice is pure evaluation
+      strategy.  The counters [engine.declared_reach_rounds] and
+      [engine.kernel_rounds] record how often each fast path ran.
 
       When [config.sink] is set, one {!Events.event} is emitted per wake,
       broadcast, delivery, collision, gray-edge resolution, first
       decision, and fast-forward jump.  Emission reads no RNG and mutates
       no engine state, so the result is byte-identical to an untraced
-      run; every round then consults {!Adversary.choose}, so its gray
-      events are those of the declared rounds' full evaluation, and
-      delivery takes its scalar path and the resume one slice.  When
-      {!Rn_util.Metrics.enabled} (sampled once per run), engine-level
-      [engine.*] counters and histograms are recorded.  Among them,
-      [engine.minor_words] and [engine.promoted_words] are the words the
-      run allocated in, and promoted from, the minor heap of the calling
-      domain only: what the resume's Pool workers allocate on their
-      own domains is not counted.
+      run; every round then goes through {!Adversary.visit} with no
+      [live] predicate, so its gray events count the edges
+      {!Adversary.choose} activates, and delivery takes its scalar path.
+      When {!Rn_util.Metrics.enabled} (sampled once per run),
+      engine-level [engine.*] counters and histograms are recorded.
+      Among them, [engine.minor_words] and [engine.promoted_words] are
+      the words the run allocated in, and promoted from, the minor heap
+      of the calling domain.
 
       A run of n fibers raises the calling domain's minor heap to 32n
       words when that exceeds its size, so that a round's short-lived
       continuations and messages die young, and puts the size back when
       the run ends, also when it raises.  OCaml 5's minor heap is per
-      domain, so other domains keep theirs; the resume's Pool domains,
-      which exit with the run, grow theirs to 32 words per fiber over
-      [resume_shards].  {!run_reference} leaves the heap alone.
+      domain, so other domains keep theirs.  {!run_reference} leaves the
+      heap alone.
 
       A run that stops while fibers are still suspended (at [At_round],
       at [All_decided] before every body returned, on a timeout, or

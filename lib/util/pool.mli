@@ -41,9 +41,9 @@ val size : t -> int
 val run : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [run_n t f n] applies [f] to every index [0 .. n-1] on [t]'s workers
-    and blocks until the batch completes: {!run} specialised to the
-    pinned contiguous slices of the engine's sharded phases — no id
-    list, no result collection.  The exception of the lowest failing
+    and blocks until the batch completes: {!run} specialised to a batch
+    of indices — no id list, no result collection, so that a caller can
+    time the dispatch alone.  The exception of the lowest failing
     index is re-raised with its backtrace, as in {!run}; the
     batch-completion mutex gives the caller a
     happens-before edge over every write the workers made.  [n = 1] runs
